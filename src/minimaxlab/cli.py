@@ -15,7 +15,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +32,6 @@ from .pathlab import gamma_R
 from . import __version__
 
 EXPERIMENTS = ("ground", "levels", "sweep-y", "gamma-r", "symmetry", "verify-all")
-
-CONFIG_KEYS = PROBLEM_KEYS + (
-    "experiment", "seed", "out_dir", "tol_descent", "theta_samples",
-    "sphere_samples", "y_sweep", "r_list", "fit_r_min", "fit_r_max",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -54,7 +49,6 @@ class ExperimentConfig:
     y_sweep: tuple[float, ...] = (4.0, 6.0, 8.0, 10.0, 12.0)
     r_list: tuple[float, ...] = (6.0, 9.0, 12.0)
     fit_window: tuple[float, float] = (6.0, 12.0)
-    threads: int | None = None
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -66,28 +60,28 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+# run key (named as its ExperimentConfig field) -> parser of its text value
+RUN_KEYS = {
+    "experiment": str,
+    "seed": int,
+    "out_dir": str,
+    "tol_descent": float,
+    "theta_samples": int,
+    "sphere_samples": int,
+    "y_sweep": _floats,
+    "r_list": _floats,
+}
+
+# fit_r_min and fit_r_max together set the fit_window pair
+CONFIG_KEYS = PROBLEM_KEYS + tuple(RUN_KEYS) + ("fit_r_min", "fit_r_max")
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     unknown = set(mapping) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     spec = parse_problem_mapping({k: v for k, v in mapping.items() if k in PROBLEM_KEYS})
-    kwargs = {}
-    if "experiment" in mapping:
-        kwargs["experiment"] = mapping["experiment"]
-    if "seed" in mapping:
-        kwargs["seed"] = int(mapping["seed"])
-    if "out_dir" in mapping:
-        kwargs["out_dir"] = mapping["out_dir"]
-    if "tol_descent" in mapping:
-        kwargs["tol_descent"] = float(mapping["tol_descent"])
-    if "theta_samples" in mapping:
-        kwargs["theta_samples"] = int(mapping["theta_samples"])
-    if "sphere_samples" in mapping:
-        kwargs["sphere_samples"] = int(mapping["sphere_samples"])
-    if "y_sweep" in mapping:
-        kwargs["y_sweep"] = _floats(mapping["y_sweep"])
-    if "r_list" in mapping:
-        kwargs["r_list"] = _floats(mapping["r_list"])
+    kwargs = {key: parse(mapping[key]) for key, parse in RUN_KEYS.items() if key in mapping}
     if "fit_r_min" in mapping or "fit_r_max" in mapping:
         kwargs["fit_window"] = (float(mapping.get("fit_r_min", 6.0)),
                                 float(mapping.get("fit_r_max", 12.0)))
@@ -104,64 +98,53 @@ class Pipeline:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.spec = cfg.spec
-        self._cache = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def autonomous_spec(self) -> ProblemSpec:
-        return self._get("spec0", lambda: replace(self.spec, W=WSpec()))
+        return replace(self.spec, W=WSpec())
 
-    @property
+    @cached_property
     def grid(self):
-        return self._get("grid", lambda: build_grid(self.spec))
+        return build_grid(self.spec)
 
-    @property
+    @cached_property
     def ground_profile(self):
         s = self.spec
-        return self._get("ground", lambda: shoot_ground(s.N, s.p, s.Vinf))
+        return shoot_ground(s.N, s.p, s.Vinf)
 
-    @property
+    @cached_property
     def decay_fit(self):
-        return self._get("decay", lambda: fit_decay(
-            self.ground_profile, self.spec.Vinf, window=self.cfg.fit_window))
+        return fit_decay(self.ground_profile, self.spec.Vinf, window=self.cfg.fit_window)
 
-    @property
+    @cached_property
     def excited_profile(self):
         s = self.spec
-        return self._get("excited", lambda: shoot_excited(s.N, s.p, s.Vinf, 1))
+        return shoot_excited(s.N, s.p, s.Vinf, 1)
 
     @property
     def lam1_inf(self) -> float:
         return self.ground_profile.level
 
-    @property
+    @cached_property
     def descent(self):
-        def run():
-            seed = None if self.spec.W.family == "zero" else self.ground_profile
-            return minimize_lambda1(self.spec, tol=self.cfg.tol_descent,
-                                    seed_profile=seed)
-        return self._get("descent", run)
+        seed = None if self.spec.W.family == "zero" else self.ground_profile
+        return minimize_lambda1(self.spec, tol=self.cfg.tol_descent, seed_profile=seed)
 
-    @property
+    @cached_property
     def lam2(self) -> Lambda2Bounds:
-        return self._get("lam2", lambda: lambda2_bounds(
+        return lambda2_bounds(
             self.spec, self.descent.minimizer, self.descent.level,
             self.ground_profile, self.lam1_inf,
-            y_sweep=self.cfg.y_sweep, samples=self.cfg.theta_samples))
+            y_sweep=self.cfg.y_sweep, samples=self.cfg.theta_samples)
 
+    @cached_property
     def gamma_r_scans(self):
-        def run():
-            winf = profile_on_grid(self.ground_profile, self.grid)
-            out = {}
-            for R in self.cfg.r_list:
-                sm = gamma_R(winf, R, self.spec.p, samples=self.cfg.sphere_samples)
-                out[R] = sm.scan(self.autonomous_spec, count_nodal=True)
-            return out
-        return self._get("gamma_r", run)
+        winf = profile_on_grid(self.ground_profile, self.grid)
+        out = {}
+        for R in self.cfg.r_list:
+            sm = gamma_R(winf, R, self.spec.p, samples=self.cfg.sphere_samples)
+            out[R] = sm.scan(self.autonomous_spec, count_nodal=True)
+        return out
 
 
 # --- experiment bodies -------------------------------------------------------
@@ -250,7 +233,7 @@ def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     spec = pipe.spec
     rep.lam1_inf = pipe.lam1_inf
     target = 2.0 ** spec.sigma * rep.lam1_inf
-    scans = pipe.gamma_r_scans()
+    scans = pipe.gamma_r_scans
     maxima = {R: max(s.energy for s in scan) for R, scan in scans.items()}
     rep.extras["gamma_r_maxima"] = {str(R): m for R, m in maxima.items()}
     r_big = max(maxima)
@@ -400,7 +383,6 @@ def run(cfg: ExperimentConfig) -> int:
             "tol_descent": cfg.tol_descent,
             "theta_samples": cfg.theta_samples,
             "sphere_samples": cfg.sphere_samples,
-            "threads": cfg.threads,
             "operations": PROVENANCE_MAP,
         },
     }
@@ -421,8 +403,6 @@ def main(argv=None) -> int:
     runp.add_argument("config", help="flat key-value config file")
     runp.add_argument("--out", help="output directory (overrides out_dir)")
     runp.add_argument("--seed", type=int, help="random seed (overrides config)")
-    runp.add_argument("--threads", type=int,
-                      help="thread count (default: MINIMAXLAB_THREADS env)")
     runp.add_argument("--override", action="append", default=[],
                       metavar="KEY=VALUE", help="override a config key")
     args = parser.parse_args(argv)
@@ -439,10 +419,6 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
-        elif os.environ.get("MINIMAXLAB_THREADS"):
-            cfg.threads = int(os.environ["MINIMAXLAB_THREADS"])
         return run(cfg)
     except (ConfigError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

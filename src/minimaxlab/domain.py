@@ -119,17 +119,24 @@ class Grid:
         c = self.coords()
         return np.sqrt(sum(x * x for x in c))
 
-    def interior_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[(slice(1, -1),) * self.N] = True
-        return mask
-
     def lattice_vector(self, y) -> tuple[int, ...]:
         """Round a spatial displacement to whole grid steps per axis."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (self.N,):
             raise DomainError(f"displacement must have {self.N} components")
         return tuple(int(round(v / self.h)) for v in y)
+
+
+def zero_boundary(v: np.ndarray) -> np.ndarray:
+    """Set the Dirichlet boundary nodes of a node array to zero, in place."""
+    for ax in range(v.ndim):
+        np.moveaxis(v, ax, 0)[[0, -1]] = 0.0
+    return v
+
+
+def lp_mass(v: np.ndarray, p: float, weight: float) -> float:
+    """Quadrature sum weight * |v_i|^p of a node array (|v|_p^p)."""
+    return float(np.sum(np.abs(v) ** p) * weight)
 
 
 def build_grid(spec: ProblemSpec) -> Grid:
@@ -170,12 +177,10 @@ def potential_values(spec: ProblemSpec, grid: Grid) -> np.ndarray:
 
 def dual_norm_W(spec: ProblemSpec, grid: Grid) -> float:
     """L^q norm of W with q = p/(p-2), the deviation bound of the level algebra."""
-    vals = np.abs(eval_W(spec, grid).values)
-    q = spec.q
-    total = float(np.sum(vals ** q) * grid.weight)
+    total = lp_mass(eval_W(spec, grid).values, spec.q, grid.weight)
     if not math.isfinite(total):
         raise DomainError("quadrature of |W|^q overflowed")
-    return total ** (1.0 / q)
+    return total ** (1.0 / spec.q)
 
 
 # --- flat key-value problem files -------------------------------------------

@@ -4,6 +4,10 @@ The kinetic term is assembled on links (forward differences), so that for
 fields whose supports are separated by a zero node layer the energy is
 exactly additive. All reductions use numpy's deterministic summation order,
 keeping repeated runs bit-identical.
+
+The private array kernels (`_energy`, `_sphere_gradient`, `_laplacian`) take
+raw node arrays and a precomputed V; every energy, gradient and Laplacian in
+the package is evaluated through them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ProblemSpec, dual_norm_W, potential_values
+from .domain import (ProblemSpec, dual_norm_W, lp_mass, potential_values,
+                     zero_boundary)
 from .field import FieldError, GridFunction
 
 ON_MANIFOLD_TOL = 1e-6
@@ -41,62 +46,76 @@ class EnergyBreakdown:
         }
 
 
+def _kinetic(v: np.ndarray, h: float) -> float:
+    """Link quadrature of |grad v|^2 on a node array (forward differences)."""
+    total = 0.0
+    for ax in range(v.ndim):
+        d = np.diff(v, axis=ax)
+        total += float(np.sum(d * d))
+    return total * h ** (v.ndim - 2)
+
+
+def _potential(v: np.ndarray, V: np.ndarray, h: float) -> float:
+    """Quadrature of V v^2; the (V v) v order keeps descents bit-reproducible."""
+    return float(np.sum(V * v * v) * h ** v.ndim)
+
+
+def _energy(v: np.ndarray, V: np.ndarray, h: float) -> float:
+    """J(v) = int |grad v|^2 + V v^2 on a node array with precomputed V."""
+    return _kinetic(v, h) + _potential(v, V, h)
+
+
+def _laplacian(v: np.ndarray, h: float) -> np.ndarray:
+    """(2N+1)-point Laplacian of a node array; Dirichlet boundary rows are zero."""
+    out = -2.0 * v.ndim * v
+    for ax in range(v.ndim):
+        lo = [slice(None)] * v.ndim
+        hi = [slice(None)] * v.ndim
+        lo[ax] = slice(None, -1)
+        hi[ax] = slice(1, None)
+        out[tuple(lo)] += v[tuple(hi)]
+        out[tuple(hi)] += v[tuple(lo)]
+    out /= h * h
+    return zero_boundary(out)
+
+
+def _sphere_gradient(v: np.ndarray, V: np.ndarray, J: float, p: float,
+                     h: float) -> np.ndarray:
+    """2(-Delta v + V v - J |v|^(p-2) v): the sphere gradient of J at a
+    zero-boundary node array v on the unit L^p sphere with J = J(v)."""
+    return 2.0 * (-_laplacian(v, h) + V * v - J * np.abs(v) ** (p - 2) * v)
+
+
 def mass_I(u: GridFunction, p: float) -> float:
     """Quadrature of |u|^p (the constraint functional; equals |u|_p^p)."""
-    return float(np.sum(np.abs(u.values) ** p) * u.grid.weight)
+    return lp_mass(u.values, p, u.grid.weight)
 
 
 def kinetic_energy(u: GridFunction) -> float:
     """Link-based quadrature of |grad u|^2 (forward differences, Dirichlet)."""
-    v = u.values
-    h = u.grid.h
-    total = 0.0
-    for ax in range(u.grid.N):
-        d = np.diff(v, axis=ax)
-        total += float(np.sum(d * d))
-    return total * h ** (u.grid.N - 2)
+    return _kinetic(u.values, u.grid.h)
 
 
 def energy_J(u: GridFunction, spec: ProblemSpec) -> EnergyBreakdown:
     """J(u) = int |grad u|^2 + V u^2 with V = Vinf - W, plus the autonomous total."""
-    kin = kinetic_energy(u)
-    V = potential_values(spec, u.grid)
-    usq = u.values * u.values
-    pot = float(np.sum(V * usq) * u.grid.weight)
-    mass2 = float(np.sum(usq) * u.grid.weight)
+    v, h = u.values, u.grid.h
+    kin = _kinetic(v, h)
+    pot = _potential(v, potential_values(spec, u.grid), h)
+    mass2 = lp_mass(v, 2.0, u.grid.weight)
     return EnergyBreakdown(kinetic=kin, potential=pot, total=kin + pot,
                            autonomous=kin + spec.Vinf * mass2)
 
 
 def laplacian(u: GridFunction) -> np.ndarray:
     """Standard (2N+1)-point discrete Laplacian with Dirichlet exterior zeros."""
-    v = u.values
-    h2 = u.grid.h ** 2
-    out = -2.0 * u.grid.N * v.copy()
-    for ax in range(u.grid.N):
-        lo = [slice(None)] * u.grid.N
-        hi = [slice(None)] * u.grid.N
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        out[tuple(lo)] += v[tuple(hi)]
-        out[tuple(hi)] += v[tuple(lo)]
-    out /= h2
-    # Dirichlet boundary rows are not part of the unknowns.
-    for ax in range(u.grid.N):
-        edge = [slice(None)] * u.grid.N
-        edge[ax] = 0
-        out[tuple(edge)] = 0.0
-        edge[ax] = -1
-        out[tuple(edge)] = 0.0
-    return out
+    return _laplacian(u.values, u.grid.h)
 
 
 def euler_lagrange_residual(u: GridFunction, lam: float, spec: ProblemSpec) -> float:
-    """Discrete L^2 norm of -Delta u + V u - lam |u|^(p-2) u over interior nodes."""
+    """Discrete L^2 norm of -Delta u + V u - lam |u|^(p-2) u (zero on the boundary)."""
     V = potential_values(spec, u.grid)
-    res = -laplacian(u) + V * u.values - lam * np.abs(u.values) ** (spec.p - 2) * u.values
-    mask = u.grid.interior_mask()
-    return float(np.sqrt(np.sum(res[mask] ** 2) * u.grid.weight))
+    g = _sphere_gradient(u.values, V, lam, spec.p, u.grid.h)
+    return 0.5 * gradient_norm(GridFunction(u.grid, g))
 
 
 def manifold_gradient(u: GridFunction, spec: ProblemSpec) -> GridFunction:
@@ -109,9 +128,8 @@ def manifold_gradient(u: GridFunction, spec: ProblemSpec) -> GridFunction:
     if abs(m - 1.0) > ON_MANIFOLD_TOL:
         raise FieldError(f"field is off the constraint sphere: I(u) = {m}")
     V = potential_values(spec, u.grid)
-    J = kinetic_energy(u) + float(np.sum(V * u.values ** 2) * u.grid.weight)
-    g = 2.0 * (-laplacian(u) + V * u.values - J * np.abs(u.values) ** (spec.p - 2) * u.values)
-    return GridFunction(u.grid, g)
+    v, h = u.values, u.grid.h
+    return GridFunction(u.grid, _sphere_gradient(v, V, _energy(v, V, h), spec.p, h))
 
 
 def gradient_norm(g: GridFunction) -> float:

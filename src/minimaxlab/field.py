@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .domain import DomainError, Grid
+from .domain import Grid, lp_mass, zero_boundary
 
 
 class FieldError(ValueError):
@@ -22,25 +22,12 @@ class GridFunction:
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values: np.ndarray, check: bool = False):
+    def __init__(self, grid: Grid, values: np.ndarray):
         values = np.array(values, dtype=float, copy=True)
         if values.shape != grid.shape:
             raise FieldError(f"values shape {values.shape} does not match grid {grid.shape}")
         self.grid = grid
-        self.values = values
-        if check:
-            if not np.all(np.isfinite(values)):
-                raise FieldError("non-finite values")
-        self._zero_boundary()
-
-    def _zero_boundary(self):
-        v = self.values
-        for ax in range(self.grid.N):
-            idx0 = [slice(None)] * self.grid.N
-            idx0[ax] = 0
-            v[tuple(idx0)] = 0.0
-            idx0[ax] = -1
-            v[tuple(idx0)] = 0.0
+        self.values = zero_boundary(values)
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
@@ -57,7 +44,7 @@ def lp_norm(u: GridFunction, p: float) -> float:
     """(sum h^N |u_i|^p)^(1/p)."""
     if p < 1:
         raise FieldError("p must be at least 1")
-    return float((np.sum(np.abs(u.values) ** p) * u.grid.weight) ** (1.0 / p))
+    return lp_mass(u.values, p, u.grid.weight) ** (1.0 / p)
 
 
 def lp_normalize(u: GridFunction, p: float) -> GridFunction:

@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import ProblemSpec, build_grid, potential_values
-from .energy import kinetic_energy
-from .field import GridFunction, lp_norm, lp_normalize
+from .domain import ProblemSpec, build_grid, lp_mass, potential_values
+from .energy import _energy, _sphere_gradient
+from .field import GridFunction, lp_normalize
 
 
 class ShootingError(RuntimeError):
@@ -67,13 +67,6 @@ class RadialProfile:
         """Normalized profile value at arbitrary radii (linear interpolation)."""
         wn = self.normalized()
         return np.interp(r, self.r, wn, left=wn[0], right=0.0)
-
-    def to_csv(self, path) -> None:
-        wn = self.normalized()
-        with open(path, "w") as f:
-            f.write("r,w\n")
-            for r, w in zip(self.r, wn):
-                f.write(f"{r!r},{w!r}\n")
 
 
 @dataclass
@@ -275,35 +268,11 @@ def _descend(u0: np.ndarray, V: np.ndarray, spec: ProblemSpec, grid,
     p = spec.p
 
     def norm_p(v):
-        return (np.sum(np.abs(v) ** p) * weight) ** (1.0 / p)
-
-    def energy(v):
-        kin = sum(float(np.sum(np.diff(v, axis=ax) ** 2)) for ax in range(grid.N))
-        return kin * h ** (grid.N - 2) + float(np.sum(V * v * v) * weight)
-
-    def gradient(v, J):
-        lap = -2.0 * grid.N * v.copy()
-        for ax in range(grid.N):
-            lo = [slice(None)] * grid.N
-            hi = [slice(None)] * grid.N
-            lo[ax] = slice(None, -1)
-            hi[ax] = slice(1, None)
-            lap[tuple(lo)] += v[tuple(hi)]
-            lap[tuple(hi)] += v[tuple(lo)]
-        lap /= h * h
-        g = 2.0 * (-lap + V * v - J * np.abs(v) ** (p - 2) * v)
-        # keep boundary rows fixed at zero
-        for ax in range(grid.N):
-            edge = [slice(None)] * grid.N
-            edge[ax] = 0
-            g[tuple(edge)] = 0.0
-            edge[ax] = -1
-            g[tuple(edge)] = 0.0
-        return g
+        return lp_mass(v, p, weight) ** (1.0 / p)
 
     u = u0 / norm_p(u0)
-    J = energy(u)
-    g = gradient(u, J)
+    J = _energy(u, V, h)
+    g = _sphere_gradient(u, V, J, p, h)
     s = 1e-2
     u_prev = g_prev = None
     it = 0
@@ -318,13 +287,13 @@ def _descend(u0: np.ndarray, V: np.ndarray, spec: ProblemSpec, grid,
         for _ in range(40):
             cand = u - s * g
             cand /= norm_p(cand)
-            J_cand = energy(cand)
+            J_cand = _energy(cand, V, h)
             if J_cand <= J + 1e-12 * max(1.0, abs(J)):
                 break
             s *= 0.5
         u_prev, g_prev = u, g
         u, J = cand, J_cand
-        g = gradient(u, J)
+        g = _sphere_gradient(u, V, J, p, h)
         gn = float(np.sqrt(np.sum(g * g) * weight))
         if J < level_floor:
             raise DescentError(f"level fell below the configured floor {level_floor}")
@@ -345,10 +314,10 @@ def minimize_lambda1(spec: ProblemSpec, tol: float = 1e-8, max_iter: int = 100_0
     grid = build_grid(spec)
     V = potential_values(spec, grid)
     if seed_profile is not None:
-        u0 = profile_on_grid(seed_profile, grid).values
+        u0 = profile_on_grid(seed_profile, grid)
     else:
-        u0 = np.exp(-grid.radius() ** 2 / 2.0)
-    res = _descend(u0, V, spec, grid, tol, max_iter, level_floor)
+        u0 = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
+    res = _descend(u0.values, V, spec, grid, tol, max_iter, level_floor)
     if np.min(res.minimizer.values) < -1e-8:
         res = _descend(np.abs(res.minimizer.values), V, spec, grid, tol, max_iter, level_floor)
         res.restarted_from_abs = True

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ProblemSpec, build_grid, dual_norm_W
-from .energy import (energy_J, euler_lagrange_residual, manifold_gradient,
-                     mass_I)
+from .domain import (ProblemSpec, build_grid, dual_norm_W, lp_mass,
+                     potential_values)
+from .energy import _energy, _sphere_gradient, euler_lagrange_residual, mass_I
 from .field import GridFunction, lp_normalize, split_signs
 from .groundstate import RadialProfile, profile_on_grid
 from .pathlab import PathError, SampledPath, path_max_J, translated_bump_path
@@ -167,30 +167,32 @@ def refine_path(path, spec: ProblemSpec, iters: int = 10, samples: int = 33,
     maximum must not increase beyond `max_increase` across iterations.
     """
     sp = path if isinstance(path, SampledPath) else SampledPath.from_path(path, samples, spec.p)
-    weight = sp.fields[0].grid.weight
+    grid = sp.fields[0].grid
+    weight = grid.weight
+    V = potential_values(spec, grid)
 
     def sampled_max():
-        return max(energy_J(u, spec).total for u in sp.fields)
+        return max(_energy(u.values, V, grid.h) for u in sp.fields)
 
     current_max = sampled_max()
     for _ in range(iters):
         # descent step on each sample with per-sample backtracking
         new_fields = []
         for u in sp.fields:
-            g = manifold_gradient(u, spec)
-            J0 = energy_J(u, spec).total
+            J0 = _energy(u.values, V, grid.h)
+            g = _sphere_gradient(u.values, V, J0, spec.p, grid.h)
             s = step
             cand = u
             for _ in range(20):
-                trial = lp_normalize(GridFunction(u.grid, u.values - s * g.values), spec.p)
-                if energy_J(trial, spec).total <= J0 + 1e-12:
+                trial = lp_normalize(GridFunction(grid, u.values - s * g), spec.p)
+                if _energy(trial.values, V, grid.h) <= J0 + 1e-12:
                     cand = trial
                     break
                 s *= 0.5
             new_fields.append(cand)
         # equal-chord reparameterization over the closed half-loop
         # (last sample connects to the reflection of the first)
-        chain = new_fields + [GridFunction(sp.fields[0].grid, -new_fields[0].values)]
+        chain = new_fields + [GridFunction(grid, -new_fields[0].values)]
         chords = [math.sqrt(float(np.sum((b.values - a.values) ** 2) * weight))
                   for a, b in zip(chain[:-1], chain[1:])]
         cum = np.concatenate([[0.0], np.cumsum(chords)])
@@ -202,7 +204,7 @@ def refine_path(path, spec: ProblemSpec, iters: int = 10, samples: int = 33,
             j = min(j, len(chain) - 2)
             frac = 0.0 if chords[j] == 0 else (t - cum[j]) / chords[j]
             blend = (1.0 - frac) * chain[j].values + frac * chain[j + 1].values
-            resampled.append(lp_normalize(GridFunction(chain[0].grid, blend), spec.p))
+            resampled.append(lp_normalize(GridFunction(grid, blend), spec.p))
         sp = SampledPath(sp.thetas, resampled, spec.p)
         new_max = sampled_max()
         if new_max > current_max + max_increase:
@@ -289,7 +291,7 @@ def bump_diagnostic(u: GridFunction, spec: ProblemSpec,
     masses = []
     for b in range(1, len(peaks) + 1):
         sel = labels == b
-        masses.append(float(np.sum(flat[sel] ** spec.p) * grid.weight))
+        masses.append(lp_mass(flat[sel], spec.p, grid.weight))
     kept = [(m / total_mass, peak_pos[b]) for b, m in enumerate(masses)
             if m >= mass_threshold * total_mass]
     kept.sort(reverse=True)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .domain import ProblemSpec, potential_values
-from .energy import kinetic_energy, mass_I
-from .field import (FieldError, GridFunction, layer_separated, lp_norm,
-                    lp_normalize, nodal_domains, split_signs, translate)
+from .domain import ProblemSpec, lp_mass, potential_values
+from .energy import _energy, mass_I
+from .field import (GridFunction, layer_separated, lp_normalize,
+                    nodal_domains, split_signs, translate)
 
 
 class PathError(ValueError):
@@ -142,9 +142,9 @@ def path_max_from_energies(J1: float, J2: float, p: float, samples: int = 512) -
     return float(sign * vals[j]), float(thetas[j])
 
 
-def _path_energy(path, spec: ProblemSpec, V: np.ndarray, theta: float) -> float:
+def _path_energy(path, V: np.ndarray, theta: float) -> float:
     u = path.at(theta)
-    return kinetic_energy(u) + float(np.sum(V * u.values ** 2) * u.grid.weight)
+    return _energy(u.values, V, u.grid.h)
 
 
 def path_max_J(path, spec: ProblemSpec, samples: int | None = None) -> tuple[float, float]:
@@ -160,11 +160,11 @@ def path_max_J(path, spec: ProblemSpec, samples: int | None = None) -> tuple[flo
     grid = path.at(0.0).grid
     V = potential_values(spec, grid)
     thetas = np.linspace(0.0, math.pi, samples, endpoint=False)
-    vals = np.array([_path_energy(path, spec, V, t) for t in thetas])
+    vals = np.array([_path_energy(path, V, t) for t in thetas])
     j = int(np.argmax(vals))
     lo = thetas[j] - math.pi / samples
     hi = thetas[j] + math.pi / samples
-    res = minimize_scalar(lambda t: -_path_energy(path, spec, V, t),
+    res = minimize_scalar(lambda t: -_path_energy(path, V, t),
                           bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     if -res.fun >= vals[j]:
@@ -182,7 +182,7 @@ def path_scan(path, spec: ProblemSpec, samples: int = 512) -> list[dict]:
         plus, minus = split_signs(u)
         rows.append({
             "theta": float(t),
-            "J": kinetic_energy(u) + float(np.sum(V * u.values ** 2) * grid.weight),
+            "J": _energy(u.values, V, grid.h),
             "I_plus": mass_I(plus, spec.p),
             "I_minus": mass_I(minus, spec.p),
         })
@@ -246,7 +246,6 @@ def overlap_integrals(w1: GridFunction, winf: GridFunction, y, p: float) -> tupl
 @dataclass
 class SphereSample:
     direction: np.ndarray
-    lattice_center: tuple[int, ...]
     energy: float
     nodal_count: int
 
@@ -273,9 +272,9 @@ class SphereMap:
         out = []
         for y in self.points:
             u = self.at(y)
-            J = kinetic_energy(u) + float(np.sum(V * u.values ** 2) * grid.weight)
             nc = nodal_domains(u).count if count_nodal else -1
-            out.append(SphereSample(direction=y, lattice_center=(), energy=J, nodal_count=nc))
+            out.append(SphereSample(direction=y, energy=_energy(u.values, V, grid.h),
+                                    nodal_count=nc))
         return out
 
     def max_energy(self, spec: ProblemSpec) -> float:
@@ -342,7 +341,7 @@ def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec,
     masses = []
     for j in range(1, labeling.count + 1):
         chi = labeling.labels == j
-        masses.append(float(np.sum(np.abs(u0.values[chi]) ** spec.p)))
+        masses.append(lp_mass(u0.values[chi], spec.p, u0.grid.weight))
     order = np.argsort(masses)[::-1][:m]
     blocks = []
     for j in order:

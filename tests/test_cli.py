@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import minimaxlab
 from minimaxlab.cli import (ConfigError, ExperimentConfig, config_from_mapping,
                             load_config, main, run)
 from minimaxlab.domain import ProblemSpec
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(minimaxlab.__file__)))
 
 COARSE = {
     "dim": "2", "p": "4.0", "v_inf": "1.0", "box_l": "8.0", "spacing_h": "0.25",
@@ -115,6 +121,23 @@ class TestReproducibility:
             hashes.append(report_of(out)["report_hash"])
         assert hashes[0] == hashes[1]
 
+    def test_identical_hashes_across_processes(self, tmp_path):
+        # fresh interpreters share no memoized shooting profile
+        path = write_config(tmp_path / "c.cfg", {
+            "w_family": "exponential", "w_c": "0.5", "w_a": "0.5",
+            "experiment": "levels", "y_sweep": "3,4", "theta_samples": "64"})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+        outs = [tmp_path / sub for sub in ("a", "b")]
+        runs = [subprocess.run([sys.executable, "-m", "minimaxlab.cli", "run", path,
+                                "--out", str(out)], env=env, capture_output=True,
+                               text=True, timeout=300) for out in outs]
+        assert runs[0].returncode in (0, 2), runs[0].stderr
+        assert runs[1].returncode == runs[0].returncode
+        hashes = [report_of(out)["report_hash"] for out in outs]
+        assert hashes[0] == hashes[1]
+
 
 class TestFailurePath:
     def test_out_of_range_map_radius_fails_verdict(self, tmp_path):
@@ -148,19 +171,11 @@ class TestMain:
         path = write_config(tmp_path / "c.cfg", {"experiment": "gamma-r"})
         out = tmp_path / "out"
         status = main(["run", path, "--out", str(out), "--seed", "5",
-                       "--threads", "2", "--override", "experiment=ground"])
+                       "--override", "experiment=ground"])
         assert status == 0
         rep = report_of(out)
         assert rep["experiment"] == "ground"
         assert rep["provenance"]["seed"] == 5
-        assert rep["provenance"]["threads"] == 2
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MINIMAXLAB_THREADS", "3")
-        path = write_config(tmp_path / "c.cfg", {"experiment": "ground"})
-        out = tmp_path / "out"
-        assert main(["run", path, "--out", str(out)]) == 0
-        assert report_of(out)["provenance"]["threads"] == 3
 
     def test_bad_fit_window_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.cfg", {"experiment": "ground",

@@ -10,6 +10,8 @@ from minimaxlab.energy import (EnergyBreakdown, deviation_bound,
                                euler_lagrange_residual, gradient_norm, inner_l2,
                                laplacian)
 from minimaxlab.field import FieldError, zeros_like
+from minimaxlab.groundstate import minimize_lambda1, profile_on_grid
+from minimaxlab.pathlab import gamma_R, path_max_J, path_scan, translated_bump_path
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +24,14 @@ def grid(spec):
     return build_grid(spec)
 
 
-def gaussian(grid, center=(0.0, 0.0), width=1.0):
-    x, y = grid.coords()
-    r2 = (x - center[0]) ** 2 + (y - center[1]) ** 2
+@pytest.fixture(scope="module")
+def specs(spec):
+    """The 2-D spec and a small 3-D one, for kernels that must hold in both."""
+    return spec, ProblemSpec(N=3, p=4.0, Vinf=1.0, L=3.0, h=0.25)
+
+
+def gaussian(grid, width=1.0):
+    r2 = sum(x * x for x in grid.coords())
     return GridFunction(grid, np.exp(-r2 / (2.0 * width ** 2)))
 
 
@@ -123,18 +130,20 @@ class TestLaplacian:
         # the five point stencil is exact on harmonic quadratics
         assert np.max(np.abs(lap[deep_interior(grid)])) < 1e-9
 
-    def test_symmetric_operator(self, grid, rng):
-        a = GridFunction(grid, rng.standard_normal(grid.shape))
-        b = GridFunction(grid, rng.standard_normal(grid.shape))
-        lhs = inner_l2(GridFunction(grid, laplacian(a)), b)
-        rhs = inner_l2(a, GridFunction(grid, laplacian(b)))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    def test_symmetric_operator(self, specs, rng):
+        for grid in map(build_grid, specs):
+            a = GridFunction(grid, rng.standard_normal(grid.shape))
+            b = GridFunction(grid, rng.standard_normal(grid.shape))
+            lhs = inner_l2(GridFunction(grid, laplacian(a)), b)
+            rhs = inner_l2(a, GridFunction(grid, laplacian(b)))
+            assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    def test_dirichlet_form_identity(self, grid, rng):
+    def test_dirichlet_form_identity(self, specs, rng):
         # sum h^N (-lap u) u equals the link quadrature of |grad u|^2
-        u = GridFunction(grid, rng.standard_normal(grid.shape))
-        quad_form = -inner_l2(GridFunction(grid, laplacian(u)), u)
-        assert quad_form == pytest.approx(kinetic_energy(u), rel=1e-12)
+        for grid in map(build_grid, specs):
+            u = GridFunction(grid, rng.standard_normal(grid.shape))
+            quad_form = -inner_l2(GridFunction(grid, laplacian(u)), u)
+            assert quad_form == pytest.approx(kinetic_energy(u), rel=1e-12)
 
 
 class TestManifoldGradient:
@@ -146,16 +155,18 @@ class TestManifoldGradient:
         g = manifold_gradient(descent0.minimizer, spec0)
         assert gradient_norm(g) < 1e-7
 
-    def test_pairing_matches_directional_derivative(self, spec, grid, rng):
-        u = lp_normalize(gaussian(grid), spec.p)
-        g = manifold_gradient(u, spec)
-        v = GridFunction(grid, rng.standard_normal(grid.shape))
-        t = 1e-6
-        fp = energy_J(lp_normalize(GridFunction(grid, u.values + t * v.values),
-                                   spec.p), spec).total
-        fm = energy_J(lp_normalize(GridFunction(grid, u.values - t * v.values),
-                                   spec.p), spec).total
-        assert (fp - fm) / (2 * t) == pytest.approx(inner_l2(g, v), rel=1e-5)
+    def test_pairing_matches_directional_derivative(self, specs, rng):
+        for spec in specs:
+            grid = build_grid(spec)
+            u = lp_normalize(gaussian(grid), spec.p)
+            g = manifold_gradient(u, spec)
+            v = GridFunction(grid, rng.standard_normal(grid.shape))
+            t = 1e-6
+            fp = energy_J(lp_normalize(GridFunction(grid, u.values + t * v.values),
+                                       spec.p), spec).total
+            fm = energy_J(lp_normalize(GridFunction(grid, u.values - t * v.values),
+                                       spec.p), spec).total
+            assert (fp - fm) / (2 * t) == pytest.approx(inner_l2(g, v), rel=1e-5)
 
     def test_radial_direction_annihilated(self, spec, grid):
         # scaling u does not move normalize(u + t u), so the pairing with u is 0
@@ -163,6 +174,28 @@ class TestManifoldGradient:
         g = manifold_gradient(u, spec)
         scale = gradient_norm(g) * gradient_norm(u)
         assert abs(inner_l2(g, u)) < 1e-10 * max(scale, 1.0)
+
+
+class TestOneEnergyKernel:
+    """Descent, path maxima and sphere scans evaluate J through one kernel,
+    so each reported energy equals energy_J of its field bit for bit."""
+
+    def test_levels_equal_energy_J(self, ground_profile):
+        well = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
+                           W=WSpec(family="exponential", c=0.5, a=0.5))
+        res = minimize_lambda1(well, seed_profile=ground_profile)
+        assert res.level == energy_J(res.minimizer, well).total
+
+        winf = profile_on_grid(ground_profile, res.minimizer.grid)
+        path = translated_bump_path(res.minimizer, winf, (4.0, 0.0), well.p, samples=64)
+        mx, theta = path_max_J(path, well)
+        assert mx == energy_J(path.at(theta), well).total
+        for row in path_scan(path, well, samples=8):
+            assert row["J"] == energy_J(path.at(row["theta"]), well).total
+
+        sphere = gamma_R(winf, 3.0, well.p, samples=8)
+        for sample in sphere.scan(well):
+            assert sample.energy == energy_J(sphere.at(sample.direction), well).total
 
 
 class TestEulerLagrangeResidual:
