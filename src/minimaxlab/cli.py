@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -30,8 +30,6 @@ from .minimax import (Lambda2Bounds, LevelsReport, Verdict, lambda2_bounds,
                       lambda2_radial, lambda_sharp, verdict)
 from .pathlab import gamma_R
 from . import __version__
-
-EXPERIMENTS = ("ground", "levels", "sweep-y", "gamma-r", "symmetry", "verify-all")
 
 class ConfigError(ValueError):
     pass
@@ -165,7 +163,7 @@ def exp_ground(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     prof = pipe.ground_profile
     fit = pipe.decay_fit
     rep.lam1_inf = prof.level
-    rep.decay = fit.to_dict()
+    rep.decay = fit
     rate_target = math.sqrt(pipe.spec.Vinf)
     rep.verdicts.append(verdict(
         "decay-rate", True, 0.02 - abs(fit.rate - rate_target) / rate_target,
@@ -175,7 +173,9 @@ def exp_ground(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
         "shooting-self-consistency", True,
         1e-4 - abs(j_self - prof.level) / prof.level,
         f"Jinf of normalized profile {j_self} vs level {prof.level}"))
-    artifacts["ground_profile.csv"] = ("profile", prof)
+    # a generator, so the profile rows are not held for the rest of the run
+    artifacts["ground_profile.csv"] = ({"r": r, "w": w}
+                                       for r, w in zip(prof.r, prof.normalized()))
 
 
 def exp_levels(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
@@ -184,15 +184,12 @@ def exp_levels(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     rep.lam1 = pipe.descent.level
     rep.lam_sharp = lambda_sharp(rep.lam1, rep.lam1_inf, spec.p)
     rep.lam2 = pipe.lam2
-    rep.decay = pipe.decay_fit.to_dict()
+    rep.decay = pipe.decay_fit
 
-    lo, hi = rep.lam1_inf, 2.0 ** spec.sigma * rep.lam1_inf
-    chain = min(rep.lam_sharp - lo, hi - rep.lam_sharp)
-    rep.verdicts.append(verdict("threshold-chain", True, chain + 1e-9,
+    rep.verdicts.append(verdict("threshold-chain", True, rep.chain_margin(),
                                 "lam1_inf <= lam_sharp <= 2^sigma lam1_inf"))
     rep.verdicts.append(verdict(
-        "interval-order", True,
-        rep.lam2.upper + rep.discretization_allowance() - rep.lam2.lower + 1e-6,
+        "interval-order", True, rep.interval_margin(),
         "second-level lower bound below upper bound within the "
         "cross-oracle discretization allowance"))
     autonomous = spec.W.family == "zero"
@@ -216,17 +213,7 @@ def exp_levels(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
         "second-level-below-threshold", penalized,
         (rep.lam_sharp - rep.lam2.upper) - margin_tol if penalized else 0.0,
         "best two-bump max strictly below the compactness threshold"))
-    artifacts["y_sweep.csv"] = ("sweep", rep.lam2.sweep)
-
-
-def exp_sweep_y(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
-    rep.lam1_inf = pipe.lam1_inf
-    rep.lam1 = pipe.descent.level
-    rep.lam2 = pipe.lam2
-    rep.verdicts.append(verdict(
-        "interval-order", True,
-        rep.lam2.upper + rep.discretization_allowance() - rep.lam2.lower + 1e-6, ""))
-    artifacts["y_sweep.csv"] = ("sweep", rep.lam2.sweep)
+    artifacts["y_sweep.csv"] = rep.lam2.sweep
 
 
 def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
@@ -256,7 +243,7 @@ def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
         for s in scan:
             rows.append({"R": R, **{f"y{i+1}": float(v) for i, v in enumerate(s.direction)},
                          "J_inf": s.energy, "nodal_count": s.nodal_count})
-    artifacts["gamma_r_scan.csv"] = ("rows", rows)
+    artifacts["gamma_r_scan.csv"] = rows
 
 
 def exp_symmetry(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
@@ -301,11 +288,11 @@ def exp_verify_all(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
 EXPERIMENT_BODIES = {
     "ground": exp_ground,
     "levels": exp_levels,
-    "sweep-y": exp_sweep_y,
     "gamma-r": exp_gamma_r,
     "symmetry": exp_symmetry,
     "verify-all": exp_verify_all,
 }
+EXPERIMENTS = tuple(EXPERIMENT_BODIES)
 
 # report field -> operation that produced it
 PROVENANCE_MAP = {
@@ -338,22 +325,18 @@ def _atomic_write(path: str, text: str):
 
 
 def _write_artifacts(artifacts: dict, out_dir: str):
-    for name, (kind, payload) in artifacts.items():
-        path = os.path.join(out_dir, name)
-        if kind == "profile":
-            lines = ["r,w"]
-            wn = payload.normalized()
-            lines += [f"{r!r},{w!r}" for r, w in zip(payload.r, wn)]
-        elif kind in ("sweep", "rows"):
-            if not payload:
-                continue
-            keys = list(payload[0])
-            lines = [",".join(keys)]
-            lines += [",".join(repr(float(row[k])) if isinstance(row[k], float)
-                              else str(row[k]) for k in keys) for row in payload]
-        else:
-            raise ConfigError(f"unknown artifact kind {kind}")
-        _atomic_write(path, "\n".join(lines) + "\n")
+    """Write each artifact, an iterable of row dicts with the keys of its first
+    row, as a CSV: a header row, then one row per record, floats written by repr."""
+    for name, rows in artifacts.items():
+        lines, keys = [], None
+        for row in rows:
+            if keys is None:
+                keys = list(row)
+                lines.append(",".join(keys))
+            lines.append(",".join(repr(float(row[k])) if isinstance(row[k], float)
+                                  else str(row[k]) for k in keys))
+        if lines:
+            _atomic_write(os.path.join(out_dir, name), "\n".join(lines) + "\n")
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -374,8 +357,8 @@ def run(cfg: ExperimentConfig) -> int:
             "w_family": spec.W.family, "w_c": spec.W.c, "w_a": spec.W.a,
         },
         "experiment": cfg.experiment,
-        "levels": rep.to_dict(),
-        "verdicts": [v.to_dict() for v in rep.verdicts],
+        "levels": asdict(rep),
+        "verdicts": [asdict(v) for v in rep.verdicts],
         "provenance": {
             "version": __version__,
             "grid_shape": list(pipe.grid.shape),

@@ -36,15 +36,6 @@ class EnergyBreakdown:
     def deviation(self) -> float:
         return self.total - self.autonomous
 
-    def to_dict(self) -> dict:
-        return {
-            "kinetic": self.kinetic,
-            "potential": self.potential,
-            "total": self.total,
-            "autonomous": self.autonomous,
-            "deviation": self.deviation,
-        }
-
 
 def _kinetic(v: np.ndarray, h: float) -> float:
     """Link quadrature of |grad v|^2 on a node array (forward differences)."""

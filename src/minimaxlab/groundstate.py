@@ -83,16 +83,13 @@ class DecayFit:
     window: tuple[float, float]
     residual: float
 
-    def to_dict(self) -> dict:
-        return {"rate": self.rate, "C0": self.C0, "a0": self.a0,
-                "window": list(self.window), "residual": self.residual}
-
 
 def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float):
     """Fixed-step RK4 from r = dr/10 with the even-symmetry series start.
 
-    Returns (w samples, sign changes, blew_up flag). Stops once |w| exceeds
-    twice the central value, which signals departure from the separatrix.
+    Returns (w samples, sign changes). Stops once |w| exceeds twice the
+    central value, which signals departure from the separatrix; the samples
+    past that point repeat the last value.
     """
     def f(r, w, v):
         return v, (Vinf * w - np.sign(w) * abs(w) ** (p - 1)) - (N - 1) / r * v
@@ -106,7 +103,6 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float):
     ws = np.empty(nsteps + 1)
     ws[0] = w
     zeros = 0
-    blew = False
     half = dr / 2.0
     sixth = dr / 6.0
     for i in range(nsteps):
@@ -123,16 +119,15 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float):
         ws[i + 1] = w
         if abs(w) > blow:
             ws[i + 2:] = w
-            blew = True
             break
-    return ws, zeros, blew
+    return ws, zeros
 
 
 def _shoot(N: int, p: float, Vinf: float, k: int, tol: float,
            dr: float, rmax: float, max_iter: int) -> RadialProfile:
     """Bisection on the central value for a decaying solution with k sign changes."""
     def overshoots(b):
-        _, zeros, _ = _integrate(b, N, p, Vinf, dr, rmax)
+        _, zeros = _integrate(b, N, p, Vinf, dr, rmax)
         return zeros > k
 
     # Bracket: small central values never reach k+1 crossings, large ones do.
@@ -148,7 +143,7 @@ def _shoot(N: int, p: float, Vinf: float, k: int, tol: float,
         lo = 0.5 * (lo + Vinf ** (1.0 / (p - 2)))
         tries += 1
         if tries > 120:
-            _, zeros, _ = _integrate(lo, N, p, Vinf, dr, rmax)
+            _, zeros = _integrate(lo, N, p, Vinf, dr, rmax)
             raise ShootingError(f"no bracket below: reached {zeros} sign changes at w(0)={lo}")
 
     for _ in range(max_iter):
@@ -163,7 +158,7 @@ def _shoot(N: int, p: float, Vinf: float, k: int, tol: float,
         raise ShootingError("bisection did not converge within the iteration cap")
 
     b = lo
-    ws, zeros, _ = _integrate(b, N, p, Vinf, dr, rmax)
+    ws, zeros = _integrate(b, N, p, Vinf, dr, rmax)
     r = dr / 10.0 + dr * np.arange(len(ws))
 
     # Past the last reliable point the trajectory shadows the separatrix and

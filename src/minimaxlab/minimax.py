@@ -18,7 +18,7 @@ from .domain import (ProblemSpec, build_grid, dual_norm_W, lp_mass,
                      potential_values)
 from .energy import _energy, _sphere_gradient, euler_lagrange_residual, mass_I
 from .field import GridFunction, lp_normalize, split_signs
-from .groundstate import RadialProfile, profile_on_grid
+from .groundstate import DecayFit, RadialProfile, profile_on_grid
 from .pathlab import PathError, SampledPath, path_max_J, translated_bump_path
 
 
@@ -66,19 +66,6 @@ class Lambda2Bounds:
     small_well_condition: bool
     sweep: list[dict] = field(default_factory=list)
     crossing_flagged: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "witness_y": self.witness_y,
-            "lam_sharp": self.lam_sharp,
-            "lam2inf_target": self.lam2inf_target,
-            "w_dual_norm": self.w_dual_norm,
-            "small_well_condition": self.small_well_condition,
-            "sweep": self.sweep,
-            "crossing_flagged": self.crossing_flagged,
-        }
 
 
 def lambda2_bounds(spec: ProblemSpec, w1: GridFunction, l1: float,
@@ -135,10 +122,6 @@ class RadialSecondLevel:
 
     def __iter__(self):
         return iter((self.lam2r_inf, self.lam2r_lower))
-
-    def to_dict(self) -> dict:
-        return {"lam2r_inf": self.lam2r_inf, "lam2r_lower": self.lam2r_lower,
-                "lam2r_upper": self.lam2r_upper, "w_dual_norm": self.w_dual_norm}
 
 
 def lambda2_radial(spec: ProblemSpec, excited_profile: RadialProfile) -> RadialSecondLevel:
@@ -223,10 +206,6 @@ class ProfileDiagnostic:
     masses: list[float]
     residual: float
 
-    def to_dict(self) -> dict:
-        return {"count": self.count, "centers": [list(c) for c in self.centers],
-                "masses": self.masses, "residual": self.residual}
-
 
 def bump_diagnostic(u: GridFunction, spec: ProblemSpec,
                     mass_threshold: float = 0.05,
@@ -308,10 +287,6 @@ class NodalityVerdict:
     consistent: bool
     residual: float
 
-    def to_dict(self) -> dict:
-        return {"hypotheses_hold": self.hypotheses_hold, "nodal": self.nodal,
-                "consistent": self.consistent, "residual": self.residual}
-
 
 def nodality_check(u: GridFunction, lam: float, l1: float, spec: ProblemSpec,
                    residual_tol: float = 1e-2) -> NodalityVerdict:
@@ -336,10 +311,6 @@ class Verdict:
     margin: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "status": self.status,
-                "margin": self.margin, "detail": self.detail}
-
 
 def verdict(vid: str, applicable: bool, margin: float, detail: str = "",
             tol: float = 0.0) -> Verdict:
@@ -360,7 +331,7 @@ class LevelsReport:
     lam_sharp: float | None = None
     lam2: Lambda2Bounds | None = None
     lam2_radial: RadialSecondLevel | None = None
-    decay: dict | None = None
+    decay: DecayFit | None = None
     extras: dict = field(default_factory=dict)
     verdicts: list[Verdict] = field(default_factory=list)
 
@@ -379,30 +350,21 @@ class LevelsReport:
             return 2.0 ** self.sigma * max(0.0, self.lam1_inf - self.lam1)
         return 0.0
 
+    def interval_margin(self) -> float:
+        """Margin of lam2.lower <= lam2.upper within the discretization allowance."""
+        return self.lam2.upper + self.discretization_allowance() - self.lam2.lower + 1e-6
+
+    def chain_margin(self) -> float:
+        """Margin of the threshold chain lam1_inf <= lam_sharp <= 2^sigma lam1_inf."""
+        lo, hi = self.lam1_inf, 2.0 ** self.sigma * self.lam1_inf
+        return min(self.lam_sharp - lo, hi - self.lam_sharp) + 1e-9
+
     def check_invariants(self) -> list[str]:
         """Report-level consistency: interval ordering and the threshold chain."""
         problems = []
-        allowance = self.discretization_allowance()
-        if (self.lam2 is not None
-                and self.lam2.lower > self.lam2.upper + allowance + 1e-6):
+        if self.lam2 is not None and self.interval_margin() < 0:
             problems.append("second-level lower bound exceeds upper bound")
-        if self.lam1_inf is not None and self.lam_sharp is not None:
-            lo, hi = self.lam1_inf, 2.0 ** self.sigma * self.lam1_inf
-            if not (lo - 1e-9 <= self.lam_sharp <= hi + 1e-9):
-                problems.append("threshold chain lam1_inf <= lam_sharp <= 2^sigma lam1_inf violated")
+        if (self.lam1_inf is not None and self.lam_sharp is not None
+                and self.chain_margin() < 0):
+            problems.append("threshold chain lam1_inf <= lam_sharp <= 2^sigma lam1_inf violated")
         return problems
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "q": self.q,
-            "w_dual_norm": self.w_dual_norm,
-            "lam1_inf": self.lam1_inf,
-            "lam1": self.lam1,
-            "lam_sharp": self.lam_sharp,
-            "lam2": self.lam2.to_dict() if self.lam2 else None,
-            "lam2_radial": self.lam2_radial.to_dict() if self.lam2_radial else None,
-            "decay": self.decay,
-            "extras": self.extras,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-        }

@@ -121,6 +121,21 @@ def two_block_energy(J1: float, J2: float, p: float, theta: float) -> float:
     return (J1 * c * c + J2 * s * s) / (abs(c) ** p + abs(s) ** p) ** (2.0 / p)
 
 
+def _theta_max(f, samples: int, xatol: float) -> tuple[float, float]:
+    """Maximum of f over theta in [0, pi) and its argmax: dense sampling, then
+    bounded golden-section search within one spacing of the best sample."""
+    thetas = np.linspace(0.0, math.pi, samples, endpoint=False)
+    vals = np.array([f(t) for t in thetas])
+    j = int(np.argmax(vals))
+    lo = thetas[j] - math.pi / samples
+    hi = thetas[j] + math.pi / samples
+    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol})
+    if -res.fun >= vals[j]:
+        return float(-res.fun), float(res.x % math.pi)
+    return float(vals[j]), float(thetas[j])
+
+
 def path_max_from_energies(J1: float, J2: float, p: float, samples: int = 512) -> tuple[float, float]:
     """Dense theta-sampling of the disjoint-support energy profile, refined by
     bounded golden-section search. Independent route to disjoint_support_max.
@@ -129,17 +144,8 @@ def path_max_from_energies(J1: float, J2: float, p: float, samples: int = 512) -
     unless both energies are nonpositive, in which case the interior trough.
     """
     sign = -1.0 if (J1 <= 0.0 and J2 <= 0.0) else 1.0
-    thetas = np.linspace(0.0, math.pi, samples, endpoint=False)
-    vals = np.array([sign * two_block_energy(J1, J2, p, t) for t in thetas])
-    j = int(np.argmax(vals))
-    lo = thetas[j] - math.pi / samples
-    hi = thetas[j] + math.pi / samples
-    res = minimize_scalar(lambda t: -sign * two_block_energy(J1, J2, p, t),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    if -res.fun >= vals[j]:
-        return float(-sign * res.fun), float(res.x % math.pi)
-    return float(sign * vals[j]), float(thetas[j])
+    mx, th = _theta_max(lambda t: sign * two_block_energy(J1, J2, p, t), samples, 1e-13)
+    return sign * mx, th
 
 
 def _path_energy(path, V: np.ndarray, theta: float) -> float:
@@ -157,19 +163,8 @@ def path_max_J(path, spec: ProblemSpec, samples: int | None = None) -> tuple[flo
         samples = getattr(path, "samples", 512)
     if samples < 64:
         raise PathError("at least 64 theta samples required")
-    grid = path.at(0.0).grid
-    V = potential_values(spec, grid)
-    thetas = np.linspace(0.0, math.pi, samples, endpoint=False)
-    vals = np.array([_path_energy(path, V, t) for t in thetas])
-    j = int(np.argmax(vals))
-    lo = thetas[j] - math.pi / samples
-    hi = thetas[j] + math.pi / samples
-    res = minimize_scalar(lambda t: -_path_energy(path, V, t),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    if -res.fun >= vals[j]:
-        return float(-res.fun), float(res.x % math.pi)
-    return float(vals[j]), float(thetas[j])
+    V = potential_values(spec, path.at(0.0).grid)
+    return _theta_max(lambda t: _path_energy(path, V, t), samples, 1e-12)
 
 
 def path_scan(path, spec: ProblemSpec, samples: int = 512) -> list[dict]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,8 +7,8 @@ import sys
 import pytest
 
 import minimaxlab
-from minimaxlab.cli import (ConfigError, ExperimentConfig, config_from_mapping,
-                            load_config, main, run)
+from minimaxlab.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
+                            config_from_mapping, load_config, main, run)
 from minimaxlab.domain import ProblemSpec
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(minimaxlab.__file__)))
@@ -108,6 +109,29 @@ class TestRunGround:
         prov = report_of(out)["provenance"]
         assert prov["grid_shape"] == [65, 65]
         assert prov["operations"]["lam1_inf"] == "shoot_ground"
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_experiment_outputs(experiment, tmp_path):
+    # R = 3 sits far from the doubling level, so gamma-r and verify-all exit 2
+    cfg = config_from_mapping({**COARSE, "experiment": experiment,
+                               "out_dir": str(tmp_path), "y_sweep": "3,4",
+                               "theta_samples": "64", "r_list": "3,5",
+                               "sphere_samples": "8"})
+    assert run(cfg) in (0, 2)
+    rep = report_of(tmp_path)
+    assert rep["experiment"] == experiment
+    stated = rep.pop("report_hash")
+    rep.pop("timestamp")
+    assert hashlib.sha256(json.dumps(
+        rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
+    for path in tmp_path.glob("*.csv"):
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows, path.name
+        for row in rows:
+            assert len(row) == len(header), path.name
+            for cell in row:
+                float(cell)
 
 
 class TestReproducibility:

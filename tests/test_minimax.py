@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -249,6 +250,6 @@ class TestVerdictsAndReport:
 
     def test_report_serializes(self, lam2_0):
         rep = LevelsReport(sigma=0.5, q=2.0, w_dual_norm=0.0, lam2=lam2_0)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["lam2"]["upper"] == lam2_0.upper
         assert isinstance(d["verdicts"], list)
