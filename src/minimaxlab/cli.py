@@ -81,8 +81,9 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     spec = parse_problem_mapping({k: v for k, v in mapping.items() if k in PROBLEM_KEYS})
     kwargs = {key: parse(mapping[key]) for key, parse in RUN_KEYS.items() if key in mapping}
     if "fit_r_min" in mapping or "fit_r_max" in mapping:
-        kwargs["fit_window"] = (float(mapping.get("fit_r_min", 6.0)),
-                                float(mapping.get("fit_r_max", 12.0)))
+        lo, hi = ExperimentConfig.fit_window
+        kwargs["fit_window"] = (float(mapping.get("fit_r_min", lo)),
+                                float(mapping.get("fit_r_max", hi)))
     return ExperimentConfig(spec=spec, **kwargs)
 
 

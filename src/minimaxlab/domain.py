@@ -185,29 +185,25 @@ def dual_norm_W(spec: ProblemSpec, grid: Grid) -> float:
 
 # --- flat key-value problem files -------------------------------------------
 
-PROBLEM_KEYS = ("dim", "p", "v_inf", "box_l", "spacing_h",
-                "w_family", "w_c", "w_a", "w_table_path")
+# problem key -> (ProblemSpec or WSpec field, parser of its text value)
+SPEC_KEYS = {"dim": ("N", int), "p": ("p", float), "v_inf": ("Vinf", float),
+             "box_l": ("L", float), "spacing_h": ("h", float)}
+W_KEYS = {"w_family": ("family", str), "w_c": ("c", float), "w_a": ("a", float),
+          "w_table_path": ("table_path", str)}
+PROBLEM_KEYS = tuple(SPEC_KEYS) + tuple(W_KEYS)
+
+
+def _present(mapping: dict, table: dict) -> dict:
+    return {name: parse(mapping[key]) for key, (name, parse) in table.items() if key in mapping}
 
 
 def parse_problem_mapping(mapping: dict) -> ProblemSpec:
-    """Build a ProblemSpec from string key-value pairs (strict keys)."""
+    """Build a ProblemSpec from string key-value pairs (strict keys); absent
+    keys take the dataclass defaults."""
     unknown = set(mapping) - set(PROBLEM_KEYS)
     if unknown:
         raise DomainError(f"unknown problem keys: {sorted(unknown)}")
-    w = WSpec(
-        family=mapping.get("w_family", "zero"),
-        c=float(mapping.get("w_c", 0.0)),
-        a=float(mapping.get("w_a", 1.0)),
-        table_path=mapping.get("w_table_path"),
-    )
-    return ProblemSpec(
-        N=int(mapping.get("dim", 2)),
-        p=float(mapping.get("p", 4.0)),
-        Vinf=float(mapping.get("v_inf", 1.0)),
-        W=w,
-        L=float(mapping.get("box_l", 16.0)),
-        h=float(mapping.get("spacing_h", 0.125)),
-    )
+    return ProblemSpec(W=WSpec(**_present(mapping, W_KEYS)), **_present(mapping, SPEC_KEYS))
 
 
 def read_keyvalue_file(path) -> dict:

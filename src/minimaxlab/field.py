@@ -78,22 +78,13 @@ def translate(u: GridFunction, y) -> GridFunction:
         steps = grid.lattice_vector(y)
         if np.max(np.abs(np.asarray(steps) * grid.h - y)) > 1e-9 * max(1.0, grid.h):
             raise FieldError("translation must be an integer multiple of h per axis")
-    out = u.values
-    for ax, k in enumerate(steps):
-        if k == 0:
-            continue
-        shifted = np.zeros_like(out)
-        src = [slice(None)] * grid.N
-        dst = [slice(None)] * grid.N
-        if k > 0:
-            dst[ax] = slice(k, None)
-            src[ax] = slice(None, -k)
-        else:
-            dst[ax] = slice(None, k)
-            src[ax] = slice(-k, None)
-        if abs(k) < out.shape[ax]:
-            shifted[tuple(dst)] = out[tuple(src)]
-        out = shifted
+    k = np.array(steps)
+    n = np.array(grid.shape)
+    out = np.zeros(grid.shape)
+    if np.all(np.abs(k) < n):  # otherwise every value leaves the box
+        dst = tuple(map(slice, np.maximum(k, 0), n + np.minimum(k, 0)))
+        src = tuple(map(slice, np.maximum(-k, 0), n - np.maximum(k, 0)))
+        out[dst] = u.values[src]
     return GridFunction(grid, out)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .domain import (ProblemSpec, build_grid, dual_norm_W, lp_mass,
                      potential_values)
 from .energy import _energy, _sphere_gradient, euler_lagrange_residual, mass_I
-from .field import GridFunction, lp_normalize, split_signs
+from .field import GridFunction, lp_norm, lp_normalize, split_signs
 from .groundstate import DecayFit, RadialProfile, profile_on_grid
 from .pathlab import PathError, SampledPath, path_max_J, translated_bump_path
 
@@ -98,7 +98,7 @@ def lambda2_bounds(spec: ProblemSpec, w1: GridFunction, l1: float,
     for y in y_sweep:
         vec = np.zeros(grid.N)
         vec[0] = y
-        path = translated_bump_path(w1, winf, vec, spec.p, samples=samples)
+        path = translated_bump_path(w1, winf, vec, spec.p)
         mx, th = path_max_J(path, spec, samples)
         sweep.append({"y": float(y), "path_max": mx, "theta_max": th})
         if mx < upper:
@@ -151,7 +151,6 @@ def refine_path(path, spec: ProblemSpec, iters: int = 10, samples: int = 33,
     """
     sp = path if isinstance(path, SampledPath) else SampledPath.from_path(path, samples, spec.p)
     grid = sp.fields[0].grid
-    weight = grid.weight
     V = potential_values(spec, grid)
 
     def sampled_max():
@@ -175,20 +174,15 @@ def refine_path(path, spec: ProblemSpec, iters: int = 10, samples: int = 33,
             new_fields.append(cand)
         # equal-chord reparameterization over the closed half-loop
         # (last sample connects to the reflection of the first)
-        chain = new_fields + [GridFunction(grid, -new_fields[0].values)]
-        chords = [math.sqrt(float(np.sum((b.values - a.values) ** 2) * weight))
-                  for a, b in zip(chain[:-1], chain[1:])]
+        n = len(new_fields)
+        chords = [lp_norm(GridFunction(grid, b.values - a.values), 2.0)
+                  for a, b in zip(new_fields, new_fields[1:] + [-new_fields[0]])]
         cum = np.concatenate([[0.0], np.cumsum(chords)])
-        total = cum[-1]
-        targets = np.linspace(0.0, total, len(new_fields), endpoint=False)
-        resampled = []
-        for t in targets:
-            j = int(np.searchsorted(cum, t, side="right")) - 1
-            j = min(j, len(chain) - 2)
-            frac = 0.0 if chords[j] == 0 else (t - cum[j]) / chords[j]
-            blend = (1.0 - frac) * chain[j].values + frac * chain[j + 1].values
-            resampled.append(lp_normalize(GridFunction(grid, blend), spec.p))
-        sp = SampledPath(sp.thetas, resampled, spec.p)
+        # (sample, fraction) of each equal-chord target, as a loop angle
+        targets = np.linspace(0.0, cum[-1], n, endpoint=False)
+        positions = np.interp(targets, cum, np.arange(n + 1))
+        loop = SampledPath(new_fields, spec.p)
+        sp = SampledPath([loop.at(x * math.pi / n) for x in positions], spec.p)
         new_max = sampled_max()
         if new_max > current_max + max_increase:
             raise PathError(f"path refinement increased the maximum: "
@@ -222,55 +216,48 @@ def bump_diagnostic(u: GridFunction, spec: ProblemSpec,
         return ProfileDiagnostic(0, [], [], 0.0)
 
     floor = 1e-8 * float(amp.max())
-    # watershed by flooding: visit nodes by descending amplitude, attach to an
-    # already-labeled face neighbor or open a new basin at a local maximum
+    # watershed by flooding: in descending amplitude, each node joins the basin
+    # of its highest face neighbor visited before it (first such neighbor on
+    # ties, axis 0 -/+ then axis 1 -/+, ...) or opens a basin at a local maximum
     flat = amp.ravel()
     active = np.flatnonzero(flat > floor)
     order = active[np.argsort(flat[active])[::-1]]
-    labels = np.zeros(flat.shape, dtype=np.int64)
-    shape = grid.shape
-    strides = np.array([int(np.prod(shape[ax + 1:])) for ax in range(grid.N)])
-    peaks = []
-    for idx in order:
-        multi = np.unravel_index(idx, shape)
-        neighbor_label = 0
-        best_amp = -1.0
-        for ax in range(grid.N):
-            for sgn in (-1, 1):
-                c = multi[ax] + sgn
-                if 0 <= c < shape[ax]:
-                    nidx = idx + sgn * strides[ax]
-                    lab = labels[nidx]
-                    if lab and flat[nidx] > best_amp:
-                        best_amp = flat[nidx]
-                        neighbor_label = lab
-        if neighbor_label:
-            labels[idx] = neighbor_label
-        else:
-            peaks.append(idx)
-            labels[idx] = len(peaks)
+    n = len(order)
+    own = np.arange(n)
+    rank = np.full(grid.shape, n)  # visiting rank; n marks nodes below the floor
+    rank.flat[order] = own
+    padded = np.pad(rank, 1, constant_values=n)
+    amp_by_rank = np.append(flat[order], -1.0)
+    link = own.copy()  # rank of the node each node joins; a peak keeps its own
+    best = np.full(n, -1.0)
+    for ax in range(grid.N):
+        for sgn in (-1, 1):
+            view = [slice(1, -1)] * grid.N
+            view[ax] = slice(1 + sgn, 1 + sgn + grid.shape[ax])
+            nb = padded[tuple(view)].ravel()[order]
+            nb[nb > own] = n  # not visited yet
+            a = amp_by_rank[nb]
+            higher = a > best
+            link[higher] = nb[higher]
+            best[higher] = a[higher]
+    is_peak = link == own
+    while not np.array_equal(link[link], link):  # pointer jumping to the peaks
+        link = link[link]
+    peaks = order[is_peak]
 
     # merge peaks closer than the separation scale into the stronger basin
-    coords = grid.coords()
-    peak_pos = [tuple(float(c[np.unravel_index(i, shape)]) for c in coords) for i in peaks]
+    peak_pos = [tuple(float(c.flat[i]) for c in grid.coords()) for i in peaks]
     merged = list(range(len(peaks)))  # basin -> surviving basin
     for i in range(len(peaks)):
         for j in range(i):
             if merged[j] != j:
                 continue
-            d = math.dist(peak_pos[i], peak_pos[j])
-            if d < min_separation:
+            if math.dist(peak_pos[i], peak_pos[j]) < min_separation:
                 merged[i] = merged[j]
                 break
-    label_map = np.zeros(len(peaks) + 1, dtype=np.int64)
-    for i, m in enumerate(merged):
-        label_map[i + 1] = m + 1
-    labels = label_map[labels]
-
-    masses = []
-    for b in range(1, len(peaks) + 1):
-        sel = labels == b
-        masses.append(lp_mass(flat[sel], spec.p, grid.weight))
+    labels = np.zeros(flat.shape, dtype=np.int64)
+    labels[order] = np.array(merged)[np.cumsum(is_peak)[link] - 1] + 1
+    masses = [lp_mass(flat[labels == b], spec.p, grid.weight) for b in range(1, len(peaks) + 1)]
     kept = [(m / total_mass, peak_pos[b]) for b, m in enumerate(masses)
             if m >= mass_threshold * total_mass]
     kept.sort(reverse=True)

@@ -25,10 +25,15 @@ class PathError(ValueError):
     pass
 
 
+def _thetas(samples: int) -> np.ndarray:
+    """Uniform angles on [0, pi), the half-loop that determines an odd path."""
+    return np.linspace(0.0, math.pi, samples, endpoint=False)
+
+
 class PathFamily:
     """Odd loop gamma(theta) = normalize(u1 cos theta + u2 sin theta)."""
 
-    def __init__(self, u1: GridFunction, u2: GridFunction, p: float, samples: int = 512):
+    def __init__(self, u1: GridFunction, u2: GridFunction, p: float):
         for u in (u1, u2):
             if abs(mass_I(u, p) - 1.0) > 1e-6:
                 raise PathError("path blocks must lie on the constraint sphere")
@@ -39,7 +44,6 @@ class PathFamily:
         self.u1 = u1
         self.u2 = u2
         self.p = p
-        self.samples = samples
 
     def at(self, theta: float) -> GridFunction:
         v = self.u1.values * math.cos(theta) + self.u2.values * math.sin(theta)
@@ -49,52 +53,44 @@ class PathFamily:
 class SampledPath:
     """Odd loop stored as fields at uniform theta samples on [0, pi).
 
-    Values on [pi, 2 pi) follow by the exact reflection gamma(theta + pi) =
-    -gamma(theta); between samples the fields are blended linearly and
-    renormalized.
+    The closed loop has 2n samples: the stored fields, then their negatives,
+    by the exact reflection gamma(theta + pi) = -gamma(theta); between
+    samples the loop is blended linearly and renormalized.
     """
 
-    def __init__(self, thetas: np.ndarray, fields: list[GridFunction], p: float):
-        self.thetas = thetas
+    def __init__(self, fields: list[GridFunction], p: float):
         self.fields = fields
         self.p = p
-        self.samples = len(fields)
+        self.thetas = _thetas(len(fields))
+
+    def _sample(self, k: int) -> np.ndarray:
+        n = len(self.fields)
+        k %= 2 * n
+        return self.fields[k].values if k < n else -self.fields[k - n].values
 
     def at(self, theta: float) -> GridFunction:
+        n = len(self.fields)
         th = theta % (2.0 * math.pi)
-        sign = 1.0
-        if th >= math.pi:
+        half = th >= math.pi
+        if half:
             th -= math.pi
-            sign = -1.0
-        step = math.pi / self.samples
+        step = math.pi / n
         j = int(th // step)
         frac = th / step - j
         # snap to a stored sample when angle reduction lands within rounding of it
         if frac > 1.0 - 1e-9:
             j += 1
             frac = 0.0
-        sign_j = 1.0
-        if j == self.samples:
-            j = 0
-            sign_j = -1.0  # wrap through the reflection
-        a = sign_j * self.fields[j].values
+        j += n * half
         if frac < 1e-9:
-            blend = a.copy()
+            blend = self._sample(j)
         else:
-            if j + 1 < self.samples:
-                b = self.fields[j + 1].values
-            else:
-                b = -self.fields[0].values
-            blend = (1.0 - frac) * a + frac * b
-        out = lp_normalize(GridFunction(self.fields[0].grid, blend), self.p)
-        if sign < 0:
-            out = -out
-        return out
+            blend = (1.0 - frac) * self._sample(j) + frac * self._sample(j + 1)
+        return lp_normalize(GridFunction(self.fields[0].grid, blend), self.p)
 
     @classmethod
     def from_path(cls, path, samples: int, p: float) -> "SampledPath":
-        thetas = np.linspace(0.0, math.pi, samples, endpoint=False)
-        return cls(thetas, [path.at(t) for t in thetas], p)
+        return cls([path.at(t) for t in _thetas(samples)], p)
 
 
 def disjoint_support_max(J1: float, J2: float, p: float) -> float:
@@ -124,7 +120,7 @@ def two_block_energy(J1: float, J2: float, p: float, theta: float) -> float:
 def _theta_max(f, samples: int, xatol: float) -> tuple[float, float]:
     """Maximum of f over theta in [0, pi) and its argmax: dense sampling, then
     bounded golden-section search within one spacing of the best sample."""
-    thetas = np.linspace(0.0, math.pi, samples, endpoint=False)
+    thetas = _thetas(samples)
     vals = np.array([f(t) for t in thetas])
     j = int(np.argmax(vals))
     lo = thetas[j] - math.pi / samples
@@ -148,36 +144,34 @@ def path_max_from_energies(J1: float, J2: float, p: float, samples: int = 512) -
     return sign * mx, th
 
 
-def _path_energy(path, V: np.ndarray, theta: float) -> float:
-    u = path.at(theta)
-    return _energy(u.values, V, u.grid.h)
+def _energy_of(spec: ProblemSpec, grid):
+    """u -> J(u) for fields on `grid`, with the potential evaluated once."""
+    V = potential_values(spec, grid)
+    return lambda u: _energy(u.values, V, grid.h)
 
 
-def path_max_J(path, spec: ProblemSpec, samples: int | None = None) -> tuple[float, float]:
+def path_max_J(path, spec: ProblemSpec, samples: int = 512) -> tuple[float, float]:
     """Maximum of J over the path and its argmax angle.
 
     Samples theta on [0, pi) (J is even under the antipodal reflection) and
     refines around the best sample by golden-section search.
     """
-    if samples is None:
-        samples = getattr(path, "samples", 512)
     if samples < 64:
         raise PathError("at least 64 theta samples required")
-    V = potential_values(spec, path.at(0.0).grid)
-    return _theta_max(lambda t: _path_energy(path, V, t), samples, 1e-12)
+    J = _energy_of(spec, path.at(0.0).grid)
+    return _theta_max(lambda t: J(path.at(t)), samples, 1e-12)
 
 
 def path_scan(path, spec: ProblemSpec, samples: int = 512) -> list[dict]:
     """Per-sample record (theta, J, I+, I-) for CSV export."""
-    grid = path.at(0.0).grid
-    V = potential_values(spec, grid)
+    J = _energy_of(spec, path.at(0.0).grid)
     rows = []
-    for t in np.linspace(0.0, math.pi, samples, endpoint=False):
+    for t in _thetas(samples):
         u = path.at(t)
         plus, minus = split_signs(u)
         rows.append({
             "theta": float(t),
-            "J": _energy(u.values, V, grid.h),
+            "J": J(u),
             "I_plus": mass_I(plus, spec.p),
             "I_minus": mass_I(minus, spec.p),
         })
@@ -214,13 +208,13 @@ def balanced_point(path, p: float, tol: float = 1e-10,
 
 
 def translated_bump_path(w1: GridFunction, winf: GridFunction, y,
-                         p: float, samples: int = 512) -> PathFamily:
+                         p: float) -> PathFamily:
     """Two-bump path between w1 and the normalized translate of winf by y."""
     shifted = lp_normalize(translate(winf, y), p)
     if not layer_separated(w1, shifted, eps=1e-12):
         warnings.warn("two-bump path blocks overlap numerically; the closed-form "
                       "maximum will not apply exactly", stacklevel=2)
-    return PathFamily(w1, shifted, p, samples=samples)
+    return PathFamily(w1, shifted, p)
 
 
 def overlap_integrals(w1: GridFunction, winf: GridFunction, y, p: float) -> tuple[float, float]:
@@ -252,24 +246,20 @@ class SphereMap:
     the sphere closed under the antipodal map.
     """
 
-    def __init__(self, rule, points: np.ndarray, p: float, m: int):
+    def __init__(self, rule, points: np.ndarray, m: int):
         self.rule = rule
         self.points = points
-        self.p = p
         self.m = m
 
     def at(self, y) -> GridFunction:
         return self.rule(np.asarray(y, dtype=float))
 
     def scan(self, spec: ProblemSpec, count_nodal: bool = False) -> list[SphereSample]:
-        grid = self.at(self.points[0]).grid
-        V = potential_values(spec, grid)
+        J = _energy_of(spec, self.at(self.points[0]).grid)
         out = []
         for y in self.points:
             u = self.at(y)
-            nc = nodal_domains(u).count if count_nodal else -1
-            out.append(SphereSample(direction=y, energy=_energy(u.values, V, grid.h),
-                                    nodal_count=nc))
+            out.append(SphereSample(y, J(u), nodal_domains(u).count if count_nodal else -1))
         return out
 
     def max_energy(self, spec: ProblemSpec) -> float:
@@ -315,7 +305,7 @@ def gamma_R(winf: GridFunction, R: float, p: float, samples: int | None = None) 
         u = translate(winf, steps).values - translate(winf, tuple(-s for s in steps)).values
         return lp_normalize(GridFunction(grid, u), p)
 
-    return SphereMap(rule, pts, p, grid.N)
+    return SphereMap(rule, pts, grid.N)
 
 
 def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec,
@@ -333,10 +323,8 @@ def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec,
     if m > 3:
         m = 3  # sample a coordinate subsphere through the 3 largest domains
     # order domains by mass, keep the m largest
-    masses = []
-    for j in range(1, labeling.count + 1):
-        chi = labeling.labels == j
-        masses.append(lp_mass(u0.values[chi], spec.p, u0.grid.weight))
+    masses = [lp_mass(u0.values[labeling.labels == j], spec.p, u0.grid.weight)
+              for j in range(1, labeling.count + 1)]
     order = np.argsort(masses)[::-1][:m]
     blocks = []
     for j in order:
@@ -350,4 +338,4 @@ def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec,
         v = sum(float(c) * b.values for c, b in zip(y, blocks))
         return lp_normalize(GridFunction(u0.grid, v), spec.p)
 
-    return SphereMap(rule, pts, spec.p, m)
+    return SphereMap(rule, pts, m)

@@ -134,6 +134,24 @@ def test_experiment_outputs(experiment, tmp_path):
                 float(cell)
 
 
+def test_levels_in_3d(tmp_path):
+    # guards the 3-D translation and path code end to end
+    cfg = config_from_mapping({**COARSE, "dim": "3", "box_l": "6.0", "spacing_h": "0.5",
+                               "w_family": "exponential", "w_c": "0.5", "w_a": "0.5",
+                               "experiment": "levels", "out_dir": str(tmp_path),
+                               "theta_samples": "64", "y_sweep": "3,4"})
+    assert run(cfg) == 0
+    rep = report_of(tmp_path)
+    assert {v["id"]: v["status"] for v in rep["verdicts"]} == {
+        "threshold-chain": "pass", "interval-order": "pass",
+        "first-level-strict-drop": "pass", "second-level-below-threshold": "pass",
+        "sandwich-autonomous": "inapplicable", "cross-oracle-ground": "inapplicable"}
+    stated = rep.pop("report_hash")
+    rep.pop("timestamp")
+    assert hashlib.sha256(json.dumps(
+        rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
+
+
 class TestReproducibility:
     def test_identical_hashes(self, tmp_path):
         hashes = []

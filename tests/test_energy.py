@@ -187,8 +187,8 @@ class TestOneEnergyKernel:
         assert res.level == energy_J(res.minimizer, well).total
 
         winf = profile_on_grid(ground_profile, res.minimizer.grid)
-        path = translated_bump_path(res.minimizer, winf, (4.0, 0.0), well.p, samples=64)
-        mx, theta = path_max_J(path, well)
+        path = translated_bump_path(res.minimizer, winf, (4.0, 0.0), well.p)
+        mx, theta = path_max_J(path, well, samples=64)
         assert mx == energy_J(path.at(theta), well).total
         for row in path_scan(path, well, samples=8):
             assert row["J"] == energy_J(path.at(row["theta"]), well).total

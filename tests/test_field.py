@@ -124,6 +124,22 @@ class TestTranslate:
         with pytest.raises(FieldError):
             translate(gaussian(grid), (0.1, 0.0))
 
+    def test_3d_shift_equals_one_axis_shifts(self):
+        grid = build_grid(ProblemSpec(N=3, p=4.0, Vinf=1.0, L=2.0, h=0.25))
+        u = GridFunction(grid, np.random.default_rng(3).standard_normal(grid.shape))
+        steps = (3, -2, 5)
+        one_axis = u
+        for ax, k in enumerate(steps):
+            one_axis = translate(one_axis, tuple(k if i == ax else 0 for i in range(3)))
+        assert np.array_equal(translate(u, steps).values, one_axis.values)
+
+    def test_3d_shift_past_box_is_zero(self):
+        grid = build_grid(ProblemSpec(N=3, p=4.0, Vinf=1.0, L=2.0, h=0.25))
+        u = GridFunction(grid, np.ones(grid.shape))
+        n = grid.shape[0]
+        assert not np.any(translate(u, (1, -n, 0)).values)
+        assert not np.any(translate(u, (0, 0, n + 4)).values)
+
     def test_ground_state_tail_loss_small(self, winf0):
         # decaying state shifted halfway across the desk box loses < 1e-6 mass
         shifted = translate(winf0, (8.0, 0.0))

@@ -10,7 +10,7 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid,
                         nodality_check, refine_path)
 from minimaxlab.minimax import (LevelsReport, Verdict, bump_diagnostic,
                                 verdict)
-from minimaxlab.pathlab import PathError, PathFamily, SampledPath
+from minimaxlab.pathlab import PathError, PathFamily, SampledPath, path_max_J
 
 
 class TestLambdaSharp:
@@ -167,6 +167,14 @@ class TestRefinePath:
         assert after < before
 
 
+    def test_path_max_J_accepts_refined_path(self, small_setup):
+        spec, grid, bump = small_setup
+        refined = refine_path(PathFamily(bump(-4.0, 0.0), bump(4.0, 0.0), 4.0),
+                              spec, iters=2)
+        mx, theta = path_max_J(refined, spec)
+        assert mx == energy_J(refined.at(theta), spec).total
+
+
 class TestBumpDiagnostic:
     def test_single_bump(self, small_setup):
         spec, grid, bump = small_setup
@@ -202,6 +210,25 @@ class TestBumpDiagnostic:
         # the secondary bump carries 0.2^4 of the primary mass: below threshold
         assert diag.count == 1
         assert diag.residual == pytest.approx(0.2 ** 4 / (1 + 0.2 ** 4), rel=1e-6)
+
+    def test_constant_interior_is_one_bump(self, small_setup):
+        # a plateau: every interior node ties, so basins follow visiting order
+        spec, grid, _ = small_setup
+        diag = bump_diagnostic(lp_normalize(GridFunction(grid, np.ones(grid.shape)), 4.0), spec)
+        assert diag.count == 1
+
+    def test_two_bumps_in_3d(self):
+        spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=6.0, h=0.25)
+        x, y, z = build_grid(spec).coords()
+
+        def bump(cx):
+            r2 = ((x - cx) ** 2 + y ** 2 + z ** 2) / 1.5 ** 2
+            return np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0)
+
+        u = lp_normalize(GridFunction(build_grid(spec), bump(-3.0) + bump(3.0)), 4.0)
+        diag = bump_diagnostic(u, spec)
+        assert diag.count == 2
+        assert sum(diag.masses) == pytest.approx(1.0, abs=1e-12)
 
     def test_ground_minimizer_is_single_bump(self, descent0, spec0):
         diag = bump_diagnostic(descent0.minimizer, spec0)
