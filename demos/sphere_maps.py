@@ -27,5 +27,5 @@ print("nodal-domain map from a signed two-bump field ...")
 signed = (translate(winf, (-10.0, 0.0)).values
           - translate(winf, (10.0, 0.0)).values)
 u0 = lp_normalize(GridFunction(grid, signed), spec.p)
-nm = nodal_sphere_map(u0, spec, samples=64)
+nm = nodal_sphere_map(u0, spec)
 print(f"  {nm.m} blocks; sampled image maximum = {nm.max_energy(spec):.6f}")

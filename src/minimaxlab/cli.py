@@ -24,11 +24,11 @@ from .domain import (DomainError, ProblemSpec, WSpec, build_grid, dual_norm_W,
                      parse_problem_mapping, read_keyvalue_file, PROBLEM_KEYS)
 from .energy import deviation_bound, energy_J
 from .field import GridFunction, lp_normalize
-from .groundstate import (fit_decay, minimize_lambda1, profile_on_grid,
-                          shoot_excited, shoot_ground)
-from .minimax import (Lambda2Bounds, LevelsReport, Verdict, lambda2_bounds,
-                      lambda2_radial, lambda_sharp, verdict)
-from .pathlab import gamma_R
+from .groundstate import (DESCENT_TOL, FIT_WINDOW, fit_decay, minimize_lambda1,
+                          profile_on_grid, shoot_excited, shoot_ground)
+from .minimax import (Y_SWEEP, Lambda2Bounds, LevelsReport, Verdict,
+                      lambda2_bounds, lambda2_radial, lambda_sharp, verdict)
+from .pathlab import SPHERE_SAMPLES, THETA_SAMPLES, gamma_R
 from . import __version__
 
 class ConfigError(ValueError):
@@ -41,12 +41,12 @@ class ExperimentConfig:
     experiment: str = "verify-all"
     seed: int = 0
     out_dir: str = "."
-    tol_descent: float = 1e-8
-    theta_samples: int = 512
-    sphere_samples: int = 256
-    y_sweep: tuple[float, ...] = (4.0, 6.0, 8.0, 10.0, 12.0)
+    tol_descent: float = DESCENT_TOL
+    theta_samples: int = THETA_SAMPLES
+    sphere_samples: int = SPHERE_SAMPLES
+    y_sweep: tuple[float, ...] = Y_SWEEP
     r_list: tuple[float, ...] = (6.0, 9.0, 12.0)
-    fit_window: tuple[float, float] = (6.0, 12.0)
+    fit_window: tuple[float, float] = FIT_WINDOW
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -81,7 +81,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     spec = parse_problem_mapping({k: v for k, v in mapping.items() if k in PROBLEM_KEYS})
     kwargs = {key: parse(mapping[key]) for key, parse in RUN_KEYS.items() if key in mapping}
     if "fit_r_min" in mapping or "fit_r_max" in mapping:
-        lo, hi = ExperimentConfig.fit_window
+        lo, hi = FIT_WINDOW
         kwargs["fit_window"] = (float(mapping.get("fit_r_min", lo)),
                                 float(mapping.get("fit_r_max", hi)))
     return ExperimentConfig(spec=spec, **kwargs)
@@ -196,23 +196,20 @@ def exp_levels(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     autonomous = spec.W.family == "zero"
     rep.verdicts.append(verdict(
         "sandwich-autonomous", autonomous,
-        0.02 - abs(rep.lam2.upper - rep.lam2.lam2inf_target)
-        / rep.lam2.lam2inf_target if autonomous else 0.0,
+        0.02 - abs(rep.lam2.upper - rep.lam2.lam2inf_target) / rep.lam2.lam2inf_target,
         "two-bump upper bound brackets 2^sigma lam1_inf"))
     rep.verdicts.append(verdict(
         "cross-oracle-ground", autonomous,
-        0.01 - abs(rep.lam1 - rep.lam1_inf) / rep.lam1_inf if autonomous else 0.0,
+        0.01 - abs(rep.lam1 - rep.lam1_inf) / rep.lam1_inf,
         "grid descent agrees with shooting"))
 
     penalized = _penalty_condition_holds(pipe)
     margin_tol = 10.0 * pipe.cfg.tol_descent
     rep.verdicts.append(verdict(
-        "first-level-strict-drop", penalized,
-        (rep.lam1_inf - rep.lam1) - margin_tol if penalized else 0.0,
+        "first-level-strict-drop", penalized, rep.lam1_inf - rep.lam1 - margin_tol,
         "lam1 strictly below lam1_inf under the exponential penalty"))
     rep.verdicts.append(verdict(
-        "second-level-below-threshold", penalized,
-        (rep.lam_sharp - rep.lam2.upper) - margin_tol if penalized else 0.0,
+        "second-level-below-threshold", penalized, rep.lam_sharp - rep.lam2.upper - margin_tol,
         "best two-bump max strictly below the compactness threshold"))
     artifacts["y_sweep.csv"] = rep.lam2.sweep
 
@@ -229,16 +226,14 @@ def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
         "gamma-r-limit", True, 0.02 - abs(maxima[r_big] - target) / target,
         f"max Jinf over directions at R={r_big} vs 2^sigma lam1_inf"))
     rs = sorted(maxima)
-    if len(rs) > 1:
-        # 0.2% slack covers direction sampling, lattice rounding, and the box
-        # truncation bias once R approaches L
-        slack = 2e-3 * target
-        worst = min(maxima[a] - maxima[b] + slack for a, b in zip(rs, rs[1:]))
-        rep.verdicts.append(verdict("gamma-r-monotone", True, worst,
-                                    "sampled maxima nonincreasing in R within sampling slack"))
-    else:
-        rep.verdicts.append(verdict("gamma-r-monotone", False, 0.0,
-                                    "needs at least two R values"))
+    # 0.2% slack covers direction sampling, lattice rounding, and the box
+    # truncation bias once R approaches L
+    slack = 2e-3 * target
+    gaps = [maxima[a] - maxima[b] + slack for a, b in zip(rs, rs[1:])]
+    rep.verdicts.append(verdict(
+        "gamma-r-monotone", bool(gaps), min(gaps, default=None),
+        "sampled maxima nonincreasing in R within sampling slack" if gaps
+        else "needs at least two R values"))
     rows = []
     for R, scan in scans.items():
         for s in scan:
@@ -265,7 +260,7 @@ def exp_symmetry(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
             "symmetry-breaking", True, radial.lam2r_lower - rep.lam2.upper,
             "second level upper bound below the radial second level lower bound"))
     else:
-        rep.verdicts.append(verdict("symmetry-breaking", False, 0.0,
+        rep.verdicts.append(verdict("symmetry-breaking", False, None,
                                     "condition |W|_q < lam2r_inf - lam2_inf not applicable"))
 
 

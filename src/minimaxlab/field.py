@@ -96,17 +96,15 @@ class NodalLabeling:
     count: int
 
 
-def nodal_domains(u: GridFunction, eps: float | None = None) -> NodalLabeling:
-    """Label connected components of {u > eps} and {u < -eps} (face adjacency).
+def nodal_domains(u: GridFunction) -> NodalLabeling:
+    """Label connected components of {u > eps} and {u < -eps} (face adjacency),
+    with eps = 1e-10 max |u|.
 
     The grid labeling at eps > 0 is a proxy for the measure-theoretic nodal
     domains of the continuum field.
     """
     vals = u.values
-    if eps is None:
-        eps = 1e-10 * float(np.max(np.abs(vals))) if np.any(vals) else 0.0
-    if eps < 0:
-        raise FieldError("eps must be nonnegative")
+    eps = 1e-10 * float(np.max(np.abs(vals))) if np.any(vals) else 0.0
     structure = ndimage.generate_binary_structure(u.grid.N, 1)
     labels = np.zeros(vals.shape, dtype=np.int32)
     count = 0
@@ -117,13 +115,13 @@ def nodal_domains(u: GridFunction, eps: float | None = None) -> NodalLabeling:
     return NodalLabeling(labels=labels, count=count)
 
 
-def layer_separated(u1: GridFunction, u2: GridFunction, eps: float = 0.0) -> bool:
-    """True if the supports are separated by at least one zero node layer.
+def layer_separated(u1: GridFunction, u2: GridFunction) -> bool:
+    """True if the supports {|u| > 1e-12} are separated by at least one zero node layer.
 
     Under face adjacency this makes the link-based energy exactly additive.
     """
-    s1 = np.abs(u1.values) > eps
-    s2 = np.abs(u2.values) > eps
+    s1 = np.abs(u1.values) > 1e-12
+    s2 = np.abs(u2.values) > 1e-12
     if np.any(s1 & s2):
         return False
     structure = ndimage.generate_binary_structure(u1.grid.N, 1)

@@ -18,6 +18,9 @@ from .domain import ProblemSpec, build_grid, lp_mass, potential_values
 from .energy import _energy, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
+DESCENT_TOL = 1e-8  # descent gradient-norm tolerance; also the config default
+FIT_WINDOW = (6.0, 12.0)  # decay fit window in r; also the config default
+
 
 class ShootingError(RuntimeError):
     pass
@@ -51,9 +54,8 @@ class RadialProfile:
         """Integral of f over R^N assuming radial symmetry (trapezoid in r)."""
         return float(np.trapezoid(f * self.r ** (self.N - 1), self.r) * self.sphere_area())
 
-    def lp_norm(self, p: float | None = None) -> float:
-        p = self.p if p is None else p
-        return self.radial_integral(np.abs(self.w) ** p) ** (1.0 / p)
+    def lp_norm(self) -> float:
+        return self.radial_integral(np.abs(self.w) ** self.p) ** (1.0 / self.p)
 
     def energy_autonomous(self) -> float:
         """Jinf of the raw profile (gradient via centered differences in r)."""
@@ -73,7 +75,7 @@ class RadialProfile:
 class DecayFit:
     """Exponential envelope of a decaying radial profile.
 
-    `rate` estimates sqrt(Vinf); `a0` is the safety-scaled envelope rate used
+    `rate` estimates sqrt(Vinf); `a0` = 0.95 rate is the envelope rate used
     wherever a certified sub-exponential bound is needed.
     """
 
@@ -123,9 +125,9 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float):
     return ws, zeros
 
 
-def _shoot(N: int, p: float, Vinf: float, k: int, tol: float,
-           dr: float, rmax: float, max_iter: int) -> RadialProfile:
+def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
     """Bisection on the central value for a decaying solution with k sign changes."""
+    tol, dr, rmax, max_iter = 1e-14, 2e-3, 25.0, 200
     def overshoots(b):
         _, zeros = _integrate(b, N, p, Vinf, dr, rmax)
         return zeros > k
@@ -180,36 +182,33 @@ def _shoot(N: int, p: float, Vinf: float, k: int, tol: float,
 
 
 @lru_cache(maxsize=16)
-def shoot_ground(N: int, p: float, Vinf: float, tol: float = 1e-14,
-                 dr: float = 2e-3, rmax: float = 25.0, max_iter: int = 200) -> RadialProfile:
+def shoot_ground(N: int, p: float, Vinf: float) -> RadialProfile:
     """Positive decreasing radial ground state; level = lambda_1 of the autonomous problem.
 
     Results are memoized; treat the returned profile as read-only.
     """
-    prof = _shoot(N, p, Vinf, 0, tol, dr, rmax, max_iter)
+    prof = _shoot(N, p, Vinf, 0)
     if np.any(prof.w <= 0):
         raise ShootingError("ground state is not positive")
     return prof
 
 
 @lru_cache(maxsize=16)
-def shoot_excited(N: int, p: float, Vinf: float, k: int, tol: float = 1e-14,
-                  dr: float = 2e-3, rmax: float = 25.0, max_iter: int = 200) -> RadialProfile:
+def shoot_excited(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
     """Radial solution with exactly k interior sign changes, k >= 1 (memoized)."""
     if k < 1:
         raise ShootingError("k must be at least 1; use shoot_ground for k = 0")
-    prof = _shoot(N, p, Vinf, k, tol, dr, rmax, max_iter)
+    prof = _shoot(N, p, Vinf, k)
     if prof.nodes != k:
         raise ShootingError(f"requested {k} sign changes, converged with {prof.nodes}")
     return prof
 
 
 def fit_decay(profile: RadialProfile, Vinf: float,
-              window: tuple[float, float] = (6.0, 12.0),
-              safety: float = 0.95) -> DecayFit:
+              window: tuple[float, float] = FIT_WINDOW) -> DecayFit:
     """Linear fit of log(w r^((N-1)/2)) on the window; slope gives the decay rate.
 
-    The envelope rate a0 is the fitted rate scaled down by `safety`, one
+    The envelope rate a0 is the fitted rate scaled down by 0.95, one
     admissible instantiation of the comparison-argument envelope.
     """
     r, w = profile.r, profile.normalized()
@@ -223,20 +222,19 @@ def fit_decay(profile: RadialProfile, Vinf: float,
     slope, intercept = np.polyfit(r[mask], logy, 1)
     resid = float(np.sqrt(np.mean((logy - (slope * r[mask] + intercept)) ** 2)))
     rate = -float(slope)
-    a0 = safety * rate
+    a0 = 0.95 * rate
     if not 0 < a0 <= math.sqrt(Vinf) * 1.001:
         raise ValueError(f"fitted envelope rate {a0} outside (0, sqrt(Vinf)]")
     return DecayFit(rate=rate, C0=float(np.exp(intercept)), a0=a0,
                     window=window, residual=resid)
 
 
-def profile_on_grid(profile: RadialProfile, grid, center=None) -> GridFunction:
-    """Interpolate a normalized radial profile onto the grid around `center`
+def profile_on_grid(profile: RadialProfile, grid) -> GridFunction:
+    """Interpolate a normalized radial profile onto the grid around the origin
     and renormalize in the grid quadrature."""
-    if center is None:
-        center = (0.0,) * grid.N
-    coords = grid.coords()
-    rr = np.sqrt(sum((x - c) ** 2 for x, c in zip(coords, center)))
+    # rr lives until the return: freed earlier, it left a heap layout in which every
+    # later path evaluation faults its temporaries back in (+50% desk `levels` wall)
+    rr = grid.radius()
     u = GridFunction(grid, profile.value_at(rr))
     return lp_normalize(u, profile.p)
 
@@ -297,7 +295,7 @@ def _descend(u0: np.ndarray, V: np.ndarray, spec: ProblemSpec, grid,
     return DescentResult(GridFunction(grid, u), J, gn, it, False)
 
 
-def minimize_lambda1(spec: ProblemSpec, tol: float = 1e-8, max_iter: int = 100_000,
+def minimize_lambda1(spec: ProblemSpec, tol: float = DESCENT_TOL,
                      seed_profile: RadialProfile | None = None,
                      level_floor: float = -1e6) -> DescentResult:
     """Constrained minimization of J on the grid: returns (w1, lambda_1).
@@ -306,6 +304,7 @@ def minimize_lambda1(spec: ProblemSpec, tol: float = 1e-8, max_iter: int = 100_0
     Gaussian bump. The minimizer is asserted nonnegative post hoc; a signed
     iterate triggers one restart from its absolute value.
     """
+    max_iter = 100_000
     grid = build_grid(spec)
     V = potential_values(spec, grid)
     if seed_profile is not None:

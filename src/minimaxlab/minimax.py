@@ -19,7 +19,10 @@ from .domain import (ProblemSpec, build_grid, dual_norm_W, lp_mass,
 from .energy import _energy, _sphere_gradient, euler_lagrange_residual, mass_I
 from .field import GridFunction, lp_norm, lp_normalize, split_signs
 from .groundstate import DecayFit, RadialProfile, profile_on_grid
-from .pathlab import PathError, SampledPath, path_max_J, translated_bump_path
+from .pathlab import (THETA_SAMPLES, PathError, SampledPath, path_max_J,
+                      translated_bump_path)
+
+Y_SWEEP = (4.0, 6.0, 8.0, 10.0, 12.0)  # two-bump translations; also the config default
 
 
 def lambda_sharp(l1: float, l1inf: float, p: float) -> float:
@@ -32,9 +35,8 @@ def lambda_sharp(l1: float, l1inf: float, p: float) -> float:
     return (l1 ** q + l1inf ** q) ** (1.0 / q)
 
 
-def multiplicity_floor(c: float, l1: float, l1inf: float, p: float,
-                       t1_zero: bool, m_cap: int = 64) -> int:
-    """Largest bump count m consistent with a critical sequence at level c.
+def multiplicity_floor(c: float, l1: float, l1inf: float, p: float, t1_zero: bool) -> int:
+    """Largest bump count m <= 64 consistent with a critical sequence at level c.
 
     Escape to m >= 2 bumps requires c strictly above the m-bump floor; m = 1
     is always allowed.
@@ -50,7 +52,7 @@ def multiplicity_floor(c: float, l1: float, l1inf: float, p: float,
         return (l1 ** q + (m - 1) * l1inf ** q) ** sigma
 
     m = 1
-    while m < m_cap and c > floor_level(m + 1):
+    while m < 64 and c > floor_level(m + 1):
         m += 1
     return m
 
@@ -70,8 +72,7 @@ class Lambda2Bounds:
 
 def lambda2_bounds(spec: ProblemSpec, w1: GridFunction, l1: float,
                    winf_profile: RadialProfile, l1inf: float,
-                   y_sweep=(4.0, 6.0, 8.0, 10.0, 12.0),
-                   samples: int = 512) -> Lambda2Bounds:
+                   y_sweep=Y_SWEEP, samples: int = THETA_SAMPLES) -> Lambda2Bounds:
     """Assemble the certified interval for the second level.
 
     Lower bound: balanced-point mechanism (2^sigma l1 when l1 > 0) and, when
@@ -141,16 +142,17 @@ def lambda2_radial(spec: ProblemSpec, excited_profile: RadialProfile) -> RadialS
                              w_dual_norm=wnorm)
 
 
-def refine_path(path, spec: ProblemSpec, iters: int = 10, samples: int = 33,
-                step: float = 1e-3, max_increase: float = 1e-6) -> SampledPath:
+def refine_path(path, spec: ProblemSpec) -> SampledPath:
     """String-style local improvement of a path: per-sample descent steps,
     retraction to the sphere, and equal-chord reparameterization.
 
-    Only [0, pi) is stored; oddness is exact by reflection. The sampled
-    maximum must not increase beyond `max_increase` across iterations.
+    Only [0, pi) is stored (33 samples of a path that is not sampled yet);
+    oddness is exact by reflection. The sampled maximum must not increase
+    by more than 1e-6 per round.
     """
-    sp = path if isinstance(path, SampledPath) else SampledPath.from_path(path, samples, spec.p)
-    grid = sp.fields[0].grid
+    iters, step, max_increase = 10, 1e-3, 1e-6
+    sp = path if isinstance(path, SampledPath) else SampledPath.from_path(path, 33, spec.p)
+    grid = sp.grid
     V = potential_values(spec, grid)
 
     def sampled_max():
@@ -201,14 +203,11 @@ class ProfileDiagnostic:
     residual: float
 
 
-def bump_diagnostic(u: GridFunction, spec: ProblemSpec,
-                    mass_threshold: float = 0.05,
-                    min_separation: float | None = None) -> ProfileDiagnostic:
+def bump_diagnostic(u: GridFunction, spec: ProblemSpec) -> ProfileDiagnostic:
     """Locate mass bumps of |u|: watershed by descending amplitude from local
-    maxima, merging peaks closer than `min_separation` (default: four decay
-    lengths of the limit problem)."""
-    if min_separation is None:
-        min_separation = 4.0 / math.sqrt(spec.Vinf)
+    maxima, merging peaks closer than four decay lengths of the limit problem
+    and keeping bumps that carry at least 5% of the mass."""
+    min_separation = 4.0 / math.sqrt(spec.Vinf)
     grid = u.grid
     amp = np.abs(u.values)
     total_mass = mass_I(u, spec.p)
@@ -259,7 +258,7 @@ def bump_diagnostic(u: GridFunction, spec: ProblemSpec,
     labels[order] = np.array(merged)[np.cumsum(is_peak)[link] - 1] + 1
     masses = [lp_mass(flat[labels == b], spec.p, grid.weight) for b in range(1, len(peaks) + 1)]
     kept = [(m / total_mass, peak_pos[b]) for b, m in enumerate(masses)
-            if m >= mass_threshold * total_mass]
+            if m >= 0.05 * total_mass]
     kept.sort(reverse=True)
     fractions = [m for m, _ in kept]
     centers = [c for _, c in kept]
@@ -275,14 +274,13 @@ class NodalityVerdict:
     residual: float
 
 
-def nodality_check(u: GridFunction, lam: float, l1: float, spec: ProblemSpec,
-                   residual_tol: float = 1e-2) -> NodalityVerdict:
+def nodality_check(u: GridFunction, lam: float, l1: float, spec: ProblemSpec) -> NodalityVerdict:
     """Sign check: when the first level is nonpositive and the given level
-    positive (or strictly so in either slot), an approximate solution must
-    change sign."""
+    positive (or strictly so in either slot), an approximate solution (residual
+    at most 1e-2) must change sign."""
     res = euler_lagrange_residual(u, lam, spec)
-    if res > residual_tol:
-        raise ValueError(f"residual {res} exceeds threshold {residual_tol}; "
+    if res > 1e-2:
+        raise ValueError(f"residual {res} exceeds threshold 1e-2; "
                          "not close enough to a solution")
     plus, minus = split_signs(u)
     nodal = mass_I(plus, spec.p) > 1e-10 and mass_I(minus, spec.p) > 1e-10
@@ -299,11 +297,11 @@ class Verdict:
     detail: str = ""
 
 
-def verdict(vid: str, applicable: bool, margin: float, detail: str = "",
-            tol: float = 0.0) -> Verdict:
+def verdict(vid: str, applicable: bool, margin: float | None, detail: str = "") -> Verdict:
+    """Pass on a positive margin; an inapplicable verdict records margin 0.0."""
     if not applicable:
-        return Verdict(vid, "inapplicable", margin, detail)
-    return Verdict(vid, "pass" if margin > tol else "fail", margin, detail)
+        return Verdict(vid, "inapplicable", 0.0, detail)
+    return Verdict(vid, "pass" if margin > 0.0 else "fail", margin, detail)
 
 
 @dataclass

@@ -21,6 +21,10 @@ from .field import (GridFunction, layer_separated, lp_normalize,
                     nodal_domains, split_signs, translate)
 
 
+THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config default
+SPHERE_SAMPLES = 256  # directions per sphere map; also the config default
+
+
 class PathError(ValueError):
     pass
 
@@ -44,10 +48,11 @@ class PathFamily:
         self.u1 = u1
         self.u2 = u2
         self.p = p
+        self.grid = u1.grid
 
     def at(self, theta: float) -> GridFunction:
         v = self.u1.values * math.cos(theta) + self.u2.values * math.sin(theta)
-        return lp_normalize(GridFunction(self.u1.grid, v), self.p)
+        return lp_normalize(GridFunction(self.grid, v), self.p)
 
 
 class SampledPath:
@@ -61,6 +66,7 @@ class SampledPath:
     def __init__(self, fields: list[GridFunction], p: float):
         self.fields = fields
         self.p = p
+        self.grid = fields[0].grid
         self.thetas = _thetas(len(fields))
 
     def _sample(self, k: int) -> np.ndarray:
@@ -86,7 +92,7 @@ class SampledPath:
             blend = self._sample(j)
         else:
             blend = (1.0 - frac) * self._sample(j) + frac * self._sample(j + 1)
-        return lp_normalize(GridFunction(self.fields[0].grid, blend), self.p)
+        return lp_normalize(GridFunction(self.grid, blend), self.p)
 
     @classmethod
     def from_path(cls, path, samples: int, p: float) -> "SampledPath":
@@ -117,22 +123,23 @@ def two_block_energy(J1: float, J2: float, p: float, theta: float) -> float:
     return (J1 * c * c + J2 * s * s) / (abs(c) ** p + abs(s) ** p) ** (2.0 / p)
 
 
-def _theta_max(f, samples: int, xatol: float) -> tuple[float, float]:
+def _theta_max(f, samples: int) -> tuple[float, float]:
     """Maximum of f over theta in [0, pi) and its argmax: dense sampling, then
-    bounded golden-section search within one spacing of the best sample."""
+    bounded golden-section search (xatol 1e-12) within one spacing of the
+    best sample."""
     thetas = _thetas(samples)
     vals = np.array([f(t) for t in thetas])
     j = int(np.argmax(vals))
     lo = thetas[j] - math.pi / samples
     hi = thetas[j] + math.pi / samples
     res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
-                          options={"xatol": xatol})
+                          options={"xatol": 1e-12})
     if -res.fun >= vals[j]:
         return float(-res.fun), float(res.x % math.pi)
     return float(vals[j]), float(thetas[j])
 
 
-def path_max_from_energies(J1: float, J2: float, p: float, samples: int = 512) -> tuple[float, float]:
+def path_max_from_energies(J1: float, J2: float, p: float) -> tuple[float, float]:
     """Dense theta-sampling of the disjoint-support energy profile, refined by
     bounded golden-section search. Independent route to disjoint_support_max.
 
@@ -140,7 +147,7 @@ def path_max_from_energies(J1: float, J2: float, p: float, samples: int = 512) -
     unless both energies are nonpositive, in which case the interior trough.
     """
     sign = -1.0 if (J1 <= 0.0 and J2 <= 0.0) else 1.0
-    mx, th = _theta_max(lambda t: sign * two_block_energy(J1, J2, p, t), samples, 1e-13)
+    mx, th = _theta_max(lambda t: sign * two_block_energy(J1, J2, p, t), THETA_SAMPLES)
     return sign * mx, th
 
 
@@ -150,7 +157,7 @@ def _energy_of(spec: ProblemSpec, grid):
     return lambda u: _energy(u.values, V, grid.h)
 
 
-def path_max_J(path, spec: ProblemSpec, samples: int = 512) -> tuple[float, float]:
+def path_max_J(path, spec: ProblemSpec, samples: int = THETA_SAMPLES) -> tuple[float, float]:
     """Maximum of J over the path and its argmax angle.
 
     Samples theta on [0, pi) (J is even under the antipodal reflection) and
@@ -158,15 +165,15 @@ def path_max_J(path, spec: ProblemSpec, samples: int = 512) -> tuple[float, floa
     """
     if samples < 64:
         raise PathError("at least 64 theta samples required")
-    J = _energy_of(spec, path.at(0.0).grid)
-    return _theta_max(lambda t: J(path.at(t)), samples, 1e-12)
+    J = _energy_of(spec, path.grid)
+    return _theta_max(lambda t: J(path.at(t)), samples)
 
 
-def path_scan(path, spec: ProblemSpec, samples: int = 512) -> list[dict]:
+def path_scan(path, spec: ProblemSpec) -> list[dict]:
     """Per-sample record (theta, J, I+, I-) for CSV export."""
-    J = _energy_of(spec, path.at(0.0).grid)
+    J = _energy_of(spec, path.grid)
     rows = []
-    for t in _thetas(samples):
+    for t in _thetas(THETA_SAMPLES):
         u = path.at(t)
         plus, minus = split_signs(u)
         rows.append({
@@ -178,13 +185,14 @@ def path_scan(path, spec: ProblemSpec, samples: int = 512) -> list[dict]:
     return rows
 
 
-def balanced_point(path, p: float, tol: float = 1e-10,
-                   max_iter: int = 200) -> tuple[GridFunction, float]:
+def balanced_point(path, p: float) -> tuple[GridFunction, float]:
     """Point of the path whose positive and negative parts carry equal mass.
 
-    Bisection on f(theta) = I(gamma+) - I(gamma-) over [0, pi], using the
-    sign flip f(pi) = -f(0) forced by oddness.
+    Bisection on f(theta) = I(gamma+) - I(gamma-) over [0, pi] to |f| <= 1e-10
+    in at most 200 steps, using the sign flip f(pi) = -f(0) forced by oddness.
     """
+    tol, max_iter = 1e-10, 200
+
     def f(theta):
         u = path.at(theta)
         plus, minus = split_signs(u)
@@ -211,7 +219,7 @@ def translated_bump_path(w1: GridFunction, winf: GridFunction, y,
                          p: float) -> PathFamily:
     """Two-bump path between w1 and the normalized translate of winf by y."""
     shifted = lp_normalize(translate(winf, y), p)
-    if not layer_separated(w1, shifted, eps=1e-12):
+    if not layer_separated(w1, shifted):
         warnings.warn("two-bump path blocks overlap numerically; the closed-form "
                       "maximum will not apply exactly", stacklevel=2)
     return PathFamily(w1, shifted, p)
@@ -242,20 +250,24 @@ class SphereSample:
 class SphereMap:
     """Odd map from sampled S^(m-1) into the constraint sphere.
 
-    `rule(y)` evaluates the map at a unit vector y; `points` is a sampling of
-    the sphere closed under the antipodal map.
+    `rule(y)` evaluates the map at a unit vector y into fields on `grid`;
+    `points` is a sampling of the sphere closed under the antipodal map.
     """
 
-    def __init__(self, rule, points: np.ndarray, m: int):
+    def __init__(self, rule, points: np.ndarray, grid):
         self.rule = rule
         self.points = points
-        self.m = m
+        self.grid = grid
+
+    @property
+    def m(self) -> int:
+        return self.points.shape[1]
 
     def at(self, y) -> GridFunction:
         return self.rule(np.asarray(y, dtype=float))
 
     def scan(self, spec: ProblemSpec, count_nodal: bool = False) -> list[SphereSample]:
-        J = _energy_of(spec, self.at(self.points[0]).grid)
+        J = _energy_of(spec, self.grid)
         out = []
         for y in self.points:
             u = self.at(y)
@@ -286,18 +298,17 @@ def sphere_points(m: int, samples: int) -> np.ndarray:
     raise PathError("sphere sampling implemented for m = 2 and m = 3")
 
 
-def gamma_R(winf: GridFunction, R: float, p: float, samples: int | None = None) -> SphereMap:
+def gamma_R(winf: GridFunction, R: float, p: float,
+            samples: int = SPHERE_SAMPLES) -> SphereMap:
     """Odd map y -> normalize(winf(. + Ry) - winf(. - Ry)) over sampled S^(N-1).
 
     Displacements Ry are rounded to the nearest lattice vector, so evaluation
-    uses exact grid shifts. Higher modes m < N follow by restricting the
-    sampling sphere to a coordinate subsphere.
+    uses exact grid shifts. The directions always sample the whole S^(N-1);
+    nothing restricts the map to a coordinate subsphere.
     """
     grid = winf.grid
     if R >= grid.L:
         raise PathError("R must be smaller than the box half-width")
-    if samples is None:
-        samples = 256 if grid.N == 2 else 1024
     pts = sphere_points(grid.N, samples)
 
     def rule(y):
@@ -305,11 +316,10 @@ def gamma_R(winf: GridFunction, R: float, p: float, samples: int | None = None) 
         u = translate(winf, steps).values - translate(winf, tuple(-s for s in steps)).values
         return lp_normalize(GridFunction(grid, u), p)
 
-    return SphereMap(rule, pts, grid.N)
+    return SphereMap(rule, pts, grid)
 
 
-def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec,
-                     samples: int | None = None) -> SphereMap:
+def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec) -> SphereMap:
     """Map built from the normalized restrictions of u0 to its nodal domains.
 
     The sampled maximum of J over the image never exceeds J(u0) (up to
@@ -330,12 +340,10 @@ def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec,
     for j in order:
         chi = (labeling.labels == j + 1).astype(float)
         blocks.append(lp_normalize(GridFunction(u0.grid, chi * u0.values), spec.p))
-    if samples is None:
-        samples = 256 if m == 2 else 1024
-    pts = sphere_points(m, samples)
+    pts = sphere_points(m, SPHERE_SAMPLES)
 
     def rule(y):
         v = sum(float(c) * b.values for c, b in zip(y, blocks))
         return lp_normalize(GridFunction(u0.grid, v), spec.p)
 
-    return SphereMap(rule, pts, m)
+    return SphereMap(rule, pts, u0.grid)

@@ -1,7 +1,10 @@
-"""Every name a demo imports from minimaxlab resolves; no demo is executed."""
+"""Every name a demo imports from minimaxlab resolves, and every keyword
+argument a demo passes to such a name is one of its parameters; no demo is
+executed."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -15,7 +18,16 @@ def test_demo_imports_resolve(demo):
     imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                and (node.module or "").split(".")[0] == "minimaxlab"]
     assert imports, f"{demo.name} imports nothing from minimaxlab"
+    imported = {}
     for node in imports:
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
+            imported[alias.asname or alias.name] = getattr(module, alias.name)
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) \
+                and call.func.id in imported:
+            params = inspect.signature(imported[call.func.id]).parameters
+            for kw in call.keywords:
+                assert kw.arg is None or kw.arg in params, \
+                    f"{demo.name}:{call.lineno}: {call.func.id}() has no parameter {kw.arg!r}"

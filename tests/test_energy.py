@@ -190,7 +190,7 @@ class TestOneEnergyKernel:
         path = translated_bump_path(res.minimizer, winf, (4.0, 0.0), well.p)
         mx, theta = path_max_J(path, well, samples=64)
         assert mx == energy_J(path.at(theta), well).total
-        for row in path_scan(path, well, samples=8):
+        for row in path_scan(path, well):
             assert row["J"] == energy_J(path.at(row["theta"]), well).total
 
         sphere = gamma_R(winf, 3.0, well.p, samples=8)

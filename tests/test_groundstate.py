@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from minimaxlab import (ProblemSpec, WSpec, build_grid, energy_J, fit_decay,
-                        lp_norm, mass_I, minimize_lambda1, profile_on_grid,
-                        shoot_excited, shoot_ground)
+                        lp_norm, mass_I, minimize_lambda1, shoot_excited,
+                        shoot_ground)
 from minimaxlab.energy import euler_lagrange_residual
 from minimaxlab.groundstate import (DescentError, ShootingError,
                                     translation_tail_bound)
@@ -60,7 +60,7 @@ class TestShootGround:
         # lambda scales like Vinf^(sigma N ... ): check empirically via Vinf = 4
         # using the exact rescaling w_V(r) = sqrt(V) w_1(sqrt(V) r) for p = 4, N = 2
         a = shoot_ground(2, 4.0, 1.0)
-        b = shoot_ground(2, 4.0, 4.0, rmax=14.0)
+        b = shoot_ground(2, 4.0, 4.0)
         assert b.w0 == pytest.approx(2.0 * a.w0, rel=1e-6)
         # |w_V|_p^{p-2}: the N = 2, p = 4 rescaling leaves the level times 1/V... check ratio
         assert b.level == pytest.approx(a.level * 4.0 ** 0.5, rel=1e-5)
@@ -126,12 +126,6 @@ class TestProfileOnGrid:
     def test_energy_close_to_shooting_level(self, winf0, spec0, ground_profile):
         J = energy_J(winf0, spec0).total
         assert J == pytest.approx(ground_profile.level, rel=5e-3)
-
-    def test_off_center_placement(self, ground_profile, grid0):
-        u = profile_on_grid(ground_profile, grid0, center=(4.0, 0.0))
-        i, j = np.unravel_index(np.argmax(u.values), u.values.shape)
-        assert grid0.axis[i] == pytest.approx(4.0)
-        assert grid0.axis[j] == pytest.approx(0.0)
 
 
 class TestMinimizeLambda1:

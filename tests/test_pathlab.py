@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from minimaxlab import (GridFunction, ProblemSpec, build_grid, energy_J,
-                        lp_normalize, mass_I, translate)
-from minimaxlab.pathlab import (PathError, PathFamily, SampledPath,
+                        lp_normalize, mass_I, pathlab, translate)
+from minimaxlab.pathlab import (THETA_SAMPLES, PathError, PathFamily, SampledPath,
                                 balanced_point, disjoint_support_max, gamma_R,
                                 nodal_sphere_map, overlap_integrals,
                                 path_max_J, path_max_from_energies, path_scan,
@@ -136,8 +136,8 @@ class TestPathMaxJ:
             path_max_J(PathFamily(left, right, 4.0), spec, samples=32)
 
     def test_scan_rows(self, spec, left, right):
-        rows = path_scan(PathFamily(left, right, 4.0), spec, samples=64)
-        assert len(rows) == 64
+        rows = path_scan(PathFamily(left, right, 4.0), spec)
+        assert len(rows) == THETA_SAMPLES
         assert set(rows[0]) == {"theta", "J", "I_plus", "I_minus"}
         # masses sum to one on the sphere
         for row in rows[::16]:
@@ -243,7 +243,7 @@ class TestNodalSphereMap:
         # equal-mass equal-energy blocks: the sampled image maximum reproduces
         # the closed-form combination, which equals J of the signed generator
         u0 = lp_normalize(GridFunction(grid, left.values - right.values), 4.0)
-        nm = nodal_sphere_map(u0, spec, samples=64)
+        nm = nodal_sphere_map(u0, spec)
         assert nm.m == 2
         J1 = energy_J(left, spec).total
         target = disjoint_support_max(J1, J1, 4.0)
@@ -253,3 +253,39 @@ class TestNodalSphereMap:
     def test_sign_definite_rejected(self, spec, left):
         with pytest.raises(PathError):
             nodal_sphere_map(left, spec)
+
+
+def counted(fn):
+    """Wrap fn, counting its calls in the wrapper's `calls` attribute."""
+    def wrapper(*args):
+        wrapper.calls += 1
+        return fn(*args)
+    wrapper.calls = 0
+    return wrapper
+
+
+class TestNoProbeEvaluations:
+    """Scans and path maxima read the grid from the map or path, so they
+    evaluate only the points they report or search."""
+
+    def test_sphere_scan_calls_rule_once_per_direction(self, spec, left):
+        sm = gamma_R(left, 3.0, 4.0, samples=8)
+        sm.rule = counted(sm.rule)
+        assert len(sm.scan(spec)) == 8
+        assert sm.rule.calls == 8
+
+    def test_path_max_evaluates_angles_and_search_steps_only(self, spec, left, right,
+                                                              monkeypatch):
+        steps, search = [], pathlab.minimize_scalar
+
+        def recording(*args, **kwargs):
+            res = search(*args, **kwargs)
+            steps.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(pathlab, "minimize_scalar", recording)
+        path = PathFamily(left, right, 4.0)
+        path.at = counted(path.at)
+        path_max_J(path, spec)
+        assert len(steps) == 1
+        assert path.at.calls == THETA_SAMPLES + steps[0]
