@@ -8,9 +8,9 @@ the whole chain of estimates and the resulting margins.
 
 import warnings
 
-from minimaxlab import (ProblemSpec, WSpec, lambda2_bounds, lambda2_radial,
-                        lambda_sharp, minimize_lambda1, shoot_excited,
-                        shoot_ground)
+from minimaxlab import (ProblemSpec, WSpec, build_grid, dual_norm_W,
+                        lambda2_bounds, lambda2_radial, lambda_sharp,
+                        minimize_lambda1, shoot_excited, shoot_ground)
 
 spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125,
                    W=WSpec(family="exponential", c=0.5, a=0.5))
@@ -20,7 +20,9 @@ l1inf = ground.level
 print(f"autonomous first level lambda1_inf = {l1inf:.6f}")
 
 print("descending on the grid with the well switched on ...")
-res = minimize_lambda1(spec, seed_profile=ground)
+grid = build_grid(spec)
+wnorm = dual_norm_W(spec, grid)
+res = minimize_lambda1(spec, grid, seed_profile=ground)
 print(f"perturbed first level lambda1      = {res.level:.6f}  "
       f"(drop {l1inf - res.level:.4f})")
 
@@ -30,7 +32,7 @@ print(f"compactness threshold lambda_sharp = {lam_sharp:.6f}")
 print("sweeping two-bump paths over translations ...")
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # decaying tails always overlap a little
-    lam2 = lambda2_bounds(spec, res.minimizer, res.level, ground, l1inf)
+    lam2 = lambda2_bounds(spec, res.minimizer, res.level, ground, l1inf, wnorm)
 for row in lam2.sweep:
     print(f"  y = {row['y']:5.1f}: path max = {row['path_max']:.6f}")
 print(f"second level interval: [{lam2.lower:.6f}, {lam2.upper:.6f}]  "
@@ -38,7 +40,7 @@ print(f"second level interval: [{lam2.lower:.6f}, {lam2.upper:.6f}]  "
 print(f"threshold margin lambda_sharp - upper = {lam_sharp - lam2.upper:.6f}")
 
 excited = shoot_excited(spec.N, spec.p, spec.Vinf, 1)
-radial = lambda2_radial(spec, excited)
+radial = lambda2_radial(excited, wnorm)
 print(f"radial second level (1-node witness): inf = {radial.lam2r_inf:.6f}, "
       f"lower = {radial.lam2r_lower:.6f}")
 if lam2.upper < radial.lam2r_lower:

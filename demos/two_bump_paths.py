@@ -40,7 +40,7 @@ print(f"dense-sampling extremum     = {sampled:.10f}  (theta = {theta_s:.6f})")
 
 path = PathFamily(left, right, spec.p)
 mx, theta = path_max_J(path, spec)
-print(f"full-field path maximum     = {mx:.10f}  (theta = {theta:.6f})")
+print(f"span path maximum           = {mx:.10f}  (theta = {theta:.6f})")
 print(f"agreement with closed form  = {abs(mx - closed):.2e}")
 
 u0, theta_b = balanced_point(path, spec.p)

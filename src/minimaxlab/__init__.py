@@ -14,7 +14,7 @@ from .energy import (EnergyBreakdown, deviation_bound, energy_J,
 from .groundstate import (DecayFit, RadialProfile, fit_decay,
                           minimize_lambda1, profile_on_grid, shoot_excited,
                           shoot_ground)
-from .pathlab import (PathFamily, SampledPath, SphereMap, balanced_point,
+from .pathlab import (PathFamily, SampledPath, SpanMap, SphereMap, balanced_point,
                       disjoint_support_max, gamma_R, nodal_sphere_map,
                       overlap_integrals, path_max_J, translated_bump_path)
 from .minimax import (Lambda2Bounds, LevelsReport, ProfileDiagnostic,

@@ -21,14 +21,15 @@ from functools import cached_property
 import numpy as np
 
 from .domain import (DomainError, ProblemSpec, WSpec, build_grid, dual_norm_W,
-                     parse_problem_mapping, read_keyvalue_file, PROBLEM_KEYS)
-from .energy import deviation_bound, energy_J
+                     parse_problem_mapping, potential_values, read_keyvalue_file,
+                     PROBLEM_KEYS)
+from .energy import deviation_bound
 from .field import GridFunction, lp_normalize
 from .groundstate import (DESCENT_TOL, FIT_WINDOW, fit_decay, minimize_lambda1,
                           profile_on_grid, shoot_excited, shoot_ground)
 from .minimax import (Y_SWEEP, Lambda2Bounds, LevelsReport, Verdict,
                       lambda2_bounds, lambda2_radial, lambda_sharp, verdict)
-from .pathlab import SPHERE_SAMPLES, THETA_SAMPLES, gamma_R
+from .pathlab import MIN_THETA_SAMPLES, SPHERE_SAMPLES, THETA_SAMPLES, gamma_R
 from . import __version__
 
 class ConfigError(ValueError):
@@ -52,6 +53,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}, "
                               f"expected one of {EXPERIMENTS}")
+        if self.theta_samples < MIN_THETA_SAMPLES:
+            raise ConfigError(f"theta_samples must be at least {MIN_THETA_SAMPLES}, "
+                              f"got {self.theta_samples}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -107,6 +111,15 @@ class Pipeline:
         return build_grid(self.spec)
 
     @cached_property
+    def V(self):
+        """V = Vinf - W on the grid."""
+        return potential_values(self.spec, self.grid)
+
+    @cached_property
+    def w_dual_norm(self) -> float:
+        return dual_norm_W(self.spec, self.grid)
+
+    @cached_property
     def ground_profile(self):
         s = self.spec
         return shoot_ground(s.N, s.p, s.Vinf)
@@ -127,13 +140,14 @@ class Pipeline:
     @cached_property
     def descent(self):
         seed = None if self.spec.W.family == "zero" else self.ground_profile
-        return minimize_lambda1(self.spec, tol=self.cfg.tol_descent, seed_profile=seed)
+        return minimize_lambda1(self.spec, self.grid, tol=self.cfg.tol_descent,
+                                seed_profile=seed)
 
     @cached_property
     def lam2(self) -> Lambda2Bounds:
         return lambda2_bounds(
             self.spec, self.descent.minimizer, self.descent.level,
-            self.ground_profile, self.lam1_inf,
+            self.ground_profile, self.lam1_inf, self.w_dual_norm,
             y_sweep=self.cfg.y_sweep, samples=self.cfg.theta_samples)
 
     @cached_property
@@ -156,8 +170,7 @@ def _penalty_condition_holds(pipe: Pipeline) -> bool:
 
 def _report_base(pipe: Pipeline) -> LevelsReport:
     spec = pipe.spec
-    return LevelsReport(sigma=spec.sigma, q=spec.q,
-                        w_dual_norm=dual_norm_W(spec, pipe.grid))
+    return LevelsReport(sigma=spec.sigma, q=spec.q, w_dual_norm=pipe.w_dual_norm)
 
 
 def exp_ground(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
@@ -245,7 +258,7 @@ def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
 def exp_symmetry(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     spec = pipe.spec
     rep.lam1_inf = pipe.lam1_inf
-    radial = lambda2_radial(spec, pipe.excited_profile)
+    radial = lambda2_radial(pipe.excited_profile, pipe.w_dual_norm)
     rep.lam2_radial = radial
     target = 2.0 ** spec.sigma * rep.lam1_inf
     rep.verdicts.append(verdict(
@@ -275,7 +288,7 @@ def exp_verify_all(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     worst = math.inf
     for _ in range(100):
         u = lp_normalize(GridFunction(grid, rng.standard_normal(grid.shape)), pipe.spec.p)
-        dev, wnorm = deviation_bound(u, pipe.spec)
+        dev, wnorm = deviation_bound(u, pipe.spec, pipe.V, pipe.w_dual_norm)
         worst = min(worst, wnorm + 1e-6 - dev)
     rep.verdicts.append(verdict("deviation-bound-random", True, worst,
                                 "|J - Jinf| <= |W|_q + 1e-6 over 100 seeded fields"))

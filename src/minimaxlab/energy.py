@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (ProblemSpec, dual_norm_W, lp_mass, potential_values,
-                     zero_boundary)
+from .domain import ProblemSpec, lp_mass, potential_values, zero_boundary
 from .field import FieldError, GridFunction
 
 ON_MANIFOLD_TOL = 1e-6
@@ -87,14 +86,18 @@ def kinetic_energy(u: GridFunction) -> float:
     return _kinetic(u.values, u.grid.h)
 
 
-def energy_J(u: GridFunction, spec: ProblemSpec) -> EnergyBreakdown:
-    """J(u) = int |grad u|^2 + V u^2 with V = Vinf - W, plus the autonomous total."""
+def _breakdown(u: GridFunction, V: np.ndarray, Vinf: float) -> EnergyBreakdown:
     v, h = u.values, u.grid.h
     kin = _kinetic(v, h)
-    pot = _potential(v, potential_values(spec, u.grid), h)
+    pot = _potential(v, V, h)
     mass2 = lp_mass(v, 2.0, u.grid.weight)
     return EnergyBreakdown(kinetic=kin, potential=pot, total=kin + pot,
-                           autonomous=kin + spec.Vinf * mass2)
+                           autonomous=kin + Vinf * mass2)
+
+
+def energy_J(u: GridFunction, spec: ProblemSpec) -> EnergyBreakdown:
+    """J(u) = int |grad u|^2 + V u^2 with V = Vinf - W, plus the autonomous total."""
+    return _breakdown(u, potential_values(spec, u.grid), spec.Vinf)
 
 
 def laplacian(u: GridFunction) -> np.ndarray:
@@ -133,10 +136,13 @@ def inner_l2(u: GridFunction, v: GridFunction) -> float:
     return float(np.sum(u.values * v.values) * u.grid.weight)
 
 
-def deviation_bound(u: GridFunction, spec: ProblemSpec) -> tuple[float, float]:
-    """(|J(u) - Jinf(u)|, |W|_q): the first never exceeds the second on the sphere."""
+def deviation_bound(u: GridFunction, spec: ProblemSpec, V: np.ndarray,
+                    wnorm: float) -> tuple[float, float]:
+    """(|J(u) - Jinf(u)|, |W|_q): the first never exceeds the second on the sphere.
+
+    V = Vinf - W and wnorm = |W|_q are evaluated once on u's grid by the caller.
+    """
     m = mass_I(u, spec.p)
     if abs(m - 1.0) > ON_MANIFOLD_TOL:
         raise FieldError(f"field is off the constraint sphere: I(u) = {m}")
-    br = energy_J(u, spec)
-    return abs(br.deviation), dual_norm_W(spec, u.grid)
+    return abs(_breakdown(u, V, spec.Vinf).deviation), wnorm

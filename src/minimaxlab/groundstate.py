@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import ProblemSpec, build_grid, lp_mass, potential_values
+from .domain import Grid, ProblemSpec, lp_mass, potential_values
 from .energy import _energy, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
@@ -94,7 +94,7 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float):
     past that point repeat the last value.
     """
     def f(r, w, v):
-        return v, (Vinf * w - np.sign(w) * abs(w) ** (p - 1)) - (N - 1) / r * v
+        return v, (Vinf * w - math.copysign(abs(w) ** (p - 1), w)) - (N - 1) / r * v
 
     blow = 2.0 * abs(b)
     r = dr / 10.0
@@ -295,17 +295,17 @@ def _descend(u0: np.ndarray, V: np.ndarray, spec: ProblemSpec, grid,
     return DescentResult(GridFunction(grid, u), J, gn, it, False)
 
 
-def minimize_lambda1(spec: ProblemSpec, tol: float = DESCENT_TOL,
+def minimize_lambda1(spec: ProblemSpec, grid: Grid, tol: float = DESCENT_TOL,
                      seed_profile: RadialProfile | None = None,
                      level_floor: float = -1e6) -> DescentResult:
-    """Constrained minimization of J on the grid: returns (w1, lambda_1).
+    """Constrained minimization of J on `grid` (built from `spec`): returns
+    (w1, lambda_1).
 
     Seeded with the interpolated shooting profile when provided, otherwise a
     Gaussian bump. The minimizer is asserted nonnegative post hoc; a signed
     iterate triggers one restart from its absolute value.
     """
     max_iter = 100_000
-    grid = build_grid(spec)
     V = potential_values(spec, grid)
     if seed_profile is not None:
         u0 = profile_on_grid(seed_profile, grid)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import (ProblemSpec, build_grid, dual_norm_W, lp_mass,
-                     potential_values)
+from .domain import ProblemSpec, lp_mass, potential_values
 from .energy import _energy, _sphere_gradient, euler_lagrange_residual, mass_I
 from .field import GridFunction, lp_norm, lp_normalize, split_signs
 from .groundstate import DecayFit, RadialProfile, profile_on_grid
@@ -71,9 +70,10 @@ class Lambda2Bounds:
 
 
 def lambda2_bounds(spec: ProblemSpec, w1: GridFunction, l1: float,
-                   winf_profile: RadialProfile, l1inf: float,
+                   winf_profile: RadialProfile, l1inf: float, wnorm: float,
                    y_sweep=Y_SWEEP, samples: int = THETA_SAMPLES) -> Lambda2Bounds:
-    """Assemble the certified interval for the second level.
+    """Assemble the certified interval for the second level; `wnorm` is |W|_q
+    on the grid of w1.
 
     Lower bound: balanced-point mechanism (2^sigma l1 when l1 > 0) and, when
     the dual-norm condition applies, 2^sigma l1inf - |W|_q. Upper bound: best
@@ -82,7 +82,6 @@ def lambda2_bounds(spec: ProblemSpec, w1: GridFunction, l1: float,
     """
     grid = w1.grid
     sigma = spec.sigma
-    wnorm = dual_norm_W(spec, grid)
     cond = l1 > 0 and wnorm < (2.0 ** sigma - 1.0) * l1inf
 
     candidates = [l1]
@@ -125,17 +124,15 @@ class RadialSecondLevel:
         return iter((self.lam2r_inf, self.lam2r_lower))
 
 
-def lambda2_radial(spec: ProblemSpec, excited_profile: RadialProfile) -> RadialSecondLevel:
+def lambda2_radial(excited_profile: RadialProfile, wnorm: float) -> RadialSecondLevel:
     """Radial second-level bounds from a one-node shooting witness.
 
-    The deviation bound transfers the autonomous witness level to the
-    perturbed radial level from both sides.
+    The deviation bound wnorm = |W|_q transfers the autonomous witness level
+    to the perturbed radial level from both sides.
     """
     if excited_profile.nodes != 1:
         raise ValueError(f"expected a 1-node profile, got {excited_profile.nodes} sign changes")
     lam2r_inf = excited_profile.level
-    grid = build_grid(spec)
-    wnorm = dual_norm_W(spec, grid)
     return RadialSecondLevel(lam2r_inf=lam2r_inf,
                              lam2r_lower=lam2r_inf - wnorm,
                              lam2r_upper=lam2r_inf + wnorm,

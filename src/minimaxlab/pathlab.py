@@ -4,6 +4,8 @@ and their exact maxima.
 A two-block path interpolates trigonometrically between blocks u1, u2 and is
 renormalized pointwise; when the blocks have layer-separated supports its
 energy maximum has a closed form, which the dense sampling must reproduce.
+Paths and maps that are normalized spans of fixed blocks (`SpanMap`) evaluate
+J exactly from a Gram matrix and L^p moments computed once per map.
 """
 
 from __future__ import annotations
@@ -11,17 +13,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .domain import ProblemSpec, lp_mass, potential_values
-from .energy import _energy, mass_I
+from .energy import _energy, _laplacian, mass_I
 from .field import (GridFunction, layer_separated, lp_normalize,
                     nodal_domains, split_signs, translate)
 
 
 THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config default
+MIN_THETA_SAMPLES = 64  # fewest angles a path maximum accepts
 SPHERE_SAMPLES = 256  # directions per sphere map; also the config default
 
 
@@ -34,8 +38,80 @@ def _thetas(samples: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, samples, endpoint=False)
 
 
-class PathFamily:
-    """Odd loop gamma(theta) = normalize(u1 cos theta + u2 sin theta)."""
+class SpanMap:
+    """Odd map y -> normalize(sum_i y_i b_i) from R^m into the constraint sphere.
+
+    Calling the map builds the field. `energy` gives J on the span without
+    building fields: J(y) = y^T G y / |sum y_i b_i|_p^2, where G is the Gram
+    matrix of the link-kinetic plus V form on the blocks. For even integer p
+    the mass |sum y_i b_i|_p^p is a polynomial in y whose coefficients are the
+    moments int b_i1 ... b_ip, so an evaluation does no grid work; for other p
+    it is one mass pass over sum y_i b_i.
+    """
+
+    def __init__(self, blocks: list[GridFunction], p: float):
+        self.blocks = blocks
+        self.p = p
+        self.grid = blocks[0].grid
+
+    def _combine(self, y) -> np.ndarray:
+        v = y[0] * self.blocks[0].values
+        for c, b in zip(y[1:], self.blocks[1:]):
+            v += c * b.values
+        return v
+
+    def __call__(self, y) -> GridFunction:
+        return lp_normalize(GridFunction(self.grid, self._combine(y)), self.p)
+
+    def gram(self, V: np.ndarray) -> np.ndarray:
+        """G_ij = sum b_i (-Delta b_j + V b_j) h^N, the bilinear form of J on the
+        blocks (equal to the link form, since the blocks vanish on the boundary).
+        Blocks with layer-separated supports give exact zeros off the diagonal."""
+        h, weight = self.grid.h, self.grid.weight
+        vals = [b.values for b in self.blocks]
+        G = np.empty((len(vals), len(vals)))
+        for j, bj in enumerate(vals):
+            Hb = _laplacian(bj, h)
+            Hb *= -1.0
+            Hb += V * bj
+            G[:, j] = [float(np.sum(bi * Hb)) * weight for bi in vals]
+        return 0.5 * (G + G.T)
+
+    def _mass(self):
+        """y -> |sum y_i b_i|_p^p."""
+        p, weight = self.p, self.grid.weight
+        if p != int(p) or int(p) % 2:
+            return lambda y: lp_mass(self._combine(y), p, weight)
+        # even p: multinomial expansion over the moments of the blocks
+        vals = [b.values for b in self.blocks]
+        m, k = len(vals), int(p)
+        powers, coeffs = [], []
+        for combo in combinations_with_replacement(range(m), k):
+            e = np.bincount(combo, minlength=m)
+            multinomial = math.factorial(k) // math.prod(math.factorial(n) for n in e)
+            product = vals[combo[0]] * vals[combo[1]]  # the one grid-sized temporary
+            for i in combo[2:]:
+                product *= vals[i]
+            powers.append(e)
+            coeffs.append(multinomial * float(np.sum(product)) * weight)
+        powers, coeffs = np.array(powers), np.array(coeffs)
+        return lambda y: float(np.prod(y ** powers, axis=1) @ coeffs)
+
+    def energy(self, V: np.ndarray):
+        """y -> J(normalize(sum y_i b_i)) in closed form, for V = Vinf - W on the
+        grid; G and the moments are computed here, once."""
+        G, mass, e = self.gram(V), self._mass(), 2.0 / self.p
+
+        def J(y):
+            y = np.asarray(y, dtype=float)
+            return float(y @ G @ y) / mass(y) ** e
+
+        return J
+
+
+class PathFamily(SpanMap):
+    """Odd loop gamma(theta) = normalize(u1 cos theta + u2 sin theta), the span
+    of two blocks at y = (cos theta, sin theta)."""
 
     def __init__(self, u1: GridFunction, u2: GridFunction, p: float):
         for u in (u1, u2):
@@ -45,14 +121,10 @@ class PathFamily:
         s = float(np.max(np.abs(u1.values + u2.values)))
         if min(d, s) < 1e-12:
             raise PathError("degenerate path: u2 = +/- u1")
-        self.u1 = u1
-        self.u2 = u2
-        self.p = p
-        self.grid = u1.grid
+        super().__init__([u1, u2], p)
 
     def at(self, theta: float) -> GridFunction:
-        v = self.u1.values * math.cos(theta) + self.u2.values * math.sin(theta)
-        return lp_normalize(GridFunction(self.grid, v), self.p)
+        return self((math.cos(theta), math.sin(theta)))
 
 
 class SampledPath:
@@ -100,7 +172,8 @@ class SampledPath:
 
 
 def disjoint_support_max(J1: float, J2: float, p: float) -> float:
-    """Closed-form extremal level of a disjoint-support two-block path.
+    """Closed-form extremal level of a disjoint-support two-block path: the
+    diagonal-G case of `SpanMap.energy`, with block energies J1, J2.
 
     For positive block energies this is the interior peak of the energy
     profile; for mixed signs the positive endpoint; when both energies are
@@ -151,9 +224,8 @@ def path_max_from_energies(J1: float, J2: float, p: float) -> tuple[float, float
     return sign * mx, th
 
 
-def _energy_of(spec: ProblemSpec, grid):
-    """u -> J(u) for fields on `grid`, with the potential evaluated once."""
-    V = potential_values(spec, grid)
+def _energy_of(V: np.ndarray, grid):
+    """u -> J(u) for fields on `grid`, with V = Vinf - W evaluated there."""
     return lambda u: _energy(u.values, V, grid.h)
 
 
@@ -161,17 +233,25 @@ def path_max_J(path, spec: ProblemSpec, samples: int = THETA_SAMPLES) -> tuple[f
     """Maximum of J over the path and its argmax angle.
 
     Samples theta on [0, pi) (J is even under the antipodal reflection) and
-    refines around the best sample by golden-section search.
+    refines around the best sample by golden-section search. On a
+    `PathFamily` the search runs on the closed-form span energy, and the
+    maximum reported is J of the one field built at the argmax angle; other
+    paths build a field per angle.
     """
-    if samples < 64:
-        raise PathError("at least 64 theta samples required")
-    J = _energy_of(spec, path.grid)
-    return _theta_max(lambda t: J(path.at(t)), samples)
+    if samples < MIN_THETA_SAMPLES:
+        raise PathError(f"at least {MIN_THETA_SAMPLES} theta samples required")
+    V = potential_values(spec, path.grid)
+    J = _energy_of(V, path.grid)
+    if not isinstance(path, PathFamily):
+        return _theta_max(lambda t: J(path.at(t)), samples)
+    span_J = path.energy(V)
+    _, theta = _theta_max(lambda t: span_J((math.cos(t), math.sin(t))), samples)
+    return J(path.at(theta)), theta
 
 
 def path_scan(path, spec: ProblemSpec) -> list[dict]:
     """Per-sample record (theta, J, I+, I-) for CSV export."""
-    J = _energy_of(spec, path.grid)
+    J = _energy_of(potential_values(spec, path.grid), path.grid)
     rows = []
     for t in _thetas(THETA_SAMPLES):
         u = path.at(t)
@@ -251,7 +331,9 @@ class SphereMap:
     """Odd map from sampled S^(m-1) into the constraint sphere.
 
     `rule(y)` evaluates the map at a unit vector y into fields on `grid`;
-    `points` is a sampling of the sphere closed under the antipodal map.
+    `points` is a sampling of the sphere closed under the antipodal map. A
+    `SpanMap` rule has its energies in closed form, so a scan builds its
+    fields only to count nodal domains.
     """
 
     def __init__(self, rule, points: np.ndarray, grid):
@@ -267,11 +349,15 @@ class SphereMap:
         return self.rule(np.asarray(y, dtype=float))
 
     def scan(self, spec: ProblemSpec, count_nodal: bool = False) -> list[SphereSample]:
-        J = _energy_of(spec, self.grid)
+        V = potential_values(spec, self.grid)
+        span = isinstance(self.rule, SpanMap)
+        J = self.rule.energy(V) if span else _energy_of(V, self.grid)
         out = []
         for y in self.points:
-            u = self.at(y)
-            out.append(SphereSample(y, J(u), nodal_domains(u).count if count_nodal else -1))
+            u = None if span and not count_nodal else self.at(y)
+            energy = J(y) if span else J(u)
+            nodal = nodal_domains(u).count if count_nodal else -1
+            out.append(SphereSample(y, energy, nodal))
         return out
 
     def max_energy(self, spec: ProblemSpec) -> float:
@@ -340,10 +426,4 @@ def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec) -> SphereMap:
     for j in order:
         chi = (labeling.labels == j + 1).astype(float)
         blocks.append(lp_normalize(GridFunction(u0.grid, chi * u0.values), spec.p))
-    pts = sphere_points(m, SPHERE_SAMPLES)
-
-    def rule(y):
-        v = sum(float(c) * b.values for c, b in zip(y, blocks))
-        return lp_normalize(GridFunction(u0.grid, v), spec.p)
-
-    return SphereMap(rule, pts, u0.grid)
+    return SphereMap(SpanMap(blocks, spec.p), sphere_points(m, SPHERE_SAMPLES), u0.grid)

@@ -5,7 +5,7 @@ per session."""
 import numpy as np
 import pytest
 
-from minimaxlab import (ProblemSpec, WSpec, build_grid, fit_decay,
+from minimaxlab import (ProblemSpec, WSpec, build_grid, dual_norm_W, fit_decay,
                         lambda2_bounds, minimize_lambda1, profile_on_grid,
                         shoot_excited, shoot_ground)
 
@@ -52,24 +52,26 @@ def winf0(ground_profile, grid0):
 
 @pytest.fixture(scope="session")
 def descent0(spec0):
-    return minimize_lambda1(spec0)
+    return minimize_lambda1(spec0, build_grid(spec0))
 
 
 @pytest.fixture(scope="session")
 def descent_exp(spec_exp, ground_profile):
-    return minimize_lambda1(spec_exp, seed_profile=ground_profile)
+    return minimize_lambda1(spec_exp, build_grid(spec_exp), seed_profile=ground_profile)
 
 
 @pytest.fixture(scope="session")
 def lam2_0(spec0, descent0, ground_profile):
     return lambda2_bounds(spec0, descent0.minimizer, descent0.level,
-                          ground_profile, ground_profile.level)
+                          ground_profile, ground_profile.level,
+                          dual_norm_W(spec0, descent0.minimizer.grid))
 
 
 @pytest.fixture(scope="session")
 def lam2_exp(spec_exp, descent_exp, ground_profile):
     return lambda2_bounds(spec_exp, descent_exp.minimizer, descent_exp.level,
-                          ground_profile, ground_profile.level)
+                          ground_profile, ground_profile.level,
+                          dual_norm_W(spec_exp, descent_exp.minimizer.grid))
 
 
 @pytest.fixture

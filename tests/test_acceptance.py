@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from minimaxlab import (GridFunction, build_grid, energy_J, lp_normalize,
-                        profile_on_grid, translate)
+from minimaxlab import (GridFunction, build_grid, dual_norm_W, energy_J,
+                        lp_normalize, profile_on_grid, translate)
+from minimaxlab.domain import potential_values
 from minimaxlab.energy import deviation_bound, inner_l2, manifold_gradient
 from minimaxlab.minimax import lambda_sharp
 from minimaxlab.pathlab import (balanced_point, disjoint_support_max, gamma_R,
@@ -111,10 +112,11 @@ def test_A7_symmetry_breaking(excited_profile, ground_profile, lam2_exp):
 
 def test_A8_deviation_bound(spec_exp, rng):
     grid = build_grid(spec_exp)
+    V, bound = potential_values(spec_exp, grid), dual_norm_W(spec_exp, grid)
     worst = -math.inf
     for _ in range(100):
         u = lp_normalize(GridFunction(grid, rng.standard_normal(grid.shape)), 4.0)
-        dev, wnorm = deviation_bound(u, spec_exp)
+        dev, wnorm = deviation_bound(u, spec_exp, V, bound)
         worst = max(worst, dev - wnorm)
     _verdict("A8 deviation bound", worst <= 1e-6,
              f"worst |J - Jinf| - |W|_q = {worst:.2e} over 100 seeded fields")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import minimaxlab
+from minimaxlab import cli
 from minimaxlab.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                             config_from_mapping, load_config, main, run)
 from minimaxlab.domain import ProblemSpec
@@ -208,6 +209,18 @@ class TestMain:
         path = write_config(tmp_path / "c.cfg", {"experiment": "ground"})
         assert main(["run", path, "--override", "bogus=1"]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_few_theta_samples_rejected_before_any_work(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_shooting(*args):
+            raise AssertionError("shooting ran before the config was checked")
+
+        monkeypatch.setattr(cli, "shoot_ground", no_shooting)
+        path = write_config(tmp_path / "c.cfg", {"experiment": "levels"})
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out),
+                     "--override", "theta_samples=32"]) == 1
+        assert "theta_samples must be at least 64" in capsys.readouterr().err
 
     def test_run_with_overrides(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", {"experiment": "gamma-r"})

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid,
+from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, dual_norm_W,
                         energy_J, kinetic_energy, lp_normalize, manifold_gradient,
                         mass_I, translate)
 from minimaxlab.energy import (EnergyBreakdown, deviation_bound,
                                euler_lagrange_residual, gradient_norm, inner_l2,
                                laplacian)
+from minimaxlab.domain import potential_values
 from minimaxlab.field import FieldError, zeros_like
 from minimaxlab.groundstate import minimize_lambda1, profile_on_grid
 from minimaxlab.pathlab import gamma_R, path_max_J, path_scan, translated_bump_path
@@ -183,7 +184,7 @@ class TestOneEnergyKernel:
     def test_levels_equal_energy_J(self, ground_profile):
         well = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
-        res = minimize_lambda1(well, seed_profile=ground_profile)
+        res = minimize_lambda1(well, build_grid(well), seed_profile=ground_profile)
         assert res.level == energy_J(res.minimizer, well).total
 
         winf = profile_on_grid(ground_profile, res.minimizer.grid)
@@ -211,7 +212,8 @@ class TestEulerLagrangeResidual:
 class TestDeviationBound:
     def test_zero_W(self, spec, grid):
         u = lp_normalize(gaussian(grid), spec.p)
-        dev, bound = deviation_bound(u, spec)
+        dev, bound = deviation_bound(u, spec, potential_values(spec, grid),
+                                     dual_norm_W(spec, grid))
         assert bound == 0.0
         assert dev <= 1e-12
 
@@ -219,10 +221,11 @@ class TestDeviationBound:
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
+        V, wnorm = potential_values(spec, grid), dual_norm_W(spec, grid)
         for _ in range(25):
             u = lp_normalize(GridFunction(grid, rng.standard_normal(grid.shape)),
                              spec.p)
-            dev, bound = deviation_bound(u, spec)
+            dev, bound = deviation_bound(u, spec, V, wnorm)
             assert dev <= bound * (1.0 + 1e-12)
 
     def test_bound_tight_for_aligned_field(self):
@@ -234,5 +237,6 @@ class TestDeviationBound:
 
         w = eval_W(spec, grid).values
         u = lp_normalize(GridFunction(grid, np.sqrt(w)), spec.p)
-        dev, bound = deviation_bound(u, spec)
+        dev, bound = deviation_bound(u, spec, potential_values(spec, grid),
+                                     dual_norm_W(spec, grid))
         assert dev == pytest.approx(bound, rel=1e-10)

@@ -51,6 +51,11 @@ class TestShootGround:
         res = -d2 - (prof.N - 1) / r * d1 + prof.Vinf * w - np.abs(w) ** 2 * w
         assert np.max(np.abs(res[mask])) < 1e-4
 
+    def test_pinned_bits(self, ground_profile):
+        # the bisection's decisions, hence w0 and the level, are fixed to the last bit
+        assert ground_profile.w0 == 2.206200864635747
+        assert ground_profile.level == 4.837534542916699
+
     def test_memoized(self):
         a = shoot_ground(2, 4.0, 1.0)
         b = shoot_ground(2, 4.0, 1.0)
@@ -152,12 +157,12 @@ class TestMinimizeLambda1:
 
     def test_profile_seed_agrees_with_gaussian_seed(self, spec0, descent0,
                                                     ground_profile):
-        seeded = minimize_lambda1(spec0, seed_profile=ground_profile)
+        seeded = minimize_lambda1(spec0, build_grid(spec0), seed_profile=ground_profile)
         assert seeded.level == pytest.approx(descent0.level, rel=1e-9)
 
     def test_coarse_grid_converges_fast(self):
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25)
-        res = minimize_lambda1(spec)
+        res = minimize_lambda1(spec, build_grid(spec))
         assert res.converged
         assert res.level == pytest.approx(LAM1_INF, rel=2e-2)
 
@@ -165,7 +170,7 @@ class TestMinimizeLambda1:
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         with pytest.raises(DescentError):
-            minimize_lambda1(spec, level_floor=100.0)
+            minimize_lambda1(spec, build_grid(spec), level_floor=100.0)
 
 
 class TestTranslationTailBound:

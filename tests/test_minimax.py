@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid,
+from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, dual_norm_W,
                         energy_J, lambda2_bounds, lambda2_radial, lambda_sharp,
                         lp_normalize, minimize_lambda1, multiplicity_floor,
                         nodality_check, refine_path)
@@ -104,23 +104,23 @@ class TestLambda2Bounds:
 
 class TestLambda2Radial:
     def test_autonomous(self, spec0, excited_profile):
-        rb = lambda2_radial(spec0, excited_profile)
+        rb = lambda2_radial(excited_profile, 0.0)
         assert rb.lam2r_lower == rb.lam2r_inf == rb.lam2r_upper
         assert rb.w_dual_norm == 0.0
 
     def test_penalized_interval(self, spec_exp, excited_profile):
-        rb = lambda2_radial(spec_exp, excited_profile)
+        rb = lambda2_radial(excited_profile, dual_norm_W(spec_exp, build_grid(spec_exp)))
         assert rb.lam2r_lower < rb.lam2r_inf < rb.lam2r_upper
         assert rb.lam2r_upper - rb.lam2r_lower == pytest.approx(2 * rb.w_dual_norm)
 
     def test_unpacks(self, spec0, excited_profile):
-        inf_level, lower = lambda2_radial(spec0, excited_profile)
+        inf_level, lower = lambda2_radial(excited_profile, 0.0)
         assert inf_level == excited_profile.level
         assert lower == inf_level
 
     def test_rejects_wrong_node_count(self, spec0, ground_profile):
         with pytest.raises(ValueError):
-            lambda2_radial(spec0, ground_profile)
+            lambda2_radial(ground_profile, 0.0)
 
 
 @pytest.fixture(scope="module")

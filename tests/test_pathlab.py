@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from minimaxlab import (GridFunction, ProblemSpec, build_grid, energy_J,
+from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         lp_normalize, mass_I, pathlab, translate)
-from minimaxlab.pathlab import (THETA_SAMPLES, PathError, PathFamily, SampledPath,
+from minimaxlab.domain import potential_values
+from minimaxlab.energy import _energy
+from minimaxlab.pathlab import (MIN_THETA_SAMPLES, THETA_SAMPLES, PathError,
+                                PathFamily, SampledPath, SpanMap,
                                 balanced_point, disjoint_support_max, gamma_R,
                                 nodal_sphere_map, overlap_integrals,
                                 path_max_J, path_max_from_energies, path_scan,
@@ -144,6 +148,41 @@ class TestPathMaxJ:
             assert row["I_plus"] + row["I_minus"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def well(spec):
+    """The test problem with an exponential well, so V is not constant."""
+    return replace(spec, W=WSpec(family="exponential", c=0.5, a=0.5))
+
+
+class TestSpanMap:
+    """J on a normalized span from the Gram matrix and the L^p moments (or one
+    mass pass for odd p) equals J of the field built at the same point."""
+
+    @pytest.mark.parametrize("p", [4.0, 6.0, 3.0])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_field_energy_on_overlapping_blocks(self, grid, well, rng, m, p):
+        centers = [(-1.0, 0.0), (1.0, 0.5), (0.0, -1.0)][:m]
+        span = SpanMap([unit_bump(grid, c, p, radius=2.5) for c in centers], p)
+        V = potential_values(well, grid)
+        J = span.energy(V)
+        for y in rng.standard_normal((12, m)):
+            exact = _energy(span(y).values, V, grid.h)
+            assert J(y) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [4.0, 3.0])
+    def test_disjoint_blocks_are_the_diagonal_case(self, grid, well, p):
+        path = PathFamily(unit_bump(grid, (-4.0, 0.0), p), unit_bump(grid, (4.0, 0.0), p), p)
+        V = potential_values(well, grid)
+        G = path.gram(V)
+        assert G[0, 1] == G[1, 0] == 0.0
+        J = path.energy(V)
+        for t in np.linspace(0.0, math.pi, 9):
+            assert J((math.cos(t), math.sin(t))) == pytest.approx(
+                two_block_energy(G[0, 0], G[1, 1], p, t), rel=1e-12)
+        got, _ = path_max_J(path, replace(well, p=p))
+        assert got == pytest.approx(disjoint_support_max(G[0, 0], G[1, 1], p), rel=1e-12)
+
+
 class TestBalancedPoint:
     def test_equal_disjoint_bumps(self, left, right):
         path = PathFamily(left, right, 4.0)
@@ -276,6 +315,7 @@ class TestNoProbeEvaluations:
 
     def test_path_max_evaluates_angles_and_search_steps_only(self, spec, left, right,
                                                               monkeypatch):
+        # a sampled path has no closed form, so it builds one field per angle
         steps, search = [], pathlab.minimize_scalar
 
         def recording(*args, **kwargs):
@@ -284,8 +324,21 @@ class TestNoProbeEvaluations:
             return res
 
         monkeypatch.setattr(pathlab, "minimize_scalar", recording)
-        path = PathFamily(left, right, 4.0)
+        path = SampledPath.from_path(PathFamily(left, right, 4.0), 64, 4.0)
         path.at = counted(path.at)
         path_max_J(path, spec)
         assert len(steps) == 1
         assert path.at.calls == THETA_SAMPLES + steps[0]
+
+    def test_path_family_max_builds_no_field_per_angle(self, spec, left, right,
+                                                       monkeypatch):
+        counts = []
+        for samples in (MIN_THETA_SAMPLES, THETA_SAMPLES):
+            normalize = counted(pathlab.lp_normalize)
+            monkeypatch.setattr(pathlab, "lp_normalize", normalize)
+            path = PathFamily(left, right, 4.0)
+            path.at = counted(path.at)
+            path_max_J(path, spec, samples)
+            counts.append((path.at.calls, normalize.calls))
+        # the one field is the path point at the argmax, whose J is reported
+        assert counts == [(1, 1), (1, 1)]
