@@ -136,13 +136,12 @@ def inner_l2(u: GridFunction, v: GridFunction) -> float:
     return float(np.sum(u.values * v.values) * u.grid.weight)
 
 
-def deviation_bound(u: GridFunction, spec: ProblemSpec, V: np.ndarray,
-                    wnorm: float) -> tuple[float, float]:
-    """(|J(u) - Jinf(u)|, |W|_q): the first never exceeds the second on the sphere.
+def deviation_bound(u: GridFunction, spec: ProblemSpec, V: np.ndarray) -> float:
+    """|J(u) - Jinf(u)|, which never exceeds |W|_q on the sphere.
 
-    V = Vinf - W and wnorm = |W|_q are evaluated once on u's grid by the caller.
+    V = Vinf - W is evaluated once on u's grid by the caller.
     """
     m = mass_I(u, spec.p)
     if abs(m - 1.0) > ON_MANIFOLD_TOL:
         raise FieldError(f"field is off the constraint sphere: I(u) = {m}")
-    return abs(_breakdown(u, V, spec.Vinf).deviation), wnorm
+    return abs(_breakdown(u, V, spec.Vinf).deviation)

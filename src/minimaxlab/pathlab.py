@@ -4,8 +4,9 @@ and their exact maxima.
 A two-block path interpolates trigonometrically between blocks u1, u2 and is
 renormalized pointwise; when the blocks have layer-separated supports its
 energy maximum has a closed form, which the dense sampling must reproduce.
-Paths and maps that are normalized spans of fixed blocks (`SpanMap`) evaluate
-J exactly from a Gram matrix and L^p moments computed once per map.
+A normalized span of fixed blocks (`SpanMap`) evaluates J exactly from a Gram
+matrix and L^p moments computed once per map; path maxima over a two-block
+path search this closed form.
 """
 
 from __future__ import annotations
@@ -331,9 +332,7 @@ class SphereMap:
     """Odd map from sampled S^(m-1) into the constraint sphere.
 
     `rule(y)` evaluates the map at a unit vector y into fields on `grid`;
-    `points` is a sampling of the sphere closed under the antipodal map. A
-    `SpanMap` rule has its energies in closed form, so a scan builds its
-    fields only to count nodal domains.
+    `points` is a sampling of the sphere closed under the antipodal map.
     """
 
     def __init__(self, rule, points: np.ndarray, grid):
@@ -349,15 +348,11 @@ class SphereMap:
         return self.rule(np.asarray(y, dtype=float))
 
     def scan(self, spec: ProblemSpec, count_nodal: bool = False) -> list[SphereSample]:
-        V = potential_values(spec, self.grid)
-        span = isinstance(self.rule, SpanMap)
-        J = self.rule.energy(V) if span else _energy_of(V, self.grid)
+        J = _energy_of(potential_values(spec, self.grid), self.grid)
         out = []
         for y in self.points:
-            u = None if span and not count_nodal else self.at(y)
-            energy = J(y) if span else J(u)
-            nodal = nodal_domains(u).count if count_nodal else -1
-            out.append(SphereSample(y, energy, nodal))
+            u = self.at(y)
+            out.append(SphereSample(y, J(u), nodal_domains(u).count if count_nodal else -1))
         return out
 
     def max_energy(self, spec: ProblemSpec) -> float:

@@ -212,10 +212,8 @@ class TestEulerLagrangeResidual:
 class TestDeviationBound:
     def test_zero_W(self, spec, grid):
         u = lp_normalize(gaussian(grid), spec.p)
-        dev, bound = deviation_bound(u, spec, potential_values(spec, grid),
-                                     dual_norm_W(spec, grid))
-        assert bound == 0.0
-        assert dev <= 1e-12
+        assert dual_norm_W(spec, grid) == 0.0
+        assert deviation_bound(u, spec, potential_values(spec, grid)) <= 1e-12
 
     def test_holder_inequality_random_fields(self, rng):
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
@@ -225,8 +223,7 @@ class TestDeviationBound:
         for _ in range(25):
             u = lp_normalize(GridFunction(grid, rng.standard_normal(grid.shape)),
                              spec.p)
-            dev, bound = deviation_bound(u, spec, V, wnorm)
-            assert dev <= bound * (1.0 + 1e-12)
+            assert deviation_bound(u, spec, V) <= wnorm * (1.0 + 1e-12)
 
     def test_bound_tight_for_aligned_field(self):
         # equality in Holder: |u|^2 proportional to W^{q/2}, here q = 2 so u^2 ~ W
@@ -237,6 +234,5 @@ class TestDeviationBound:
 
         w = eval_W(spec, grid).values
         u = lp_normalize(GridFunction(grid, np.sqrt(w)), spec.p)
-        dev, bound = deviation_bound(u, spec, potential_values(spec, grid),
-                                     dual_norm_W(spec, grid))
-        assert dev == pytest.approx(bound, rel=1e-10)
+        dev = deviation_bound(u, spec, potential_values(spec, grid))
+        assert dev == pytest.approx(dual_norm_W(spec, grid), rel=1e-10)
