@@ -8,10 +8,12 @@ doubling value that controls the second level from above.
 
 from minimaxlab import (GridFunction, ProblemSpec, build_grid, lp_normalize,
                         profile_on_grid, shoot_ground, translate)
+from minimaxlab.domain import potential_values
 from minimaxlab.pathlab import gamma_R, nodal_sphere_map
 
 spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125)
 grid = build_grid(spec)
+V = potential_values(spec, grid)  # V = Vinf - W on the grid; W = 0 here
 ground = shoot_ground(spec.N, spec.p, spec.Vinf)
 winf = profile_on_grid(ground, grid)
 target = 2.0 ** spec.sigma * ground.level
@@ -19,7 +21,7 @@ print(f"doubling level 2^sigma lambda1_inf = {target:.6f}")
 
 for R in (6.0, 9.0, 12.0):
     sm = gamma_R(winf, R, spec.p, samples=64)
-    mx = sm.max_energy(spec)
+    mx = sm.max_energy(V)
     print(f"  R = {R:5.1f}: max J over 64 directions = {mx:.6f}  "
           f"(gap {mx - target:+.2e})")
 
@@ -27,5 +29,5 @@ print("nodal-domain map from a signed two-bump field ...")
 signed = (translate(winf, (-10.0, 0.0)).values
           - translate(winf, (10.0, 0.0)).values)
 u0 = lp_normalize(GridFunction(grid, signed), spec.p)
-nm = nodal_sphere_map(u0, spec)
-print(f"  {nm.m} blocks; sampled image maximum = {nm.max_energy(spec):.6f}")
+nm = nodal_sphere_map(u0, spec.p)
+print(f"  {nm.m} blocks; sampled image maximum = {nm.max_energy(V):.6f}")

@@ -12,6 +12,7 @@ import numpy as np
 
 from minimaxlab import (GridFunction, ProblemSpec, build_grid, energy_J,
                         lp_normalize, mass_I, split_signs)
+from minimaxlab.domain import potential_values
 from minimaxlab.pathlab import (PathFamily, balanced_point,
                                 disjoint_support_max, path_max_J,
                                 path_max_from_energies)
@@ -39,7 +40,7 @@ print(f"closed-form extremal level  = {closed:.10f}")
 print(f"dense-sampling extremum     = {sampled:.10f}  (theta = {theta_s:.6f})")
 
 path = PathFamily(left, right, spec.p)
-mx, theta = path_max_J(path, spec)
+mx, theta = path_max_J(path, potential_values(spec, grid))
 print(f"span path maximum           = {mx:.10f}  (theta = {theta:.6f})")
 print(f"agreement with closed form  = {abs(mx - closed):.2e}")
 

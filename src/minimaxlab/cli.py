@@ -56,6 +56,13 @@ class ExperimentConfig:
         if self.theta_samples < MIN_THETA_SAMPLES:
             raise ConfigError(f"theta_samples must be at least {MIN_THETA_SAMPLES}, "
                               f"got {self.theta_samples}")
+        if self.sphere_samples < 2:
+            raise ConfigError(f"sphere_samples must be at least 2, got {self.sphere_samples}")
+        if self.experiment in ("gamma-r", "verify-all"):
+            outside = [R for R in self.r_list if not 0.0 < R < self.spec.L]
+            if outside:
+                raise ConfigError(f"r_list radii must lie in (0, box_l = {self.spec.L}), "
+                                  f"got {outside}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -152,11 +159,13 @@ class Pipeline:
 
     @cached_property
     def gamma_r_scans(self):
+        """R -> (sampled directions, J^inf of gamma_R at each of them)."""
         winf = profile_on_grid(self.ground_profile, self.grid)
+        V_auto = potential_values(self.autonomous_spec, self.grid)
         out = {}
         for R in self.cfg.r_list:
             sm = gamma_R(winf, R, self.spec.p, samples=self.cfg.sphere_samples)
-            out[R] = sm.scan(self.autonomous_spec, count_nodal=True)
+            out[R] = sm.points, sm.scan(V_auto)
         return out
 
 
@@ -232,7 +241,7 @@ def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     rep.lam1_inf = pipe.lam1_inf
     target = 2.0 ** spec.sigma * rep.lam1_inf
     scans = pipe.gamma_r_scans
-    maxima = {R: max(s.energy for s in scan) for R, scan in scans.items()}
+    maxima = {R: float(energies.max()) for R, (_, energies) in scans.items()}
     rep.extras["gamma_r_maxima"] = {str(R): m for R, m in maxima.items()}
     r_big = max(maxima)
     rep.verdicts.append(verdict(
@@ -248,10 +257,10 @@ def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
         "sampled maxima nonincreasing in R within sampling slack" if gaps
         else "needs at least two R values"))
     rows = []
-    for R, scan in scans.items():
-        for s in scan:
-            rows.append({"R": R, **{f"y{i+1}": float(v) for i, v in enumerate(s.direction)},
-                         "J_inf": s.energy, "nodal_count": s.nodal_count})
+    for R, (points, energies) in scans.items():
+        for y, energy in zip(points, energies):
+            rows.append({"R": R, **{f"y{i+1}": float(v) for i, v in enumerate(y)},
+                         "J_inf": energy})
     artifacts["gamma_r_scan.csv"] = rows
 
 

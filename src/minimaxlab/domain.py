@@ -223,8 +223,3 @@ def read_keyvalue_file(path) -> dict:
                 raise DomainError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = val
     return out
-
-
-def load_problem_spec(path) -> ProblemSpec:
-    """Read a problem specification from a flat key-value file."""
-    return parse_problem_mapping(read_keyvalue_file(path))

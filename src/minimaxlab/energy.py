@@ -81,11 +81,6 @@ def mass_I(u: GridFunction, p: float) -> float:
     return lp_mass(u.values, p, u.grid.weight)
 
 
-def kinetic_energy(u: GridFunction) -> float:
-    """Link-based quadrature of |grad u|^2 (forward differences, Dirichlet)."""
-    return _kinetic(u.values, u.grid.h)
-
-
 def _breakdown(u: GridFunction, V: np.ndarray, Vinf: float) -> EnergyBreakdown:
     v, h = u.values, u.grid.h
     kin = _kinetic(v, h)
@@ -98,11 +93,6 @@ def _breakdown(u: GridFunction, V: np.ndarray, Vinf: float) -> EnergyBreakdown:
 def energy_J(u: GridFunction, spec: ProblemSpec) -> EnergyBreakdown:
     """J(u) = int |grad u|^2 + V u^2 with V = Vinf - W, plus the autonomous total."""
     return _breakdown(u, potential_values(spec, u.grid), spec.Vinf)
-
-
-def laplacian(u: GridFunction) -> np.ndarray:
-    """Standard (2N+1)-point discrete Laplacian with Dirichlet exterior zeros."""
-    return _laplacian(u.values, u.grid.h)
 
 
 def euler_lagrange_residual(u: GridFunction, lam: float, spec: ProblemSpec) -> float:

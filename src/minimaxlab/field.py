@@ -3,7 +3,6 @@ and nodal-domain labeling."""
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -29,15 +28,8 @@ class GridFunction:
         self.grid = grid
         self.values = zero_boundary(values)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def __neg__(self) -> "GridFunction":
         return GridFunction(self.grid, -self.values)
-
-
-def zeros_like(grid: Grid) -> GridFunction:
-    return GridFunction(grid, np.zeros(grid.shape))
 
 
 def lp_norm(u: GridFunction, p: float) -> float:
@@ -156,14 +148,3 @@ def load_gridfunction(path) -> GridFunction:
     if grid.shape != shape:
         raise FieldError(f"{path}: header shape {shape} inconsistent with L={L}, h={h}")
     return GridFunction(grid, data.copy())
-
-
-def export_csv(u: GridFunction, path) -> None:
-    """CSV of node coordinates and values, one row per node."""
-    coords = u.grid.coords()
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"x{i + 1}" for i in range(u.grid.N)] + ["value"])
-        flat = [c.ravel() for c in coords] + [u.values.ravel()]
-        for row in zip(*flat):
-            writer.writerow([repr(float(v)) for v in row])

@@ -248,9 +248,6 @@ class DescentResult:
     converged: bool
     restarted_from_abs: bool = False
 
-    def __iter__(self):  # allow (w1, lam1) unpacking
-        return iter((self.minimizer, self.level))
-
 
 def _descend(u0: np.ndarray, V: np.ndarray, spec: ProblemSpec, grid,
              tol: float, max_iter: int, level_floor: float) -> DescentResult:

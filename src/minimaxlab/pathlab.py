@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .domain import ProblemSpec, lp_mass, potential_values
+from .domain import lp_mass
 from .energy import _energy, _laplacian, mass_I
 from .field import (GridFunction, layer_separated, lp_normalize,
                     nodal_domains, split_signs, translate)
@@ -230,8 +229,9 @@ def _energy_of(V: np.ndarray, grid):
     return lambda u: _energy(u.values, V, grid.h)
 
 
-def path_max_J(path, spec: ProblemSpec, samples: int = THETA_SAMPLES) -> tuple[float, float]:
-    """Maximum of J over the path and its argmax angle.
+def path_max_J(path, V: np.ndarray, samples: int = THETA_SAMPLES) -> tuple[float, float]:
+    """Maximum of J over the path and its argmax angle, with V = Vinf - W on
+    the path's grid.
 
     Samples theta on [0, pi) (J is even under the antipodal reflection) and
     refines around the best sample by golden-section search. On a
@@ -241,29 +241,12 @@ def path_max_J(path, spec: ProblemSpec, samples: int = THETA_SAMPLES) -> tuple[f
     """
     if samples < MIN_THETA_SAMPLES:
         raise PathError(f"at least {MIN_THETA_SAMPLES} theta samples required")
-    V = potential_values(spec, path.grid)
     J = _energy_of(V, path.grid)
     if not isinstance(path, PathFamily):
         return _theta_max(lambda t: J(path.at(t)), samples)
     span_J = path.energy(V)
     _, theta = _theta_max(lambda t: span_J((math.cos(t), math.sin(t))), samples)
     return J(path.at(theta)), theta
-
-
-def path_scan(path, spec: ProblemSpec) -> list[dict]:
-    """Per-sample record (theta, J, I+, I-) for CSV export."""
-    J = _energy_of(potential_values(spec, path.grid), path.grid)
-    rows = []
-    for t in _thetas(THETA_SAMPLES):
-        u = path.at(t)
-        plus, minus = split_signs(u)
-        rows.append({
-            "theta": float(t),
-            "J": J(u),
-            "I_plus": mass_I(plus, spec.p),
-            "I_minus": mass_I(minus, spec.p),
-        })
-    return rows
 
 
 def balanced_point(path, p: float) -> tuple[GridFunction, float]:
@@ -321,13 +304,6 @@ def overlap_integrals(w1: GridFunction, winf: GridFunction, y, p: float) -> tupl
     return o1, o2
 
 
-@dataclass
-class SphereSample:
-    direction: np.ndarray
-    energy: float
-    nodal_count: int
-
-
 class SphereMap:
     """Odd map from sampled S^(m-1) into the constraint sphere.
 
@@ -347,16 +323,13 @@ class SphereMap:
     def at(self, y) -> GridFunction:
         return self.rule(np.asarray(y, dtype=float))
 
-    def scan(self, spec: ProblemSpec, count_nodal: bool = False) -> list[SphereSample]:
-        J = _energy_of(potential_values(spec, self.grid), self.grid)
-        out = []
-        for y in self.points:
-            u = self.at(y)
-            out.append(SphereSample(y, J(u), nodal_domains(u).count if count_nodal else -1))
-        return out
+    def scan(self, V: np.ndarray) -> np.ndarray:
+        """J at each of `points`, in order, with V = Vinf - W on the grid."""
+        J = _energy_of(V, self.grid)
+        return np.array([J(self.at(y)) for y in self.points])
 
-    def max_energy(self, spec: ProblemSpec) -> float:
-        return max(s.energy for s in self.scan(spec))
+    def max_energy(self, V: np.ndarray) -> float:
+        return float(np.max(self.scan(V)))
 
 
 def sphere_points(m: int, samples: int) -> np.ndarray:
@@ -400,7 +373,7 @@ def gamma_R(winf: GridFunction, R: float, p: float,
     return SphereMap(rule, pts, grid)
 
 
-def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec) -> SphereMap:
+def nodal_sphere_map(u0: GridFunction, p: float) -> SphereMap:
     """Map built from the normalized restrictions of u0 to its nodal domains.
 
     The sampled maximum of J over the image never exceeds J(u0) (up to
@@ -414,11 +387,11 @@ def nodal_sphere_map(u0: GridFunction, spec: ProblemSpec) -> SphereMap:
     if m > 3:
         m = 3  # sample a coordinate subsphere through the 3 largest domains
     # order domains by mass, keep the m largest
-    masses = [lp_mass(u0.values[labeling.labels == j], spec.p, u0.grid.weight)
+    masses = [lp_mass(u0.values[labeling.labels == j], p, u0.grid.weight)
               for j in range(1, labeling.count + 1)]
     order = np.argsort(masses)[::-1][:m]
     blocks = []
     for j in order:
         chi = (labeling.labels == j + 1).astype(float)
-        blocks.append(lp_normalize(GridFunction(u0.grid, chi * u0.values), spec.p))
-    return SphereMap(SpanMap(blocks, spec.p), sphere_points(m, SPHERE_SAMPLES), u0.grid)
+        blocks.append(lp_normalize(GridFunction(u0.grid, chi * u0.values), p))
+    return SphereMap(SpanMap(blocks, p), sphere_points(m, SPHERE_SAMPLES), u0.grid)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import minimaxlab
-from minimaxlab import cli
+from minimaxlab import cli, domain
 from minimaxlab.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                             config_from_mapping, load_config, main, run)
 from minimaxlab.domain import ProblemSpec
@@ -27,7 +27,8 @@ def write_config(path, extra):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = config_from_mapping(dict(COARSE))
+        # the default r_list (6, 9, 12) needs box_l above 12 for verify-all
+        cfg = config_from_mapping({**COARSE, "box_l": "16.0"})
         assert cfg.experiment == "verify-all"
         assert cfg.seed == 0
         assert cfg.tol_descent == 1e-8
@@ -48,8 +49,30 @@ class TestConfig:
         assert cfg.y_sweep == (3.0, 5.5, 8.0)
         assert cfg.r_list == (2.0, 4.0)
 
+    def test_sphere_samples_floor(self):
+        for bad in ("1", "0", "-4"):
+            with pytest.raises(ConfigError, match="sphere_samples"):
+                config_from_mapping({**COARSE, "sphere_samples": bad})
+        assert config_from_mapping({**COARSE, "experiment": "gamma-r", "r_list": "3",
+                                    "sphere_samples": "2"}).sphere_samples == 2
+
+    def test_gamma_r_radii_inside_box(self):
+        for experiment in ("gamma-r", "verify-all"):
+            for r_list in ("3,8", "0,3", "-2", "3,12"):
+                with pytest.raises(ConfigError, match="r_list"):
+                    config_from_mapping({**COARSE, "experiment": experiment,
+                                         "r_list": r_list})
+            # the default r_list reaches past box_l = 8
+            with pytest.raises(ConfigError, match="r_list"):
+                config_from_mapping({**COARSE, "experiment": experiment})
+        # experiments that scan no gamma_R accept it on a small box
+        for experiment in ("ground", "levels", "symmetry"):
+            assert config_from_mapping({**COARSE, "experiment": experiment}).r_list == (
+                6.0, 9.0, 12.0)
+
     def test_fit_window(self):
-        cfg = config_from_mapping({**COARSE, "fit_r_min": "5", "fit_r_max": "10"})
+        cfg = config_from_mapping({**COARSE, "experiment": "ground",
+                                   "fit_r_min": "5", "fit_r_max": "10"})
         assert cfg.fit_window == (5.0, 10.0)
 
     def test_load_from_file(self, tmp_path):
@@ -133,6 +156,47 @@ def test_experiment_outputs(experiment, tmp_path):
             assert len(row) == len(header), path.name
             for cell in row:
                 float(cell)
+
+
+def test_gamma_r_in_3d(tmp_path):
+    # the N = 3 translation map samples S^2 by the symmetrized Fibonacci sphere
+    cfg = config_from_mapping({**COARSE, "dim": "3", "box_l": "6.0", "spacing_h": "0.5",
+                               "experiment": "gamma-r", "out_dir": str(tmp_path),
+                               "r_list": "2,4", "sphere_samples": "16"})
+    assert run(cfg) in (0, 2)
+    header, *rows = (tmp_path / "gamma_r_scan.csv").read_text().splitlines()
+    assert header == "R,y1,y2,y3,J_inf"
+    radii = [float(row.split(",")[0]) for row in rows]
+    assert radii == [2.0] * 16 + [4.0] * 16
+    rep = report_of(tmp_path)
+    stated = rep.pop("report_hash")
+    rep.pop("timestamp")
+    assert hashlib.sha256(json.dumps(
+        rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
+
+
+def test_verify_all_evaluates_V_a_fixed_number_of_times(tmp_path, monkeypatch):
+    # V and |W|_q come from the pipeline, so more translations or radii add
+    # no evaluation of W
+    calls = []
+    eval_W = domain.eval_W
+
+    def counting(*args):
+        calls.append(1)
+        return eval_W(*args)
+
+    monkeypatch.setattr(domain, "eval_W", counting)
+    counts = []
+    for y_sweep, r_list in (("3,4", "3,5"), ("3,4,5", "3,5,6")):
+        cfg = config_from_mapping({**COARSE, "w_family": "exponential", "w_c": "0.5",
+                                   "w_a": "0.5", "experiment": "verify-all",
+                                   "out_dir": str(tmp_path / r_list), "y_sweep": y_sweep,
+                                   "theta_samples": "64", "r_list": r_list,
+                                   "sphere_samples": "8"})
+        calls.clear()
+        run(cfg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_levels_in_3d(tmp_path):
@@ -221,6 +285,20 @@ class TestMain:
         assert main(["run", path, "--out", str(out),
                      "--override", "theta_samples=32"]) == 1
         assert "theta_samples must be at least 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("sphere_samples=0", "sphere_samples must be at least 2"),
+        ("r_list=3,8", "r_list radii must lie in (0, box_l = 8.0)")])
+    def test_bad_gamma_r_settings_rejected_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, override, message):
+        def no_shooting(*args):
+            raise AssertionError("shooting ran before the config was checked")
+
+        monkeypatch.setattr(cli, "shoot_ground", no_shooting)
+        path = write_config(tmp_path / "c.cfg", {"experiment": "gamma-r", "r_list": "3,5"})
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--override", override]) == 1
+        assert message in capsys.readouterr().err
 
     def test_run_with_overrides(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", {"experiment": "gamma-r"})

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from minimaxlab import ProblemSpec, WSpec, build_grid, dual_norm_W, eval_W
-from minimaxlab.domain import (DomainError, load_problem_spec,
-                               parse_problem_mapping, read_keyvalue_file)
+from minimaxlab.domain import (DomainError, parse_problem_mapping,
+                               read_keyvalue_file)
 
 
 def small_spec(**kw):
@@ -149,7 +149,7 @@ class TestKeyValueFiles:
             "# desk configuration\n"
             "dim = 2\np = 4.0\nv_inf = 1.0\nbox_l = 4.0\nspacing_h = 0.25\n"
             "w_family = exponential\nw_c = 0.5\nw_a = 0.5\n")
-        spec = load_problem_spec(path)
+        spec = parse_problem_mapping(read_keyvalue_file(path))
         assert spec.N == 2
         assert spec.W.family == "exponential"
         assert spec.W.c == 0.5

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, dual_norm_W,
-                        energy_J, kinetic_energy, lp_normalize, manifold_gradient,
-                        mass_I, translate)
-from minimaxlab.energy import (EnergyBreakdown, deviation_bound,
-                               euler_lagrange_residual, gradient_norm, inner_l2,
-                               laplacian)
+                        energy_J, lp_normalize, manifold_gradient, mass_I, translate)
+from minimaxlab.energy import (EnergyBreakdown, _kinetic, _laplacian, deviation_bound,
+                               euler_lagrange_residual, gradient_norm, inner_l2)
 from minimaxlab.domain import potential_values
-from minimaxlab.field import FieldError, zeros_like
+from minimaxlab.field import FieldError
 from minimaxlab.groundstate import minimize_lambda1, profile_on_grid
-from minimaxlab.pathlab import gamma_R, path_max_J, path_scan, translated_bump_path
+from minimaxlab.pathlab import SampledPath, gamma_R, path_max_J, translated_bump_path
 
 
 @pytest.fixture(scope="module")
@@ -51,20 +49,19 @@ class TestMassI:
 
 class TestKineticEnergy:
     def test_zero_field(self, grid):
-        assert kinetic_energy(zeros_like(grid)) == 0.0
+        assert _kinetic(np.zeros(grid.shape), grid.h) == 0.0
 
     def test_single_node_spike(self, grid):
         # one interior node of height 1 has 2N links of slope 1/h
         vals = np.zeros(grid.shape)
         vals[grid.origin_index] = 1.0
-        u = GridFunction(grid, vals)
         expected = 2 * grid.N * (1.0 / grid.h) ** 2 * grid.weight
-        assert kinetic_energy(u) == pytest.approx(expected, rel=1e-14)
+        assert _kinetic(vals, grid.h) == pytest.approx(expected, rel=1e-14)
 
     def test_gaussian_against_closed_form(self):
         # int |grad e^{-r^2/2}|^2 = int r^2 e^{-r^2} = pi in the plane
         g = build_grid(ProblemSpec(N=2, p=4.0, Vinf=1.0, L=12.0, h=0.0625))
-        assert kinetic_energy(gaussian(g)) == pytest.approx(math.pi, rel=2e-3)
+        assert _kinetic(gaussian(g).values, g.h) == pytest.approx(math.pi, rel=2e-3)
 
     def test_additivity_for_separated_supports(self, grid):
         x, y = grid.coords()
@@ -73,8 +70,8 @@ class TestKineticEnergy:
         b = GridFunction(grid, np.where((x - 3) ** 2 + y ** 2 < 1,
                                         np.sin(2 * (x - 3)) * np.cos(y), 0.0))
         both = GridFunction(grid, a.values + b.values)
-        assert kinetic_energy(both) == pytest.approx(
-            kinetic_energy(a) + kinetic_energy(b), rel=1e-13)
+        assert _kinetic(both.values, grid.h) == pytest.approx(
+            _kinetic(a.values, grid.h) + _kinetic(b.values, grid.h), rel=1e-13)
 
 
 class TestEnergyJ:
@@ -120,14 +117,14 @@ class TestLaplacian:
     def test_annihilates_linear_interior(self, grid):
         x, y = grid.coords()
         u = GridFunction(grid, 2.0 * x + 3.0 * y)
-        lap = laplacian(u)
+        lap = _laplacian(u.values, grid.h)
         # away from the zeroed boundary rows the stencil kills affine fields
         assert np.max(np.abs(lap[deep_interior(grid)])) < 1e-10
 
     def test_quadratic_exact(self, grid):
         x, y = grid.coords()
         u = GridFunction(grid, x ** 2 - y ** 2)
-        lap = laplacian(u)
+        lap = _laplacian(u.values, grid.h)
         # the five point stencil is exact on harmonic quadratics
         assert np.max(np.abs(lap[deep_interior(grid)])) < 1e-9
 
@@ -135,16 +132,16 @@ class TestLaplacian:
         for grid in map(build_grid, specs):
             a = GridFunction(grid, rng.standard_normal(grid.shape))
             b = GridFunction(grid, rng.standard_normal(grid.shape))
-            lhs = inner_l2(GridFunction(grid, laplacian(a)), b)
-            rhs = inner_l2(a, GridFunction(grid, laplacian(b)))
+            lhs = inner_l2(GridFunction(grid, _laplacian(a.values, grid.h)), b)
+            rhs = inner_l2(a, GridFunction(grid, _laplacian(b.values, grid.h)))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_dirichlet_form_identity(self, specs, rng):
         # sum h^N (-lap u) u equals the link quadrature of |grad u|^2
         for grid in map(build_grid, specs):
             u = GridFunction(grid, rng.standard_normal(grid.shape))
-            quad_form = -inner_l2(GridFunction(grid, laplacian(u)), u)
-            assert quad_form == pytest.approx(kinetic_energy(u), rel=1e-12)
+            quad_form = -inner_l2(GridFunction(grid, _laplacian(u.values, grid.h)), u)
+            assert quad_form == pytest.approx(_kinetic(u.values, grid.h), rel=1e-12)
 
 
 class TestManifoldGradient:
@@ -184,19 +181,22 @@ class TestOneEnergyKernel:
     def test_levels_equal_energy_J(self, ground_profile):
         well = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
-        res = minimize_lambda1(well, build_grid(well), seed_profile=ground_profile)
+        grid = build_grid(well)
+        V = potential_values(well, grid)
+        res = minimize_lambda1(well, grid, seed_profile=ground_profile)
         assert res.level == energy_J(res.minimizer, well).total
 
-        winf = profile_on_grid(ground_profile, res.minimizer.grid)
+        winf = profile_on_grid(ground_profile, grid)
         path = translated_bump_path(res.minimizer, winf, (4.0, 0.0), well.p)
-        mx, theta = path_max_J(path, well, samples=64)
+        mx, theta = path_max_J(path, V, samples=64)
         assert mx == energy_J(path.at(theta), well).total
-        for row in path_scan(path, well):
-            assert row["J"] == energy_J(path.at(row["theta"]), well).total
+        sampled = SampledPath.from_path(path, 64, well.p)
+        mx, theta = path_max_J(sampled, V, samples=64)
+        assert mx == energy_J(sampled.at(theta), well).total
 
         sphere = gamma_R(winf, 3.0, well.p, samples=8)
-        for sample in sphere.scan(well):
-            assert sample.energy == energy_J(sphere.at(sample.direction), well).total
+        for y, energy in zip(sphere.points, sphere.scan(V)):
+            assert energy == energy_J(sphere.at(y), well).total
 
 
 class TestEulerLagrangeResidual:

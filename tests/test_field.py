@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from minimaxlab import (GridFunction, ProblemSpec, build_grid, lp_norm,
                         lp_normalize, nodal_domains, split_signs, translate)
-from minimaxlab.field import (FieldError, export_csv, layer_separated,
-                              load_gridfunction, save_gridfunction, zeros_like)
+from minimaxlab.field import (FieldError, layer_separated, load_gridfunction,
+                              save_gridfunction)
 from minimaxlab.energy import mass_I
 
 
@@ -31,7 +31,7 @@ def compact_bump(grid, center, radius=1.0, sign=1.0):
 
 class TestLpNorm:
     def test_zero(self, grid):
-        assert lp_norm(zeros_like(grid), 4.0) == 0.0
+        assert lp_norm(GridFunction(grid, np.zeros(grid.shape)), 4.0) == 0.0
 
     def test_single_node(self, grid):
         vals = np.zeros(grid.shape)
@@ -47,7 +47,7 @@ class TestLpNorm:
 
     def test_rejects_p_below_one(self, grid):
         with pytest.raises(FieldError):
-            lp_norm(zeros_like(grid), 0.5)
+            lp_norm(GridFunction(grid, np.zeros(grid.shape)), 0.5)
 
 
 class TestLpNormalize:
@@ -73,7 +73,7 @@ class TestLpNormalize:
 
     def test_zero_rejected(self, grid):
         with pytest.raises(FieldError):
-            lp_normalize(zeros_like(grid), 4.0)
+            lp_normalize(GridFunction(grid, np.zeros(grid.shape)), 4.0)
 
 
 class TestSplitSigns:
@@ -158,7 +158,7 @@ class TestNodalDomains:
         assert nodal_domains(u).count == 2
 
     def test_zero_field(self, grid):
-        assert nodal_domains(zeros_like(grid)).count == 0
+        assert nodal_domains(GridFunction(grid, np.zeros(grid.shape))).count == 0
 
     def test_excited_state_annuli(self, excited_profile, grid0):
         from minimaxlab import profile_on_grid
@@ -201,12 +201,3 @@ class TestSerialization:
         path.write_bytes(b"not a field at all")
         with pytest.raises(FieldError):
             load_gridfunction(path)
-
-    def test_csv_export(self, tmp_path):
-        g = build_grid(ProblemSpec(N=2, p=4.0, Vinf=1.0, L=1.0, h=0.5))
-        u = GridFunction(g, np.zeros(g.shape))
-        path = tmp_path / "u.csv"
-        export_csv(u, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x1,x2,value"
-        assert len(lines) == 1 + g.size

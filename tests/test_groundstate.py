@@ -147,11 +147,6 @@ class TestMinimizeLambda1:
         res = euler_lagrange_residual(descent0.minimizer, descent0.level, spec0)
         assert res < 1e-6
 
-    def test_result_unpacks(self, descent0):
-        w1, lam1 = descent0
-        assert w1 is descent0.minimizer
-        assert lam1 == descent0.level
-
     def test_penalty_lowers_level(self, descent0, descent_exp):
         assert descent_exp.level < descent0.level
 

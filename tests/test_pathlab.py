@@ -12,7 +12,7 @@ from minimaxlab.pathlab import (MIN_THETA_SAMPLES, THETA_SAMPLES, PathError,
                                 PathFamily, SampledPath, SpanMap,
                                 balanced_point, disjoint_support_max, gamma_R,
                                 nodal_sphere_map, overlap_integrals,
-                                path_max_J, path_max_from_energies, path_scan,
+                                path_max_J, path_max_from_energies,
                                 sphere_points, translated_bump_path,
                                 two_block_energy)
 
@@ -127,25 +127,17 @@ class TestSampledPath:
 
 
 class TestPathMaxJ:
-    def test_matches_closed_form_for_disjoint_blocks(self, spec, left, right):
+    def test_matches_closed_form_for_disjoint_blocks(self, spec, grid, left, right):
         J1 = energy_J(left, spec).total
         J2 = energy_J(right, spec).total
         path = PathFamily(left, right, 4.0)
-        got, arg = path_max_J(path, spec)
+        got, arg = path_max_J(path, potential_values(spec, grid))
         assert got == pytest.approx(disjoint_support_max(J1, J2, 4.0), rel=1e-10)
         assert 0.0 <= arg < math.pi
 
-    def test_minimum_sample_count_enforced(self, spec, left, right):
+    def test_minimum_sample_count_enforced(self, spec, grid, left, right):
         with pytest.raises(PathError):
-            path_max_J(PathFamily(left, right, 4.0), spec, samples=32)
-
-    def test_scan_rows(self, spec, left, right):
-        rows = path_scan(PathFamily(left, right, 4.0), spec)
-        assert len(rows) == THETA_SAMPLES
-        assert set(rows[0]) == {"theta", "J", "I_plus", "I_minus"}
-        # masses sum to one on the sphere
-        for row in rows[::16]:
-            assert row["I_plus"] + row["I_minus"] == pytest.approx(1.0, abs=1e-12)
+            path_max_J(PathFamily(left, right, 4.0), potential_values(spec, grid), samples=32)
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +171,7 @@ class TestSpanMap:
         for t in np.linspace(0.0, math.pi, 9):
             assert J((math.cos(t), math.sin(t))) == pytest.approx(
                 two_block_energy(G[0, 0], G[1, 1], p, t), rel=1e-12)
-        got, _ = path_max_J(path, replace(well, p=p))
+        got, _ = path_max_J(path, V)
         assert got == pytest.approx(disjoint_support_max(G[0, 0], G[1, 1], p), rel=1e-12)
 
 
@@ -274,7 +266,8 @@ class TestGammaR:
         # well separated signed pairs sit near 2^sigma lambda_1
         gm = gamma_R(winf0, 9.0, 4.0, samples=16)
         target = 2.0 ** 0.5 * ground_profile.level
-        assert gm.max_energy(spec0) == pytest.approx(target, rel=5e-3)
+        assert gm.max_energy(potential_values(spec0, winf0.grid)) == pytest.approx(
+            target, rel=5e-3)
 
 
 class TestNodalSphereMap:
@@ -282,16 +275,16 @@ class TestNodalSphereMap:
         # equal-mass equal-energy blocks: the sampled image maximum reproduces
         # the closed-form combination, which equals J of the signed generator
         u0 = lp_normalize(GridFunction(grid, left.values - right.values), 4.0)
-        nm = nodal_sphere_map(u0, spec)
+        nm = nodal_sphere_map(u0, spec.p)
         assert nm.m == 2
         J1 = energy_J(left, spec).total
         target = disjoint_support_max(J1, J1, 4.0)
-        assert nm.max_energy(spec) == pytest.approx(target, rel=1e-10)
+        assert nm.max_energy(potential_values(spec, grid)) == pytest.approx(target, rel=1e-10)
         assert energy_J(u0, spec).total == pytest.approx(target, rel=1e-10)
 
     def test_sign_definite_rejected(self, spec, left):
         with pytest.raises(PathError):
-            nodal_sphere_map(left, spec)
+            nodal_sphere_map(left, spec.p)
 
 
 def counted(fn):
@@ -307,13 +300,13 @@ class TestNoProbeEvaluations:
     """Scans and path maxima read the grid from the map or path, so they
     evaluate only the points they report or search."""
 
-    def test_sphere_scan_calls_rule_once_per_direction(self, spec, left):
+    def test_sphere_scan_calls_rule_once_per_direction(self, spec, grid, left):
         sm = gamma_R(left, 3.0, 4.0, samples=8)
         sm.rule = counted(sm.rule)
-        assert len(sm.scan(spec)) == 8
+        assert len(sm.scan(potential_values(spec, grid))) == 8
         assert sm.rule.calls == 8
 
-    def test_path_max_evaluates_angles_and_search_steps_only(self, spec, left, right,
+    def test_path_max_evaluates_angles_and_search_steps_only(self, spec, grid, left, right,
                                                               monkeypatch):
         # a sampled path has no closed form, so it builds one field per angle
         steps, search = [], pathlab.minimize_scalar
@@ -326,11 +319,11 @@ class TestNoProbeEvaluations:
         monkeypatch.setattr(pathlab, "minimize_scalar", recording)
         path = SampledPath.from_path(PathFamily(left, right, 4.0), 64, 4.0)
         path.at = counted(path.at)
-        path_max_J(path, spec)
+        path_max_J(path, potential_values(spec, grid))
         assert len(steps) == 1
         assert path.at.calls == THETA_SAMPLES + steps[0]
 
-    def test_path_family_max_builds_no_field_per_angle(self, spec, left, right,
+    def test_path_family_max_builds_no_field_per_angle(self, spec, grid, left, right,
                                                        monkeypatch):
         counts = []
         for samples in (MIN_THETA_SAMPLES, THETA_SAMPLES):
@@ -338,7 +331,7 @@ class TestNoProbeEvaluations:
             monkeypatch.setattr(pathlab, "lp_normalize", normalize)
             path = PathFamily(left, right, 4.0)
             path.at = counted(path.at)
-            path_max_J(path, spec, samples)
+            path_max_J(path, potential_values(spec, grid), samples)
             counts.append((path.at.calls, normalize.calls))
         # the one field is the path point at the argmax, whose J is reported
         assert counts == [(1, 1), (1, 1)]
