@@ -10,6 +10,7 @@ import math
 
 from minimaxlab import (ProblemSpec, build_grid, fit_decay, minimize_lambda1,
                         shoot_ground)
+from minimaxlab.domain import potential_values
 
 spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125)
 
@@ -24,7 +25,8 @@ print(f"  fitted decay rate       = {fit.rate:.5f}  (expected sqrt(Vinf) = "
 print(f"  certified envelope a0   = {fit.a0:.5f}")
 
 print("constrained descent on the 257 x 257 grid ...")
-res = minimize_lambda1(spec, build_grid(spec))
+grid = build_grid(spec)
+res = minimize_lambda1(potential_values(spec, grid), spec.p, grid)
 print(f"  grid level lambda1      = {res.level:.8f}  "
       f"({res.iterations} iterations, gradient norm {res.gradient_norm:.2e})")
 

@@ -6,11 +6,11 @@ upper bound lands strictly below the compactness threshold. The demo prints
 the whole chain of estimates and the resulting margins.
 """
 
-import warnings
-
 from minimaxlab import (ProblemSpec, WSpec, build_grid, dual_norm_W,
                         lambda2_bounds, lambda2_radial, lambda_sharp,
-                        minimize_lambda1, shoot_excited, shoot_ground)
+                        minimize_lambda1, profile_on_grid, shoot_excited,
+                        shoot_ground)
+from minimaxlab.domain import potential_values
 
 spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125,
                    W=WSpec(family="exponential", c=0.5, a=0.5))
@@ -21,8 +21,10 @@ print(f"autonomous first level lambda1_inf = {l1inf:.6f}")
 
 print("descending on the grid with the well switched on ...")
 grid = build_grid(spec)
+V = potential_values(spec, grid)  # built once, for the descent and the paths
 wnorm = dual_norm_W(spec, grid)
-res = minimize_lambda1(spec, grid, seed_profile=ground)
+winf = profile_on_grid(ground, grid)  # the descent seed and the translated bump
+res = minimize_lambda1(V, spec.p, grid, seed=winf)
 print(f"perturbed first level lambda1      = {res.level:.6f}  "
       f"(drop {l1inf - res.level:.4f})")
 
@@ -30,9 +32,7 @@ lam_sharp = lambda_sharp(res.level, l1inf, spec.p)
 print(f"compactness threshold lambda_sharp = {lam_sharp:.6f}")
 
 print("sweeping two-bump paths over translations ...")
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")  # decaying tails always overlap a little
-    lam2 = lambda2_bounds(spec, res.minimizer, res.level, ground, l1inf, wnorm)
+lam2 = lambda2_bounds(V, spec.p, res.minimizer, res.level, winf, l1inf, wnorm)
 for row in lam2.sweep:
     print(f"  y = {row['y']:5.1f}: path max = {row['path_max']:.6f}")
 print(f"second level interval: [{lam2.lower:.6f}, {lam2.upper:.6f}]  "

@@ -15,12 +15,12 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .domain import (DomainError, ProblemSpec, WSpec, build_grid, dual_norm_W,
+from .domain import (DomainError, ProblemSpec, build_grid, dual_norm_W,
                      parse_problem_mapping, potential_values, read_keyvalue_file,
                      PROBLEM_KEYS)
 from .energy import deviation_bound
@@ -110,16 +110,13 @@ class Pipeline:
         self.spec = cfg.spec
 
     @cached_property
-    def autonomous_spec(self) -> ProblemSpec:
-        return replace(self.spec, W=WSpec())
-
-    @cached_property
     def grid(self):
         return build_grid(self.spec)
 
     @cached_property
     def V(self):
-        """V = Vinf - W on the grid."""
+        """V = Vinf - W on the grid, for the descent, the two-bump paths and
+        the deviation check."""
         return potential_values(self.spec, self.grid)
 
     @cached_property
@@ -136,6 +133,13 @@ class Pipeline:
         return fit_decay(self.ground_profile, self.spec.Vinf, window=self.cfg.fit_window)
 
     @cached_property
+    def winf(self):
+        """The shooting ground state interpolated onto the grid: the descent
+        seed under a well, the translated bump of the two-bump paths and the
+        building block of the gamma_R maps."""
+        return profile_on_grid(self.ground_profile, self.grid)
+
+    @cached_property
     def excited_profile(self):
         s = self.spec
         return shoot_excited(s.N, s.p, s.Vinf, 1)
@@ -146,25 +150,26 @@ class Pipeline:
 
     @cached_property
     def descent(self):
-        seed = None if self.spec.W.family == "zero" else self.ground_profile
-        return minimize_lambda1(self.spec, self.grid, tol=self.cfg.tol_descent,
-                                seed_profile=seed)
+        # V is built before w_inf: the other order leaves a heap layout in which
+        # later path evaluations fault a grid array back in (well-scan, w_c = 1.0)
+        V = self.V
+        seed = None if self.spec.W.family == "zero" else self.winf
+        return minimize_lambda1(V, self.spec.p, self.grid, tol=self.cfg.tol_descent, seed=seed)
 
     @cached_property
     def lam2(self) -> Lambda2Bounds:
         return lambda2_bounds(
-            self.spec, self.descent.minimizer, self.descent.level,
-            self.ground_profile, self.lam1_inf, self.w_dual_norm,
+            self.V, self.spec.p, self.descent.minimizer, self.descent.level,
+            self.winf, self.lam1_inf, self.w_dual_norm,
             y_sweep=self.cfg.y_sweep, samples=self.cfg.theta_samples)
 
     @cached_property
     def gamma_r_scans(self):
         """R -> (sampled directions, J^inf of gamma_R at each of them)."""
-        winf = profile_on_grid(self.ground_profile, self.grid)
-        V_auto = potential_values(self.autonomous_spec, self.grid)
+        V_auto = np.full(self.grid.shape, self.spec.Vinf)
         out = {}
         for R in self.cfg.r_list:
-            sm = gamma_R(winf, R, self.spec.p, samples=self.cfg.sphere_samples)
+            sm = gamma_R(self.winf, R, self.spec.p, samples=self.cfg.sphere_samples)
             out[R] = sm.points, sm.scan(V_auto)
         return out
 
@@ -179,13 +184,13 @@ def _penalty_condition_holds(pipe: Pipeline) -> bool:
 
 def _report_base(pipe: Pipeline) -> LevelsReport:
     spec = pipe.spec
-    return LevelsReport(sigma=spec.sigma, q=spec.q, w_dual_norm=pipe.w_dual_norm)
+    return LevelsReport(sigma=spec.sigma, q=spec.q, w_dual_norm=pipe.w_dual_norm,
+                        lam1_inf=pipe.lam1_inf)
 
 
 def exp_ground(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     prof = pipe.ground_profile
     fit = pipe.decay_fit
-    rep.lam1_inf = prof.level
     rep.decay = fit
     rate_target = math.sqrt(pipe.spec.Vinf)
     rep.verdicts.append(verdict(
@@ -203,7 +208,6 @@ def exp_ground(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
 
 def exp_levels(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     spec = pipe.spec
-    rep.lam1_inf = pipe.lam1_inf
     rep.lam1 = pipe.descent.level
     rep.lam_sharp = lambda_sharp(rep.lam1, rep.lam1_inf, spec.p)
     rep.lam2 = pipe.lam2
@@ -218,7 +222,7 @@ def exp_levels(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     autonomous = spec.W.family == "zero"
     rep.verdicts.append(verdict(
         "sandwich-autonomous", autonomous,
-        0.02 - abs(rep.lam2.upper - rep.lam2.lam2inf_target) / rep.lam2.lam2inf_target,
+        0.02 - abs(rep.lam2.upper - rep.lam2inf_target) / rep.lam2inf_target,
         "two-bump upper bound brackets 2^sigma lam1_inf"))
     rep.verdicts.append(verdict(
         "cross-oracle-ground", autonomous,
@@ -237,9 +241,7 @@ def exp_levels(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
 
 
 def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
-    spec = pipe.spec
-    rep.lam1_inf = pipe.lam1_inf
-    target = 2.0 ** spec.sigma * rep.lam1_inf
+    target = rep.lam2inf_target
     scans = pipe.gamma_r_scans
     maxima = {R: float(energies.max()) for R, (_, energies) in scans.items()}
     rep.extras["gamma_r_maxima"] = {str(R): m for R, m in maxima.items()}
@@ -266,14 +268,13 @@ def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
 
 def exp_symmetry(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     spec = pipe.spec
-    rep.lam1_inf = pipe.lam1_inf
     radial = lambda2_radial(pipe.excited_profile, pipe.w_dual_norm)
     rep.lam2_radial = radial
-    target = 2.0 ** spec.sigma * rep.lam1_inf
+    target = rep.lam2inf_target
     rep.verdicts.append(verdict(
         "radial-excited-above-lam2inf", True, radial.lam2r_inf - target,
         "1-node radial level strictly above 2^sigma lam1_inf"))
-    cond_gap = radial.w_dual_norm < radial.lam2r_inf - target
+    cond_gap = rep.w_dual_norm < radial.lam2r_inf - target
     rep.extras["radial_gap_condition"] = cond_gap
     if cond_gap and spec.W.family != "zero":
         rep.lam1 = pipe.descent.level

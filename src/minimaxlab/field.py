@@ -107,20 +107,6 @@ def nodal_domains(u: GridFunction) -> NodalLabeling:
     return NodalLabeling(labels=labels, count=count)
 
 
-def layer_separated(u1: GridFunction, u2: GridFunction) -> bool:
-    """True if the supports {|u| > 1e-12} are separated by at least one zero node layer.
-
-    Under face adjacency this makes the link-based energy exactly additive.
-    """
-    s1 = np.abs(u1.values) > 1e-12
-    s2 = np.abs(u2.values) > 1e-12
-    if np.any(s1 & s2):
-        return False
-    structure = ndimage.generate_binary_structure(u1.grid.N, 1)
-    grown = ndimage.binary_dilation(s1, structure=structure)
-    return not np.any(grown & s2)
-
-
 # --- serialization -----------------------------------------------------------
 
 _MAGIC = b"GFB1"

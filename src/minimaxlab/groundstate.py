@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import Grid, ProblemSpec, lp_mass, potential_values
+from .domain import Grid, lp_mass
 from .energy import _energy, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
@@ -249,13 +249,12 @@ class DescentResult:
     restarted_from_abs: bool = False
 
 
-def _descend(u0: np.ndarray, V: np.ndarray, spec: ProblemSpec, grid,
+def _descend(u0: np.ndarray, V: np.ndarray, p: float, grid,
              tol: float, max_iter: int, level_floor: float) -> DescentResult:
     """Projected descent on the constraint sphere with Barzilai-Borwein steps
     and backtracking, retraction by L^p normalization."""
     h = grid.h
     weight = grid.weight
-    p = spec.p
 
     def norm_p(v):
         return lp_mass(v, p, weight) ** (1.0 / p)
@@ -292,25 +291,23 @@ def _descend(u0: np.ndarray, V: np.ndarray, spec: ProblemSpec, grid,
     return DescentResult(GridFunction(grid, u), J, gn, it, False)
 
 
-def minimize_lambda1(spec: ProblemSpec, grid: Grid, tol: float = DESCENT_TOL,
-                     seed_profile: RadialProfile | None = None,
+def minimize_lambda1(V: np.ndarray, p: float, grid: Grid, tol: float = DESCENT_TOL,
+                     seed: GridFunction | None = None,
                      level_floor: float = -1e6) -> DescentResult:
-    """Constrained minimization of J on `grid` (built from `spec`): returns
-    (w1, lambda_1).
+    """Constrained minimization of J on `grid`, with V = Vinf - W on it:
+    returns (w1, lambda_1).
 
-    Seeded with the interpolated shooting profile when provided, otherwise a
-    Gaussian bump. The minimizer is asserted nonnegative post hoc; a signed
-    iterate triggers one restart from its absolute value.
+    Starts from the on-grid `seed` when given (the pipeline passes the
+    interpolated shooting profile), otherwise from a Gaussian bump. The
+    minimizer is asserted nonnegative post hoc; a signed iterate triggers one
+    restart from its absolute value.
     """
     max_iter = 100_000
-    V = potential_values(spec, grid)
-    if seed_profile is not None:
-        u0 = profile_on_grid(seed_profile, grid)
-    else:
-        u0 = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
-    res = _descend(u0.values, V, spec, grid, tol, max_iter, level_floor)
+    if seed is None:
+        seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
+    res = _descend(seed.values, V, p, grid, tol, max_iter, level_floor)
     if np.min(res.minimizer.values) < -1e-8:
-        res = _descend(np.abs(res.minimizer.values), V, spec, grid, tol, max_iter, level_floor)
+        res = _descend(np.abs(res.minimizer.values), V, p, grid, tol, max_iter, level_floor)
         res.restarted_from_abs = True
     if not res.converged:
         raise DescentError(f"descent did not reach tol {tol} in {max_iter} iterations "

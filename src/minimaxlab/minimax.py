@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import ProblemSpec, potential_values
 from .field import GridFunction
-from .groundstate import DecayFit, RadialProfile, profile_on_grid
+from .groundstate import DecayFit, RadialProfile
 from .pathlab import THETA_SAMPLES, path_max_J, translated_bump_path
 
 Y_SWEEP = (4.0, 6.0, 8.0, 10.0, 12.0)  # two-bump translations; also the config default
@@ -36,27 +35,24 @@ class Lambda2Bounds:
     lower: float
     upper: float
     witness_y: float
-    lam_sharp: float
-    lam2inf_target: float
-    w_dual_norm: float
     small_well_condition: bool
     sweep: list[dict] = field(default_factory=list)
     crossing_flagged: bool = False
 
 
-def lambda2_bounds(spec: ProblemSpec, w1: GridFunction, l1: float,
-                   winf_profile: RadialProfile, l1inf: float, wnorm: float,
+def lambda2_bounds(V: np.ndarray, p: float, w1: GridFunction, l1: float,
+                   winf: GridFunction, l1inf: float, wnorm: float,
                    y_sweep=Y_SWEEP, samples: int = THETA_SAMPLES) -> Lambda2Bounds:
-    """Assemble the certified interval for the second level; `wnorm` is |W|_q
-    on the grid of w1.
+    """Assemble the certified interval for the second level; V = Vinf - W,
+    the translated ground state `winf` and `wnorm` = |W|_q all live on the
+    grid of w1.
 
     Lower bound: balanced-point mechanism (2^sigma l1 when l1 > 0) and, when
     the dual-norm condition applies, 2^sigma l1inf - |W|_q. Upper bound: best
-    two-bump path max over lattice translations of the autonomous ground
-    state along the first axis.
+    two-bump path max over lattice translations of winf along the first axis.
     """
     grid = w1.grid
-    sigma = spec.sigma
+    sigma = (p - 2.0) / p
     cond = l1 > 0 and wnorm < (2.0 ** sigma - 1.0) * l1inf
 
     candidates = [l1]
@@ -66,26 +62,21 @@ def lambda2_bounds(spec: ProblemSpec, w1: GridFunction, l1: float,
         candidates.append(2.0 ** sigma * l1inf - wnorm)
     lower = max(candidates)
 
-    winf = profile_on_grid(winf_profile, grid)
-    V = potential_values(spec, grid)
     upper = math.inf
     witness = math.nan
     sweep = []
     for y in y_sweep:
         vec = np.zeros(grid.N)
         vec[0] = y
-        path = translated_bump_path(w1, winf, vec, spec.p)
-        mx, th = path_max_J(path, V, samples)
-        sweep.append({"y": float(y), "path_max": mx, "theta_max": th})
+        path = translated_bump_path(w1, winf, vec, p)
+        mx, _ = path_max_J(path, V, samples)
+        sweep.append({"y": float(y), "path_max": mx})
         if mx < upper:
             upper, witness = mx, float(y)
 
-    lam_sharp = lambda_sharp(l1, l1inf, spec.p)
     return Lambda2Bounds(
-        lower=lower, upper=upper, witness_y=witness, lam_sharp=lam_sharp,
-        lam2inf_target=2.0 ** sigma * l1inf, w_dual_norm=wnorm,
-        small_well_condition=cond, sweep=sweep,
-        crossing_flagged=lower > upper + 1e-6,
+        lower=lower, upper=upper, witness_y=witness, small_well_condition=cond,
+        sweep=sweep, crossing_flagged=lower > upper + 1e-6,
     )
 
 
@@ -94,7 +85,6 @@ class RadialSecondLevel:
     lam2r_inf: float
     lam2r_lower: float
     lam2r_upper: float
-    w_dual_norm: float
 
 
 def lambda2_radial(excited_profile: RadialProfile, wnorm: float) -> RadialSecondLevel:
@@ -108,8 +98,7 @@ def lambda2_radial(excited_profile: RadialProfile, wnorm: float) -> RadialSecond
     lam2r_inf = excited_profile.level
     return RadialSecondLevel(lam2r_inf=lam2r_inf,
                              lam2r_lower=lam2r_inf - wnorm,
-                             lam2r_upper=lam2r_inf + wnorm,
-                             w_dual_norm=wnorm)
+                             lam2r_upper=lam2r_inf + wnorm)
 
 
 @dataclass
@@ -158,13 +147,18 @@ class LevelsReport:
             return 2.0 ** self.sigma * max(0.0, self.lam1_inf - self.lam1)
         return 0.0
 
+    @property
+    def lam2inf_target(self) -> float:
+        """2^sigma lam1_inf, the autonomous second level."""
+        return 2.0 ** self.sigma * self.lam1_inf
+
     def interval_margin(self) -> float:
         """Margin of lam2.lower <= lam2.upper within the discretization allowance."""
         return self.lam2.upper + self.discretization_allowance() - self.lam2.lower + 1e-6
 
     def chain_margin(self) -> float:
         """Margin of the threshold chain lam1_inf <= lam_sharp <= 2^sigma lam1_inf."""
-        lo, hi = self.lam1_inf, 2.0 ** self.sigma * self.lam1_inf
+        lo, hi = self.lam1_inf, self.lam2inf_target
         return min(self.lam_sharp - lo, hi - self.lam_sharp) + 1e-9
 
     def check_invariants(self) -> list[str]:

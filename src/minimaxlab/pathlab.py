@@ -12,7 +12,6 @@ path search this closed form.
 from __future__ import annotations
 
 import math
-import warnings
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -20,8 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from .domain import lp_mass
 from .energy import _energy, _laplacian, mass_I
-from .field import (GridFunction, layer_separated, lp_normalize,
-                    nodal_domains, split_signs, translate)
+from .field import GridFunction, lp_normalize, nodal_domains, split_signs, translate
 
 
 THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config default
@@ -282,11 +280,7 @@ def balanced_point(path, p: float) -> tuple[GridFunction, float]:
 def translated_bump_path(w1: GridFunction, winf: GridFunction, y,
                          p: float) -> PathFamily:
     """Two-bump path between w1 and the normalized translate of winf by y."""
-    shifted = lp_normalize(translate(winf, y), p)
-    if not layer_separated(w1, shifted):
-        warnings.warn("two-bump path blocks overlap numerically; the closed-form "
-                      "maximum will not apply exactly", stacklevel=2)
-    return PathFamily(w1, shifted, p)
+    return PathFamily(w1, lp_normalize(translate(winf, y), p), p)
 
 
 def overlap_integrals(w1: GridFunction, winf: GridFunction, y, p: float) -> tuple[float, float]:

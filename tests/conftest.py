@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from minimaxlab import (ProblemSpec, WSpec, build_grid, dual_norm_W, fit_decay,
-                        lambda2_bounds, minimize_lambda1, profile_on_grid,
-                        shoot_excited, shoot_ground)
+                        lambda2_bounds, lambda_sharp, minimize_lambda1,
+                        profile_on_grid, shoot_excited, shoot_ground)
+from minimaxlab.domain import potential_values
 
 DESK = dict(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125)
 
@@ -51,27 +52,33 @@ def winf0(ground_profile, grid0):
 
 
 @pytest.fixture(scope="session")
-def descent0(spec0):
-    return minimize_lambda1(spec0, build_grid(spec0))
+def descent0(spec0, grid0):
+    return minimize_lambda1(potential_values(spec0, grid0), spec0.p, grid0)
 
 
 @pytest.fixture(scope="session")
-def descent_exp(spec_exp, ground_profile):
-    return minimize_lambda1(spec_exp, build_grid(spec_exp), seed_profile=ground_profile)
+def descent_exp(spec_exp, grid0, winf0):
+    return minimize_lambda1(potential_values(spec_exp, grid0), spec_exp.p, grid0, seed=winf0)
 
 
 @pytest.fixture(scope="session")
-def lam2_0(spec0, descent0, ground_profile):
-    return lambda2_bounds(spec0, descent0.minimizer, descent0.level,
-                          ground_profile, ground_profile.level,
-                          dual_norm_W(spec0, descent0.minimizer.grid))
+def lam_sharp_exp(descent_exp, ground_profile):
+    """Compactness threshold of the penalized desk problem."""
+    return lambda_sharp(descent_exp.level, ground_profile.level, 4.0)
 
 
 @pytest.fixture(scope="session")
-def lam2_exp(spec_exp, descent_exp, ground_profile):
-    return lambda2_bounds(spec_exp, descent_exp.minimizer, descent_exp.level,
-                          ground_profile, ground_profile.level,
-                          dual_norm_W(spec_exp, descent_exp.minimizer.grid))
+def lam2_0(spec0, grid0, descent0, winf0, ground_profile):
+    return lambda2_bounds(potential_values(spec0, grid0), spec0.p,
+                          descent0.minimizer, descent0.level,
+                          winf0, ground_profile.level, dual_norm_W(spec0, grid0))
+
+
+@pytest.fixture(scope="session")
+def lam2_exp(spec_exp, grid0, descent_exp, winf0, ground_profile):
+    return lambda2_bounds(potential_values(spec_exp, grid0), spec_exp.p,
+                          descent_exp.minimizer, descent_exp.level,
+                          winf0, ground_profile.level, dual_norm_W(spec_exp, grid0))
 
 
 @pytest.fixture

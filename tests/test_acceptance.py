@@ -78,10 +78,10 @@ def test_A4_closed_form_exactness(rng):
              f"worst abs deviation {worst:.2e} over 20 triples, 3 sign cases")
 
 
-def test_A5_penalty_scenario(descent_exp, lam2_exp, ground_profile):
+def test_A5_penalty_scenario(descent_exp, lam2_exp, lam_sharp_exp, ground_profile):
     margin_tol = 10.0 * DESCENT_TOL
     drop = ground_profile.level - descent_exp.level
-    gap = lam2_exp.lam_sharp - lam2_exp.upper
+    gap = lam_sharp_exp - lam2_exp.upper
     _verdict("A5 penalty scenario", drop > margin_tol and gap > margin_tol,
              f"lam1 drop {drop:.4f}, threshold gap {gap:.4f}, "
              f"tol {margin_tol:.1e}")
@@ -100,11 +100,12 @@ def test_A6_gamma_map(gamma_scans, ground_profile):
              f"within slack {slack:.2e}")
 
 
-def test_A7_symmetry_breaking(excited_profile, ground_profile, lam2_exp):
+def test_A7_symmetry_breaking(excited_profile, ground_profile, lam2_exp, spec_exp, grid0):
     target = 2.0 ** 0.5 * ground_profile.level
     witness_margin = excited_profile.level - target
-    cond = lam2_exp.w_dual_norm < excited_profile.level - target
-    lam2r_lower = excited_profile.level - lam2_exp.w_dual_norm
+    wnorm = dual_norm_W(spec_exp, grid0)
+    cond = wnorm < excited_profile.level - target
+    lam2r_lower = excited_profile.level - wnorm
     certified = lam2_exp.upper < lam2r_lower
     _verdict("A7 symmetry breaking", witness_margin > 0 and cond and certified,
              f"radial witness margin {witness_margin:.4f}; "
@@ -149,8 +150,7 @@ def test_A10_balanced_point_mechanism(spec0, spec_exp, descent0, descent_exp,
         for row in lam2.sweep:
             vec = np.zeros(grid.N)
             vec[0] = row["y"]
-            with pytest.warns(UserWarning):
-                path = translated_bump_path(descent.minimizer, winf, vec, spec.p)
+            path = translated_bump_path(descent.minimizer, winf, vec, spec.p)
             _, theta = balanced_point(path, spec.p)
             if not (0.0 <= theta <= math.pi):
                 ok = False

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import minimaxlab
-from minimaxlab import cli, domain
+from minimaxlab import cli, domain, groundstate, minimax
 from minimaxlab.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                             config_from_mapping, load_config, main, run)
 from minimaxlab.domain import ProblemSpec
@@ -176,16 +176,22 @@ def test_gamma_r_in_3d(tmp_path):
 
 
 def test_verify_all_evaluates_V_a_fixed_number_of_times(tmp_path, monkeypatch):
-    # V and |W|_q come from the pipeline, so more translations or radii add
-    # no evaluation of W
-    calls = []
-    eval_W = domain.eval_W
+    # V, |W|_q and the on-grid ground state come from the pipeline: W is
+    # evaluated for V and for |W|_q, and the profile is interpolated once,
+    # however many translations or radii the run has
+    calls = {"eval_W": 0, "profile_on_grid": 0}
 
-    def counting(*args):
-        calls.append(1)
-        return eval_W(*args)
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
 
-    monkeypatch.setattr(domain, "eval_W", counting)
+    monkeypatch.setattr(domain, "eval_W", counting("eval_W", domain.eval_W))
+    for module in (cli, groundstate, minimax):
+        if hasattr(module, "profile_on_grid"):
+            monkeypatch.setattr(module, "profile_on_grid",
+                                counting("profile_on_grid", module.profile_on_grid))
     counts = []
     for y_sweep, r_list in (("3,4", "3,5"), ("3,4,5", "3,5,6")):
         cfg = config_from_mapping({**COARSE, "w_family": "exponential", "w_c": "0.5",
@@ -193,10 +199,32 @@ def test_verify_all_evaluates_V_a_fixed_number_of_times(tmp_path, monkeypatch):
                                    "out_dir": str(tmp_path / r_list), "y_sweep": y_sweep,
                                    "theta_samples": "64", "r_list": r_list,
                                    "sphere_samples": "8"})
-        calls.clear()
+        calls.update(eval_W=0, profile_on_grid=0)
         run(cfg)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append(dict(calls))
+    assert counts == [{"eval_W": 2, "profile_on_grid": 1}] * 2
+
+
+def test_report_hash_ignores_the_argmax_angle(tmp_path, monkeypatch):
+    # the argmax of a flat path maximum is fixed only to about sqrt(eps), so
+    # the hashed report holds the maxima and not their angles
+    def levels_hash(out):
+        cfg = config_from_mapping({**COARSE, "w_family": "exponential", "w_c": "0.5",
+                                   "w_a": "0.5", "experiment": "levels",
+                                   "out_dir": str(tmp_path / out), "y_sweep": "3,4",
+                                   "theta_samples": "64"})
+        run(cfg)
+        return report_of(tmp_path / out)["report_hash"]
+
+    plain = levels_hash("plain")
+    path_max_J = minimax.path_max_J
+
+    def moved(*args):
+        mx, theta = path_max_J(*args)
+        return mx, theta + 1e-10
+
+    monkeypatch.setattr(minimax, "path_max_J", moved)
+    assert levels_hash("moved") == plain
 
 
 def test_levels_in_3d(tmp_path):

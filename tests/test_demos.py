@@ -1,6 +1,6 @@
-"""Every name a demo imports from minimaxlab resolves, and every keyword
-argument a demo passes to such a name is one of its parameters; no demo is
-executed."""
+"""Every name a demo imports from minimaxlab resolves, and every call a demo
+makes to such a name binds to its signature (positional count and keyword
+names); no demo is executed."""
 
 import ast
 import importlib
@@ -27,7 +27,8 @@ def test_demo_imports_resolve(demo):
     for call in ast.walk(tree):
         if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) \
                 and call.func.id in imported:
-            params = inspect.signature(imported[call.func.id]).parameters
-            for kw in call.keywords:
-                assert kw.arg is None or kw.arg in params, \
-                    f"{demo.name}:{call.lineno}: {call.func.id}() has no parameter {kw.arg!r}"
+            try:
+                inspect.signature(imported[call.func.id]).bind(
+                    *call.args, **{kw.arg: kw.value for kw in call.keywords})
+            except TypeError as exc:
+                pytest.fail(f"{demo.name}:{call.lineno}: {call.func.id}(): {exc}")

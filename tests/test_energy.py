@@ -183,10 +183,10 @@ class TestOneEnergyKernel:
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(well)
         V = potential_values(well, grid)
-        res = minimize_lambda1(well, grid, seed_profile=ground_profile)
+        winf = profile_on_grid(ground_profile, grid)
+        res = minimize_lambda1(V, well.p, grid, seed=winf)
         assert res.level == energy_J(res.minimizer, well).total
 
-        winf = profile_on_grid(ground_profile, grid)
         path = translated_bump_path(res.minimizer, winf, (4.0, 0.0), well.p)
         mx, theta = path_max_J(path, V, samples=64)
         assert mx == energy_J(path.at(theta), well).total

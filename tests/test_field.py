@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from minimaxlab import (GridFunction, ProblemSpec, build_grid, lp_norm,
                         lp_normalize, nodal_domains, split_signs, translate)
-from minimaxlab.field import (FieldError, layer_separated, load_gridfunction,
+from minimaxlab.field import (FieldError, load_gridfunction,
                               save_gridfunction)
 from minimaxlab.energy import mass_I
 
@@ -172,18 +172,6 @@ class TestNodalDomains:
         lab = nodal_domains(u)
         assert lab.count == 2
         assert np.all((lab.labels > 0) == (np.abs(u.values) > 0))
-
-
-class TestLayerSeparated:
-    def test_disjoint_bumps(self, grid):
-        a = compact_bump(grid, (-2, 0), radius=1.0)
-        b = compact_bump(grid, (2, 0), radius=1.0)
-        assert layer_separated(a, b)
-
-    def test_touching_supports(self, grid):
-        a = compact_bump(grid, (-1, 0), radius=1.0)
-        b = compact_bump(grid, (0.875, 0), radius=1.0)
-        assert not layer_separated(a, b)
 
 
 class TestSerialization:

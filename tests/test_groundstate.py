@@ -6,6 +6,7 @@ import pytest
 from minimaxlab import (ProblemSpec, WSpec, build_grid, energy_J, fit_decay,
                         lp_norm, mass_I, minimize_lambda1, shoot_excited,
                         shoot_ground)
+from minimaxlab.domain import potential_values
 from minimaxlab.energy import euler_lagrange_residual
 from minimaxlab.groundstate import (DescentError, ShootingError,
                                     translation_tail_bound)
@@ -150,22 +151,23 @@ class TestMinimizeLambda1:
     def test_penalty_lowers_level(self, descent0, descent_exp):
         assert descent_exp.level < descent0.level
 
-    def test_profile_seed_agrees_with_gaussian_seed(self, spec0, descent0,
-                                                    ground_profile):
-        seeded = minimize_lambda1(spec0, build_grid(spec0), seed_profile=ground_profile)
+    def test_profile_seed_agrees_with_gaussian_seed(self, spec0, grid0, descent0, winf0):
+        seeded = minimize_lambda1(potential_values(spec0, grid0), spec0.p, grid0, seed=winf0)
         assert seeded.level == pytest.approx(descent0.level, rel=1e-9)
 
     def test_coarse_grid_converges_fast(self):
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25)
-        res = minimize_lambda1(spec, build_grid(spec))
+        grid = build_grid(spec)
+        res = minimize_lambda1(potential_values(spec, grid), spec.p, grid)
         assert res.converged
         assert res.level == pytest.approx(LAM1_INF, rel=2e-2)
 
     def test_level_floor_triggers(self):
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
+        grid = build_grid(spec)
         with pytest.raises(DescentError):
-            minimize_lambda1(spec, build_grid(spec), level_floor=100.0)
+            minimize_lambda1(potential_values(spec, grid), spec.p, grid, level_floor=100.0)
 
 
 class TestTranslationTailBound:

@@ -44,13 +44,13 @@ class TestLambda2Bounds:
         # two-bump upper bound sits within two percent of the doubling level
         assert lam2_0.upper == pytest.approx(target, rel=2e-2)
 
-    def test_condition_flag_autonomous(self, lam2_0):
+    def test_condition_flag_autonomous(self, lam2_0, spec0, grid0):
         # W = 0 always satisfies the dual-norm smallness condition
         assert lam2_0.small_well_condition
-        assert lam2_0.w_dual_norm == 0.0
+        assert dual_norm_W(spec0, grid0) == 0.0
 
-    def test_penalized_upper_below_threshold(self, lam2_exp):
-        assert lam2_exp.upper < lam2_exp.lam_sharp
+    def test_penalized_upper_below_threshold(self, lam2_exp, lam_sharp_exp):
+        assert lam2_exp.upper < lam_sharp_exp
         assert lam2_exp.small_well_condition
 
     def test_sweep_records_all_offsets(self, lam2_exp):
@@ -60,21 +60,22 @@ class TestLambda2Bounds:
         best = min(row["path_max"] for row in lam2_exp.sweep)
         assert lam2_exp.upper == best
 
-    def test_threshold_chain(self, lam2_exp, ground_profile):
+    def test_threshold_chain(self, lam_sharp_exp, ground_profile):
         l1inf = ground_profile.level
-        assert l1inf - 1e-9 <= lam2_exp.lam_sharp <= 2.0 ** 0.5 * l1inf + 1e-9
+        assert l1inf - 1e-9 <= lam_sharp_exp <= 2.0 ** 0.5 * l1inf + 1e-9
 
 
 class TestLambda2Radial:
     def test_autonomous(self, spec0, excited_profile):
         rb = lambda2_radial(excited_profile, 0.0)
         assert rb.lam2r_lower == rb.lam2r_inf == rb.lam2r_upper
-        assert rb.w_dual_norm == 0.0
+        assert rb.lam2r_upper - rb.lam2r_lower == 0.0
 
     def test_penalized_interval(self, spec_exp, excited_profile):
-        rb = lambda2_radial(excited_profile, dual_norm_W(spec_exp, build_grid(spec_exp)))
+        wnorm = dual_norm_W(spec_exp, build_grid(spec_exp))
+        rb = lambda2_radial(excited_profile, wnorm)
         assert rb.lam2r_lower < rb.lam2r_inf < rb.lam2r_upper
-        assert rb.lam2r_upper - rb.lam2r_lower == pytest.approx(2 * rb.w_dual_norm)
+        assert rb.lam2r_upper - rb.lam2r_lower == pytest.approx(2 * wnorm)
 
     def test_rejects_wrong_node_count(self, spec0, ground_profile):
         with pytest.raises(ValueError):
@@ -95,10 +96,10 @@ class TestVerdictsAndReport:
         rep.verdicts.append(Verdict("c", "fail", -1.0))
         assert not rep.all_pass()
 
-    def test_invariant_checks(self, lam2_exp, ground_profile):
-        rep = LevelsReport(sigma=0.5, q=2.0, w_dual_norm=lam2_exp.w_dual_norm,
+    def test_invariant_checks(self, lam2_exp, lam_sharp_exp, ground_profile, spec_exp, grid0):
+        rep = LevelsReport(sigma=0.5, q=2.0, w_dual_norm=dual_norm_W(spec_exp, grid0),
                            lam1_inf=ground_profile.level,
-                           lam_sharp=lam2_exp.lam_sharp, lam2=lam2_exp)
+                           lam_sharp=lam_sharp_exp, lam2=lam2_exp)
         assert rep.check_invariants() == []
 
     def test_invariant_violations_reported(self):

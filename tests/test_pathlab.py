@@ -13,8 +13,7 @@ from minimaxlab.pathlab import (MIN_THETA_SAMPLES, THETA_SAMPLES, PathError,
                                 balanced_point, disjoint_support_max, gamma_R,
                                 nodal_sphere_map, overlap_integrals,
                                 path_max_J, path_max_from_energies,
-                                sphere_points, translated_bump_path,
-                                two_block_energy)
+                                sphere_points, two_block_energy)
 
 
 @pytest.fixture(scope="module")
@@ -193,19 +192,6 @@ class TestBalancedPoint:
         u, theta = balanced_point(PathFamily(u1, u2, 4.0), 4.0)
         assert theta == 0.0
         assert np.array_equal(u.values, u1.values)
-
-
-class TestTranslatedBumpPath:
-    def test_compact_blocks_no_warning(self, grid, left, right, recwarn):
-        path = translated_bump_path(left, left, (8.0, 0.0), 4.0)
-        assert isinstance(path, PathFamily)
-        assert not [w for w in recwarn.list if "overlap" in str(w.message)]
-
-    def test_tail_overlap_warns(self, winf0):
-        # full-support profiles always overlap numerically; the path is still built
-        with pytest.warns(UserWarning, match="overlap"):
-            path = translated_bump_path(winf0, winf0, (12.0, 0.0), 4.0)
-        assert isinstance(path, PathFamily)
 
 
 class TestOverlapIntegrals:
