@@ -58,6 +58,9 @@ class ExperimentConfig:
                               f"got {self.theta_samples}")
         if self.sphere_samples < 2:
             raise ConfigError(f"sphere_samples must be at least 2, got {self.sphere_samples}")
+        if self.sphere_samples % 2:
+            raise ConfigError("sphere_samples must be even (antipodal pairs), "
+                              f"got {self.sphere_samples}")
         if self.experiment in ("gamma-r", "verify-all"):
             outside = [R for R in self.r_list if not 0.0 < R < self.spec.L]
             if outside:

@@ -86,16 +86,23 @@ class DecayFit:
     residual: float
 
 
-def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float):
+def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float,
+               k: int | None = None):
     """Fixed-step RK4 from r = dr/10 with the even-symmetry series start.
 
     Returns (w samples, sign changes). Stops once |w| exceeds twice the
     central value, which signals departure from the separatrix; the samples
     past that point repeat the last value.
-    """
-    def f(r, w, v):
-        return v, (Vinf * w - math.copysign(abs(w) ** (p - 1), w)) - (N - 1) / r * v
 
+    With `k` given, only the bit `sign changes > k` is wanted, and the
+    integration returns as soon as it is decided, with the samples up to
+    there: at the (k+1)-th sign change, or once the energy
+    E = v^2/2 - Vinf w^2/2 + |w|^p/p is negative. Along a solution
+    dE/dr = -(N-1)/r v^2 <= 0, and a sign change needs E = v^2/2 >= 0 at
+    w = 0, so after E < 0 no further sign change can happen.
+    """
+    early = k is not None
+    copysign = math.copysign
     blow = 2.0 * abs(b)
     r = dr / 10.0
     curv = Vinf * b - abs(b) ** (p - 1)  # w'' (0) * N from the series expansion
@@ -105,20 +112,30 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float):
     ws = np.empty(nsteps + 1)
     ws[0] = w
     zeros = 0
+    q, c = p - 1, N - 1  # w'' = Vinf w - |w|^q sign(w) - c/r w'
     half = dr / 2.0
     sixth = dr / 6.0
     for i in range(nsteps):
-        k1w, k1v = f(r, w, v)
-        k2w, k2v = f(r + half, w + half * k1w, v + half * k1v)
-        k3w, k3v = f(r + half, w + half * k2w, v + half * k2v)
-        k4w, k4v = f(r + dr, w + dr * k3w, v + dr * k3v)
-        wn = w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        vn = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        g = abs(w) ** q
+        if early and 0.5 * (v * v - Vinf * w * w) + g * abs(w) / p < 0.0:
+            return ws[:i + 1], zeros
+        a1 = (Vinf * w - copysign(g, w)) - c / r * v
+        rh = r + half
+        w2, v2 = w + half * v, v + half * a1
+        a2 = (Vinf * w2 - copysign(abs(w2) ** q, w2)) - c / rh * v2
+        w3, v3 = w + half * v2, v + half * a2
+        a3 = (Vinf * w3 - copysign(abs(w3) ** q, w3)) - c / rh * v3
+        w4, v4 = w + dr * v3, v + dr * a3
+        a4 = (Vinf * w4 - copysign(abs(w4) ** q, w4)) - c / (r + dr) * v4
+        wn = w + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        vn = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         r += dr
         if wn * w < 0.0:
             zeros += 1
         w, v = wn, vn
         ws[i + 1] = w
+        if early and zeros > k:
+            return ws[:i + 2], zeros
         if abs(w) > blow:
             ws[i + 2:] = w
             break
@@ -129,7 +146,7 @@ def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
     """Bisection on the central value for a decaying solution with k sign changes."""
     tol, dr, rmax, max_iter = 1e-14, 2e-3, 25.0, 200
     def overshoots(b):
-        _, zeros = _integrate(b, N, p, Vinf, dr, rmax)
+        _, zeros = _integrate(b, N, p, Vinf, dr, rmax, k)
         return zeros > k
 
     # Bracket: small central values never reach k+1 crossings, large ones do.

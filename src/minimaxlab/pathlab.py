@@ -301,11 +301,16 @@ def overlap_integrals(w1: GridFunction, winf: GridFunction, y, p: float) -> tupl
 class SphereMap:
     """Odd map from sampled S^(m-1) into the constraint sphere.
 
-    `rule(y)` evaluates the map at a unit vector y into fields on `grid`;
-    `points` is a sampling of the sphere closed under the antipodal map.
+    `rule(y)` evaluates the map at a unit vector y into fields on `grid`, with
+    rule(-y) = -rule(y) exactly (as for `gamma_R` and `SpanMap`); `points`
+    is a sampling of the sphere closed under the antipodal map, stored as
+    its first half followed by the negatives of that half.
     """
 
     def __init__(self, rule, points: np.ndarray, grid):
+        half = len(points) // 2
+        if len(points) % 2 or not np.array_equal(points[half:], -points[:half]):
+            raise PathError("sphere points must be a half followed by its negatives")
         self.rule = rule
         self.points = points
         self.grid = grid
@@ -318,32 +323,41 @@ class SphereMap:
         return self.rule(np.asarray(y, dtype=float))
 
     def scan(self, V: np.ndarray) -> np.ndarray:
-        """J at each of `points`, in order, with V = Vinf - W on the grid."""
+        """J at each of `points`, in order, with V = Vinf - W on the grid.
+
+        J(-u) = J(u), so one field per antipodal pair is built: the first
+        half of the points is evaluated and its values repeated.
+        """
         J = _energy_of(V, self.grid)
-        return np.array([J(self.at(y)) for y in self.points])
+        half = np.array([J(self.at(y)) for y in self.points[:len(self.points) // 2]])
+        return np.concatenate([half, half])
 
     def max_energy(self, V: np.ndarray) -> float:
         return float(np.max(self.scan(V)))
 
 
 def sphere_points(m: int, samples: int) -> np.ndarray:
-    """Sampling of S^(m-1) closed under y -> -y.
+    """Sampling of S^(m-1) closed under y -> -y: samples / 2 directions, then
+    their negatives; `samples` must be even.
 
-    Uniform angles for m = 2; a symmetrized Fibonacci sphere for m = 3.
+    Uniform angles on a half circle for m = 2; a Fibonacci sphere for m = 3.
     """
+    if m not in (2, 3):
+        raise PathError("sphere sampling implemented for m = 2 and m = 3")
+    if samples % 2:
+        raise PathError(f"sphere samples must be even, got {samples}")
+    half = samples // 2
+    k = np.arange(half)
     if m == 2:
-        angles = 2.0 * math.pi * np.arange(samples) / samples
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    if m == 3:
-        half = samples // 2
-        k = np.arange(half)
+        angles = 2.0 * math.pi * k / samples
+        pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         z = (2.0 * k + 1.0) / half - 1.0
         phi = 2.0 * math.pi * k / golden
         rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         pts = np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
-        return np.concatenate([pts, -pts], axis=0)
-    raise PathError("sphere sampling implemented for m = 2 and m = 3")
+    return np.concatenate([pts, -pts], axis=0)
 
 
 def gamma_R(winf: GridFunction, R: float, p: float,

@@ -316,6 +316,7 @@ class TestMain:
 
     @pytest.mark.parametrize("override, message", [
         ("sphere_samples=0", "sphere_samples must be at least 2"),
+        ("sphere_samples=7", "sphere_samples must be even"),
         ("r_list=3,8", "r_list radii must lie in (0, box_l = 8.0)")])
     def test_bad_gamma_r_settings_rejected_before_any_work(self, tmp_path, capsys,
                                                            monkeypatch, override, message):

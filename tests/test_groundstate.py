@@ -8,6 +8,7 @@ from minimaxlab import (ProblemSpec, WSpec, build_grid, energy_J, fit_decay,
                         shoot_ground)
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import euler_lagrange_residual
+from minimaxlab import groundstate
 from minimaxlab.groundstate import (DescentError, ShootingError,
                                     translation_tail_bound)
 
@@ -57,6 +58,11 @@ class TestShootGround:
         assert ground_profile.w0 == 2.206200864635747
         assert ground_profile.level == 4.837534542916699
 
+    def test_pinned_bits_n3(self):
+        prof = shoot_ground(3, 4.0, 1.0)
+        assert prof.w0 == 4.337387680186037
+        assert prof.level == 8.694193729198068
+
     def test_memoized(self):
         a = shoot_ground(2, 4.0, 1.0)
         b = shoot_ground(2, 4.0, 1.0)
@@ -83,6 +89,10 @@ class TestShootExcited:
     def test_level_above_ground(self, ground_profile, excited_profile):
         assert excited_profile.level > ground_profile.level
 
+    def test_pinned_bits(self, excited_profile):
+        assert excited_profile.w0 == 3.331989266448716
+        assert excited_profile.level == 12.423585831487589
+
     def test_rejects_k_zero(self):
         with pytest.raises(ShootingError):
             shoot_excited(2, 4.0, 1.0, 0)
@@ -95,6 +105,31 @@ class TestShootExcited:
         signs = np.sign(w[np.abs(w) > 1e-12])
         flips = np.count_nonzero(np.diff(signs))
         assert flips == 1
+
+
+class TestEarlyDecision:
+    """Bisection integrates only until its bit `sign changes > k` is decided."""
+
+    @pytest.mark.parametrize("N, k", [(2, 0), (2, 1), (3, 0)])
+    def test_matches_full_integration_near_the_separatrix(self, monkeypatch, N, k):
+        full = groundstate._integrate
+        decided = []
+
+        def recording(*args):
+            ws, zeros = full(*args)
+            if len(args) == 7:  # a bisection call: (b, N, p, Vinf, dr, rmax, k)
+                decided.append((args[:6], zeros > args[6], len(ws)))
+            return ws, zeros
+
+        monkeypatch.setattr(groundstate, "_integrate", recording)
+        groundstate._shoot(N, 4.0, 1.0, k)
+        # the last midpoints lie nearest the separatrix, where the bit is hardest
+        for args, bit, n in decided[-8:]:
+            ws, zeros = full(*args)
+            assert (zeros > k) == bit
+            assert n < len(ws)
+        # far from the separatrix the bit is decided within a few steps
+        assert min(n for _, _, n in decided) < 100
 
 
 class TestFitDecay:

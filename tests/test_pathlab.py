@@ -9,7 +9,7 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import _energy
 from minimaxlab.pathlab import (MIN_THETA_SAMPLES, THETA_SAMPLES, PathError,
-                                PathFamily, SampledPath, SpanMap,
+                                PathFamily, SampledPath, SpanMap, SphereMap,
                                 balanced_point, disjoint_support_max, gamma_R,
                                 nodal_sphere_map, overlap_integrals,
                                 path_max_J, path_max_from_energies,
@@ -218,16 +218,31 @@ class TestSpherePoints:
         pts = sphere_points(2, 16)
         for y in pts:
             assert np.min(np.linalg.norm(pts + y, axis=1)) < 1e-12
+        # half the directions, then exactly their negatives
+        assert len(pts) == 16 and np.array_equal(pts[8:], -pts[:8])
 
     def test_antipodal_closure_m3(self):
         pts = sphere_points(3, 64)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
         for y in pts[:8]:
             assert np.min(np.linalg.norm(pts + y, axis=1)) < 1e-12
+        assert len(pts) == 64 and np.array_equal(pts[32:], -pts[:32])
 
     def test_unsupported_m(self):
         with pytest.raises(PathError):
             sphere_points(4, 16)
+
+    def test_odd_count_rejected(self):
+        for m, n in ((2, 7), (3, 9)):
+            with pytest.raises(PathError, match="even"):
+                sphere_points(m, n)
+
+    def test_sphere_map_rejects_unpaired_points(self, grid, left):
+        # scan repeats the first half for the second, so the order must pair them
+        pts = sphere_points(2, 8)
+        for bad in (pts[:7], pts[[0, 1, 2, 3, 5, 4, 6, 7]]):
+            with pytest.raises(PathError):
+                SphereMap(lambda y: left, bad, grid)
 
 
 class TestGammaR:
@@ -286,11 +301,11 @@ class TestNoProbeEvaluations:
     """Scans and path maxima read the grid from the map or path, so they
     evaluate only the points they report or search."""
 
-    def test_sphere_scan_calls_rule_once_per_direction(self, spec, grid, left):
+    def test_sphere_scan_calls_rule_once_per_antipodal_pair(self, spec, grid, left):
         sm = gamma_R(left, 3.0, 4.0, samples=8)
         sm.rule = counted(sm.rule)
         assert len(sm.scan(potential_values(spec, grid))) == 8
-        assert sm.rule.calls == 8
+        assert sm.rule.calls == 4
 
     def test_path_max_evaluates_angles_and_search_steps_only(self, spec, grid, left, right,
                                                               monkeypatch):
