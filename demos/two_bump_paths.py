@@ -19,6 +19,7 @@ from minimaxlab.pathlab import (PathFamily, balanced_point,
 
 spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.125)
 grid = build_grid(spec)
+V = potential_values(spec, grid)  # V = Vinf - W on the grid; W = 0 here
 x, y = grid.coords()
 
 
@@ -30,8 +31,8 @@ def bump(cx, cy, radius=1.5):
 
 left = bump(-4.0, 0.0)
 right = bump(4.0, 0.0, radius=2.0)
-J1 = energy_J(left, spec).total
-J2 = energy_J(right, spec).total
+J1 = energy_J(left, V)
+J2 = energy_J(right, V)
 print(f"block energies: J1 = {J1:.6f}, J2 = {J2:.6f}")
 
 closed = disjoint_support_max(J1, J2, spec.p)
@@ -40,7 +41,7 @@ print(f"closed-form extremal level  = {closed:.10f}")
 print(f"dense-sampling extremum     = {sampled:.10f}  (theta = {theta_s:.6f})")
 
 path = PathFamily(left, right, spec.p)
-mx, theta = path_max_J(path, potential_values(spec, grid))
+mx, theta = path_max_J(path, V)
 print(f"span path maximum           = {mx:.10f}  (theta = {theta:.6f})")
 print(f"agreement with closed form  = {abs(mx - closed):.2e}")
 

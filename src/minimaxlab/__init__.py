@@ -8,8 +8,8 @@ from .domain import (Grid, ProblemSpec, WSpec, build_grid, dual_norm_W,
                      eval_W)
 from .field import (GridFunction, NodalLabeling, lp_norm, lp_normalize,
                     nodal_domains, split_signs, translate)
-from .energy import (EnergyBreakdown, deviation_bound, energy_J,
-                     euler_lagrange_residual, manifold_gradient, mass_I)
+from .energy import (deviation_bound, energy_J, euler_lagrange_residual,
+                     manifold_gradient, mass_I)
 from .groundstate import (DecayFit, RadialProfile, fit_decay,
                           minimize_lambda1, profile_on_grid, shoot_excited,
                           shoot_ground)

@@ -61,11 +61,21 @@ class ExperimentConfig:
         if self.sphere_samples % 2:
             raise ConfigError("sphere_samples must be even (antipodal pairs), "
                               f"got {self.sphere_samples}")
+        L, h = self.spec.L, self.spec.h
+        if self.experiment in ("levels", "symmetry", "verify-all"):
+            # a translate by more than 2 box_l - 2 spacing_h keeps no interior node
+            bad = [y for y in self.y_sweep if abs(round(y / h) * h - y) > 1e-9 * max(1.0, h)
+                   or abs(round(y / h)) > 2 * round(L / h) - 2]
+            if bad:
+                raise ConfigError(f"y_sweep translations must be whole multiples of spacing_h "
+                                  f"= {h} with |y| <= 2 box_l - 2 spacing_h = {2 * L - 2 * h}, "
+                                  f"got {bad}")
         if self.experiment in ("gamma-r", "verify-all"):
-            outside = [R for R in self.r_list if not 0.0 < R < self.spec.L]
+            # R >= h gives every direction of S^(N-1), N <= 3, a nonzero lattice step
+            outside = [R for R in self.r_list if not h <= R < L]
             if outside:
-                raise ConfigError(f"r_list radii must lie in (0, box_l = {self.spec.L}), "
-                                  f"got {outside}")
+                raise ConfigError(f"r_list radii must lie in (0, box_l = {L}) and be at "
+                                  f"least spacing_h = {h}, got {outside}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -301,7 +311,7 @@ def exp_verify_all(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     worst = math.inf
     for _ in range(100):
         u = lp_normalize(GridFunction(grid, rng.standard_normal(grid.shape)), pipe.spec.p)
-        dev = deviation_bound(u, pipe.spec, pipe.V)
+        dev = deviation_bound(u, pipe.V, pipe.spec.Vinf, pipe.spec.p)
         worst = min(worst, pipe.w_dual_norm + 1e-6 - dev)
     rep.verdicts.append(verdict("deviation-bound-random", True, worst,
                                 "|J - Jinf| <= |W|_q + 1e-6 over 100 seeded fields"))

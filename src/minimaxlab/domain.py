@@ -148,10 +148,9 @@ def build_grid(spec: ProblemSpec) -> Grid:
     return Grid(spec.N, spec.L, spec.h)
 
 
-def eval_W(spec: ProblemSpec, grid: Grid):
-    """Nodewise values of the perturbation W; the potential is Vinf - W."""
-    from .field import GridFunction, load_gridfunction
-
+def eval_W(spec: ProblemSpec, grid: Grid) -> np.ndarray:
+    """Nodewise values of the perturbation W, zero on the Dirichlet boundary;
+    the potential is Vinf - W."""
     w = spec.W
     if w.family == "zero":
         vals = np.zeros(grid.shape)
@@ -160,24 +159,23 @@ def eval_W(spec: ProblemSpec, grid: Grid):
     elif w.family == "bump":
         r = grid.radius()
         vals = np.where(r < w.a, w.c * (1.0 - (r / w.a) ** 2) ** 2, 0.0)
-    elif w.family == "table":
-        gf = load_gridfunction(w.table_path)
-        if gf.values.shape != grid.shape:
+    else:  # table; WSpec admits no other family
+        from .field import load_gridfunction
+
+        vals = load_gridfunction(w.table_path).values
+        if vals.shape != grid.shape:
             raise DomainError("tabulated W does not match the grid shape")
-        vals = gf.values
-    else:  # pragma: no cover - guarded by WSpec
-        raise DomainError(f"unknown W family {w.family!r}")
-    return GridFunction(grid, vals)
+    return zero_boundary(vals)
 
 
 def potential_values(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     """V = Vinf - W as a plain array (hot path for energy evaluations)."""
-    return spec.Vinf - eval_W(spec, grid).values
+    return spec.Vinf - eval_W(spec, grid)
 
 
 def dual_norm_W(spec: ProblemSpec, grid: Grid) -> float:
     """L^q norm of W with q = p/(p-2), the deviation bound of the level algebra."""
-    total = lp_mass(eval_W(spec, grid).values, spec.q, grid.weight)
+    total = lp_mass(eval_W(spec, grid), spec.q, grid.weight)
     if not math.isfinite(total):
         raise DomainError("quadrature of |W|^q overflowed")
     return total ** (1.0 / spec.q)

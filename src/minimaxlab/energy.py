@@ -7,33 +7,19 @@ keeping repeated runs bit-identical.
 
 The private array kernels (`_energy`, `_sphere_gradient`, `_laplacian`) take
 raw node arrays and a precomputed V; every energy, gradient and Laplacian in
-the package is evaluated through them.
+the package is evaluated through them. The public functions take fields and
+V = Vinf - W on their grid, never a problem specification: `energy_J(u, V)`
+is the one J of a field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .domain import ProblemSpec, lp_mass, potential_values, zero_boundary
+from .domain import lp_mass, zero_boundary
 from .field import FieldError, GridFunction
 
 ON_MANIFOLD_TOL = 1e-6
-
-
-@dataclass
-class EnergyBreakdown:
-    """J split into kinetic and potential parts, next to its autonomous value."""
-
-    kinetic: float
-    potential: float
-    total: float
-    autonomous: float
-
-    @property
-    def deviation(self) -> float:
-        return self.total - self.autonomous
 
 
 def _kinetic(v: np.ndarray, h: float) -> float:
@@ -81,39 +67,32 @@ def mass_I(u: GridFunction, p: float) -> float:
     return lp_mass(u.values, p, u.grid.weight)
 
 
-def _breakdown(u: GridFunction, V: np.ndarray, Vinf: float) -> EnergyBreakdown:
-    v, h = u.values, u.grid.h
-    kin = _kinetic(v, h)
-    pot = _potential(v, V, h)
-    mass2 = lp_mass(v, 2.0, u.grid.weight)
-    return EnergyBreakdown(kinetic=kin, potential=pot, total=kin + pot,
-                           autonomous=kin + Vinf * mass2)
+def _require_on_sphere(u: GridFunction, p: float):
+    m = mass_I(u, p)
+    if abs(m - 1.0) > ON_MANIFOLD_TOL:
+        raise FieldError(f"field is off the constraint sphere: I(u) = {m}")
 
 
-def energy_J(u: GridFunction, spec: ProblemSpec) -> EnergyBreakdown:
-    """J(u) = int |grad u|^2 + V u^2 with V = Vinf - W, plus the autonomous total."""
-    return _breakdown(u, potential_values(spec, u.grid), spec.Vinf)
+def energy_J(u: GridFunction, V: np.ndarray) -> float:
+    """J(u) = int |grad u|^2 + V u^2, with V = Vinf - W on u's grid."""
+    return _energy(u.values, V, u.grid.h)
 
 
-def euler_lagrange_residual(u: GridFunction, lam: float, spec: ProblemSpec) -> float:
+def euler_lagrange_residual(u: GridFunction, lam: float, V: np.ndarray, p: float) -> float:
     """Discrete L^2 norm of -Delta u + V u - lam |u|^(p-2) u (zero on the boundary)."""
-    V = potential_values(spec, u.grid)
-    g = _sphere_gradient(u.values, V, lam, spec.p, u.grid.h)
+    g = _sphere_gradient(u.values, V, lam, p, u.grid.h)
     return 0.5 * gradient_norm(GridFunction(u.grid, g))
 
 
-def manifold_gradient(u: GridFunction, spec: ProblemSpec) -> GridFunction:
+def manifold_gradient(u: GridFunction, V: np.ndarray, p: float) -> GridFunction:
     """Field representative of J'(u) - mu I'(u) with mu = (2/p) J(u).
 
     Vanishes exactly when u solves the discrete equation with lambda = J(u);
     its pairing with any direction v equals d/dt J(normalize(u + t v)) at t=0.
     """
-    m = mass_I(u, spec.p)
-    if abs(m - 1.0) > ON_MANIFOLD_TOL:
-        raise FieldError(f"field is off the constraint sphere: I(u) = {m}")
-    V = potential_values(spec, u.grid)
+    _require_on_sphere(u, p)
     v, h = u.values, u.grid.h
-    return GridFunction(u.grid, _sphere_gradient(v, V, _energy(v, V, h), spec.p, h))
+    return GridFunction(u.grid, _sphere_gradient(v, V, _energy(v, V, h), p, h))
 
 
 def gradient_norm(g: GridFunction) -> float:
@@ -126,12 +105,9 @@ def inner_l2(u: GridFunction, v: GridFunction) -> float:
     return float(np.sum(u.values * v.values) * u.grid.weight)
 
 
-def deviation_bound(u: GridFunction, spec: ProblemSpec, V: np.ndarray) -> float:
-    """|J(u) - Jinf(u)|, which never exceeds |W|_q on the sphere.
-
-    V = Vinf - W is evaluated once on u's grid by the caller.
-    """
-    m = mass_I(u, spec.p)
-    if abs(m - 1.0) > ON_MANIFOLD_TOL:
-        raise FieldError(f"field is off the constraint sphere: I(u) = {m}")
-    return abs(_breakdown(u, V, spec.Vinf).deviation)
+def deviation_bound(u: GridFunction, V: np.ndarray, Vinf: float, p: float) -> float:
+    """|J(u) - Jinf(u)| = |sum (V - Vinf) u^2 h^N|, which never exceeds |W|_q
+    on the sphere; the kinetic terms cancel, so only the potentials enter."""
+    _require_on_sphere(u, p)
+    v = u.values
+    return abs(_potential(v, V, u.grid.h) - Vinf * lp_mass(v, 2.0, u.grid.weight))

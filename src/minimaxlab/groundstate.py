@@ -267,11 +267,12 @@ class DescentResult:
 
 
 def _descend(u0: np.ndarray, V: np.ndarray, p: float, grid,
-             tol: float, max_iter: int, level_floor: float) -> DescentResult:
+             tol: float, max_iter: int) -> DescentResult:
     """Projected descent on the constraint sphere with Barzilai-Borwein steps
     and backtracking, retraction by L^p normalization."""
     h = grid.h
     weight = grid.weight
+    level_floor = -1e6  # a level below this means the descent is diverging
 
     def norm_p(v):
         return lp_mass(v, p, weight) ** (1.0 / p)
@@ -302,15 +303,14 @@ def _descend(u0: np.ndarray, V: np.ndarray, p: float, grid,
         g = _sphere_gradient(u, V, J, p, h)
         gn = float(np.sqrt(np.sum(g * g) * weight))
         if J < level_floor:
-            raise DescentError(f"level fell below the configured floor {level_floor}")
+            raise DescentError(f"level fell below the floor {level_floor}")
         if gn < tol:
             return DescentResult(GridFunction(grid, u), J, gn, it, True)
     return DescentResult(GridFunction(grid, u), J, gn, it, False)
 
 
 def minimize_lambda1(V: np.ndarray, p: float, grid: Grid, tol: float = DESCENT_TOL,
-                     seed: GridFunction | None = None,
-                     level_floor: float = -1e6) -> DescentResult:
+                     seed: GridFunction | None = None) -> DescentResult:
     """Constrained minimization of J on `grid`, with V = Vinf - W on it:
     returns (w1, lambda_1).
 
@@ -322,9 +322,9 @@ def minimize_lambda1(V: np.ndarray, p: float, grid: Grid, tol: float = DESCENT_T
     max_iter = 100_000
     if seed is None:
         seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
-    res = _descend(seed.values, V, p, grid, tol, max_iter, level_floor)
+    res = _descend(seed.values, V, p, grid, tol, max_iter)
     if np.min(res.minimizer.values) < -1e-8:
-        res = _descend(np.abs(res.minimizer.values), V, p, grid, tol, max_iter, level_floor)
+        res = _descend(np.abs(res.minimizer.values), V, p, grid, tol, max_iter)
         res.restarted_from_abs = True
     if not res.converged:
         raise DescentError(f"descent did not reach tol {tol} in {max_iter} iterations "

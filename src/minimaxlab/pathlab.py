@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .domain import lp_mass
-from .energy import _energy, _laplacian, mass_I
+from .energy import _laplacian, energy_J, mass_I
 from .field import GridFunction, lp_normalize, nodal_domains, split_signs, translate
 
 
@@ -222,11 +222,6 @@ def path_max_from_energies(J1: float, J2: float, p: float) -> tuple[float, float
     return sign * mx, th
 
 
-def _energy_of(V: np.ndarray, grid):
-    """u -> J(u) for fields on `grid`, with V = Vinf - W evaluated there."""
-    return lambda u: _energy(u.values, V, grid.h)
-
-
 def path_max_J(path, V: np.ndarray, samples: int = THETA_SAMPLES) -> tuple[float, float]:
     """Maximum of J over the path and its argmax angle, with V = Vinf - W on
     the path's grid.
@@ -239,12 +234,11 @@ def path_max_J(path, V: np.ndarray, samples: int = THETA_SAMPLES) -> tuple[float
     """
     if samples < MIN_THETA_SAMPLES:
         raise PathError(f"at least {MIN_THETA_SAMPLES} theta samples required")
-    J = _energy_of(V, path.grid)
     if not isinstance(path, PathFamily):
-        return _theta_max(lambda t: J(path.at(t)), samples)
+        return _theta_max(lambda t: energy_J(path.at(t), V), samples)
     span_J = path.energy(V)
     _, theta = _theta_max(lambda t: span_J((math.cos(t), math.sin(t))), samples)
-    return J(path.at(theta)), theta
+    return energy_J(path.at(theta), V), theta
 
 
 def balanced_point(path, p: float) -> tuple[GridFunction, float]:
@@ -301,19 +295,18 @@ def overlap_integrals(w1: GridFunction, winf: GridFunction, y, p: float) -> tupl
 class SphereMap:
     """Odd map from sampled S^(m-1) into the constraint sphere.
 
-    `rule(y)` evaluates the map at a unit vector y into fields on `grid`, with
+    `rule(y)` evaluates the map at a unit vector y into a field, with
     rule(-y) = -rule(y) exactly (as for `gamma_R` and `SpanMap`); `points`
     is a sampling of the sphere closed under the antipodal map, stored as
     its first half followed by the negatives of that half.
     """
 
-    def __init__(self, rule, points: np.ndarray, grid):
+    def __init__(self, rule, points: np.ndarray):
         half = len(points) // 2
         if len(points) % 2 or not np.array_equal(points[half:], -points[:half]):
             raise PathError("sphere points must be a half followed by its negatives")
         self.rule = rule
         self.points = points
-        self.grid = grid
 
     @property
     def m(self) -> int:
@@ -323,13 +316,13 @@ class SphereMap:
         return self.rule(np.asarray(y, dtype=float))
 
     def scan(self, V: np.ndarray) -> np.ndarray:
-        """J at each of `points`, in order, with V = Vinf - W on the grid.
+        """J at each of `points`, in order, with V = Vinf - W on the fields' grid.
 
         J(-u) = J(u), so one field per antipodal pair is built: the first
         half of the points is evaluated and its values repeated.
         """
-        J = _energy_of(V, self.grid)
-        half = np.array([J(self.at(y)) for y in self.points[:len(self.points) // 2]])
+        first_half = self.points[:len(self.points) // 2]
+        half = np.array([energy_J(self.at(y), V) for y in first_half])
         return np.concatenate([half, half])
 
     def max_energy(self, V: np.ndarray) -> float:
@@ -378,7 +371,7 @@ def gamma_R(winf: GridFunction, R: float, p: float,
         u = translate(winf, steps).values - translate(winf, tuple(-s for s in steps)).values
         return lp_normalize(GridFunction(grid, u), p)
 
-    return SphereMap(rule, pts, grid)
+    return SphereMap(rule, pts)
 
 
 def nodal_sphere_map(u0: GridFunction, p: float) -> SphereMap:
@@ -402,4 +395,4 @@ def nodal_sphere_map(u0: GridFunction, p: float) -> SphereMap:
     for j in order:
         chi = (labeling.labels == j + 1).astype(float)
         blocks.append(lp_normalize(GridFunction(u0.grid, chi * u0.values), p))
-    return SphereMap(SpanMap(blocks, p), sphere_points(m, SPHERE_SAMPLES), u0.grid)
+    return SphereMap(SpanMap(blocks, p), sphere_points(m, SPHERE_SAMPLES))

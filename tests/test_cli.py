@@ -317,7 +317,12 @@ class TestMain:
     @pytest.mark.parametrize("override, message", [
         ("sphere_samples=0", "sphere_samples must be at least 2"),
         ("sphere_samples=7", "sphere_samples must be even"),
-        ("r_list=3,8", "r_list radii must lie in (0, box_l = 8.0)")])
+        ("r_list=3,8", "r_list radii must lie in (0, box_l = 8.0)"),
+        ("r_list=0.1,3", "be at least spacing_h = 0.25, got [0.1]"),
+        # y_sweep is checked for the experiments that build two-bump paths
+        ("experiment=levels y_sweep=4.1", "whole multiples of spacing_h = 0.25"),
+        ("experiment=verify-all y_sweep=3,15.75", "spacing_h = 15.5, got [15.75]"),
+        ("experiment=symmetry y_sweep=-16", "got [-16.0]")])
     def test_bad_gamma_r_settings_rejected_before_any_work(self, tmp_path, capsys,
                                                            monkeypatch, override, message):
         def no_shooting(*args):
@@ -326,7 +331,10 @@ class TestMain:
         monkeypatch.setattr(cli, "shoot_ground", no_shooting)
         path = write_config(tmp_path / "c.cfg", {"experiment": "gamma-r", "r_list": "3,5"})
         out = tmp_path / "out"
-        assert main(["run", path, "--out", str(out), "--override", override]) == 1
+        argv = ["run", path, "--out", str(out)]
+        for item in override.split():
+            argv += ["--override", item]
+        assert main(argv) == 1
         assert message in capsys.readouterr().err
 
     def test_run_with_overrides(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from minimaxlab import ProblemSpec, WSpec, build_grid, dual_norm_W, eval_W
 from minimaxlab.domain import (DomainError, parse_problem_mapping,
-                               read_keyvalue_file)
+                               read_keyvalue_file, zero_boundary)
 
 
 def small_spec(**kw):
@@ -69,7 +69,8 @@ class TestEvalW:
         spec = small_spec(W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
         w = eval_W(spec, grid)
-        assert w.values[grid.origin_index] == pytest.approx(0.5)
+        assert w[grid.origin_index] == pytest.approx(0.5)
+        assert not np.any(w - zero_boundary(w.copy()))
 
     def test_exponential_at_radius_two(self):
         spec = small_spec(W=WSpec(family="exponential", c=1.0, a=1.0))
@@ -77,17 +78,17 @@ class TestEvalW:
         w = eval_W(spec, grid)
         # node at (2, 0)
         idx = (grid.origin_index[0] + round(2 / spec.h), grid.origin_index[1])
-        assert w.values[idx] == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert w[idx] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_zero_family(self):
         spec = small_spec()
         grid = build_grid(spec)
-        assert not np.any(eval_W(spec, grid).values)
+        assert not np.any(eval_W(spec, grid))
 
     def test_bump_family_compact_support(self):
         spec = small_spec(W=WSpec(family="bump", c=2.0, a=1.0))
         grid = build_grid(spec)
-        w = eval_W(spec, grid).values
+        w = eval_W(spec, grid)
         assert w[grid.origin_index] == pytest.approx(2.0)
         assert np.all(w[grid.radius() >= 1.0] == 0.0)
 

@@ -5,9 +5,9 @@ import pytest
 
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, dual_norm_W,
                         energy_J, lp_normalize, manifold_gradient, mass_I, translate)
-from minimaxlab.energy import (EnergyBreakdown, _kinetic, _laplacian, deviation_bound,
+from minimaxlab.energy import (_kinetic, _laplacian, _potential, deviation_bound,
                                euler_lagrange_residual, gradient_norm, inner_l2)
-from minimaxlab.domain import potential_values
+from minimaxlab.domain import eval_W, lp_mass, potential_values
 from minimaxlab.field import FieldError
 from minimaxlab.groundstate import minimize_lambda1, profile_on_grid
 from minimaxlab.pathlab import SampledPath, gamma_R, path_max_J, translated_bump_path
@@ -76,35 +76,43 @@ class TestKineticEnergy:
 
 class TestEnergyJ:
     def test_breakdown_consistency(self, spec, grid):
-        br = energy_J(gaussian(grid), spec)
-        assert isinstance(br, EnergyBreakdown)
-        assert br.total == pytest.approx(br.kinetic + br.potential, rel=1e-14)
+        u, V = gaussian(grid), potential_values(spec, grid)
+        J = energy_J(u, V)
+        assert isinstance(J, float)
+        assert J == pytest.approx(_kinetic(u.values, grid.h) + _potential(u.values, V, grid.h),
+                                  rel=1e-14)
 
     def test_autonomous_equals_total_when_W_zero(self, spec, grid):
-        br = energy_J(gaussian(grid), spec)
-        assert br.deviation == pytest.approx(0.0, abs=1e-12 * br.total)
+        # with W = 0, J equals its autonomous value: kinetic plus Vinf |u|_2^2
+        u = gaussian(grid)
+        J = energy_J(u, potential_values(spec, grid))
+        Jinf = _kinetic(u.values, grid.h) + spec.Vinf * lp_mass(u.values, 2.0, grid.weight)
+        assert J == pytest.approx(Jinf, abs=1e-12 * J)
 
-    def test_penalty_lowers_energy(self, grid):
+    def test_penalty_lowers_energy(self):
         base = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.125)
         pen = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.125,
                           W=WSpec(family="exponential", c=0.5, a=0.5))
-        u = gaussian(build_grid(base))
-        assert energy_J(u, pen).total < energy_J(u, base).total
+        grid = build_grid(base)
+        u = gaussian(grid)
+        assert energy_J(u, potential_values(pen, grid)) < energy_J(u, potential_values(base, grid))
 
     def test_gaussian_closed_form(self):
         # for u = e^{-r^2/2}: kinetic = pi, potential (V = 1) = pi
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=12.0, h=0.0625)
-        br = energy_J(gaussian(build_grid(spec)), spec)
-        assert br.kinetic == pytest.approx(math.pi, rel=2e-3)
-        assert br.potential == pytest.approx(math.pi, rel=1e-6)
+        grid = build_grid(spec)
+        u = gaussian(grid).values
+        assert _kinetic(u, grid.h) == pytest.approx(math.pi, rel=2e-3)
+        assert _potential(u, potential_values(spec, grid), grid.h) == pytest.approx(
+            math.pi, rel=1e-6)
 
     def test_translation_invariance_autonomous(self, spec, grid):
         x, y = grid.coords()
         r2 = (x ** 2 + y ** 2) / 1.0
         u = GridFunction(grid, np.where(r2 < 1.0, (1.0 - r2) ** 2, 0.0))
         v = translate(u, (2.0, -1.0))
-        assert energy_J(v, spec).total == pytest.approx(
-            energy_J(u, spec).total, rel=1e-14)
+        V = potential_values(spec, grid)
+        assert energy_J(v, V) == pytest.approx(energy_J(u, V), rel=1e-14)
 
 
 def deep_interior(grid, depth=2):
@@ -147,29 +155,30 @@ class TestLaplacian:
 class TestManifoldGradient:
     def test_off_sphere_rejected(self, spec, grid):
         with pytest.raises(FieldError):
-            manifold_gradient(gaussian(grid), spec)
+            manifold_gradient(gaussian(grid), potential_values(spec, grid), spec.p)
 
-    def test_vanishes_at_critical_point(self, spec0, descent0):
-        g = manifold_gradient(descent0.minimizer, spec0)
+    def test_vanishes_at_critical_point(self, spec0, grid0, descent0):
+        g = manifold_gradient(descent0.minimizer, potential_values(spec0, grid0), spec0.p)
         assert gradient_norm(g) < 1e-7
 
     def test_pairing_matches_directional_derivative(self, specs, rng):
         for spec in specs:
             grid = build_grid(spec)
+            V = potential_values(spec, grid)
             u = lp_normalize(gaussian(grid), spec.p)
-            g = manifold_gradient(u, spec)
+            g = manifold_gradient(u, V, spec.p)
             v = GridFunction(grid, rng.standard_normal(grid.shape))
             t = 1e-6
             fp = energy_J(lp_normalize(GridFunction(grid, u.values + t * v.values),
-                                       spec.p), spec).total
+                                       spec.p), V)
             fm = energy_J(lp_normalize(GridFunction(grid, u.values - t * v.values),
-                                       spec.p), spec).total
+                                       spec.p), V)
             assert (fp - fm) / (2 * t) == pytest.approx(inner_l2(g, v), rel=1e-5)
 
     def test_radial_direction_annihilated(self, spec, grid):
         # scaling u does not move normalize(u + t u), so the pairing with u is 0
         u = lp_normalize(gaussian(grid), spec.p)
-        g = manifold_gradient(u, spec)
+        g = manifold_gradient(u, potential_values(spec, grid), spec.p)
         scale = gradient_norm(g) * gradient_norm(u)
         assert abs(inner_l2(g, u)) < 1e-10 * max(scale, 1.0)
 
@@ -185,27 +194,29 @@ class TestOneEnergyKernel:
         V = potential_values(well, grid)
         winf = profile_on_grid(ground_profile, grid)
         res = minimize_lambda1(V, well.p, grid, seed=winf)
-        assert res.level == energy_J(res.minimizer, well).total
+        assert res.level == energy_J(res.minimizer, V)
 
         path = translated_bump_path(res.minimizer, winf, (4.0, 0.0), well.p)
         mx, theta = path_max_J(path, V, samples=64)
-        assert mx == energy_J(path.at(theta), well).total
+        assert mx == energy_J(path.at(theta), V)
         sampled = SampledPath.from_path(path, 64, well.p)
         mx, theta = path_max_J(sampled, V, samples=64)
-        assert mx == energy_J(sampled.at(theta), well).total
+        assert mx == energy_J(sampled.at(theta), V)
 
         sphere = gamma_R(winf, 3.0, well.p, samples=8)
         for y, energy in zip(sphere.points, sphere.scan(V)):
-            assert energy == energy_J(sphere.at(y), well).total
+            assert energy == energy_J(sphere.at(y), V)
 
 
 class TestEulerLagrangeResidual:
-    def test_small_at_converged_minimizer(self, spec0, descent0):
-        res = euler_lagrange_residual(descent0.minimizer, descent0.level, spec0)
+    def test_small_at_converged_minimizer(self, spec0, grid0, descent0):
+        res = euler_lagrange_residual(descent0.minimizer, descent0.level,
+                                      potential_values(spec0, grid0), spec0.p)
         assert res < 1e-6
 
-    def test_wrong_multiplier_detected(self, spec0, descent0):
-        res = euler_lagrange_residual(descent0.minimizer, 2.0 * descent0.level, spec0)
+    def test_wrong_multiplier_detected(self, spec0, grid0, descent0):
+        res = euler_lagrange_residual(descent0.minimizer, 2.0 * descent0.level,
+                                      potential_values(spec0, grid0), spec0.p)
         assert res > 1.0
 
 
@@ -213,26 +224,33 @@ class TestDeviationBound:
     def test_zero_W(self, spec, grid):
         u = lp_normalize(gaussian(grid), spec.p)
         assert dual_norm_W(spec, grid) == 0.0
-        assert deviation_bound(u, spec, potential_values(spec, grid)) <= 1e-12
+        assert deviation_bound(u, potential_values(spec, grid), spec.Vinf, spec.p) <= 1e-12
+
+    def test_off_sphere_rejected(self, spec, grid):
+        with pytest.raises(FieldError):
+            deviation_bound(gaussian(grid), potential_values(spec, grid), spec.Vinf, spec.p)
 
     def test_holder_inequality_random_fields(self, rng):
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
         V, wnorm = potential_values(spec, grid), dual_norm_W(spec, grid)
+        w = eval_W(spec, grid)
         for _ in range(25):
             u = lp_normalize(GridFunction(grid, rng.standard_normal(grid.shape)),
                              spec.p)
-            assert deviation_bound(u, spec, V) <= wnorm * (1.0 + 1e-12)
+            dev = deviation_bound(u, V, spec.Vinf, spec.p)
+            # J - Jinf = -sum W u^2 h^N: the kinetic terms cancel
+            assert dev == pytest.approx(abs(np.sum(w * u.values ** 2) * grid.weight),
+                                        rel=1e-12)
+            assert dev <= wnorm * (1.0 + 1e-12)
 
     def test_bound_tight_for_aligned_field(self):
         # equality in Holder: |u|^2 proportional to W^{q/2}, here q = 2 so u^2 ~ W
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.125,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
-        from minimaxlab.domain import eval_W
-
-        w = eval_W(spec, grid).values
+        w = eval_W(spec, grid)
         u = lp_normalize(GridFunction(grid, np.sqrt(w)), spec.p)
-        dev = deviation_bound(u, spec, potential_values(spec, grid))
+        dev = deviation_bound(u, potential_values(spec, grid), spec.Vinf, spec.p)
         assert dev == pytest.approx(dual_norm_W(spec, grid), rel=1e-10)

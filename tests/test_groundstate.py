@@ -165,7 +165,7 @@ class TestProfileOnGrid:
         assert np.allclose(v, v.T, atol=1e-14)
 
     def test_energy_close_to_shooting_level(self, winf0, spec0, ground_profile):
-        J = energy_J(winf0, spec0).total
+        J = energy_J(winf0, potential_values(spec0, winf0.grid))
         assert J == pytest.approx(ground_profile.level, rel=5e-3)
 
 
@@ -179,8 +179,9 @@ class TestMinimizeLambda1:
         assert mass_I(descent0.minimizer, 4.0) == pytest.approx(1.0, abs=1e-9)
         assert np.min(descent0.minimizer.values) >= -1e-8
 
-    def test_solves_discrete_equation(self, descent0, spec0):
-        res = euler_lagrange_residual(descent0.minimizer, descent0.level, spec0)
+    def test_solves_discrete_equation(self, descent0, spec0, grid0):
+        res = euler_lagrange_residual(descent0.minimizer, descent0.level,
+                                      potential_values(spec0, grid0), spec0.p)
         assert res < 1e-6
 
     def test_penalty_lowers_level(self, descent0, descent_exp):
@@ -198,11 +199,12 @@ class TestMinimizeLambda1:
         assert res.level == pytest.approx(LAM1_INF, rel=2e-2)
 
     def test_level_floor_triggers(self):
+        # a deep well sends J below the descent's fixed floor of -1e6
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
-                           W=WSpec(family="exponential", c=0.5, a=0.5))
+                           W=WSpec(family="exponential", c=1e6, a=0.5))
         grid = build_grid(spec)
-        with pytest.raises(DescentError):
-            minimize_lambda1(potential_values(spec, grid), spec.p, grid, level_floor=100.0)
+        with pytest.raises(DescentError, match="floor"):
+            minimize_lambda1(potential_values(spec, grid), spec.p, grid)
 
 
 class TestTranslationTailBound:

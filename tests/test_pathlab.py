@@ -127,10 +127,10 @@ class TestSampledPath:
 
 class TestPathMaxJ:
     def test_matches_closed_form_for_disjoint_blocks(self, spec, grid, left, right):
-        J1 = energy_J(left, spec).total
-        J2 = energy_J(right, spec).total
+        V = potential_values(spec, grid)
+        J1, J2 = energy_J(left, V), energy_J(right, V)
         path = PathFamily(left, right, 4.0)
-        got, arg = path_max_J(path, potential_values(spec, grid))
+        got, arg = path_max_J(path, V)
         assert got == pytest.approx(disjoint_support_max(J1, J2, 4.0), rel=1e-10)
         assert 0.0 <= arg < math.pi
 
@@ -237,12 +237,12 @@ class TestSpherePoints:
             with pytest.raises(PathError, match="even"):
                 sphere_points(m, n)
 
-    def test_sphere_map_rejects_unpaired_points(self, grid, left):
+    def test_sphere_map_rejects_unpaired_points(self, left):
         # scan repeats the first half for the second, so the order must pair them
         pts = sphere_points(2, 8)
         for bad in (pts[:7], pts[[0, 1, 2, 3, 5, 4, 6, 7]]):
             with pytest.raises(PathError):
-                SphereMap(lambda y: left, bad, grid)
+                SphereMap(lambda y: left, bad)
 
 
 class TestGammaR:
@@ -278,10 +278,10 @@ class TestNodalSphereMap:
         u0 = lp_normalize(GridFunction(grid, left.values - right.values), 4.0)
         nm = nodal_sphere_map(u0, spec.p)
         assert nm.m == 2
-        J1 = energy_J(left, spec).total
-        target = disjoint_support_max(J1, J1, 4.0)
-        assert nm.max_energy(potential_values(spec, grid)) == pytest.approx(target, rel=1e-10)
-        assert energy_J(u0, spec).total == pytest.approx(target, rel=1e-10)
+        V = potential_values(spec, grid)
+        target = disjoint_support_max(energy_J(left, V), energy_J(left, V), 4.0)
+        assert nm.max_energy(V) == pytest.approx(target, rel=1e-10)
+        assert energy_J(u0, V) == pytest.approx(target, rel=1e-10)
 
     def test_sign_definite_rejected(self, spec, left):
         with pytest.raises(PathError):
