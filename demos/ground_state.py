@@ -26,7 +26,7 @@ print(f"  certified envelope a0   = {fit.a0:.5f}")
 
 print("constrained descent on the 257 x 257 grid ...")
 grid = build_grid(spec)
-res = minimize_lambda1(potential_values(spec, grid), spec.p, grid)
+res = minimize_lambda1(potential_values(spec, grid), spec.Vinf, spec.p, grid)
 print(f"  grid level lambda1      = {res.level:.8f}  "
       f"({res.iterations} iterations, gradient norm {res.gradient_norm:.2e})")
 

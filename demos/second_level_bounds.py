@@ -24,7 +24,7 @@ grid = build_grid(spec)
 V = potential_values(spec, grid)  # built once, for the descent and the paths
 wnorm = dual_norm_W(spec, grid)
 winf = profile_on_grid(ground, grid)  # the descent seed and the translated bump
-res = minimize_lambda1(V, spec.p, grid, seed=winf)
+res = minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=winf)
 print(f"perturbed first level lambda1      = {res.level:.6f}  "
       f"(drop {l1inf - res.level:.4f})")
 

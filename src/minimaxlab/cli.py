@@ -163,11 +163,10 @@ class Pipeline:
 
     @cached_property
     def descent(self):
-        # V is built before w_inf: the other order leaves a heap layout in which
-        # later path evaluations fault a grid array back in (well-scan, w_c = 1.0)
-        V = self.V
-        seed = None if self.spec.W.family == "zero" else self.winf
-        return minimize_lambda1(V, self.spec.p, self.grid, tol=self.cfg.tol_descent, seed=seed)
+        s = self.spec
+        seed = None if s.W.family == "zero" else self.winf
+        return minimize_lambda1(self.V, s.Vinf, s.p, self.grid, tol=self.cfg.tol_descent,
+                                seed=seed)
 
     @cached_property
     def lam2(self) -> Lambda2Bounds:

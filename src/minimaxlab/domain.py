@@ -136,7 +136,9 @@ def zero_boundary(v: np.ndarray) -> np.ndarray:
 
 def lp_mass(v: np.ndarray, p: float, weight: float) -> float:
     """Quadrature sum weight * |v_i|^p of a node array (|v|_p^p)."""
-    return float(np.sum(np.abs(v) ** p) * weight)
+    t = np.abs(v)
+    t **= p
+    return float(np.sum(t) * weight)
 
 
 def build_grid(spec: ProblemSpec) -> Grid:

@@ -27,13 +27,15 @@ def _kinetic(v: np.ndarray, h: float) -> float:
     total = 0.0
     for ax in range(v.ndim):
         d = np.diff(v, axis=ax)
-        total += float(np.sum(d * d))
+        total += float(np.sum(np.multiply(d, d, out=d)))
     return total * h ** (v.ndim - 2)
 
 
 def _potential(v: np.ndarray, V: np.ndarray, h: float) -> float:
     """Quadrature of V v^2; the (V v) v order keeps descents bit-reproducible."""
-    return float(np.sum(V * v * v) * h ** v.ndim)
+    t = V * v
+    t *= v
+    return float(np.sum(t) * h ** v.ndim)
 
 
 def _energy(v: np.ndarray, V: np.ndarray, h: float) -> float:
@@ -58,8 +60,21 @@ def _laplacian(v: np.ndarray, h: float) -> np.ndarray:
 def _sphere_gradient(v: np.ndarray, V: np.ndarray, J: float, p: float,
                      h: float) -> np.ndarray:
     """2(-Delta v + V v - J |v|^(p-2) v): the sphere gradient of J at a
-    zero-boundary node array v on the unit L^p sphere with J = J(v)."""
-    return 2.0 * (-_laplacian(v, h) + V * v - J * np.abs(v) ** (p - 2) * v)
+    zero-boundary node array v on the unit L^p sphere with J = J(v).
+
+    Built in place in two grid arrays, in the operation order of
+    2 * (-lap(v) + V v - J |v|^(p-2) v), so the result is bit-identical to it."""
+    out = _laplacian(v, h)
+    np.negative(out, out=out)
+    t = V * v
+    out += t
+    np.abs(v, out=t)
+    t **= p - 2
+    t *= J
+    t *= v
+    out -= t
+    out *= 2.0
+    return out
 
 
 def mass_I(u: GridFunction, p: float) -> float:

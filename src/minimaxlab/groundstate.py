@@ -1,5 +1,5 @@
-"""Radial shooting for the autonomous problem, full-grid constrained descent
-for the first level, and exponential decay fitting.
+"""Radial shooting for the autonomous problem, full-grid preconditioned
+constrained descent for the first level, and exponential decay fitting.
 
 The radial solve uses the scaled equation -w'' - (N-1)/r w' + Vinf w = |w|^(p-2) w
 (eigenvalue fixed at 1); the level of the normalized state is recovered from
@@ -249,11 +249,7 @@ def fit_decay(profile: RadialProfile, Vinf: float,
 def profile_on_grid(profile: RadialProfile, grid) -> GridFunction:
     """Interpolate a normalized radial profile onto the grid around the origin
     and renormalize in the grid quadrature."""
-    # rr lives until the return: freed earlier, it left a heap layout in which every
-    # later path evaluation faults its temporaries back in (+50% desk `levels` wall)
-    rr = grid.radius()
-    u = GridFunction(grid, profile.value_at(rr))
-    return lp_normalize(u, profile.p)
+    return lp_normalize(GridFunction(grid, profile.value_at(grid.radius())), profile.p)
 
 
 @dataclass
@@ -266,13 +262,77 @@ class DescentResult:
     restarted_from_abs: bool = False
 
 
-def _descend(u0: np.ndarray, V: np.ndarray, p: float, grid,
+class _ShiftedPoissonSolver:
+    """Exact inverse of P = -Delta_h + Vinf on the interior nodes of a grid,
+    with Dirichlet zeros on the boundary.
+
+    The (2N+1)-point Laplacian is diagonal in the DST-I basis, with
+    eigenvalues sum over the axes of (2 - 2 cos(pi k / (n+1))) / h^2 for n
+    interior nodes per axis. `solve` applies one forward transform, divides by
+    Vinf plus those eigenvalues and applies the transform again (DST-I is its
+    own inverse up to a factor 2(n+1) per axis, folded into the divisor). The
+    transform is the imaginary part of `numpy.fft.rfft` of the odd extension,
+    run in place slab by slab through two buffers of about `SLAB` elements, so
+    a solve allocates no grid-sized array.
+    """
+
+    SLAB = 1 << 15  # float elements of the odd-extension buffer
+
+    def __init__(self, shape: tuple[int, ...], h: float, Vinf: float):
+        M, ndim = shape[0], len(shape)
+        n1 = M - 1  # n + 1, with n = M - 2 interior nodes per axis
+        scale = (2.0 * n1) ** ndim
+        mu = scale * (2.0 - 2.0 * np.cos(np.pi * np.arange(M) / n1)) / (h * h)
+        self._mu = mu.reshape((M,) + (1,) * (ndim - 1))  # first axis's eigenvalues
+        # Vinf plus the other axes' eigenvalues, broadcast over one first-axis index
+        self._rest = scale * Vinf + sum(
+            mu.reshape((M,) + (1,) * (ndim - 2 - ax)) for ax in range(ndim - 1))
+        inner = (M,) * (ndim - 2)
+        self._rows = max(1, self.SLAB // (2 * n1 * (M ** (ndim - 2))))
+        self._ext = np.empty((self._rows,) + inner + (2 * n1,))
+        self._spec = np.empty((self._rows,) + inner + (M,), dtype=complex)
+
+    def _dst(self, a: np.ndarray):
+        """Unnormalized DST-I of the interior of `a` along every axis, in place."""
+        M = a.shape[0]
+        ext, spec = self._ext, self._spec
+        for ax in range(a.ndim):
+            b = np.moveaxis(a, ax, -1)
+            for r0 in range(1, M - 1, self._rows):
+                rows = b[r0:min(r0 + self._rows, M - 1)]
+                k = len(rows)
+                ext[:k, ..., :M] = rows
+                np.negative(rows[..., -2:0:-1], out=ext[:k, ..., M:])
+                np.fft.rfft(ext[:k], axis=-1, out=spec[:k])
+                np.negative(spec[:k, ..., 1:-1].imag, out=rows[..., 1:-1])
+
+    def solve(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write P^-1 g into `out` (boundary nodes zero) and return it; g must
+        vanish on the boundary."""
+        np.copyto(out, g)
+        self._dst(out)
+        for r0 in range(1, out.shape[0] - 1, self._rows):
+            r1 = min(r0 + self._rows, out.shape[0] - 1)
+            out[r0:r1] /= self._mu[r0:r1] + self._rest
+        self._dst(out)
+        return out
+
+
+def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
              tol: float, max_iter: int) -> DescentResult:
-    """Projected descent on the constraint sphere with Barzilai-Borwein steps
-    and backtracking, retraction by L^p normalization."""
+    """Preconditioned projected descent on the constraint sphere: steps along
+    d = P^-1 g with P = -Delta_h + Vinf (`_ShiftedPoissonSolver`), so the
+    iteration count does not grow as h falls. Barzilai-Borwein steps in the
+    P-metric with backtracking on J, retraction by L^p normalization; the stop
+    rule is on the unpreconditioned gradient norm.
+
+    The old iterate, gradient and direction are differenced in place right
+    after the new gradient, so no old iterate is live during a line search.
+    """
     h = grid.h
     weight = grid.weight
     level_floor = -1e6  # a level below this means the descent is diverging
+    P = _ShiftedPoissonSolver(grid.shape, h, Vinf)
 
     def norm_p(v):
         return lp_mass(v, p, weight) ** (1.0 / p)
@@ -280,51 +340,59 @@ def _descend(u0: np.ndarray, V: np.ndarray, p: float, grid,
     u = u0 / norm_p(u0)
     J = _energy(u, V, h)
     g = _sphere_gradient(u, V, J, p, h)
-    s = 1e-2
-    u_prev = g_prev = None
+    d = P.solve(g, np.empty_like(g))
+    spare = np.empty_like(u)  # the line-search candidate, then the stale iterate
+    s = 1.0  # P^-1 g = 2(u - P^-1 (W + J|u|^(p-2)) u) has the scale of u
     it = 0
     for it in range(1, max_iter + 1):
-        if u_prev is not None:
-            du = u - u_prev
-            dg = g - g_prev
-            denom = float(np.sum(du * dg))
-            if denom != 0.0:
-                s = min(max(abs(float(np.sum(du * du)) / denom), 1e-7), 10.0)
         # backtracking on J along the retracted ray
         for _ in range(40):
-            cand = u - s * g
+            cand = np.multiply(d, s, out=spare)
+            np.subtract(u, cand, out=cand)
             cand /= norm_p(cand)
             J_cand = _energy(cand, V, h)
             if J_cand <= J + 1e-12 * max(1.0, abs(J)):
                 break
             s *= 0.5
-        u_prev, g_prev = u, g
-        u, J = cand, J_cand
-        g = _sphere_gradient(u, V, J, p, h)
-        gn = float(np.sqrt(np.sum(g * g) * weight))
+        u, spare = cand, u
+        J = J_cand
+        g_new = _sphere_gradient(u, V, J, p, h)
+        # BB step s = |<du, dg>| / <dg, dd> in the P-metric, each difference
+        # formed in the stale buffer it replaces (both carry the same sign flip)
+        spare -= u
+        g -= g_new
+        du_dg = float(np.sum(np.multiply(spare, g, out=spare)))
+        gn = float(np.sqrt(np.sum(np.multiply(g_new, g_new, out=spare)) * weight))
         if J < level_floor:
             raise DescentError(f"level fell below the floor {level_floor}")
         if gn < tol:
             return DescentResult(GridFunction(grid, u), J, gn, it, True)
+        d_new = P.solve(g_new, out=spare)
+        d -= d_new
+        dg_dd = float(np.sum(np.multiply(d, g, out=d)))
+        if dg_dd != 0.0:
+            s = min(max(abs(du_dg) / dg_dd, 1e-7), 1e3)
+        g, d, spare = g_new, d_new, d
     return DescentResult(GridFunction(grid, u), J, gn, it, False)
 
 
-def minimize_lambda1(V: np.ndarray, p: float, grid: Grid, tol: float = DESCENT_TOL,
+def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
+                     tol: float = DESCENT_TOL,
                      seed: GridFunction | None = None) -> DescentResult:
     """Constrained minimization of J on `grid`, with V = Vinf - W on it:
-    returns (w1, lambda_1).
+    returns (w1, lambda_1). `Vinf` sets the preconditioner -Delta_h + Vinf.
 
     Starts from the on-grid `seed` when given (the pipeline passes the
     interpolated shooting profile), otherwise from a Gaussian bump. The
     minimizer is asserted nonnegative post hoc; a signed iterate triggers one
     restart from its absolute value.
     """
-    max_iter = 100_000
+    max_iter = 1_000
     if seed is None:
         seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
-    res = _descend(seed.values, V, p, grid, tol, max_iter)
+    res = _descend(seed.values, V, Vinf, p, grid, tol, max_iter)
     if np.min(res.minimizer.values) < -1e-8:
-        res = _descend(np.abs(res.minimizer.values), V, p, grid, tol, max_iter)
+        res = _descend(np.abs(res.minimizer.values), V, Vinf, p, grid, tol, max_iter)
         res.restarted_from_abs = True
     if not res.converged:
         raise DescentError(f"descent did not reach tol {tol} in {max_iter} iterations "

@@ -53,12 +53,13 @@ def winf0(ground_profile, grid0):
 
 @pytest.fixture(scope="session")
 def descent0(spec0, grid0):
-    return minimize_lambda1(potential_values(spec0, grid0), spec0.p, grid0)
+    return minimize_lambda1(potential_values(spec0, grid0), spec0.Vinf, spec0.p, grid0)
 
 
 @pytest.fixture(scope="session")
 def descent_exp(spec_exp, grid0, winf0):
-    return minimize_lambda1(potential_values(spec_exp, grid0), spec_exp.p, grid0, seed=winf0)
+    return minimize_lambda1(potential_values(spec_exp, grid0), spec_exp.Vinf, spec_exp.p,
+                            grid0, seed=winf0)
 
 
 @pytest.fixture(scope="session")

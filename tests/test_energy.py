@@ -5,9 +5,10 @@ import pytest
 
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, dual_norm_W,
                         energy_J, lp_normalize, manifold_gradient, mass_I, translate)
-from minimaxlab.energy import (_kinetic, _laplacian, _potential, deviation_bound,
-                               euler_lagrange_residual, gradient_norm, inner_l2)
-from minimaxlab.domain import eval_W, lp_mass, potential_values
+from minimaxlab.energy import (_kinetic, _laplacian, _potential, _sphere_gradient,
+                               deviation_bound, euler_lagrange_residual, gradient_norm,
+                               inner_l2)
+from minimaxlab.domain import eval_W, lp_mass, potential_values, zero_boundary
 from minimaxlab.field import FieldError
 from minimaxlab.groundstate import minimize_lambda1, profile_on_grid
 from minimaxlab.pathlab import SampledPath, gamma_R, path_max_J, translated_bump_path
@@ -193,7 +194,7 @@ class TestOneEnergyKernel:
         grid = build_grid(well)
         V = potential_values(well, grid)
         winf = profile_on_grid(ground_profile, grid)
-        res = minimize_lambda1(V, well.p, grid, seed=winf)
+        res = minimize_lambda1(V, well.Vinf, well.p, grid, seed=winf)
         assert res.level == energy_J(res.minimizer, V)
 
         path = translated_bump_path(res.minimizer, winf, (4.0, 0.0), well.p)
@@ -206,6 +207,27 @@ class TestOneEnergyKernel:
         sphere = gamma_R(winf, 3.0, well.p, samples=8)
         for y, energy in zip(sphere.points, sphere.scan(V)):
             assert energy == energy_J(sphere.at(y), V)
+
+
+class TestInPlaceKernels:
+    """The kernels build their results in place, in the operation order of the
+    one-line expressions below, which stay here as the reference."""
+
+    @pytest.mark.parametrize("p", [4.0, 3.0])
+    def test_bit_identical_to_expressions(self, specs, rng, p):
+        for s in specs:
+            g = build_grid(s)
+            v = zero_boundary(rng.standard_normal(g.shape))
+            V = 1.0 - zero_boundary(rng.random(g.shape))
+            J = 3.7
+            kinetic = sum(float(np.sum(np.diff(v, axis=ax) * np.diff(v, axis=ax)))
+                          for ax in range(v.ndim)) * s.h ** (v.ndim - 2)
+            assert _kinetic(v, s.h) == kinetic
+            assert _potential(v, V, s.h) == float(np.sum(V * v * v) * s.h ** v.ndim)
+            assert np.array_equal(_sphere_gradient(v, V, J, p, s.h),
+                                  2.0 * (-_laplacian(v, s.h) + V * v
+                                         - J * np.abs(v) ** (p - 2) * v))
+            assert lp_mass(v, p, g.weight) == float(np.sum(np.abs(v) ** p) * g.weight)
 
 
 class TestEulerLagrangeResidual:

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from minimaxlab import (ProblemSpec, WSpec, build_grid, energy_J, fit_decay,
+import tracemalloc
+
+from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J, fit_decay,
                         lp_norm, mass_I, minimize_lambda1, shoot_excited,
                         shoot_ground)
-from minimaxlab.domain import potential_values
-from minimaxlab.energy import euler_lagrange_residual
+from minimaxlab.domain import Grid, potential_values, zero_boundary
+from minimaxlab.energy import _laplacian, euler_lagrange_residual
 from minimaxlab import groundstate
-from minimaxlab.groundstate import (DescentError, ShootingError,
+from minimaxlab.groundstate import (DescentError, ShootingError, _ShiftedPoissonSolver,
                                     translation_tail_bound)
 
 # Frozen oracle values for N = 2, p = 4, Vinf = 1, recomputed independently
@@ -188,15 +190,42 @@ class TestMinimizeLambda1:
         assert descent_exp.level < descent0.level
 
     def test_profile_seed_agrees_with_gaussian_seed(self, spec0, grid0, descent0, winf0):
-        seeded = minimize_lambda1(potential_values(spec0, grid0), spec0.p, grid0, seed=winf0)
+        seeded = minimize_lambda1(potential_values(spec0, grid0), spec0.Vinf, spec0.p, grid0,
+                                  seed=winf0)
         assert seeded.level == pytest.approx(descent0.level, rel=1e-9)
 
     def test_coarse_grid_converges_fast(self):
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25)
         grid = build_grid(spec)
-        res = minimize_lambda1(potential_values(spec, grid), spec.p, grid)
+        res = minimize_lambda1(potential_values(spec, grid), spec.Vinf, spec.p, grid)
         assert res.converged
+        assert res.iterations <= 40
         assert res.level == pytest.approx(LAM1_INF, rel=2e-2)
+
+    def test_iteration_count_does_not_grow_as_h_falls(self):
+        counts = []
+        for h in (0.25, 0.125):
+            spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=h)
+            grid = build_grid(spec)
+            counts.append(minimize_lambda1(potential_values(spec, grid), spec.Vinf,
+                                           spec.p, grid).iterations)
+        assert abs(counts[0] - counts[1]) <= 5, counts
+
+    def test_peak_memory_stays_below_seed_descent(self):
+        # the plain-gradient descent peaked 9.1 grid arrays above its entry here
+        spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=6.0, h=0.25,
+                           W=WSpec(family="exponential", c=0.5, a=0.5))
+        grid = build_grid(spec)
+        V = potential_values(spec, grid)
+        seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / V.nbytes <= 7.5
 
     def test_level_floor_triggers(self):
         # a deep well sends J below the descent's fixed floor of -1e6
@@ -204,7 +233,29 @@ class TestMinimizeLambda1:
                            W=WSpec(family="exponential", c=1e6, a=0.5))
         grid = build_grid(spec)
         with pytest.raises(DescentError, match="floor"):
-            minimize_lambda1(potential_values(spec, grid), spec.p, grid)
+            minimize_lambda1(potential_values(spec, grid), spec.Vinf, spec.p, grid)
+
+
+class TestShiftedPoissonSolver:
+    @pytest.mark.parametrize("N, L, h, Vinf", [(2, 8.0, 0.25, 1.0), (3, 4.0, 0.25, 0.5)])
+    def test_inverts_shifted_laplacian(self, N, L, h, Vinf):
+        grid = Grid(N, L, h)
+        g = zero_boundary(np.random.default_rng(N).standard_normal(grid.shape))
+        d = _ShiftedPoissonSolver(grid.shape, h, Vinf).solve(g, np.empty_like(g))
+        assert np.array_equal(zero_boundary(d.copy()), d)
+        back = -_laplacian(d, h) + Vinf * d
+        assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("shape", [(257, 257), (33, 33, 33)])
+    def test_transform_is_dst1(self, shape):
+        # both shapes leave a partial last slab
+        scipy_fft = pytest.importorskip("scipy.fft")
+        a = zero_boundary(np.random.default_rng(len(shape)).standard_normal(shape))
+        interior = (slice(1, -1),) * len(shape)
+        ref = scipy_fft.dstn(a[interior], type=1)
+        _ShiftedPoissonSolver(shape, 0.25, 1.0)._dst(a)
+        assert np.max(np.abs(a[interior] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(zero_boundary(a.copy()), a)
 
 
 class TestTranslationTailBound:
