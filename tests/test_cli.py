@@ -158,6 +158,13 @@ def test_experiment_outputs(experiment, tmp_path):
                 float(cell)
 
 
+def test_artifacts_stream_rows_and_skip_empty(tmp_path):
+    rows = ({"y": float(i), "n": i} for i in range(3))
+    cli._write_artifacts({"a.csv": rows, "empty.csv": iter(())}, str(tmp_path))
+    assert (tmp_path / "a.csv").read_text() == "y,n\n0.0,0\n1.0,1\n2.0,2\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
+
+
 def test_gamma_r_in_3d(tmp_path):
     # the N = 3 translation map samples S^2 by the symmetrized Fibonacci sphere
     cfg = config_from_mapping({**COARSE, "dim": "3", "box_l": "6.0", "spacing_h": "0.5",
