@@ -271,9 +271,9 @@ class _ShiftedPoissonSolver:
     interior nodes per axis. `solve` applies one forward transform, divides by
     Vinf plus those eigenvalues and applies the transform again (DST-I is its
     own inverse up to a factor 2(n+1) per axis, folded into the divisor). The
-    transform is the imaginary part of `numpy.fft.rfft` of the odd extension,
-    run in place slab by slab through two buffers of about `SLAB` elements, so
-    a solve allocates no grid-sized array.
+    transform is minus the imaginary part of `numpy.fft.rfft` of the odd
+    extension, run in place slab by slab through two buffers of about `SLAB`
+    elements, so a solve allocates no grid-sized array.
     """
 
     SLAB = 1 << 15  # float elements of the odd-extension buffer

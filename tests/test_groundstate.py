@@ -211,7 +211,7 @@ class TestMinimizeLambda1:
                                            spec.p, grid).iterations)
         assert abs(counts[0] - counts[1]) <= 5, counts
 
-    def test_peak_memory_stays_below_seed_descent(self):
+    def test_peak_memory_stays_below_plain_descent(self):
         # the plain-gradient descent peaked 9.1 grid arrays above its entry here
         spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=6.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
