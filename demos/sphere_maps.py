@@ -6,10 +6,9 @@ of the autonomous energy approaches 2^((p-2)/p) times the first level, the
 doubling value that controls the second level from above.
 """
 
-from minimaxlab import (GridFunction, ProblemSpec, build_grid, lp_normalize,
-                        profile_on_grid, shoot_ground, translate)
+from minimaxlab import ProblemSpec, build_grid, profile_on_grid, shoot_ground
 from minimaxlab.domain import potential_values
-from minimaxlab.pathlab import gamma_R, nodal_sphere_map
+from minimaxlab.pathlab import gamma_R
 
 spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125)
 grid = build_grid(spec)
@@ -24,10 +23,3 @@ for R in (6.0, 9.0, 12.0):
     mx = sm.max_energy(V)
     print(f"  R = {R:5.1f}: max J over 64 directions = {mx:.6f}  "
           f"(gap {mx - target:+.2e})")
-
-print("nodal-domain map from a signed two-bump field ...")
-signed = (translate(winf, (-10.0, 0.0)).values
-          - translate(winf, (10.0, 0.0)).values)
-u0 = lp_normalize(GridFunction(grid, signed), spec.p)
-nm = nodal_sphere_map(u0, spec.p)
-print(f"  {nm.m} blocks; sampled image maximum = {nm.max_energy(V):.6f}")

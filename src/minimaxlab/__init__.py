@@ -6,15 +6,14 @@ __version__ = "0.1.0"
 
 from .domain import (Grid, ProblemSpec, WSpec, build_grid, dual_norm_W,
                      eval_W)
-from .field import (GridFunction, NodalLabeling, lp_norm, lp_normalize,
-                    nodal_domains, split_signs, translate)
+from .field import GridFunction, lp_norm, lp_normalize, split_signs, translate
 from .energy import (deviation_bound, energy_J, euler_lagrange_residual,
                      manifold_gradient, mass_I)
 from .groundstate import (DecayFit, RadialProfile, fit_decay,
                           minimize_lambda1, profile_on_grid, shoot_excited,
                           shoot_ground)
 from .pathlab import (PathFamily, SampledPath, SpanMap, SphereMap, balanced_point,
-                      disjoint_support_max, gamma_R, nodal_sphere_map,
-                      overlap_integrals, path_max_J, translated_bump_path)
+                      disjoint_support_max, gamma_R, overlap_integrals,
+                      path_max_J, translated_bump_path)
 from .minimax import (Lambda2Bounds, LevelsReport, lambda2_bounds,
                       lambda2_radial, lambda_sharp)

@@ -102,7 +102,6 @@ class Grid:
         self.shape = (2 * m + 1,) * N
         self.origin_index = (m,) * N
         self.weight = h ** N
-        self._coords = None
 
     @property
     def size(self) -> int:
@@ -110,14 +109,12 @@ class Grid:
 
     def coords(self):
         """Meshgrid of node coordinates, one array per axis (ij indexing)."""
-        if self._coords is None:
-            self._coords = np.meshgrid(*([self.axis] * self.N), indexing="ij")
-        return self._coords
+        return np.meshgrid(*([self.axis] * self.N), indexing="ij")
 
     def radius(self) -> np.ndarray:
-        """Distance from the origin at every node."""
-        c = self.coords()
-        return np.sqrt(sum(x * x for x in c))
+        """Distance from the origin at every node, summed over the open mesh
+        so that no full coordinate array is built."""
+        return np.sqrt(sum(x * x for x in np.ix_(*[self.axis] * self.N)))
 
     def lattice_vector(self, y) -> tuple[int, ...]:
         """Round a spatial displacement to whole grid steps per axis."""

@@ -1,13 +1,11 @@
-"""Algebra of grid functions: norms, normalization, sign splitting, translation,
-and nodal-domain labeling."""
+"""Algebra of grid functions: norms, normalization, sign splitting, translation
+and (de)serialization."""
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .domain import Grid, lp_mass, zero_boundary
 
@@ -78,33 +76,6 @@ def translate(u: GridFunction, y) -> GridFunction:
         src = tuple(map(slice, np.maximum(-k, 0), n - np.maximum(k, 0)))
         out[dst] = u.values[src]
     return GridFunction(grid, out)
-
-
-@dataclass
-class NodalLabeling:
-    """Connected sign regions of a field: 0 marks the zero-set, 1..count the domains."""
-
-    labels: np.ndarray
-    count: int
-
-
-def nodal_domains(u: GridFunction) -> NodalLabeling:
-    """Label connected components of {u > eps} and {u < -eps} (face adjacency),
-    with eps = 1e-10 max |u|.
-
-    The grid labeling at eps > 0 is a proxy for the measure-theoretic nodal
-    domains of the continuum field.
-    """
-    vals = u.values
-    eps = 1e-10 * float(np.max(np.abs(vals))) if np.any(vals) else 0.0
-    structure = ndimage.generate_binary_structure(u.grid.N, 1)
-    labels = np.zeros(vals.shape, dtype=np.int32)
-    count = 0
-    for mask in (vals > eps, vals < -eps):
-        lab, n = ndimage.label(mask, structure=structure)
-        labels[mask] = lab[mask] + count
-        count += int(n)
-    return NodalLabeling(labels=labels, count=count)
 
 
 # --- serialization -----------------------------------------------------------

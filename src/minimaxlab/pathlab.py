@@ -15,15 +15,15 @@ import math
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .domain import lp_mass
 from .energy import _laplacian, energy_J, mass_I
-from .field import GridFunction, lp_normalize, nodal_domains, split_signs, translate
+from .field import GridFunction, lp_normalize, split_signs, translate
 
 
 THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config default
 MIN_THETA_SAMPLES = 64  # fewest angles a path maximum accepts
+GOLDEN_XTOL = 1e-12  # bracket width at which a golden-section search stops
 SPHERE_SAMPLES = 256  # directions per sphere map; also the config default
 
 
@@ -194,25 +194,42 @@ def two_block_energy(J1: float, J2: float, p: float, theta: float) -> float:
     return (J1 * c * c + J2 * s * s) / (abs(c) ** p + abs(s) ** p) ** (2.0 / p)
 
 
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of f on [lo, hi], assumed
+    unimodal there: (f(x), x) at the best point evaluated once the bracket is
+    narrower than GOLDEN_XTOL."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = f(a), f(b)
+    while hi - lo > GOLDEN_XTOL:
+        if fa >= fb:  # the maximum lies in [lo, b]
+            hi, b, fb = b, a, fa
+            a = hi - g * (hi - lo)
+            fa = f(a)
+        else:  # the maximum lies in [a, hi]
+            lo, a, fa = a, b, fb
+            b = lo + g * (hi - lo)
+            fb = f(b)
+    return (fa, a) if fa >= fb else (fb, b)
+
+
 def _theta_max(f, samples: int) -> tuple[float, float]:
     """Maximum of f over theta in [0, pi) and its argmax: dense sampling, then
-    bounded golden-section search (xatol 1e-12) within one spacing of the
-    best sample."""
+    golden-section search within one spacing of the best sample, whose result
+    replaces the sample only when it is at least as large."""
     thetas = _thetas(samples)
     vals = np.array([f(t) for t in thetas])
     j = int(np.argmax(vals))
-    lo = thetas[j] - math.pi / samples
-    hi = thetas[j] + math.pi / samples
-    res = minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    if -res.fun >= vals[j]:
-        return float(-res.fun), float(res.x % math.pi)
+    step = math.pi / samples
+    fx, x = _golden_max(f, thetas[j] - step, thetas[j] + step)
+    if fx >= vals[j]:
+        return float(fx), float(x % math.pi)
     return float(vals[j]), float(thetas[j])
 
 
 def path_max_from_energies(J1: float, J2: float, p: float) -> tuple[float, float]:
     """Dense theta-sampling of the disjoint-support energy profile, refined by
-    bounded golden-section search. Independent route to disjoint_support_max.
+    golden-section search. Independent route to disjoint_support_max.
 
     Targets the same stationary value as the closed form: the profile maximum
     unless both energies are nonpositive, in which case the interior trough.
@@ -308,10 +325,6 @@ class SphereMap:
         self.rule = rule
         self.points = points
 
-    @property
-    def m(self) -> int:
-        return self.points.shape[1]
-
     def at(self, y) -> GridFunction:
         return self.rule(np.asarray(y, dtype=float))
 
@@ -373,26 +386,3 @@ def gamma_R(winf: GridFunction, R: float, p: float,
 
     return SphereMap(rule, pts)
 
-
-def nodal_sphere_map(u0: GridFunction, p: float) -> SphereMap:
-    """Map built from the normalized restrictions of u0 to its nodal domains.
-
-    The sampled maximum of J over the image never exceeds J(u0) (up to
-    quadrature tolerance), which is the upper-bound mechanism for the m-th
-    level.
-    """
-    labeling = nodal_domains(u0)
-    m = labeling.count
-    if m < 2:
-        raise PathError(f"need at least 2 nodal domains, found {m}")
-    if m > 3:
-        m = 3  # sample a coordinate subsphere through the 3 largest domains
-    # order domains by mass, keep the m largest
-    masses = [lp_mass(u0.values[labeling.labels == j], p, u0.grid.weight)
-              for j in range(1, labeling.count + 1)]
-    order = np.argsort(masses)[::-1][:m]
-    blocks = []
-    for j in order:
-        chi = (labeling.labels == j + 1).astype(float)
-        blocks.append(lp_normalize(GridFunction(u0.grid, chi * u0.values), p))
-    return SphereMap(SpanMap(blocks, p), sphere_points(m, SPHERE_SAMPLES))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimaxlab import (GridFunction, ProblemSpec, build_grid, lp_norm,
-                        lp_normalize, nodal_domains, split_signs, translate)
+                        lp_normalize, split_signs, translate)
 from minimaxlab.field import (FieldError, load_gridfunction,
                               save_gridfunction)
 from minimaxlab.energy import mass_I
@@ -144,34 +144,6 @@ class TestTranslate:
         # decaying state shifted halfway across the desk box loses < 1e-6 mass
         shifted = translate(winf0, (8.0, 0.0))
         assert abs(lp_norm(shifted, 4.0) - 1.0) < 1e-6
-
-
-class TestNodalDomains:
-    def test_sign_definite(self, grid):
-        assert nodal_domains(gaussian(grid)).count == 1
-
-    def test_two_separated_bumps(self, winf0):
-        far = translate(winf0, (10.0, 0.0))
-        near = translate(winf0, (-10.0, 0.0))
-        u = GridFunction(winf0.grid, near.values - far.values)
-        # separation of 20 decay lengths; tiny overlap is below the eps cut
-        assert nodal_domains(u).count == 2
-
-    def test_zero_field(self, grid):
-        assert nodal_domains(GridFunction(grid, np.zeros(grid.shape))).count == 0
-
-    def test_excited_state_annuli(self, excited_profile, grid0):
-        from minimaxlab import profile_on_grid
-
-        u = profile_on_grid(excited_profile, grid0)
-        assert nodal_domains(u).count == excited_profile.nodes + 1
-
-    def test_labels_partition_support(self, grid):
-        u = GridFunction(grid, compact_bump(grid, (-2, 0)).values
-                         - compact_bump(grid, (2, 0)).values)
-        lab = nodal_domains(u)
-        assert lab.count == 2
-        assert np.all((lab.labels > 0) == (np.abs(u.values) > 0))
 
 
 class TestSerialization:

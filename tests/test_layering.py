@@ -1,10 +1,15 @@
 """Only the runner (`cli`) and `domain` turn a problem specification into grid
-arrays; the numerical layers take V = Vinf - W and the fields directly."""
+arrays; the numerical layers take V = Vinf - W and the fields directly. The
+package imports no scipy at run time."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import minimaxlab
 import minimaxlab.domain as domain
 
 
@@ -15,3 +20,15 @@ def test_numerical_layers_do_not_read_a_problem_spec(module):
         bound = [key for key, value in namespace.items()
                  if key == name or value is getattr(domain, name)]
         assert not bound, f"minimaxlab.{module} binds {bound}"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the runtime path must not import it
+    code = ("import sys, minimaxlab, minimaxlab.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(minimaxlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

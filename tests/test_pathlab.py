@@ -11,8 +11,7 @@ from minimaxlab.energy import _energy
 from minimaxlab.pathlab import (MIN_THETA_SAMPLES, THETA_SAMPLES, PathError,
                                 PathFamily, SampledPath, SpanMap, SphereMap,
                                 balanced_point, disjoint_support_max, gamma_R,
-                                nodal_sphere_map, overlap_integrals,
-                                path_max_J, path_max_from_energies,
+                                overlap_integrals, path_max_J, path_max_from_energies,
                                 sphere_points, two_block_energy)
 
 
@@ -137,6 +136,17 @@ class TestPathMaxJ:
     def test_minimum_sample_count_enforced(self, spec, grid, left, right):
         with pytest.raises(PathError):
             path_max_J(PathFamily(left, right, 4.0), potential_values(spec, grid), samples=32)
+
+    @pytest.mark.parametrize("theta0", [0.3 * math.pi / 64, 1.0, 2.9])
+    def test_search_finds_off_sample_peak(self, theta0):
+        # the peak of cos(2(theta - theta0)) falls between samples, where the
+        # golden-section search must beat the best sample and reach 1
+        f = lambda t: math.cos(2.0 * (t - theta0))
+        best_sample = max(f(t) for t in np.linspace(0.0, math.pi, 64, endpoint=False))
+        value, arg = pathlab._theta_max(f, 64)
+        assert best_sample < value <= 1.0
+        assert value == pytest.approx(1.0, abs=1e-15)
+        assert arg == pytest.approx(theta0 % math.pi, abs=1e-7)
 
 
 @pytest.fixture(scope="module")
@@ -271,23 +281,6 @@ class TestGammaR:
             target, rel=5e-3)
 
 
-class TestNodalSphereMap:
-    def test_equal_blocks_reach_generating_energy(self, spec, grid, left, right):
-        # equal-mass equal-energy blocks: the sampled image maximum reproduces
-        # the closed-form combination, which equals J of the signed generator
-        u0 = lp_normalize(GridFunction(grid, left.values - right.values), 4.0)
-        nm = nodal_sphere_map(u0, spec.p)
-        assert nm.m == 2
-        V = potential_values(spec, grid)
-        target = disjoint_support_max(energy_J(left, V), energy_J(left, V), 4.0)
-        assert nm.max_energy(V) == pytest.approx(target, rel=1e-10)
-        assert energy_J(u0, V) == pytest.approx(target, rel=1e-10)
-
-    def test_sign_definite_rejected(self, spec, left):
-        with pytest.raises(PathError):
-            nodal_sphere_map(left, spec.p)
-
-
 def counted(fn):
     """Wrap fn, counting its calls in the wrapper's `calls` attribute."""
     def wrapper(*args):
@@ -310,14 +303,15 @@ class TestNoProbeEvaluations:
     def test_path_max_evaluates_angles_and_search_steps_only(self, spec, grid, left, right,
                                                               monkeypatch):
         # a sampled path has no closed form, so it builds one field per angle
-        steps, search = [], pathlab.minimize_scalar
+        steps, search = [], pathlab._golden_max
 
-        def recording(*args, **kwargs):
-            res = search(*args, **kwargs)
-            steps.append(res.nfev)
+        def recording(f, lo, hi):
+            f = counted(f)
+            res = search(f, lo, hi)
+            steps.append(f.calls)
             return res
 
-        monkeypatch.setattr(pathlab, "minimize_scalar", recording)
+        monkeypatch.setattr(pathlab, "_golden_max", recording)
         path = SampledPath.from_path(PathFamily(left, right, 4.0), 64, 4.0)
         path.at = counted(path.at)
         path_max_J(path, potential_values(spec, grid))
