@@ -26,8 +26,8 @@ from .domain import (DomainError, ProblemSpec, build_grid, dual_norm_W,
                      PROBLEM_KEYS)
 from .energy import deviation_bound
 from .field import GridFunction, lp_normalize
-from .groundstate import (DESCENT_TOL, FIT_WINDOW, fit_decay, minimize_lambda1,
-                          profile_on_grid, shoot_excited, shoot_ground)
+from .groundstate import (DESCENT_TOL, FIT_WINDOW, DescentError, ShootingError, fit_decay,
+                          minimize_lambda1, profile_on_grid, shoot_excited, shoot_ground)
 from .minimax import (Y_SWEEP, Lambda2Bounds, LevelsReport, Verdict,
                       lambda2_bounds, lambda2_radial, lambda_sharp, verdict)
 from .pathlab import MIN_THETA_SAMPLES, SPHERE_SAMPLES, THETA_SAMPLES, gamma_R
@@ -57,6 +57,13 @@ class ExperimentConfig:
         if self.theta_samples < MIN_THETA_SAMPLES:
             raise ConfigError(f"theta_samples must be at least {MIN_THETA_SAMPLES}, "
                               f"got {self.theta_samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not (math.isfinite(self.tol_descent) and self.tol_descent > 0):
+            raise ConfigError(f"tol_descent must be positive and finite, got {self.tol_descent}")
+        if not self.fit_window[0] < self.fit_window[1]:
+            raise ConfigError("fit_r_min must lie below fit_r_max, got "
+                              f"{self.fit_window[0]} and {self.fit_window[1]}")
         if self.sphere_samples < 2:
             raise ConfigError(f"sphere_samples must be at least 2, got {self.sphere_samples}")
         if self.sphere_samples % 2:
@@ -436,13 +443,13 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--override expects KEY=VALUE, got {item!r}")
             key, val = item.split("=", 1)
             mapping[key.strip()] = val.strip()
-        cfg = config_from_mapping(mapping)
         if args.out:
-            cfg.out_dir = args.out
+            mapping["out_dir"] = args.out
         if args.seed is not None:
-            cfg.seed = args.seed
-        return run(cfg)
-    except (ConfigError, DomainError, OSError, ValueError) as exc:
+            mapping["seed"] = str(args.seed)
+        return run(config_from_mapping(mapping))
+    except (ConfigError, DomainError, OSError, ValueError, ShootingError,
+            DescentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

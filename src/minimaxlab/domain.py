@@ -30,7 +30,8 @@ class WSpec:
       zero         -- W = 0 (autonomous problem)
       exponential  -- W = c * exp(-a |x|)
       bump         -- compact bump W = c * (1 - (|x|/a)^2)^2 for |x| < a
-      table        -- tabulated on the grid, loaded from `table_path`
+      table        -- tabulated on the grid, loaded from `table_path`; the
+                      table's grid must be the run's grid
     """
 
     family: str = "zero"
@@ -43,6 +44,10 @@ class WSpec:
             raise DomainError(f"unknown W family {self.family!r}, expected one of {W_FAMILIES}")
         if self.family == "table" and not self.table_path:
             raise DomainError("table W family requires table_path")
+        if not (math.isfinite(self.c) and math.isfinite(self.a)):
+            raise DomainError(f"W parameters must be finite, got c={self.c}, a={self.a}")
+        if self.a <= 0:  # the decay rate or the bump radius
+            raise DomainError(f"W parameter a must be positive, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,9 @@ class ProblemSpec:
             raise DomainError("spatial dimension must be at least 2")
         if self.N not in (2, 3):
             raise DomainError("only N = 2 or 3 supported")
+        for name, value in (("p", self.p), ("Vinf", self.Vinf), ("L", self.L), ("h", self.h)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not self.p > 2:
             raise DomainError("exponent p must exceed 2")
         if self.N >= 3 and self.p >= 2 * self.N / (self.N - 2):
@@ -161,9 +169,12 @@ def eval_W(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     else:  # table; WSpec admits no other family
         from .field import load_gridfunction
 
-        vals = load_gridfunction(w.table_path).values
-        if vals.shape != grid.shape:
-            raise DomainError("tabulated W does not match the grid shape")
+        table = load_gridfunction(w.table_path)
+        tg = table.grid
+        if (tg.N, tg.L, tg.h) != (grid.N, grid.L, grid.h):
+            raise DomainError(f"tabulated W lies on a grid with N={tg.N}, L={tg.L}, h={tg.h}, "
+                              f"not the run's N={grid.N}, L={grid.L}, h={grid.h}")
+        vals = table.values
     return zero_boundary(vals)
 
 

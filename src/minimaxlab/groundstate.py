@@ -268,54 +268,51 @@ class _ShiftedPoissonSolver:
 
     The (2N+1)-point Laplacian is diagonal in the DST-I basis, with
     eigenvalues sum over the axes of (2 - 2 cos(pi k / (n+1))) / h^2 for n
-    interior nodes per axis. `solve` applies one forward transform, divides by
-    Vinf plus those eigenvalues and applies the transform again (DST-I is its
-    own inverse up to a factor 2(n+1) per axis, folded into the divisor). The
-    transform is minus the imaginary part of `numpy.fft.rfft` of the odd
-    extension, run in place slab by slab through two buffers of about `SLAB`
-    elements, so a solve allocates no grid-sized array.
+    interior nodes per axis. The transform multiplies each axis by the
+    symmetric matrix S_jk = sin(pi j k / (n+1)), held over all nodes with zero
+    boundary rows and columns, so boundary values are ignored and written as
+    zeros. S S = (n+1)/2 I on the interior, so `solve` applies S along every
+    axis, divides by Vinf plus the eigenvalues (that factor folded in) and
+    applies S along every axis again. The passes alternate between `out` and
+    one grid buffer held by the solver.
     """
-
-    SLAB = 1 << 15  # float elements of the odd-extension buffer
 
     def __init__(self, shape: tuple[int, ...], h: float, Vinf: float):
         M, ndim = shape[0], len(shape)
         n1 = M - 1  # n + 1, with n = M - 2 interior nodes per axis
-        scale = (2.0 * n1) ** ndim
-        mu = scale * (2.0 - 2.0 * np.cos(np.pi * np.arange(M) / n1)) / (h * h)
-        self._mu = mu.reshape((M,) + (1,) * (ndim - 1))  # first axis's eigenvalues
+        k = np.arange(M)
+        # j k is reduced modulo 2(n+1) in integers, so each sine argument lies in [0, 2 pi)
+        self._S = S = np.sin(np.pi * (np.outer(k, k) % (2 * n1)) / n1)
+        S[-1] = S[:, -1] = 0.0  # row and column 0 are exact zeros already
+        scale = (n1 / 2.0) ** ndim
+        self._mu = scale * (2.0 - 2.0 * np.cos(np.pi * k / n1)) / (h * h)  # per axis
         # Vinf plus the other axes' eigenvalues, broadcast over one first-axis index
         self._rest = scale * Vinf + sum(
-            mu.reshape((M,) + (1,) * (ndim - 2 - ax)) for ax in range(ndim - 1))
-        inner = (M,) * (ndim - 2)
-        self._rows = max(1, self.SLAB // (2 * n1 * (M ** (ndim - 2))))
-        self._ext = np.empty((self._rows,) + inner + (2 * n1,))
-        self._spec = np.empty((self._rows,) + inner + (M,), dtype=complex)
+            self._mu.reshape((M,) + (1,) * (ndim - 2 - ax)) for ax in range(ndim - 1))
+        self._buf = np.empty(shape)
 
-    def _dst(self, a: np.ndarray):
-        """Unnormalized DST-I of the interior of `a` along every axis, in place."""
-        M = a.shape[0]
-        ext, spec = self._ext, self._spec
-        for ax in range(a.ndim):
-            b = np.moveaxis(a, ax, -1)
-            for r0 in range(1, M - 1, self._rows):
-                rows = b[r0:min(r0 + self._rows, M - 1)]
-                k = len(rows)
-                ext[:k, ..., :M] = rows
-                np.negative(rows[..., -2:0:-1], out=ext[:k, ..., M:])
-                np.fft.rfft(ext[:k], axis=-1, out=spec[:k])
-                np.negative(spec[:k, ..., 1:-1].imag, out=rows[..., 1:-1])
+    def _dst(self, a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """S along every axis of `a`, written into `out` and returned. The
+        passes alternate between `out` and `spare`, the last one writing `out`;
+        `a` is only read, and it may be the array the first pass does not write."""
+        M, ndim = a.shape[0], a.ndim
+        for ax in range(ndim):
+            b = out if (ndim - ax) % 2 else spare
+            if ax < ndim - 1:
+                np.matmul(self._S, a.reshape(M ** ax, M, -1), out=b.reshape(M ** ax, M, -1))
+            else:  # one product over all rows; the batched form is slower here
+                np.matmul(a.reshape(-1, M), self._S, out=b.reshape(-1, M))
+            a = b
+        return out
 
     def solve(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write P^-1 g into `out` (boundary nodes zero) and return it; g must
-        vanish on the boundary."""
-        np.copyto(out, g)
-        self._dst(out)
-        for r0 in range(1, out.shape[0] - 1, self._rows):
-            r1 = min(r0 + self._rows, out.shape[0] - 1)
-            out[r0:r1] /= self._mu[r0:r1] + self._rest
-        self._dst(out)
-        return out
+        """Write P^-1 g into `out` (boundary nodes zero) and return it; `g` is
+        not written. `out` must be C-contiguous, so that `_dst` reshapes it as a view."""
+        mid, spare = (self._buf, out) if g.ndim % 2 else (out, self._buf)
+        self._dst(g, mid, spare)
+        for row, mu in zip(mid[1:-1], self._mu[1:-1]):  # no grid-sized divisor
+            row /= mu + self._rest
+        return self._dst(mid, out, self._buf)
 
 
 def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
@@ -337,7 +334,7 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
     def norm_p(v):
         return lp_mass(v, p, weight) ** (1.0 / p)
 
-    u = u0 / norm_p(u0)
+    u = np.ascontiguousarray(u0) / norm_p(u0)  # so every buffer below is C-contiguous
     J = _energy(u, V, h)
     g = _sphere_gradient(u, V, J, p, h)
     d = P.solve(g, np.empty_like(g))

@@ -4,15 +4,13 @@ and their exact maxima.
 A two-block path interpolates trigonometrically between blocks u1, u2 and is
 renormalized pointwise; when the blocks have layer-separated supports its
 energy maximum has a closed form, which the dense sampling must reproduce.
-A normalized span of fixed blocks (`SpanMap`) evaluates J exactly from a Gram
-matrix and L^p moments computed once per map; path maxima over a two-block
-path search this closed form.
+Along a two-block path J is exact from a 2x2 Gram matrix and L^p moments
+computed once per path, and path maxima search this closed form.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -36,80 +34,17 @@ def _thetas(samples: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, samples, endpoint=False)
 
 
-class SpanMap:
-    """Odd map y -> normalize(sum_i y_i b_i) from R^m into the constraint sphere.
+class PathFamily:
+    """Odd loop gamma(theta) = normalize(u1 cos theta + u2 sin theta) through
+    two blocks on the constraint sphere.
 
-    Calling the map builds the field. `energy` gives J on the span without
-    building fields: J(y) = y^T G y / |sum y_i b_i|_p^2, where G is the Gram
-    matrix of the link-kinetic plus V form on the blocks. For even integer p
-    the mass |sum y_i b_i|_p^p is a polynomial in y whose coefficients are the
-    moments int b_i1 ... b_ip, so an evaluation does no grid work; for other p
-    it is one mass pass over sum y_i b_i.
+    `energy` gives J along the loop without building fields:
+    J(theta) = y^T G y / |y1 u1 + y2 u2|_p^2 at y = (cos theta, sin theta),
+    where G is the 2x2 Gram matrix of the link-kinetic plus V form on the
+    blocks. For even integer p the mass is a polynomial in y whose
+    coefficients are the moments int u1^k u2^(p-k), so an evaluation does no
+    grid work; for other p it is one mass pass over the combination.
     """
-
-    def __init__(self, blocks: list[GridFunction], p: float):
-        self.blocks = blocks
-        self.p = p
-        self.grid = blocks[0].grid
-
-    def _combine(self, y) -> np.ndarray:
-        v = y[0] * self.blocks[0].values
-        for c, b in zip(y[1:], self.blocks[1:]):
-            v += c * b.values
-        return v
-
-    def __call__(self, y) -> GridFunction:
-        return lp_normalize(GridFunction(self.grid, self._combine(y)), self.p)
-
-    def gram(self, V: np.ndarray) -> np.ndarray:
-        """G_ij = sum b_i (-Delta b_j + V b_j) h^N, the bilinear form of J on the
-        blocks (equal to the link form, since the blocks vanish on the boundary).
-        Blocks with layer-separated supports give exact zeros off the diagonal."""
-        h, weight = self.grid.h, self.grid.weight
-        vals = [b.values for b in self.blocks]
-        G = np.empty((len(vals), len(vals)))
-        for j, bj in enumerate(vals):
-            Hb = _laplacian(bj, h)
-            Hb *= -1.0
-            Hb += V * bj
-            G[:, j] = [float(np.sum(bi * Hb)) * weight for bi in vals]
-        return 0.5 * (G + G.T)
-
-    def _mass(self):
-        """y -> |sum y_i b_i|_p^p."""
-        p, weight = self.p, self.grid.weight
-        if p != int(p) or int(p) % 2:
-            return lambda y: lp_mass(self._combine(y), p, weight)
-        # even p: multinomial expansion over the moments of the blocks
-        vals = [b.values for b in self.blocks]
-        m, k = len(vals), int(p)
-        powers, coeffs = [], []
-        for combo in combinations_with_replacement(range(m), k):
-            e = np.bincount(combo, minlength=m)
-            multinomial = math.factorial(k) // math.prod(math.factorial(n) for n in e)
-            product = vals[combo[0]] * vals[combo[1]]  # the one grid-sized temporary
-            for i in combo[2:]:
-                product *= vals[i]
-            powers.append(e)
-            coeffs.append(multinomial * float(np.sum(product)) * weight)
-        powers, coeffs = np.array(powers), np.array(coeffs)
-        return lambda y: float(np.prod(y ** powers, axis=1) @ coeffs)
-
-    def energy(self, V: np.ndarray):
-        """y -> J(normalize(sum y_i b_i)) in closed form, for V = Vinf - W on the
-        grid; G and the moments are computed here, once."""
-        G, mass, e = self.gram(V), self._mass(), 2.0 / self.p
-
-        def J(y):
-            y = np.asarray(y, dtype=float)
-            return float(y @ G @ y) / mass(y) ** e
-
-        return J
-
-
-class PathFamily(SpanMap):
-    """Odd loop gamma(theta) = normalize(u1 cos theta + u2 sin theta), the span
-    of two blocks at y = (cos theta, sin theta)."""
 
     def __init__(self, u1: GridFunction, u2: GridFunction, p: float):
         for u in (u1, u2):
@@ -119,10 +54,62 @@ class PathFamily(SpanMap):
         s = float(np.max(np.abs(u1.values + u2.values)))
         if min(d, s) < 1e-12:
             raise PathError("degenerate path: u2 = +/- u1")
-        super().__init__([u1, u2], p)
+        self.blocks = (u1, u2)
+        self.p = p
+        self.grid = u1.grid
+
+    def _combine(self, c, s) -> np.ndarray:
+        v = c * self.blocks[0].values
+        v += s * self.blocks[1].values
+        return v
 
     def at(self, theta: float) -> GridFunction:
-        return self((math.cos(theta), math.sin(theta)))
+        u = self._combine(math.cos(theta), math.sin(theta))
+        return lp_normalize(GridFunction(self.grid, u), self.p)
+
+    def gram(self, V: np.ndarray) -> np.ndarray:
+        """G_ij = sum u_i (-Delta u_j + V u_j) h^N, the bilinear form of J on the
+        blocks (equal to the link form, since the blocks vanish on the boundary).
+        Blocks with layer-separated supports give exact zeros off the diagonal."""
+        h, weight = self.grid.h, self.grid.weight
+        vals = [b.values for b in self.blocks]
+        G = np.empty((2, 2))
+        for j, bj in enumerate(vals):
+            Hb = _laplacian(bj, h)
+            Hb *= -1.0
+            Hb += V * bj
+            G[:, j] = [float(np.sum(bi * Hb)) * weight for bi in vals]
+        return 0.5 * (G + G.T)
+
+    def _mass(self):
+        """y -> |y1 u1 + y2 u2|_p^p."""
+        p, weight = self.p, self.grid.weight
+        if p != int(p) or int(p) % 2:
+            return lambda y: lp_mass(self._combine(*y), p, weight)
+        # even p: binomial expansion over the moments, highest power of u1 first
+        u1, u2 = (b.values for b in self.blocks)
+        k = int(p)
+        powers, coeffs = [], []
+        for j in range(k, -1, -1):
+            factors = [u1] * j + [u2] * (k - j)
+            product = factors[0] * factors[1]  # the one grid-sized temporary
+            for f in factors[2:]:
+                product *= f
+            powers.append((j, k - j))
+            coeffs.append(math.comb(k, j) * float(np.sum(product)) * weight)
+        powers, coeffs = np.array(powers), np.array(coeffs)
+        return lambda y: float(np.prod(y ** powers, axis=1) @ coeffs)
+
+    def energy(self, V: np.ndarray):
+        """theta -> J(gamma(theta)) in closed form, for V = Vinf - W on the
+        grid; G and the moments are computed here, once."""
+        G, mass, e = self.gram(V), self._mass(), 2.0 / self.p
+
+        def J(theta):
+            y = np.array((math.cos(theta), math.sin(theta)))
+            return float(y @ G @ y) / mass(y) ** e
+
+        return J
 
 
 class SampledPath:
@@ -143,6 +130,10 @@ class SampledPath:
         n = len(self.fields)
         k %= 2 * n
         return self.fields[k].values if k < n else -self.fields[k - n].values
+
+    def energy(self, V: np.ndarray):
+        """theta -> J(gamma(theta)), one field built per evaluation."""
+        return lambda theta: energy_J(self.at(theta), V)
 
     def at(self, theta: float) -> GridFunction:
         n = len(self.fields)
@@ -171,7 +162,7 @@ class SampledPath:
 
 def disjoint_support_max(J1: float, J2: float, p: float) -> float:
     """Closed-form extremal level of a disjoint-support two-block path: the
-    diagonal-G case of `SpanMap.energy`, with block energies J1, J2.
+    diagonal-G case of `PathFamily.energy`, with block energies J1, J2.
 
     For positive block energies this is the interior peak of the energy
     profile; for mixed signs the positive endpoint; when both energies are
@@ -243,18 +234,15 @@ def path_max_J(path, V: np.ndarray, samples: int = THETA_SAMPLES) -> tuple[float
     """Maximum of J over the path and its argmax angle, with V = Vinf - W on
     the path's grid.
 
-    Samples theta on [0, pi) (J is even under the antipodal reflection) and
-    refines around the best sample by golden-section search. On a
-    `PathFamily` the search runs on the closed-form span energy, and the
-    maximum reported is J of the one field built at the argmax angle; other
-    paths build a field per angle.
+    Samples `path.energy(V)` on theta in [0, pi) (J is even under the
+    antipodal reflection) and refines around the best sample by
+    golden-section search; the maximum reported is J of the field built at
+    the argmax angle. A `PathFamily` searches its closed-form energy, so that
+    field is the only one built; a `SampledPath` builds one per angle.
     """
     if samples < MIN_THETA_SAMPLES:
         raise PathError(f"at least {MIN_THETA_SAMPLES} theta samples required")
-    if not isinstance(path, PathFamily):
-        return _theta_max(lambda t: energy_J(path.at(t), V), samples)
-    span_J = path.energy(V)
-    _, theta = _theta_max(lambda t: span_J((math.cos(t), math.sin(t))), samples)
+    _, theta = _theta_max(path.energy(V), samples)
     return energy_J(path.at(theta), V), theta
 
 
@@ -313,9 +301,9 @@ class SphereMap:
     """Odd map from sampled S^(m-1) into the constraint sphere.
 
     `rule(y)` evaluates the map at a unit vector y into a field, with
-    rule(-y) = -rule(y) exactly (as for `gamma_R` and `SpanMap`); `points`
-    is a sampling of the sphere closed under the antipodal map, stored as
-    its first half followed by the negatives of that half.
+    rule(-y) = -rule(y) exactly (as for `gamma_R`); `points` is a sampling
+    of the sphere closed under the antipodal map, stored as its first half
+    followed by the negatives of that half.
     """
 
     def __init__(self, rule, points: np.ndarray):

@@ -11,6 +11,7 @@ from minimaxlab import cli, domain, groundstate, minimax
 from minimaxlab.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                             config_from_mapping, load_config, main, run)
 from minimaxlab.domain import ProblemSpec
+from minimaxlab.groundstate import DescentError, ShootingError
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(minimaxlab.__file__)))
 
@@ -329,7 +330,15 @@ class TestMain:
         # y_sweep is checked for the experiments that build two-bump paths
         ("experiment=levels y_sweep=4.1", "whole multiples of spacing_h = 0.25"),
         ("experiment=verify-all y_sweep=3,15.75", "spacing_h = 15.5, got [15.75]"),
-        ("experiment=symmetry y_sweep=-16", "got [-16.0]")])
+        ("experiment=symmetry y_sweep=-16", "got [-16.0]"),
+        ("tol_descent=0", "tol_descent must be positive and finite"),
+        ("tol_descent=-1e-8", "tol_descent must be positive and finite"),
+        ("tol_descent=nan", "tol_descent must be positive and finite"),
+        ("tol_descent=inf", "tol_descent must be positive and finite"),
+        ("seed=-1", "seed must be nonnegative"),
+        ("--seed -1", "seed must be nonnegative"),
+        ("fit_r_min=10 fit_r_max=5", "fit_r_min must lie below fit_r_max"),
+        ("fit_r_min=6 fit_r_max=6", "fit_r_min must lie below fit_r_max")])
     def test_bad_gamma_r_settings_rejected_before_any_work(self, tmp_path, capsys,
                                                            monkeypatch, override, message):
         def no_shooting(*args):
@@ -339,10 +348,28 @@ class TestMain:
         path = write_config(tmp_path / "c.cfg", {"experiment": "gamma-r", "r_list": "3,5"})
         out = tmp_path / "out"
         argv = ["run", path, "--out", str(out)]
-        for item in override.split():
-            argv += ["--override", item]
+        if override.startswith("--"):  # a command-line option, not a config key
+            argv += override.split()
+        else:
+            for item in override.split():
+                argv += ["--override", item]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, target, error", [
+        ("ground", "shoot_ground", ShootingError),
+        ("levels", "minimize_lambda1", DescentError)])
+    def test_solver_failure_is_an_error_line(self, tmp_path, capsys, monkeypatch,
+                                             experiment, target, error):
+        def failing(*args, **kwargs):
+            raise error("did not converge")
+
+        monkeypatch.setattr(cli, target, failing)
+        path = write_config(tmp_path / "c.cfg", {"experiment": experiment})
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: did not converge")
+        assert "Traceback" not in err
 
     def test_run_with_overrides(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", {"experiment": "gamma-r"})

@@ -96,6 +96,18 @@ class TestEvalW:
         with pytest.raises(DomainError):
             WSpec(family="sombrero")
 
+    def test_table_from_another_grid_rejected(self, tmp_path):
+        from minimaxlab.field import GridFunction, save_gridfunction
+
+        saved = build_grid(small_spec(L=8.0, h=0.25))
+        path = tmp_path / "w.gfb"
+        save_gridfunction(GridFunction(saved, np.ones(saved.shape)), path)
+        spec = small_spec(L=16.0, h=0.5, W=WSpec(family="table", table_path=str(path)))
+        grid = build_grid(spec)
+        assert grid.shape == saved.shape  # same node count, twice the spacing
+        with pytest.raises(DomainError, match="tabulated W"):
+            eval_W(spec, grid)
+
 
 class TestDualNormW:
     def test_zero(self):
@@ -154,6 +166,15 @@ class TestKeyValueFiles:
         assert spec.N == 2
         assert spec.W.family == "exponential"
         assert spec.W.c == 0.5
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", "inf"), ("p", "nan"), ("v_inf", "inf"), ("box_l", "inf"), ("spacing_h", "nan"),
+        ("w_c", "nan"), ("w_c", "-inf"), ("w_a", "inf"), ("w_a", "-1"), ("w_a", "0")])
+    def test_nonfinite_or_nonpositive_values_rejected(self, key, value):
+        mapping = {"dim": "2", "box_l": "4", "spacing_h": "0.25",
+                   "w_family": "exponential", "w_c": "0.5", "w_a": "0.5"}
+        with pytest.raises(DomainError):
+            parse_problem_mapping({**mapping, key: value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DomainError, match="unknown problem keys"):

@@ -9,7 +9,7 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import _energy
 from minimaxlab.pathlab import (MIN_THETA_SAMPLES, THETA_SAMPLES, PathError,
-                                PathFamily, SampledPath, SpanMap, SphereMap,
+                                PathFamily, SampledPath, SphereMap,
                                 balanced_point, disjoint_support_max, gamma_R,
                                 overlap_integrals, path_max_J, path_max_from_energies,
                                 sphere_points, two_block_energy)
@@ -156,19 +156,20 @@ def well(spec):
 
 
 class TestSpanMap:
-    """J on a normalized span from the Gram matrix and the L^p moments (or one
-    mass pass for odd p) equals J of the field built at the same point."""
+    """J along a two-block path from the Gram matrix and the L^p moments (or
+    one mass pass for odd p) equals J of the field built at the same angle."""
 
     @pytest.mark.parametrize("p", [4.0, 6.0, 3.0])
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_matches_field_energy_on_overlapping_blocks(self, grid, well, rng, m, p):
-        centers = [(-1.0, 0.0), (1.0, 0.5), (0.0, -1.0)][:m]
-        span = SpanMap([unit_bump(grid, c, p, radius=2.5) for c in centers], p)
+    @pytest.mark.parametrize("dx", [2, 4])
+    def test_matches_field_energy_on_overlapping_blocks(self, grid, well, rng, dx, p):
+        # bumps of radius 2.5 whose centers lie dx apart in x overlap
+        path = PathFamily(unit_bump(grid, (-dx / 2, 0.0), p, radius=2.5),
+                          unit_bump(grid, (dx / 2, 0.5), p, radius=2.5), p)
         V = potential_values(well, grid)
-        J = span.energy(V)
-        for y in rng.standard_normal((12, m)):
-            exact = _energy(span(y).values, V, grid.h)
-            assert J(y) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        J = path.energy(V)
+        for t in rng.uniform(0.0, 2.0 * math.pi, 12):
+            exact = _energy(path.at(t).values, V, grid.h)
+            assert J(t) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p", [4.0, 3.0])
     def test_disjoint_blocks_are_the_diagonal_case(self, grid, well, p):
@@ -178,7 +179,7 @@ class TestSpanMap:
         assert G[0, 1] == G[1, 0] == 0.0
         J = path.energy(V)
         for t in np.linspace(0.0, math.pi, 9):
-            assert J((math.cos(t), math.sin(t))) == pytest.approx(
+            assert J(t) == pytest.approx(
                 two_block_energy(G[0, 0], G[1, 1], p, t), rel=1e-12)
         got, _ = path_max_J(path, V)
         assert got == pytest.approx(disjoint_support_max(G[0, 0], G[1, 1], p), rel=1e-12)
@@ -302,7 +303,8 @@ class TestNoProbeEvaluations:
 
     def test_path_max_evaluates_angles_and_search_steps_only(self, spec, grid, left, right,
                                                               monkeypatch):
-        # a sampled path has no closed form, so it builds one field per angle
+        # a sampled path has no closed form, so it builds one field per angle,
+        # and one more at the argmax for the reported maximum
         steps, search = [], pathlab._golden_max
 
         def recording(f, lo, hi):
@@ -316,7 +318,7 @@ class TestNoProbeEvaluations:
         path.at = counted(path.at)
         path_max_J(path, potential_values(spec, grid))
         assert len(steps) == 1
-        assert path.at.calls == THETA_SAMPLES + steps[0]
+        assert path.at.calls == THETA_SAMPLES + steps[0] + 1
 
     def test_path_family_max_builds_no_field_per_angle(self, spec, grid, left, right,
                                                        monkeypatch):
