@@ -300,8 +300,8 @@ class _ShiftedPoissonSolver:
             b = out if (ndim - ax) % 2 else spare
             if ax < ndim - 1:
                 np.matmul(self._S, a.reshape(M ** ax, M, -1), out=b.reshape(M ** ax, M, -1))
-            else:  # one product over all rows; the batched form is slower here
-                np.matmul(a.reshape(-1, M), self._S, out=b.reshape(-1, M))
+            else:  # S is symmetric; S-first, this axis would be matrix-vector products
+                np.matmul(a, self._S, out=b)
             a = b
         return out
 
