@@ -310,8 +310,8 @@ class _ShiftedPoissonSolver:
         not written. `out` must be C-contiguous, so that `_dst` reshapes it as a view."""
         mid, spare = (self._buf, out) if g.ndim % 2 else (out, self._buf)
         self._dst(g, mid, spare)
-        for row, mu in zip(mid[1:-1], self._mu[1:-1]):  # no grid-sized divisor
-            row /= mu + self._rest
+        for i in range(1, len(mid) - 1):  # per first-axis index: no grid-sized divisor
+            mid[i] /= self._mu[i] + self._rest
         return self._dst(mid, out, self._buf)
 
 

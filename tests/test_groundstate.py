@@ -247,7 +247,8 @@ class TestMinimizeLambda1:
 
 
 class TestShiftedPoissonSolver:
-    @pytest.mark.parametrize("N, L, h, Vinf", [(2, 8.0, 0.25, 1.0), (3, 4.0, 0.25, 0.5)])
+    @pytest.mark.parametrize("N, L, h, Vinf", [(1, 8.0, 0.25, 2.0), (2, 8.0, 0.25, 1.0),
+                                             (3, 4.0, 0.25, 0.5)])
     def test_inverts_shifted_laplacian(self, N, L, h, Vinf):
         grid = Grid(N, L, h)
         g = zero_boundary(np.random.default_rng(N).standard_normal(grid.shape))
