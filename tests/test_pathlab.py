@@ -179,8 +179,7 @@ class TestSpanMap:
         assert G[0, 1] == G[1, 0] == 0.0
         J = path.energy(V)
         for t in np.linspace(0.0, math.pi, 9):
-            assert J(t) == pytest.approx(
-                two_block_energy(G[0, 0], G[1, 1], p, t), rel=1e-12)
+            assert J(t) == pytest.approx(two_block_energy(G[0, 0], G[1, 1], p, t), rel=1e-12)
         got, _ = path_max_J(path, V)
         assert got == pytest.approx(disjoint_support_max(G[0, 0], G[1, 1], p), rel=1e-12)
 
