@@ -19,7 +19,7 @@ target = 2.0 ** spec.sigma * ground.level
 print(f"doubling level 2^sigma lambda1_inf = {target:.6f}")
 
 for R in (6.0, 9.0, 12.0):
-    sm = gamma_R(winf, R, spec.p, samples=64)
+    sm = gamma_R(winf, R, spec.p, samples=32)  # J(-u) = J(u): 64 directions
     mx = sm.max_energy(V)
     print(f"  R = {R:5.1f}: max J over 64 directions = {mx:.6f}  "
           f"(gap {mx - target:+.2e})")

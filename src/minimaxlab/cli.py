@@ -26,11 +26,11 @@ from .domain import (DomainError, ProblemSpec, build_grid, dual_norm_W,
                      PROBLEM_KEYS)
 from .energy import deviation_bound
 from .field import GridFunction, lp_normalize
-from .groundstate import (DESCENT_TOL, FIT_WINDOW, DescentError, ShootingError, fit_decay,
+from .groundstate import (DESCENT_TOL, DescentError, ShootingError, fit_decay,
                           minimize_lambda1, profile_on_grid, shoot_excited, shoot_ground)
 from .minimax import (Y_SWEEP, Lambda2Bounds, LevelsReport, Verdict,
                       lambda2_bounds, lambda2_radial, lambda_sharp, verdict)
-from .pathlab import MIN_THETA_SAMPLES, SPHERE_SAMPLES, THETA_SAMPLES, gamma_R
+from .pathlab import MIN_THETA_SAMPLES, THETA_SAMPLES, gamma_R
 from . import __version__
 
 class ConfigError(ValueError):
@@ -43,12 +43,9 @@ class ExperimentConfig:
     experiment: str = "verify-all"
     seed: int = 0
     out_dir: str = "."
-    tol_descent: float = DESCENT_TOL
     theta_samples: int = THETA_SAMPLES
-    sphere_samples: int = SPHERE_SAMPLES
     y_sweep: tuple[float, ...] = Y_SWEEP
     r_list: tuple[float, ...] = (6.0, 9.0, 12.0)
-    fit_window: tuple[float, float] = FIT_WINDOW
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -59,16 +56,11 @@ class ExperimentConfig:
                               f"got {self.theta_samples}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not (math.isfinite(self.tol_descent) and self.tol_descent > 0):
-            raise ConfigError(f"tol_descent must be positive and finite, got {self.tol_descent}")
-        if not self.fit_window[0] < self.fit_window[1]:
-            raise ConfigError("fit_r_min must lie below fit_r_max, got "
-                              f"{self.fit_window[0]} and {self.fit_window[1]}")
-        if self.sphere_samples < 2:
-            raise ConfigError(f"sphere_samples must be at least 2, got {self.sphere_samples}")
-        if self.sphere_samples % 2:
-            raise ConfigError("sphere_samples must be even (antipodal pairs), "
-                              f"got {self.sphere_samples}")
+        for key in ("y_sweep", "r_list"):
+            values = getattr(self, key)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{key} values must be distinct, got {repeated} repeated")
         L, h = self.spec.L, self.spec.h
         if self.experiment in ("levels", "symmetry", "verify-all"):
             # a translate by more than 2 box_l - 2 spacing_h keeps no interior node
@@ -95,15 +87,12 @@ RUN_KEYS = {
     "experiment": str,
     "seed": int,
     "out_dir": str,
-    "tol_descent": float,
     "theta_samples": int,
-    "sphere_samples": int,
     "y_sweep": _floats,
     "r_list": _floats,
 }
 
-# fit_r_min and fit_r_max together set the fit_window pair
-CONFIG_KEYS = PROBLEM_KEYS + tuple(RUN_KEYS) + ("fit_r_min", "fit_r_max")
+CONFIG_KEYS = PROBLEM_KEYS + tuple(RUN_KEYS)
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -112,10 +101,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     spec = parse_problem_mapping({k: v for k, v in mapping.items() if k in PROBLEM_KEYS})
     kwargs = {key: parse(mapping[key]) for key, parse in RUN_KEYS.items() if key in mapping}
-    if "fit_r_min" in mapping or "fit_r_max" in mapping:
-        lo, hi = FIT_WINDOW
-        kwargs["fit_window"] = (float(mapping.get("fit_r_min", lo)),
-                                float(mapping.get("fit_r_max", hi)))
     return ExperimentConfig(spec=spec, **kwargs)
 
 
@@ -151,7 +136,7 @@ class Pipeline:
 
     @cached_property
     def decay_fit(self):
-        return fit_decay(self.ground_profile, self.spec.Vinf, window=self.cfg.fit_window)
+        return fit_decay(self.ground_profile, self.spec.Vinf)
 
     @cached_property
     def winf(self):
@@ -173,8 +158,7 @@ class Pipeline:
     def descent(self):
         s = self.spec
         seed = None if s.W.family == "zero" else self.winf
-        return minimize_lambda1(self.V, s.Vinf, s.p, self.grid, tol=self.cfg.tol_descent,
-                                seed=seed)
+        return minimize_lambda1(self.V, s.Vinf, s.p, self.grid, seed=seed)
 
     @cached_property
     def lam2(self) -> Lambda2Bounds:
@@ -189,7 +173,7 @@ class Pipeline:
         V_auto = np.full(self.grid.shape, self.spec.Vinf)
         out = {}
         for R in self.cfg.r_list:
-            sm = gamma_R(self.winf, R, self.spec.p, samples=self.cfg.sphere_samples)
+            sm = gamma_R(self.winf, R, self.spec.p)
             out[R] = sm.points, sm.scan(V_auto)
         return out
 
@@ -250,7 +234,7 @@ def exp_levels(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
         "grid descent agrees with shooting"))
 
     penalized = _penalty_condition_holds(pipe)
-    margin_tol = 10.0 * pipe.cfg.tol_descent
+    margin_tol = 10.0 * DESCENT_TOL
     rep.verdicts.append(verdict(
         "first-level-strict-drop", penalized, rep.lam1_inf - rep.lam1 - margin_tol,
         "lam1 strictly below lam1_inf under the exponential penalty"))
@@ -333,18 +317,6 @@ EXPERIMENT_BODIES = {
 }
 EXPERIMENTS = tuple(EXPERIMENT_BODIES)
 
-# report field -> operation that produced it
-PROVENANCE_MAP = {
-    "lam1_inf": "shoot_ground",
-    "lam1": "minimize_lambda1",
-    "lam_sharp": "lambda_sharp",
-    "lam2": "lambda2_bounds",
-    "lam2_radial": "lambda2_radial",
-    "decay": "fit_decay",
-    "w_dual_norm": "dual_norm_W",
-    "gamma_r_maxima": "gamma_R",
-}
-
 
 def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -356,6 +328,10 @@ def _atomic_write(path: str, chunks):
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -396,6 +372,8 @@ def run(cfg: ExperimentConfig) -> int:
         rep.verdicts.append(Verdict("report-invariant", "fail", 0.0, problem))
 
     spec = cfg.spec
+    levels = asdict(rep)
+    verdicts = levels.pop("verdicts")
     payload = {
         "problem": {
             "dim": spec.N, "p": spec.p, "v_inf": spec.Vinf,
@@ -403,16 +381,13 @@ def run(cfg: ExperimentConfig) -> int:
             "w_family": spec.W.family, "w_c": spec.W.c, "w_a": spec.W.a,
         },
         "experiment": cfg.experiment,
-        "levels": asdict(rep),
-        "verdicts": [asdict(v) for v in rep.verdicts],
+        "levels": levels,
+        "verdicts": verdicts,
         "provenance": {
             "version": __version__,
             "grid_shape": list(pipe.grid.shape),
             "seed": cfg.seed,
-            "tol_descent": cfg.tol_descent,
             "theta_samples": cfg.theta_samples,
-            "sphere_samples": cfg.sphere_samples,
-            "operations": PROVENANCE_MAP,
         },
     }
     digest = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()

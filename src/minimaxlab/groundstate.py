@@ -18,8 +18,8 @@ from .domain import Grid, lp_mass
 from .energy import _energy, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
-DESCENT_TOL = 1e-8  # descent gradient-norm tolerance; also the config default
-FIT_WINDOW = (6.0, 12.0)  # decay fit window in r; also the config default
+DESCENT_TOL = 1e-8  # descent gradient-norm tolerance
+FIT_WINDOW = (6.0, 12.0)  # decay fit window in r
 
 
 class ShootingError(RuntimeError):
@@ -221,17 +221,14 @@ def shoot_excited(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
     return prof
 
 
-def fit_decay(profile: RadialProfile, Vinf: float,
-              window: tuple[float, float] = FIT_WINDOW) -> DecayFit:
-    """Linear fit of log(w r^((N-1)/2)) on the window; slope gives the decay rate.
+def fit_decay(profile: RadialProfile, Vinf: float) -> DecayFit:
+    """Linear fit of log(w r^((N-1)/2)) on FIT_WINDOW; slope gives the decay rate.
 
     The envelope rate a0 is the fitted rate scaled down by 0.95, one
     admissible instantiation of the comparison-argument envelope.
     """
     r, w = profile.r, profile.normalized()
-    mask = (r >= window[0]) & (r <= window[1])
-    if np.count_nonzero(mask) < 8:
-        raise ValueError("fit window too short")
+    mask = (r >= FIT_WINDOW[0]) & (r <= FIT_WINDOW[1])
     y = w[mask] * r[mask] ** ((profile.N - 1) / 2.0)
     if np.any(y <= 0):
         raise ValueError("profile not positive on the fit window")
@@ -243,7 +240,7 @@ def fit_decay(profile: RadialProfile, Vinf: float,
     if not 0 < a0 <= math.sqrt(Vinf) * 1.001:
         raise ValueError(f"fitted envelope rate {a0} outside (0, sqrt(Vinf)]")
     return DecayFit(rate=rate, C0=float(np.exp(intercept)), a0=a0,
-                    window=window, residual=resid)
+                    window=FIT_WINDOW, residual=resid)
 
 
 def profile_on_grid(profile: RadialProfile, grid) -> GridFunction:
@@ -374,17 +371,17 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
 
 
 def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
-                     tol: float = DESCENT_TOL,
                      seed: GridFunction | None = None) -> DescentResult:
-    """Constrained minimization of J on `grid`, with V = Vinf - W on it:
-    returns (w1, lambda_1). `Vinf` sets the preconditioner -Delta_h + Vinf.
+    """Constrained minimization of J on `grid`, with V = Vinf - W on it, to a
+    gradient norm below DESCENT_TOL: returns (w1, lambda_1). `Vinf` sets the
+    preconditioner -Delta_h + Vinf.
 
     Starts from the on-grid `seed` when given (the pipeline passes the
     interpolated shooting profile), otherwise from a Gaussian bump. The
     minimizer is asserted nonnegative post hoc; a signed iterate triggers one
     restart from its absolute value.
     """
-    max_iter = 1_000
+    tol, max_iter = DESCENT_TOL, 1_000
     if seed is None:
         seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
     res = _descend(seed.values, V, Vinf, p, grid, tol, max_iter)

@@ -15,19 +15,17 @@ import numpy as np
 
 from .field import GridFunction
 from .groundstate import DecayFit, RadialProfile
-from .pathlab import THETA_SAMPLES, path_max_J, translated_bump_path
+from .pathlab import THETA_SAMPLES, disjoint_support_max, path_max_J, translated_bump_path
 
 Y_SWEEP = (4.0, 6.0, 8.0, 10.0, 12.0)  # two-bump translations; also the config default
 
 
 def lambda_sharp(l1: float, l1inf: float, p: float) -> float:
-    """Compactness threshold: (l1^q + l1inf^q)^(1/q) when l1 > 0, else l1inf."""
+    """Compactness threshold: (l1^q + l1inf^q)^(1/q) when l1 > 0, else l1inf;
+    the disjoint-support two-block maximum of the two levels."""
     if l1inf <= 0:
         raise ValueError("l1inf must be positive")
-    if l1 <= 0:
-        return l1inf
-    q = p / (p - 2.0)
-    return (l1 ** q + l1inf ** q) ** (1.0 / q)
+    return disjoint_support_max(l1, l1inf, p)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .field import GridFunction, lp_normalize, split_signs, translate
 THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config default
 MIN_THETA_SAMPLES = 64  # fewest angles a path maximum accepts
 GOLDEN_XTOL = 1e-12  # bracket width at which a golden-section search stops
-SPHERE_SAMPLES = 256  # directions per sphere map; also the config default
+SPHERE_SAMPLES = 128  # directions per sphere map, one per antipodal pair
 
 
 class PathError(ValueError):
@@ -301,15 +301,11 @@ class SphereMap:
     """Odd map from sampled S^(m-1) into the constraint sphere.
 
     `rule(y)` evaluates the map at a unit vector y into a field, with
-    rule(-y) = -rule(y) exactly (as for `gamma_R`); `points` is a sampling
-    of the sphere closed under the antipodal map, stored as its first half
-    followed by the negatives of that half.
+    rule(-y) = -rule(y) exactly (as for `gamma_R`), so J(-u) = J(u) and
+    `points` holds one direction per antipodal pair.
     """
 
     def __init__(self, rule, points: np.ndarray):
-        half = len(points) // 2
-        if len(points) % 2 or not np.array_equal(points[half:], -points[:half]):
-            raise PathError("sphere points must be a half followed by its negatives")
         self.rule = rule
         self.points = points
 
@@ -317,41 +313,30 @@ class SphereMap:
         return self.rule(np.asarray(y, dtype=float))
 
     def scan(self, V: np.ndarray) -> np.ndarray:
-        """J at each of `points`, in order, with V = Vinf - W on the fields' grid.
-
-        J(-u) = J(u), so one field per antipodal pair is built: the first
-        half of the points is evaluated and its values repeated.
-        """
-        first_half = self.points[:len(self.points) // 2]
-        half = np.array([energy_J(self.at(y), V) for y in first_half])
-        return np.concatenate([half, half])
+        """J at each of `points`, in order, with V = Vinf - W on the fields' grid."""
+        return np.array([energy_J(self.at(y), V) for y in self.points])
 
     def max_energy(self, V: np.ndarray) -> float:
         return float(np.max(self.scan(V)))
 
 
 def sphere_points(m: int, samples: int) -> np.ndarray:
-    """Sampling of S^(m-1) closed under y -> -y: samples / 2 directions, then
-    their negatives; `samples` must be even.
+    """`samples` directions of S^(m-1) that, with their negatives, sample the
+    sphere closed under y -> -y; an odd map needs no value at the negatives.
 
     Uniform angles on a half circle for m = 2; a Fibonacci sphere for m = 3.
     """
     if m not in (2, 3):
         raise PathError("sphere sampling implemented for m = 2 and m = 3")
-    if samples % 2:
-        raise PathError(f"sphere samples must be even, got {samples}")
-    half = samples // 2
-    k = np.arange(half)
+    k = np.arange(samples)
     if m == 2:
-        angles = 2.0 * math.pi * k / samples
-        pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    else:
-        golden = (1.0 + math.sqrt(5.0)) / 2.0
-        z = (2.0 * k + 1.0) / half - 1.0
-        phi = 2.0 * math.pi * k / golden
-        rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        pts = np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
-    return np.concatenate([pts, -pts], axis=0)
+        angles = math.pi * k / samples
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    z = (2.0 * k + 1.0) / samples - 1.0
+    phi = 2.0 * math.pi * k / golden
+    rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
 
 
 def gamma_R(winf: GridFunction, R: float, p: float,
@@ -359,8 +344,8 @@ def gamma_R(winf: GridFunction, R: float, p: float,
     """Odd map y -> normalize(winf(. + Ry) - winf(. - Ry)) over sampled S^(N-1).
 
     Displacements Ry are rounded to the nearest lattice vector, so evaluation
-    uses exact grid shifts. The directions always sample the whole S^(N-1);
-    nothing restricts the map to a coordinate subsphere.
+    uses exact grid shifts. The directions and their negatives sample the
+    whole S^(N-1); nothing restricts the map to a coordinate subsphere.
     """
     grid = winf.grid
     if R >= grid.L:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import pathlib
+import stat
 import subprocess
 import sys
 
@@ -12,8 +14,10 @@ from minimaxlab.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                             config_from_mapping, load_config, main, run)
 from minimaxlab.domain import ProblemSpec
 from minimaxlab.groundstate import DescentError, ShootingError
+from minimaxlab.pathlab import SPHERE_SAMPLES
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(minimaxlab.__file__)))
+DESK_CFG = pathlib.Path(__file__).resolve().parents[1] / "demos" / "desk.cfg"
 
 COARSE = {
     "dim": "2", "p": "4.0", "v_inf": "1.0", "box_l": "8.0", "spacing_h": "0.25",
@@ -32,7 +36,6 @@ class TestConfig:
         cfg = config_from_mapping({**COARSE, "box_l": "16.0"})
         assert cfg.experiment == "verify-all"
         assert cfg.seed == 0
-        assert cfg.tol_descent == 1e-8
         assert cfg.y_sweep == (4.0, 6.0, 8.0, 10.0, 12.0)
         assert isinstance(cfg.spec, ProblemSpec)
 
@@ -50,13 +53,6 @@ class TestConfig:
         assert cfg.y_sweep == (3.0, 5.5, 8.0)
         assert cfg.r_list == (2.0, 4.0)
 
-    def test_sphere_samples_floor(self):
-        for bad in ("1", "0", "-4"):
-            with pytest.raises(ConfigError, match="sphere_samples"):
-                config_from_mapping({**COARSE, "sphere_samples": bad})
-        assert config_from_mapping({**COARSE, "experiment": "gamma-r", "r_list": "3",
-                                    "sphere_samples": "2"}).sphere_samples == 2
-
     def test_gamma_r_radii_inside_box(self):
         for experiment in ("gamma-r", "verify-all"):
             for r_list in ("3,8", "0,3", "-2", "3,12"):
@@ -70,11 +66,6 @@ class TestConfig:
         for experiment in ("ground", "levels", "symmetry"):
             assert config_from_mapping({**COARSE, "experiment": experiment}).r_list == (
                 6.0, 9.0, 12.0)
-
-    def test_fit_window(self):
-        cfg = config_from_mapping({**COARSE, "experiment": "ground",
-                                   "fit_r_min": "5", "fit_r_max": "10"})
-        assert cfg.fit_window == (5.0, 10.0)
 
     def test_load_from_file(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", {"experiment": "ground",
@@ -111,6 +102,8 @@ class TestRunGround:
         names = {v["id"]: v["status"] for v in rep["verdicts"]}
         assert names["decay-rate"] == "pass"
         assert names["shooting-self-consistency"] == "pass"
+        # each verdict is recorded once, at the top level
+        assert "verdicts" not in rep["levels"]
 
     def test_profile_artifact(self, ground_run):
         _, out = ground_run
@@ -133,7 +126,7 @@ class TestRunGround:
         _, out = ground_run
         prov = report_of(out)["provenance"]
         assert prov["grid_shape"] == [65, 65]
-        assert prov["operations"]["lam1_inf"] == "shoot_ground"
+        assert sorted(prov) == ["grid_shape", "seed", "theta_samples", "version"]
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -141,8 +134,7 @@ def test_experiment_outputs(experiment, tmp_path):
     # R = 3 sits far from the doubling level, so gamma-r and verify-all exit 2
     cfg = config_from_mapping({**COARSE, "experiment": experiment,
                                "out_dir": str(tmp_path), "y_sweep": "3,4",
-                               "theta_samples": "64", "r_list": "3,5",
-                               "sphere_samples": "8"})
+                               "theta_samples": "64", "r_list": "3,5"})
     assert run(cfg) in (0, 2)
     rep = report_of(tmp_path)
     assert rep["experiment"] == experiment
@@ -166,16 +158,36 @@ def test_artifacts_stream_rows_and_skip_empty(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv"]
 
 
+def test_outputs_get_the_mode_open_would_give(tmp_path):
+    old = os.umask(0o027)
+    try:
+        status = run(config_from_mapping({**COARSE, "experiment": "ground",
+                                          "out_dir": str(tmp_path)}))
+    finally:
+        os.umask(old)
+    assert status == 0
+    for name in ("report.json", "ground_profile.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640, name
+
+
+def test_desk_gamma_r_scan_has_one_row_per_radius_and_direction(tmp_path):
+    # gamma_R is odd, so each direction stands for its antipodal pair
+    assert main(["run", str(DESK_CFG), "--out", str(tmp_path),
+                 "--override", "experiment=gamma-r"]) == 0
+    rows = (tmp_path / "gamma_r_scan.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(load_config(DESK_CFG).r_list) * SPHERE_SAMPLES == 384
+
+
 def test_gamma_r_in_3d(tmp_path):
-    # the N = 3 translation map samples S^2 by the symmetrized Fibonacci sphere
+    # the N = 3 translation map samples S^2 by a Fibonacci sphere
     cfg = config_from_mapping({**COARSE, "dim": "3", "box_l": "6.0", "spacing_h": "0.5",
                                "experiment": "gamma-r", "out_dir": str(tmp_path),
-                               "r_list": "2,4", "sphere_samples": "16"})
+                               "r_list": "2,4"})
     assert run(cfg) in (0, 2)
     header, *rows = (tmp_path / "gamma_r_scan.csv").read_text().splitlines()
     assert header == "R,y1,y2,y3,J_inf"
     radii = [float(row.split(",")[0]) for row in rows]
-    assert radii == [2.0] * 16 + [4.0] * 16
+    assert radii == [2.0] * 128 + [4.0] * 128
     rep = report_of(tmp_path)
     stated = rep.pop("report_hash")
     rep.pop("timestamp")
@@ -205,8 +217,7 @@ def test_verify_all_evaluates_V_a_fixed_number_of_times(tmp_path, monkeypatch):
         cfg = config_from_mapping({**COARSE, "w_family": "exponential", "w_c": "0.5",
                                    "w_a": "0.5", "experiment": "verify-all",
                                    "out_dir": str(tmp_path / r_list), "y_sweep": y_sweep,
-                                   "theta_samples": "64", "r_list": r_list,
-                                   "sphere_samples": "8"})
+                                   "theta_samples": "64", "r_list": r_list})
         calls.update(eval_W=0, profile_on_grid=0)
         run(cfg)
         counts.append(dict(calls))
@@ -287,8 +298,7 @@ class TestFailurePath:
         # R = 1 keeps the two lobes overlapping, far from the doubling level
         out = tmp_path / "gr"
         cfg = config_from_mapping({**COARSE, "experiment": "gamma-r",
-                                   "out_dir": str(out), "r_list": "1.0",
-                                   "sphere_samples": "8"})
+                                   "out_dir": str(out), "r_list": "1.0"})
         assert run(cfg) == 2
         rep = report_of(out)
         statuses = {v["id"]: v["status"] for v in rep["verdicts"]}
@@ -323,22 +333,23 @@ class TestMain:
         assert "theta_samples must be at least 64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, message", [
-        ("sphere_samples=0", "sphere_samples must be at least 2"),
-        ("sphere_samples=7", "sphere_samples must be even"),
         ("r_list=3,8", "r_list radii must lie in (0, box_l = 8.0)"),
         ("r_list=0.1,3", "be at least spacing_h = 0.25, got [0.1]"),
         # y_sweep is checked for the experiments that build two-bump paths
         ("experiment=levels y_sweep=4.1", "whole multiples of spacing_h = 0.25"),
         ("experiment=verify-all y_sweep=3,15.75", "spacing_h = 15.5, got [15.75]"),
         ("experiment=symmetry y_sweep=-16", "got [-16.0]"),
-        ("tol_descent=0", "tol_descent must be positive and finite"),
-        ("tol_descent=-1e-8", "tol_descent must be positive and finite"),
-        ("tol_descent=nan", "tol_descent must be positive and finite"),
-        ("tol_descent=inf", "tol_descent must be positive and finite"),
+        # a repeated radius would leave one R in the scans, and gamma-r-monotone inapplicable
+        ("r_list=6,6", "r_list values must be distinct, got [6.0] repeated"),
+        ("r_list=3,5,3.0", "r_list values must be distinct, got [3.0] repeated"),
+        ("y_sweep=3,4,3 experiment=levels", "y_sweep values must be distinct, got [3.0]"),
         ("seed=-1", "seed must be nonnegative"),
         ("--seed -1", "seed must be nonnegative"),
-        ("fit_r_min=10 fit_r_max=5", "fit_r_min must lie below fit_r_max"),
-        ("fit_r_min=6 fit_r_max=6", "fit_r_min must lie below fit_r_max")])
+        # fixed settings of the code, not run keys
+        ("tol_descent=1e-8", "unknown config keys: ['tol_descent']"),
+        ("sphere_samples=256", "unknown config keys: ['sphere_samples']"),
+        ("fit_r_min=6", "unknown config keys: ['fit_r_min']"),
+        ("fit_r_max=12", "unknown config keys: ['fit_r_max']")])
     def test_bad_gamma_r_settings_rejected_before_any_work(self, tmp_path, capsys,
                                                            monkeypatch, override, message):
         def no_shooting(*args):

@@ -204,7 +204,7 @@ class TestOneEnergyKernel:
         mx, theta = path_max_J(sampled, V, samples=64)
         assert mx == energy_J(sampled.at(theta), V)
 
-        sphere = gamma_R(winf, 3.0, well.p, samples=8)
+        sphere = gamma_R(winf, 3.0, well.p, samples=4)
         for y, energy in zip(sphere.points, sphere.scan(V)):
             assert energy == energy_J(sphere.at(y), V)
 

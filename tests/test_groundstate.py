@@ -5,7 +5,7 @@ import pytest
 
 import tracemalloc
 
-from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J, fit_decay,
+from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         lp_norm, mass_I, minimize_lambda1, shoot_excited,
                         shoot_ground)
 from minimaxlab.domain import Grid, potential_values, zero_boundary
@@ -151,10 +151,6 @@ class TestFitDecay:
         wn = prof.normalized()[mask]
         env = decay_fit0.C0 * np.exp(-decay_fit0.a0 * r[mask]) / r[mask] ** 0.5
         assert np.all(wn <= env * (1.0 + 1e-9))
-
-    def test_window_too_short_rejected(self, ground_profile):
-        with pytest.raises(ValueError):
-            fit_decay(ground_profile, 1.0, window=(6.0, 6.005))
 
 
 class TestProfileOnGrid:

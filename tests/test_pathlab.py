@@ -9,10 +9,10 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import _energy
 from minimaxlab.pathlab import (MIN_THETA_SAMPLES, THETA_SAMPLES, PathError,
-                                PathFamily, SampledPath, SphereMap,
-                                balanced_point, disjoint_support_max, gamma_R,
-                                overlap_integrals, path_max_J, path_max_from_energies,
-                                sphere_points, two_block_energy)
+                                PathFamily, SampledPath, balanced_point,
+                                disjoint_support_max, gamma_R, overlap_integrals,
+                                path_max_J, path_max_from_energies, sphere_points,
+                                two_block_energy)
 
 
 @pytest.fixture(scope="module")
@@ -224,48 +224,37 @@ class TestOverlapIntegrals:
 
 
 class TestSpherePoints:
-    def test_antipodal_closure_m2(self):
-        pts = sphere_points(2, 16)
-        for y in pts:
-            assert np.min(np.linalg.norm(pts + y, axis=1)) < 1e-12
-        # half the directions, then exactly their negatives
-        assert len(pts) == 16 and np.array_equal(pts[8:], -pts[:8])
-
-    def test_antipodal_closure_m3(self):
-        pts = sphere_points(3, 64)
+    @pytest.mark.parametrize("m, n", [(2, 8), (2, 7), (3, 64)])
+    def test_one_direction_per_antipodal_pair(self, m, n):
+        pts = sphere_points(m, n)
+        assert pts.shape == (n, m)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-        for y in pts[:8]:
-            assert np.min(np.linalg.norm(pts + y, axis=1)) < 1e-12
-        assert len(pts) == 64 and np.array_equal(pts[32:], -pts[:32])
+        # no direction is the negative of another: an odd map's scan would repeat it
+        assert np.min(np.linalg.norm(pts[:, None] + pts[None], axis=2)) > 1e-3
+
+    def test_half_circle_is_first_half_of_full_circle(self):
+        # the m = 2 directions are the first half of 2n uniform angles on [0, 2 pi)
+        angles = 2.0 * np.pi * np.arange(8) / 16
+        assert np.array_equal(sphere_points(2, 8),
+                              np.stack([np.cos(angles), np.sin(angles)], axis=1))
 
     def test_unsupported_m(self):
         with pytest.raises(PathError):
             sphere_points(4, 16)
 
-    def test_odd_count_rejected(self):
-        for m, n in ((2, 7), (3, 9)):
-            with pytest.raises(PathError, match="even"):
-                sphere_points(m, n)
-
-    def test_sphere_map_rejects_unpaired_points(self, left):
-        # scan repeats the first half for the second, so the order must pair them
-        pts = sphere_points(2, 8)
-        for bad in (pts[:7], pts[[0, 1, 2, 3, 5, 4, 6, 7]]):
-            with pytest.raises(PathError):
-                SphereMap(lambda y: left, bad)
 
 
 class TestGammaR:
     def test_odd_map(self, winf0):
-        gm = gamma_R(winf0, 6.0, 4.0, samples=8)
+        gm = gamma_R(winf0, 6.0, 4.0, samples=4)
         y = np.array([1.0, 0.0])
         a = gm.at(y)
         b = gm.at(-y)
         assert np.array_equal(a.values, -b.values)
 
     def test_image_on_sphere(self, winf0):
-        gm = gamma_R(winf0, 6.0, 4.0, samples=8)
-        for y in gm.points[:4]:
+        gm = gamma_R(winf0, 6.0, 4.0, samples=4)
+        for y in gm.points:
             assert mass_I(gm.at(y), 4.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_r_must_fit_in_box(self, winf0):
@@ -275,7 +264,7 @@ class TestGammaR:
     def test_max_energy_near_doubling_threshold(self, winf0, spec0,
                                                 ground_profile):
         # well separated signed pairs sit near 2^sigma lambda_1
-        gm = gamma_R(winf0, 9.0, 4.0, samples=16)
+        gm = gamma_R(winf0, 9.0, 4.0, samples=8)
         target = 2.0 ** 0.5 * ground_profile.level
         assert gm.max_energy(potential_values(spec0, winf0.grid)) == pytest.approx(
             target, rel=5e-3)
@@ -294,11 +283,11 @@ class TestNoProbeEvaluations:
     """Scans and path maxima read the grid from the map or path, so they
     evaluate only the points they report or search."""
 
-    def test_sphere_scan_calls_rule_once_per_antipodal_pair(self, spec, grid, left):
+    def test_sphere_scan_calls_rule_once_per_point(self, spec, grid, left):
         sm = gamma_R(left, 3.0, 4.0, samples=8)
         sm.rule = counted(sm.rule)
         assert len(sm.scan(potential_values(spec, grid))) == 8
-        assert sm.rule.calls == 4
+        assert sm.rule.calls == 8
 
     def test_path_max_evaluates_angles_and_search_steps_only(self, spec, grid, left, right,
                                                               monkeypatch):
