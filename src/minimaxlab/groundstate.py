@@ -20,6 +20,7 @@ from .field import GridFunction, lp_normalize
 
 DESCENT_TOL = 1e-8  # descent gradient-norm tolerance
 FIT_WINDOW = (6.0, 12.0)  # decay fit window in r
+SECANT_THETA = 0.02  # shooting probes sit this fraction of (hi - est) either side of est
 
 
 class ShootingError(RuntimeError):
@@ -82,7 +83,6 @@ class DecayFit:
     rate: float
     C0: float
     a0: float
-    window: tuple[float, float]
     residual: float
 
 
@@ -94,12 +94,14 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float,
     central value, which signals departure from the separatrix; the samples
     past that point repeat the last value.
 
-    With `k` given, only the bit `sign changes > k` is wanted, and the
-    integration returns as soon as it is decided, with the samples up to
-    there: at the (k+1)-th sign change, or once the energy
-    E = v^2/2 - Vinf w^2/2 + |w|^p/p is negative. Along a solution
-    dE/dr = -(N-1)/r v^2 <= 0, and a sign change needs E = v^2/2 >= 0 at
-    w = 0, so after E < 0 no further sign change can happen.
+    With `k` given, only the bit `sign changes > k` is wanted: no samples are
+    stored, and the integration returns (r, sign changes) as soon as the bit
+    is decided. At the (k+1)-th sign change r is the crossing radius,
+    interpolated linearly between its two steps; otherwise it is the radius
+    where E = v^2/2 - Vinf w^2/2 + |w|^p/p turned negative (or where the
+    integration ended). Along a solution dE/dr = -(N-1)/r v^2 <= 0, and a
+    sign change needs E = v^2/2 >= 0 at w = 0, so after E < 0 no further
+    sign change can happen.
     """
     early = k is not None
     copysign = math.copysign
@@ -109,45 +111,81 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float,
     w = b + curv * r * r / (2.0 * N)
     v = curv * r / N
     nsteps = int(round(rmax / dr))
-    ws = np.empty(nsteps + 1)
-    ws[0] = w
+    ws = None if early else np.full(nsteps + 1, w)
     zeros = 0
     q, c = p - 1, N - 1  # w'' = Vinf w - |w|^q sign(w) - c/r w'
     half = dr / 2.0
     sixth = dr / 6.0
+    cr = c / r  # c/r at the start of each step: a4's c/(r + dr) of the step before
     for i in range(nsteps):
-        g = abs(w) ** q
-        if early and 0.5 * (v * v - Vinf * w * w) + g * abs(w) / p < 0.0:
-            return ws[:i + 1], zeros
-        a1 = (Vinf * w - copysign(g, w)) - c / r * v
-        rh = r + half
+        f = copysign(abs(w) ** q, w)
+        if early and 0.5 * (v * v - Vinf * w * w) + f * w / p < 0.0:
+            return r, zeros
+        a1 = (Vinf * w - f) - cr * v
+        crh = c / (r + half)
         w2, v2 = w + half * v, v + half * a1
-        a2 = (Vinf * w2 - copysign(abs(w2) ** q, w2)) - c / rh * v2
+        a2 = (Vinf * w2 - copysign(abs(w2) ** q, w2)) - crh * v2
         w3, v3 = w + half * v2, v + half * a2
-        a3 = (Vinf * w3 - copysign(abs(w3) ** q, w3)) - c / rh * v3
+        a3 = (Vinf * w3 - copysign(abs(w3) ** q, w3)) - crh * v3
         w4, v4 = w + dr * v3, v + dr * a3
-        a4 = (Vinf * w4 - copysign(abs(w4) ** q, w4)) - c / (r + dr) * v4
+        cr = c / (r + dr)
+        a4 = (Vinf * w4 - copysign(abs(w4) ** q, w4)) - cr * v4
         wn = w + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         vn = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         r += dr
         if wn * w < 0.0:
             zeros += 1
+            if early and zeros > k:
+                return r + dr * wn / (w - wn), zeros
         w, v = wn, vn
-        ws[i + 1] = w
-        if early and zeros > k:
-            return ws[:i + 2], zeros
+        if not early:
+            ws[i + 1] = w
         if abs(w) > blow:
-            ws[i + 2:] = w
+            if not early:
+                ws[i + 2:] = w
             break
-    return ws, zeros
+    return (r if early else ws), zeros
+
+
+def _secant_probes(lo: float, hi: float, over: list) -> list[float]:
+    """Next central values to try inside the bracket (lo, hi).
+
+    Near the separatrix value b*, an overshoot's surrogate f is close to
+    C (b - b*) with C nearly constant, so the secant root `est` through the
+    last two overshoots lands close to b*; the probes sit SECANT_THETA of
+    (hi - est) above and below it. The midpoint is the fallback whenever
+    `est` is unusable.
+    """
+    if len(over) >= 2:
+        (b1, f1), (b2, f2) = over[-2:]
+        if f2 < f1:
+            est = b2 - f2 * (b1 - b2) / (f1 - f2)
+            if lo < est < hi:
+                step = SECANT_THETA * (hi - est)
+                return [est - step, est + step]  # popped from the end: above first
+    return [0.5 * (lo + hi)]
 
 
 def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
-    """Bisection on the central value for a decaying solution with k sign changes."""
+    """Bracketed secant search on the central value for a decaying solution
+    with k sign changes.
+
+    Every probe keeps the bracket: lo undershoots (at most k sign changes),
+    hi overshoots. An overshoot crosses zero for the (k+1)-th time at r_c,
+    interpolated between two RK4 steps, and the farther it gets the
+    closer b is to the separatrix: f = exp(-2 sqrt(Vinf) r_c) is nearly
+    proportional to b - b*, which `_secant_probes` uses.
+    """
     tol, dr, rmax, max_iter = 1e-14, 2e-3, 25.0, 200
+    decay2 = 2.0 * math.sqrt(Vinf)
+    over = []  # (b, f) of every overshoot, in probe order
+
     def overshoots(b):
-        _, zeros = _integrate(b, N, p, Vinf, dr, rmax, k)
-        return zeros > k
+        rc, zeros = _integrate(b, N, p, Vinf, dr, rmax, k)
+        if zeros <= k:
+            return False
+        over.append((b, math.exp(-decay2 * rc)))
+        return True
 
     # Bracket: small central values never reach k+1 crossings, large ones do.
     lo = 1.05 * Vinf ** (1.0 / (p - 2))  # below this w'' >= 0 at the center
@@ -165,16 +203,21 @@ def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
             _, zeros = _integrate(lo, N, p, Vinf, dr, rmax)
             raise ShootingError(f"no bracket below: reached {zeros} sign changes at w(0)={lo}")
 
+    probes = []  # central values still to try, the last one first
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if overshoots(mid):
-            hi = mid
+        if not probes:
+            probes = _secant_probes(lo, hi, over)
+        b = probes.pop()
+        if not lo < b < hi:
+            continue
+        if overshoots(b):
+            hi = b
         else:
-            lo = mid
+            lo = b
         if hi - lo <= tol * hi:
             break
     else:
-        raise ShootingError("bisection did not converge within the iteration cap")
+        raise ShootingError("shooting search did not converge within the probe cap")
 
     b = lo
     ws, zeros = _integrate(b, N, p, Vinf, dr, rmax)
@@ -239,8 +282,7 @@ def fit_decay(profile: RadialProfile, Vinf: float) -> DecayFit:
     a0 = 0.95 * rate
     if not 0 < a0 <= math.sqrt(Vinf) * 1.001:
         raise ValueError(f"fitted envelope rate {a0} outside (0, sqrt(Vinf)]")
-    return DecayFit(rate=rate, C0=float(np.exp(intercept)), a0=a0,
-                    window=FIT_WINDOW, residual=resid)
+    return DecayFit(rate=rate, C0=float(np.exp(intercept)), a0=a0, residual=resid)
 
 
 def profile_on_grid(profile: RadialProfile, grid) -> GridFunction:

@@ -324,7 +324,9 @@ def sphere_points(m: int, samples: int) -> np.ndarray:
     """`samples` directions of S^(m-1) that, with their negatives, sample the
     sphere closed under y -> -y; an odd map needs no value at the negatives.
 
-    Uniform angles on a half circle for m = 2; a Fibonacci sphere for m = 3.
+    Uniform angles on a half circle for m = 2; for m = 3 a Fibonacci rule on
+    the half sphere z > 0, so that no direction is nearly the negative of
+    another.
     """
     if m not in (2, 3):
         raise PathError("sphere sampling implemented for m = 2 and m = 3")
@@ -333,7 +335,7 @@ def sphere_points(m: int, samples: int) -> np.ndarray:
         angles = math.pi * k / samples
         return np.stack([np.cos(angles), np.sin(angles)], axis=1)
     golden = (1.0 + math.sqrt(5.0)) / 2.0
-    z = (2.0 * k + 1.0) / samples - 1.0
+    z = (k + 0.5) / samples
     phi = 2.0 * math.pi * k / golden
     rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)

@@ -56,14 +56,19 @@ class TestShootGround:
         assert np.max(np.abs(res[mask])) < 1e-4
 
     def test_pinned_bits(self, ground_profile):
-        # the bisection's decisions, hence w0 and the level, are fixed to the last bit
-        assert ground_profile.w0 == 2.206200864635747
-        assert ground_profile.level == 4.837534542916699
+        # the search's decisions, hence w0 and the level, are fixed to the last bit;
+        # plain bisection gave 2.206200864635747 and 4.837534542916699
+        assert ground_profile.w0 == 2.206200864635756
+        assert ground_profile.level == 4.837534542916714
+        assert ground_profile.w0 == pytest.approx(2.206200864635747, rel=1e-13, abs=0.0)
+        assert ground_profile.level == pytest.approx(4.837534542916699, rel=1e-13, abs=0.0)
 
     def test_pinned_bits_n3(self):
         prof = shoot_ground(3, 4.0, 1.0)
-        assert prof.w0 == 4.337387680186037
-        assert prof.level == 8.694193729198068
+        assert prof.w0 == 4.337387680186031
+        assert prof.level == 8.694193729198064
+        assert prof.w0 == pytest.approx(4.337387680186037, rel=1e-13, abs=0.0)
+        assert prof.level == pytest.approx(8.694193729198068, rel=1e-13, abs=0.0)
 
     def test_memoized(self):
         a = shoot_ground(2, 4.0, 1.0)
@@ -92,8 +97,11 @@ class TestShootExcited:
         assert excited_profile.level > ground_profile.level
 
     def test_pinned_bits(self, excited_profile):
-        assert excited_profile.w0 == 3.331989266448716
-        assert excited_profile.level == 12.423585831487589
+        # plain bisection gave 3.331989266448716 and 12.423585831487589
+        assert excited_profile.w0 == 3.3319892664487094
+        assert excited_profile.level == 12.42358583148759
+        assert excited_profile.w0 == pytest.approx(3.331989266448716, rel=1e-13, abs=0.0)
+        assert excited_profile.level == pytest.approx(12.423585831487589, rel=1e-13, abs=0.0)
 
     def test_rejects_k_zero(self):
         with pytest.raises(ShootingError):
@@ -109,29 +117,89 @@ class TestShootExcited:
         assert flips == 1
 
 
+def _recording(monkeypatch):
+    """Patch `groundstate._integrate` to log every call as (args, result)."""
+    full = groundstate._integrate
+    calls = []
+
+    def recording(*args):
+        result = full(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(groundstate, "_integrate", recording)
+    return full, calls
+
+
+def _bisection_w0(N, p, Vinf, k):
+    """Plain bisection on the same early decisions, with the search's bracket
+    and stop rule: the central value of the search before the secant steps."""
+    dr, rmax = 2e-3, 25.0
+
+    def overshoots(b):
+        return groundstate._integrate(b, N, p, Vinf, dr, rmax, k)[1] > k
+
+    lo = 1.05 * Vinf ** (1.0 / (p - 2))
+    hi = lo * 2.0
+    while not overshoots(hi):
+        hi *= 2.0
+    while overshoots(lo):
+        lo = 0.5 * (lo + Vinf ** (1.0 / (p - 2)))
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        if overshoots(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 class TestEarlyDecision:
-    """Bisection integrates only until its bit `sign changes > k` is decided."""
+    """Each search probe integrates only until its bit `sign changes > k` is decided."""
 
     @pytest.mark.parametrize("N, k", [(2, 0), (2, 1), (3, 0)])
     def test_matches_full_integration_near_the_separatrix(self, monkeypatch, N, k):
-        full = groundstate._integrate
-        decided = []
-
-        def recording(*args):
-            ws, zeros = full(*args)
-            if len(args) == 7:  # a bisection call: (b, N, p, Vinf, dr, rmax, k)
-                decided.append((args[:6], zeros > args[6], len(ws)))
-            return ws, zeros
-
-        monkeypatch.setattr(groundstate, "_integrate", recording)
+        full, calls = _recording(monkeypatch)
         groundstate._shoot(N, 4.0, 1.0, k)
-        # the last midpoints lie nearest the separatrix, where the bit is hardest
-        for args, bit, n in decided[-8:]:
+        # a probe call is (b, N, p, Vinf, dr, rmax, k) and returns (exit radius, sign changes)
+        decided = [(args[:6], zeros > k, r) for args, (r, zeros) in calls if len(args) == 7]
+        dr, rmax = decided[0][0][4:6]
+        # the last probes lie nearest the separatrix, where the bit is hardest
+        for args, bit, r in decided[-8:]:
             ws, zeros = full(*args)
             assert (zeros > k) == bit
-            assert n < len(ws)
+            assert r < rmax
         # far from the separatrix the bit is decided within a few steps
-        assert min(n for _, _, n in decided) < 100
+        assert min(r for _, _, r in decided) < 100 * dr
+
+
+class TestSecantSearch:
+    """The bracketed secant search against plain bisection on the same decisions."""
+
+    @pytest.mark.parametrize("N, p, Vinf, k", [
+        (2, 4.0, 1.0, 0), (2, 4.0, 1.0, 1), (3, 4.0, 1.0, 0), (2, 3.0, 1.0, 0),
+        (2, 6.0, 1.0, 0), (2, 4.0, 4.0, 0), (2, 4.0, 1.0, 2)])
+    def test_agrees_with_bisection(self, N, p, Vinf, k):
+        prof = shoot_excited(N, p, Vinf, k) if k else shoot_ground(N, p, Vinf)
+        assert prof.w0 == pytest.approx(_bisection_w0(N, p, Vinf, k), rel=1e-13, abs=0.0)
+
+    def test_keeps_the_bracket_with_few_integrations(self, monkeypatch):
+        full, calls = _recording(monkeypatch)
+        prof = groundstate._shoot(2, 4.0, 1.0, 0)
+        assert len(calls) <= 32  # plain bisection took 52
+        decided = [(args[0], zeros > 0) for args, (_, zeros) in calls if len(args) == 7]
+        # bracketing: 2.1 undershoots, 4.2 overshoots, 1.05 undershoots
+        assert decided[:3] == [(2.1, False), (4.2, True), (1.05, False)]
+        lo, hi = 1.05, 4.2
+        for b, over in decided[3:]:
+            assert lo < b < hi  # every probe lies strictly inside the bracket
+            if over:
+                hi = b
+            else:
+                lo = b
+        assert hi - lo <= 1e-14 * hi
+        assert prof.w0 == lo
+        assert full(lo, 2, 4.0, 1.0, 2e-3, 25.0)[1] == 0  # lo undershoots in full too
 
 
 class TestFitDecay:

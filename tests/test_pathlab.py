@@ -232,6 +232,12 @@ class TestSpherePoints:
         # no direction is the negative of another: an odd map's scan would repeat it
         assert np.min(np.linalg.norm(pts[:, None] + pts[None], axis=2)) > 1e-3
 
+    def test_half_sphere_keeps_pairs_apart(self):
+        # a whole-sphere Fibonacci rule put two of 128 directions 0.0076 from antipodal
+        pts = sphere_points(3, 128)
+        assert np.all(pts[:, 2] > 0.0)
+        assert np.min(np.linalg.norm(pts[:, None] + pts[None], axis=2)) > 0.1
+
     def test_half_circle_is_first_half_of_full_circle(self):
         # the m = 2 directions are the first half of 2n uniform angles on [0, 2 pi)
         angles = 2.0 * np.pi * np.arange(8) / 16
