@@ -118,10 +118,10 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float,
     sixth = dr / 6.0
     cr = c / r  # c/r at the start of each step: a4's c/(r + dr) of the step before
     for i in range(nsteps):
-        f = copysign(abs(w) ** q, w)
-        if early and 0.5 * (v * v - Vinf * w * w) + f * w / p < 0.0:
+        g = copysign(abs(w) ** q, w)
+        if early and 0.5 * (v * v - Vinf * w * w) + g * w / p < 0.0:
             return r, zeros
-        a1 = (Vinf * w - f) - cr * v
+        a1 = (Vinf * w - g) - cr * v
         crh = c / (r + half)
         w2, v2 = w + half * v, v + half * a1
         a2 = (Vinf * w2 - copysign(abs(w2) ** q, w2)) - crh * v2

@@ -337,7 +337,7 @@ def sphere_points(m: int, samples: int) -> np.ndarray:
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     z = (k + 0.5) / samples
     phi = 2.0 * math.pi * k / golden
-    rad = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    rad = np.sqrt(1.0 - z * z)
     return np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
 
 
