@@ -30,7 +30,7 @@ from .groundstate import (DESCENT_TOL, DescentError, ShootingError, fit_decay,
                           minimize_lambda1, profile_on_grid, shoot_excited, shoot_ground)
 from .minimax import (Y_SWEEP, Lambda2Bounds, LevelsReport, Verdict,
                       lambda2_bounds, lambda2_radial, lambda_sharp, verdict)
-from .pathlab import MIN_THETA_SAMPLES, THETA_SAMPLES, gamma_R
+from .pathlab import MIN_THETA_SAMPLES, THETA_SAMPLES, TranslationTable, gamma_R
 from . import __version__
 
 class ConfigError(ValueError):
@@ -169,12 +169,15 @@ class Pipeline:
 
     @cached_property
     def gamma_r_scans(self):
-        """R -> (sampled directions, J^inf of gamma_R at each of them)."""
-        V_auto = np.full(self.grid.shape, self.spec.Vinf)
+        """R -> (sampled directions, J^inf of gamma_R at each of them, J^inf
+        of the same directions on the unbounded lattice). One translation
+        table of w_inf serves every R and is dropped on return."""
+        s = self.spec
+        table = TranslationTable(self.winf, s.p)
         out = {}
         for R in self.cfg.r_list:
-            sm = gamma_R(self.winf, R, self.spec.p)
-            out[R] = sm.points, sm.scan(V_auto)
+            sm = gamma_R(self.winf, R, s.p, table=table)
+            out[R] = sm.points, sm.scan(s.Vinf), sm.unbounded
         return out
 
 
@@ -247,8 +250,11 @@ def exp_levels(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
 def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     target = rep.lam2inf_target
     scans = pipe.gamma_r_scans
-    maxima = {R: float(energies.max()) for R, (_, energies) in scans.items()}
+    maxima = {R: float(energies.max()) for R, (_, energies, _) in scans.items()}
     rep.extras["gamma_r_maxima"] = {str(R): m for R, m in maxima.items()}
+    # how far the wall lifts each maximum above the unbounded lattice's
+    free = {R: float(unbounded.max()) for R, (_, _, unbounded) in scans.items()}
+    rep.extras["gamma_r_wall_gap"] = {str(R): (maxima[R] - free[R]) / free[R] for R in maxima}
     r_big = max(maxima)
     rep.verdicts.append(verdict(
         "gamma-r-limit", True, 0.02 - abs(maxima[r_big] - target) / target,
@@ -263,7 +269,7 @@ def exp_gamma_r(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
         "sampled maxima nonincreasing in R within sampling slack" if gaps
         else "needs at least two R values"))
     rows = []
-    for R, (points, energies) in scans.items():
+    for R, (points, energies, _) in scans.items():
         for y, energy in zip(points, energies):
             rows.append({"R": R, **{f"y{i+1}": float(v) for i, v in enumerate(y)},
                          "J_inf": energy})

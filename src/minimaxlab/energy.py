@@ -43,8 +43,12 @@ def _energy(v: np.ndarray, V: np.ndarray, h: float) -> float:
     return _kinetic(v, h) + _potential(v, V, h)
 
 
-def _laplacian(v: np.ndarray, h: float) -> np.ndarray:
-    """(2N+1)-point Laplacian of a node array; Dirichlet boundary rows are zero."""
+def _laplacian(v: np.ndarray, h: float, dirichlet: bool = True) -> np.ndarray:
+    """(2N+1)-point Laplacian of a node array; Dirichlet boundary rows are zero.
+
+    With dirichlet=False the boundary rows keep the stencil, with zeros outside
+    the array: for v zero on the boundary this is the Laplacian on the
+    unbounded lattice of v extended by zero, which vanishes off the array."""
     out = -2.0 * v.ndim * v
     for ax in range(v.ndim):
         lo = [slice(None)] * v.ndim
@@ -54,7 +58,7 @@ def _laplacian(v: np.ndarray, h: float) -> np.ndarray:
         out[tuple(lo)] += v[tuple(hi)]
         out[tuple(hi)] += v[tuple(lo)]
     out /= h * h
-    return zero_boundary(out)
+    return zero_boundary(out) if dirichlet else out
 
 
 def _sphere_gradient(v: np.ndarray, V: np.ndarray, J: float, p: float,

@@ -68,14 +68,21 @@ def translate(u: GridFunction, y) -> GridFunction:
         steps = grid.lattice_vector(y)
         if np.max(np.abs(np.asarray(steps) * grid.h - y)) > 1e-9 * max(1.0, grid.h):
             raise FieldError("translation must be an integer multiple of h per axis")
-    k = np.array(steps)
-    n = np.array(grid.shape)
     out = np.zeros(grid.shape)
-    if np.all(np.abs(k) < n):  # otherwise every value leaves the box
-        dst = tuple(map(slice, np.maximum(k, 0), n + np.minimum(k, 0)))
-        src = tuple(map(slice, np.maximum(-k, 0), n - np.maximum(k, 0)))
+    if np.all(np.abs(steps) < np.array(grid.shape)):  # otherwise every value leaves the box
+        dst, src = shift_slices(steps, grid.shape)
         out[dst] = u.values[src]
     return GridFunction(grid, out)
+
+
+def shift_slices(steps, shape) -> tuple[tuple, tuple]:
+    """(dst, src) index tuples of an array of `shape` such that dst = src + steps
+    node for node: the part of the array that a shift by `steps` keeps. Each
+    step must be smaller than its axis."""
+    k, n = np.asarray(steps), np.asarray(shape)
+    dst = tuple(map(slice, np.maximum(k, 0), n + np.minimum(k, 0)))
+    src = tuple(map(slice, np.maximum(-k, 0), n - np.maximum(k, 0)))
+    return dst, src
 
 
 # --- serialization -----------------------------------------------------------

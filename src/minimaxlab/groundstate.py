@@ -434,9 +434,3 @@ def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
         raise DescentError(f"descent did not reach tol {tol} in {max_iter} iterations "
                            f"(gradient norm {res.gradient_norm})")
     return res
-
-
-def translation_tail_bound(fit: DecayFit, p: float, N: int, L: float, y_norm: float) -> float:
-    """Crude bound on the L^p mass lost when translating a fitted-decay state by y."""
-    reach = L - y_norm
-    return fit.C0 * math.exp(-fit.a0 * max(reach, 0.0)) * (2 * L) ** (N / p)

@@ -5,18 +5,21 @@ A two-block path interpolates trigonometrically between blocks u1, u2 and is
 renormalized pointwise; when the blocks have layer-separated supports its
 energy maximum has a closed form, which the dense sampling must reproduce.
 Along a two-block path J is exact from a 2x2 Gram matrix and L^p moments
-computed once per path, and path maxima search this closed form.
+computed once per path, and path maxima search this closed form. Along a
+translation sphere map gamma_R, J^inf is exact from one translation table of
+w_inf: summed-area tables for what the wall clips, correlations for the rest.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .domain import lp_mass
+from .domain import lp_mass, zero_boundary
 from .energy import _laplacian, energy_J, mass_I
-from .field import GridFunction, lp_normalize, split_signs, translate
+from .field import GridFunction, lp_normalize, shift_slices, split_signs, translate
 
 
 THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config default
@@ -297,27 +300,156 @@ def overlap_integrals(w1: GridFunction, winf: GridFunction, y, p: float) -> tupl
     return o1, o2
 
 
-class SphereMap:
-    """Odd map from sampled S^(m-1) into the constraint sphere.
+def _summed_area(a: np.ndarray) -> np.ndarray:
+    """Summed-area table of `a` with one leading zero per axis: entry i holds
+    the sum of a[z] over z < i componentwise."""
+    s = np.zeros(tuple(n + 1 for n in a.shape))
+    s[(slice(1, None),) * a.ndim] = a
+    for ax in range(a.ndim):
+        np.cumsum(s, axis=ax, out=s)
+    return s
 
-    `rule(y)` evaluates the map at a unit vector y into a field, with
-    rule(-y) = -rule(y) exactly (as for `gamma_R`), so J(-u) = J(u) and
-    `points` holds one direction per antipodal pair.
+
+def _box_sums(sat: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums over the boxes lo <= z <= hi (rows of (M, N) index arrays) of the
+    array behind the summed-area table `sat`, by inclusion-exclusion over
+    the 2^N corners; a box with hi = lo - 1 on an axis sums to 0."""
+    total = np.zeros(len(lo))
+    for corner in itertools.product((False, True), repeat=sat.ndim):
+        term = sat[tuple(hi[:, a] + 1 if up else lo[:, a] for a, up in enumerate(corner))]
+        if (sat.ndim - sum(corner)) % 2:
+            total -= term
+        else:
+            total += term
+    return total
+
+
+class TranslationTable:
+    """J^inf of u = T_k w - T_{-k} w at any lattice steps k, from pieces of one
+    field w computed once; for even integer p no field is built per step.
+
+    `translate` by k drops what leaves the box, so A = T_k w is w restricted to
+    the rectangle S_k = Int & (Int - k) of interior nodes, moved by k. With Q
+    the link-kinetic plus Vinf form,
+
+        Q(u) = Q(w|S_k) + Q(w|S_-k) - 2 X(2k),   X(t) = sum_z w(z) (Hw)(z + t) h^N,
+
+    where H = -Delta_h + Vinf acts on the unbounded lattice, so Hw keeps its
+    layer on the box boundary. The self terms come from summed-area tables
+    of w^2, |w|^p and the squared link differences along each axis; the
+    faces of S_k enter the kinetic term through the w^2 table. The cross
+    terms need no window: w(x - k) w(x + k) != 0 puts both ends, and so x,
+    their midpoint, in Int, where neither translate is clipped, and the
+    mixed link terms likewise. For even integer p the mass is
+
+        |u|_p^p = sum_j C(p, j) (-1)^(p-j) sum A^j B^(p-j),   B = T_-k w,
+
+    whose j = p and j = 0 terms are self terms and the others correlations
+    sum_z w^j(z) w^(p-j)(z + 2k); other p build u in one reused buffer.
+    Each correlation is one pass over the overlap of two views. Taking Int
+    for both rectangles instead gives J^inf on the unbounded lattice, where
+    the wall clips nothing.
     """
 
-    def __init__(self, rule, points: np.ndarray):
-        self.rule = rule
-        self.points = points
+    def __init__(self, w: GridFunction, p: float):
+        v = w.values
+        self.field, self.p = w, p
+        self._interior = np.ones(v.ndim, dtype=int), np.array(v.shape) - 2
+        self._sat_sq = _summed_area(v * v)
+        self._sat_mass = _summed_area(np.abs(v) ** p)
+        self._sat_links = [_summed_area(np.diff(v, axis=a) ** 2) for a in range(v.ndim)]
+        self._lap = _laplacian(v, w.grid.h, dirichlet=False)
+        self._moments = None  # the mass correlations with their binomial weights
+        if p == int(p) and int(p) % 2 == 0:
+            n = int(p)
+            powers = [v] + [v ** j for j in range(2, n)]  # w^j, j = 1 .. p - 1
+            self._moments = [(math.comb(n, j) * (-1) ** (n - j), powers[j - 1], powers[n - j - 1])
+                             for j in range(1, n)]
+        axes = "ijk"[:v.ndim]
+        self._dot = f"{axes},{axes}->"
+
+    def _self_terms(self, lo, hi, Vinf: float):
+        """(Q, |.|_p^p) of w restricted to each rectangle lo <= z <= hi."""
+        grid = self.field.grid
+        kinetic = np.zeros(len(lo))
+        for a, sat in enumerate(self._sat_links):
+            inner = hi.copy()
+            inner[:, a] -= 1
+            kinetic += _box_sums(sat, lo, inner)  # links with both ends inside
+            for face in (lo[:, a], hi[:, a]):  # links that leave through a face
+                face_lo, face_hi = lo.copy(), hi.copy()
+                face_lo[:, a] = face_hi[:, a] = face
+                kinetic += _box_sums(self._sat_sq, face_lo, face_hi)
+        Q = kinetic * grid.h ** (grid.N - 2) + Vinf * _box_sums(self._sat_sq, lo, hi) * grid.weight
+        return Q, _box_sums(self._sat_mass, lo, hi) * grid.weight
+
+    def energies(self, steps, Vinf: float) -> tuple[np.ndarray, np.ndarray]:
+        """J^inf of T_k w - T_-k w at each row k of the integer array `steps`,
+        in the box (as `translate` builds it) and on the unbounded lattice."""
+        v, grid, p = self.field.values, self.field.grid, self.p
+        steps = np.asarray(steps, dtype=int).reshape(-1, grid.N)
+        if not np.all(np.any(steps, axis=1)):
+            raise PathError("a zero translation step gives the zero field")
+        lo, hi = self._interior
+        q_a, m_a = self._self_terms(np.maximum(lo, lo - steps), np.minimum(hi, hi - steps), Vinf)
+        q_b, m_b = self._self_terms(np.maximum(lo, lo + steps), np.minimum(hi, hi + steps), Vinf)
+        q_w, m_w = self._self_terms(lo[None], hi[None], Vinf)
+        Hw = Vinf * v
+        Hw -= self._lap
+        cross_q, cross_m = np.empty(len(steps)), np.empty(len(steps))
+        buf = None if self._moments else np.empty_like(v)
+        for i, k in enumerate(steps):
+            dst, src = shift_slices(2 * k, v.shape)
+            cross_q[i] = np.einsum(self._dot, v[src], Hw[dst])
+            if self._moments:
+                cross_m[i] = sum(c * np.einsum(self._dot, a[src], b[dst]) for c, a, b in self._moments)
+            else:
+                buf.fill(0.0)
+                dst, src = shift_slices(k, v.shape)
+                buf[dst] = v[src]
+                dst, src = shift_slices(-k, v.shape)
+                buf[dst] -= v[src]
+                cross_m[i] = lp_mass(zero_boundary(buf), p, 1.0) - (m_a[i] + m_b[i]) / grid.weight
+        cross_q *= grid.weight
+        cross_m *= grid.weight
+        e = 2.0 / p
+        box = (q_a + q_b - 2.0 * cross_q) / (m_a + m_b + cross_m) ** e
+        unbounded = (2.0 * q_w - 2.0 * cross_q) / (2.0 * m_w + cross_m) ** e
+        return box, unbounded
+
+
+class SphereMap:
+    """The odd map y -> normalize(winf(. + Ry) - winf(. - Ry)) (`gamma_R`) at
+    the unit vectors `points`, one per antipodal pair: the difference of
+    translates flips sign exactly under y -> -y, so J(-u) = J(u).
+
+    `at(y)` builds the field. `scan(Vinf)` evaluates J^inf at every point
+    from a `TranslationTable`, the one the map was given or one built for
+    the call, and keeps in `unbounded` the J^inf of the same directions on
+    the unbounded lattice, from the same correlations.
+    """
+
+    def __init__(self, winf: GridFunction, R: float, p: float, points: np.ndarray,
+                 table: TranslationTable | None = None):
+        self.winf, self.R, self.p, self.points, self.table = winf, R, p, points, table
+        self.unbounded = None
+
+    def _steps(self, y) -> tuple[int, ...]:
+        return self.winf.grid.lattice_vector(self.R * np.asarray(y, dtype=float))
 
     def at(self, y) -> GridFunction:
-        return self.rule(np.asarray(y, dtype=float))
+        steps = self._steps(y)
+        u = translate(self.winf, steps).values - translate(self.winf, tuple(-s for s in steps)).values
+        return lp_normalize(GridFunction(self.winf.grid, u), self.p)
 
-    def scan(self, V: np.ndarray) -> np.ndarray:
-        """J at each of `points`, in order, with V = Vinf - W on the fields' grid."""
-        return np.array([energy_J(self.at(y), V) for y in self.points])
+    def scan(self, Vinf: float) -> np.ndarray:
+        """J^inf at each of `points`, in order, with the scalar potential Vinf."""
+        table = self.table or TranslationTable(self.winf, self.p)
+        box, self.unbounded = table.energies([self._steps(y) for y in self.points], float(Vinf))
+        return box
 
-    def max_energy(self, V: np.ndarray) -> float:
-        return float(np.max(self.scan(V)))
+    def max_energy(self, Vinf: float) -> float:
+        return float(np.max(self.scan(Vinf)))
 
 
 def sphere_points(m: int, samples: int) -> np.ndarray:
@@ -341,23 +473,19 @@ def sphere_points(m: int, samples: int) -> np.ndarray:
     return np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
 
 
-def gamma_R(winf: GridFunction, R: float, p: float,
-            samples: int = SPHERE_SAMPLES) -> SphereMap:
+def gamma_R(winf: GridFunction, R: float, p: float, samples: int = SPHERE_SAMPLES,
+            table: TranslationTable | None = None) -> SphereMap:
     """Odd map y -> normalize(winf(. + Ry) - winf(. - Ry)) over sampled S^(N-1).
 
     Displacements Ry are rounded to the nearest lattice vector, so evaluation
     uses exact grid shifts. The directions and their negatives sample the
     whole S^(N-1); nothing restricts the map to a coordinate subsphere.
+    `table`, a translation table of winf for exponent p, serves the scan;
+    without one each scan builds its own.
     """
     grid = winf.grid
     if R >= grid.L:
         raise PathError("R must be smaller than the box half-width")
-    pts = sphere_points(grid.N, samples)
-
-    def rule(y):
-        steps = grid.lattice_vector(R * y)
-        u = translate(winf, steps).values - translate(winf, tuple(-s for s in steps)).values
-        return lp_normalize(GridFunction(grid, u), p)
-
-    return SphereMap(rule, pts)
-
+    if table is not None and (table.field is not winf or table.p != p):
+        raise PathError("translation table built for another field or exponent")
+    return SphereMap(winf, R, p, sphere_points(grid.N, samples), table)

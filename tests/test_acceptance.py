@@ -29,11 +29,10 @@ def _verdict(name: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def gamma_scans(winf0, spec0):
-    V = potential_values(spec0, winf0.grid)
     out = {}
     for R in (6.0, 9.0, 12.0):
         sm = gamma_R(winf0, R, 4.0, samples=128)
-        out[R] = sm.max_energy(V)
+        out[R] = sm.max_energy(spec0.Vinf)
     return out
 
 

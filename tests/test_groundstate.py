@@ -11,8 +11,7 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
 from minimaxlab.domain import Grid, potential_values, zero_boundary
 from minimaxlab.energy import _laplacian, euler_lagrange_residual
 from minimaxlab import groundstate
-from minimaxlab.groundstate import (DescentError, ShootingError, _ShiftedPoissonSolver,
-                                    translation_tail_bound)
+from minimaxlab.groundstate import DescentError, ShootingError, _ShiftedPoissonSolver
 
 # Frozen oracle values for N = 2, p = 4, Vinf = 1, recomputed independently
 # (RK4 shooting at half the production step agrees to the digits shown).
@@ -335,17 +334,3 @@ class TestShiftedPoissonSolver:
         out *= 2.0 ** len(shape)
         assert np.max(np.abs(out[interior] - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(zero_boundary(out.copy()), out)
-
-
-class TestTranslationTailBound:
-    def test_decreasing_in_reach(self, decay_fit0):
-        vals = [translation_tail_bound(decay_fit0, 4.0, 2, 16.0, y)
-                for y in (0.0, 4.0, 8.0)]
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_dominates_observed_loss(self, winf0, decay_fit0):
-        from minimaxlab import translate
-
-        shifted = translate(winf0, (8.0, 0.0))
-        loss = 1.0 - lp_norm(shifted, 4.0)
-        assert loss <= translation_tail_bound(decay_fit0, 4.0, 2, 16.0, 8.0)

@@ -9,7 +9,7 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import _energy
 from minimaxlab.pathlab import (MIN_THETA_SAMPLES, THETA_SAMPLES, PathError,
-                                PathFamily, SampledPath, balanced_point,
+                                PathFamily, SampledPath, TranslationTable, balanced_point,
                                 disjoint_support_max, gamma_R, overlap_integrals,
                                 path_max_J, path_max_from_energies, sphere_points,
                                 two_block_energy)
@@ -272,8 +272,62 @@ class TestGammaR:
         # well separated signed pairs sit near 2^sigma lambda_1
         gm = gamma_R(winf0, 9.0, 4.0, samples=8)
         target = 2.0 ** 0.5 * ground_profile.level
-        assert gm.max_energy(potential_values(spec0, winf0.grid)) == pytest.approx(
-            target, rel=5e-3)
+        assert gm.max_energy(spec0.Vinf) == pytest.approx(target, rel=5e-3)
+
+
+def smooth_field(grid):
+    """An asymmetric Gaussian-type field, far from zero at the wall of a
+    small box, so translates lose much of it there."""
+    x = grid.coords()
+    r2 = sum((xi - 0.3 * (i + 1)) ** 2 * (i + 1) for i, xi in enumerate(x)) / 8.0
+    return GridFunction(grid, np.exp(-r2) * (1.5 + np.sin(x[0])))
+
+
+class TestTranslationTable:
+    """J^inf from the translation table against J^inf of the field that
+    `at` builds, at every direction of the scan."""
+
+    @pytest.mark.parametrize("N, L, h, p, R", [
+        (2, 6.0, 0.25, 4.0, 5.75),  # R near L: every translate is clipped
+        (2, 6.0, 0.25, 4.0, 2.0),
+        (3, 3.0, 0.25, 4.0, 2.0),
+        (2, 6.0, 0.25, 3.0, 5.75),  # odd p: the mass is built, not summed
+    ])
+    def test_scan_matches_fields(self, N, L, h, p, R):
+        sm = gamma_R(smooth_field(build_grid(ProblemSpec(N=N, p=p, L=L, h=h))), R, p, samples=16)
+        energies = sm.scan(1.0)
+        ref = [energy_J(sm.at(y), 1.0) for y in sm.points]
+        assert energies == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_unbounded_matches_fields_on_a_box_twice_as_wide(self):
+        # on a box of half-width 2L no translate by less than L is clipped
+        small = build_grid(ProblemSpec(N=2, p=4.0, L=6.0, h=0.25))
+        big = build_grid(ProblemSpec(N=2, p=4.0, L=12.0, h=0.25))
+        w = smooth_field(small)
+        wide = np.zeros(big.shape)
+        wide[24:-24, 24:-24] = w.values
+        sm = gamma_R(w, 5.75, 4.0, samples=16)
+        sm.scan(1.0)
+        wide_map = gamma_R(GridFunction(big, wide), 5.75, 4.0, samples=16)
+        ref = [energy_J(wide_map.at(y), 1.0) for y in wide_map.points]
+        assert sm.unbounded == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_no_wall_gap_when_no_translate_reaches_the_wall(self):
+        # a bump of radius 2 moved by 1.5 stays 10 nodes from the wall
+        grid = build_grid(ProblemSpec(N=2, p=4.0, L=6.0, h=0.25))
+        bump = unit_bump(grid, (0.0, 0.0), radius=2.0)
+        sm = gamma_R(bump, 1.5, 4.0, samples=16)
+        box = sm.scan(1.0)
+        assert np.max(np.abs(box - sm.unbounded) / sm.unbounded) <= 1e-13
+        clipped = gamma_R(bump, 5.0, 4.0, samples=16)
+        assert np.max(clipped.scan(1.0)) > np.max(clipped.unbounded) * (1.0 + 1e-3)
+
+    def test_table_must_belong_to_the_map(self, left, right):
+        table = TranslationTable(left, 4.0)
+        with pytest.raises(PathError):
+            gamma_R(right, 3.0, 4.0, table=table)
+        with pytest.raises(PathError):
+            gamma_R(left, 3.0, 3.0, table=table)
 
 
 def counted(fn):
@@ -289,11 +343,14 @@ class TestNoProbeEvaluations:
     """Scans and path maxima read the grid from the map or path, so they
     evaluate only the points they report or search."""
 
-    def test_sphere_scan_calls_rule_once_per_point(self, spec, grid, left):
-        sm = gamma_R(left, 3.0, 4.0, samples=8)
-        sm.rule = counted(sm.rule)
-        assert len(sm.scan(potential_values(spec, grid))) == 8
-        assert sm.rule.calls == 8
+    def test_even_p_sphere_scan_builds_no_field(self, spec, left, monkeypatch):
+        # every direction's J^inf is summed from the translation table
+        def forbidden(*args):
+            raise AssertionError("a sphere scan built a field")
+
+        for name in ("GridFunction", "translate", "lp_normalize", "lp_mass"):
+            monkeypatch.setattr(pathlab, name, forbidden)
+        assert len(gamma_R(left, 3.0, 4.0, samples=8).scan(spec.Vinf)) == 8
 
     def test_path_max_evaluates_angles_and_search_steps_only(self, spec, grid, left, right,
                                                               monkeypatch):
