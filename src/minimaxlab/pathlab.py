@@ -26,6 +26,10 @@ THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config defau
 MIN_THETA_SAMPLES = 64  # fewest angles a path maximum accepts
 GOLDEN_XTOL = 1e-12  # bracket width at which a golden-section search stops
 SPHERE_SAMPLES = 128  # directions per sphere map, one per antipodal pair
+# a translation scan builds T_k w - T_-k w for its mass where the moment sums
+# leave less than this share of the translates' masses (steps of a node or
+# two): below it they lose more than two digits to cancellation
+CANCELLATION = 1e-2
 
 
 class PathError(ValueError):
@@ -345,7 +349,9 @@ class TranslationTable:
         |u|_p^p = sum_j C(p, j) (-1)^(p-j) sum A^j B^(p-j),   B = T_-k w,
 
     whose j = p and j = 0 terms are self terms and the others correlations
-    sum_z w^j(z) w^(p-j)(z + 2k); other p build u in one reused buffer.
+    sum_z w^j(z) w^(p-j)(z + 2k). Other p build u in one reused buffer, and
+    so does a step whose mass the moment sums cancel down to below
+    CANCELLATION of the translates' masses (a step of a node or two).
     Each correlation is one pass over the overlap of two views. Taking Int
     for both rectangles instead gives J^inf on the unbounded lattice, where
     the wall clips nothing.
@@ -396,24 +402,28 @@ class TranslationTable:
         q_w, m_w = self._self_terms(lo[None], hi[None], Vinf)
         Hw = Vinf * v
         Hw -= self._lap
-        cross_q, cross_m = np.empty(len(steps)), np.empty(len(steps))
-        buf = None if self._moments else np.empty_like(v)
+        cross_q, cross_m = np.empty(len(steps)), np.zeros(len(steps))
         for i, k in enumerate(steps):
             dst, src = shift_slices(2 * k, v.shape)
             cross_q[i] = np.einsum(self._dot, v[src], Hw[dst])
             if self._moments:
                 cross_m[i] = sum(c * np.einsum(self._dot, a[src], b[dst]) for c, a, b in self._moments)
-            else:
-                buf.fill(0.0)
-                dst, src = shift_slices(k, v.shape)
-                buf[dst] = v[src]
-                dst, src = shift_slices(-k, v.shape)
-                buf[dst] -= v[src]
-                cross_m[i] = lp_mass(zero_boundary(buf), p, 1.0) - (m_a[i] + m_b[i]) / grid.weight
         cross_q *= grid.weight
         cross_m *= grid.weight
+        box_mass = m_a + m_b + cross_m
+        built = (np.flatnonzero(box_mass < CANCELLATION * (m_a + m_b)) if self._moments
+                 else range(len(steps)))
+        buf = np.empty_like(v) if len(built) else None
+        for i in built:
+            buf.fill(0.0)
+            dst, src = shift_slices(steps[i], v.shape)
+            buf[dst] = v[src]
+            dst, src = shift_slices(-steps[i], v.shape)
+            buf[dst] -= v[src]
+            box_mass[i] = lp_mass(zero_boundary(buf), p, grid.weight)
+            cross_m[i] = box_mass[i] - m_a[i] - m_b[i]
         e = 2.0 / p
-        box = (q_a + q_b - 2.0 * cross_q) / (m_a + m_b + cross_m) ** e
+        box = (q_a + q_b - 2.0 * cross_q) / box_mass ** e
         unbounded = (2.0 * q_w - 2.0 * cross_q) / (2.0 * m_w + cross_m) ** e
         return box, unbounded
 

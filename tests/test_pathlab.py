@@ -290,6 +290,7 @@ class TestTranslationTable:
     @pytest.mark.parametrize("N, L, h, p, R", [
         (2, 6.0, 0.25, 4.0, 5.75),  # R near L: every translate is clipped
         (2, 6.0, 0.25, 4.0, 2.0),
+        (2, 16.0, 0.125, 4.0, 0.125),  # one node: the moment sums would cancel
         (3, 3.0, 0.25, 4.0, 2.0),
         (2, 6.0, 0.25, 3.0, 5.75),  # odd p: the mass is built, not summed
     ])
