@@ -19,8 +19,11 @@ from .energy import _energy, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
 DESCENT_TOL = 1e-8  # descent gradient-norm tolerance
-FIT_WINDOW = (6.0, 12.0)  # decay fit window in r
-SECANT_THETA = 0.02  # shooting probes sit this fraction of (hi - est) either side of est
+FIT_WINDOW = (6.0, 12.0)  # decay fit window in sqrt(Vinf) r
+SECANT_THETA = 0.02  # widest shooting probe pair: this fraction of (hi - est) either side of est
+THETA_MIN = 1e-4  # narrowest probe pair, five times the secant root's error near b*
+TAIL_START = 5.5  # probes keep the step dr this far past their k-th sign change, times 1/sqrt(Vinf)
+TAIL_DOUBLING = math.log(16.0) / 2.0  # then double it over every such stretch, times 1/sqrt(Vinf)
 
 
 class ShootingError(RuntimeError):
@@ -88,24 +91,30 @@ class DecayFit:
 
 def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float,
                k: int | None = None):
-    """Fixed-step RK4 from r = dr/10 with the even-symmetry series start.
+    """RK4 from r = dr/10 with the even-symmetry series start.
 
-    Returns (w samples, sign changes). Stops once |w| exceeds twice the
-    central value, which signals departure from the separatrix; the samples
-    past that point repeat the last value.
+    Returns (w samples on r = dr/10 + i dr, sign changes). Stops at the
+    first local minimum of |w| that is not a sign change; the samples past
+    it repeat the last value. There v = 0 and w'' has the sign of w, so
+    |w| < Vinf^(1/(p-2)) and E = v^2/2 - Vinf w^2/2 + |w|^p/p < 0. Along a
+    solution dE/dr = -(N-1)/r v^2 <= 0, and a sign change needs
+    E = v^2/2 >= 0 at w = 0, so once E < 0 no further sign change can happen.
 
     With `k` given, only the bit `sign changes > k` is wanted: no samples are
     stored, and the integration returns (r, sign changes) as soon as the bit
     is decided. At the (k+1)-th sign change r is the crossing radius,
     interpolated linearly between its two steps; otherwise it is the radius
-    where E = v^2/2 - Vinf w^2/2 + |w|^p/p turned negative (or where the
-    integration ended). Along a solution dE/dr = -(N-1)/r v^2 <= 0, and a
-    sign change needs E = v^2/2 >= 0 at w = 0, so after E < 0 no further
-    sign change can happen.
+    where E turned negative or |w| turned upward (or where the integration
+    ended). Such a probe keeps the step dr until TAIL_START / sqrt(Vinf) past
+    its k-th sign change (past r = 0 for k = 0), then doubles it every
+    TAIL_DOUBLING / sqrt(Vinf) up to 32 dr: an error made at radius r moves
+    the decided separatrix by about h^4 exp(-2 sqrt(Vinf) r), so doubling h
+    each time that factor falls 16-fold keeps the error per unit radius.
     """
     early = k is not None
+    cube = p == 4.0  # w * w * w is the p = 4 force, and about a quarter cheaper
     copysign = math.copysign
-    blow = 2.0 * abs(b)
+    root = math.sqrt(Vinf)
     r = dr / 10.0
     curv = Vinf * b - abs(b) ** (p - 1)  # w'' (0) * N from the series expansion
     w = b + curv * r * r / (2.0 * N)
@@ -114,54 +123,72 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float,
     ws = None if early else np.full(nsteps + 1, w)
     zeros = 0
     q, c = p - 1, N - 1  # w'' = Vinf w - |w|^q sign(w) - c/r w'
-    half = dr / 2.0
-    sixth = dr / 6.0
-    cr = c / r  # c/r at the start of each step: a4's c/(r + dr) of the step before
+    h, hmax = dr, 32.0 * dr
+    half = h / 2.0
+    sixth = h / 6.0
+    grow = TAIL_START / root if k == 0 else math.inf  # radius of the next step doubling
+    falling = False  # |w| fell over the last step
+    cr = c / r  # c/r at the start of each step: a4's c/(r + h) of the step before
     for i in range(nsteps):
-        g = copysign(abs(w) ** q, w)
+        g = w * w * w if cube else copysign(abs(w) ** q, w)
         if early and 0.5 * (v * v - Vinf * w * w) + g * w / p < 0.0:
             return r, zeros
         a1 = (Vinf * w - g) - cr * v
         crh = c / (r + half)
         w2, v2 = w + half * v, v + half * a1
-        a2 = (Vinf * w2 - copysign(abs(w2) ** q, w2)) - crh * v2
+        a2 = (Vinf * w2 - (w2 * w2 * w2 if cube else copysign(abs(w2) ** q, w2))) - crh * v2
         w3, v3 = w + half * v2, v + half * a2
-        a3 = (Vinf * w3 - copysign(abs(w3) ** q, w3)) - crh * v3
-        w4, v4 = w + dr * v3, v + dr * a3
-        cr = c / (r + dr)
-        a4 = (Vinf * w4 - copysign(abs(w4) ** q, w4)) - cr * v4
+        a3 = (Vinf * w3 - (w3 * w3 * w3 if cube else copysign(abs(w3) ** q, w3))) - crh * v3
+        w4, v4 = w + h * v3, v + h * a3
+        cr = c / (r + h)
+        a4 = (Vinf * w4 - (w4 * w4 * w4 if cube else copysign(abs(w4) ** q, w4))) - cr * v4
         wn = w + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         vn = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        r += dr
+        r += h
+        if not early:
+            ws[i + 1] = wn
         if wn * w < 0.0:
             zeros += 1
-            if early and zeros > k:
-                return r + dr * wn / (w - wn), zeros
-        w, v = wn, vn
-        if not early:
-            ws[i + 1] = w
-        if abs(w) > blow:
-            if not early:
-                ws[i + 2:] = w
+            falling = False
+            if early:
+                if zeros > k:
+                    return r + h * wn / (w - wn), zeros
+                if zeros == k:
+                    grow = r + TAIL_START / root
+        elif abs(wn) < abs(w):
+            falling = True
+        elif falling:
             break
-    return (r if early else ws), zeros
+        w, v = wn, vn
+        if r >= grow:  # grow stays infinite in the sampled pass
+            if r >= rmax:
+                break
+            grow += TAIL_DOUBLING / root
+            if h < hmax:
+                h *= 2.0
+                half = h / 2.0
+                sixth = h / 6.0
+    if early:
+        return r, zeros
+    ws[i + 2:] = ws[i + 1]
+    return ws, zeros
 
 
-def _secant_probes(lo: float, hi: float, over: list) -> list[float]:
+def _secant_probes(lo: float, hi: float, over: list, theta: float) -> list[float]:
     """Next central values to try inside the bracket (lo, hi).
 
     Near the separatrix value b*, an overshoot's surrogate f is close to
     C (b - b*) with C nearly constant, so the secant root `est` through the
-    last two overshoots lands close to b*; the probes sit SECANT_THETA of
-    (hi - est) above and below it. The midpoint is the fallback whenever
-    `est` is unusable.
+    last two overshoots lands close to b*; the probes sit theta of
+    (hi - est), but at least 16 ulps, above and below it. The midpoint is
+    the fallback whenever `est` is unusable.
     """
     if len(over) >= 2:
         (b1, f1), (b2, f2) = over[-2:]
         if f2 < f1:
             est = b2 - f2 * (b1 - b2) / (f1 - f2)
             if lo < est < hi:
-                step = SECANT_THETA * (hi - est)
+                step = max(theta * (hi - est), 16.0 * math.ulp(est))
                 return [est - step, est + step]  # popped from the end: above first
     return [0.5 * (lo + hi)]
 
@@ -173,18 +200,28 @@ def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
     Every probe keeps the bracket: lo undershoots (at most k sign changes),
     hi overshoots. An overshoot crosses zero for the (k+1)-th time at r_c,
     interpolated between two RK4 steps, and the farther it gets the
-    closer b is to the separatrix: f = exp(-2 sqrt(Vinf) r_c) is nearly
-    proportional to b - b*, which `_secant_probes` uses.
+    closer b is to the separatrix: with x = sqrt(Vinf) r_c, the ratio
+    K_nu(x) / I_nu(x) ~ exp(-2x) (1 + (4 nu^2 - 1) / (4x)) of the decaying and
+    growing linearized tails, nu = (N - 2) / 2 (DLMF 10.40), is nearly
+    proportional to b - b*, which `_secant_probes` uses. A pair of probes
+    that brackets b* narrows the next pair tenfold, down to THETA_MIN; one
+    that does not widens it tenfold, up to SECANT_THETA.
+
+    The probes take longer steps in the tail than the sampled pass, so lo
+    may overshoot there; the pass then steps b down by the bracket width,
+    doubling each time, until it sees exactly k sign changes.
     """
     tol, dr, rmax, max_iter = 1e-14, 2e-3, 25.0, 200
-    decay2 = 2.0 * math.sqrt(Vinf)
+    root = math.sqrt(Vinf)
+    bessel = ((N - 2) ** 2 - 1) / 4.0
     over = []  # (b, f) of every overshoot, in probe order
 
     def overshoots(b):
         rc, zeros = _integrate(b, N, p, Vinf, dr, rmax, k)
         if zeros <= k:
             return False
-        over.append((b, math.exp(-decay2 * rc)))
+        x = root * rc
+        over.append((b, math.exp(-2.0 * x) * (1.0 + bessel / x)))
         return True
 
     # Bracket: small central values never reach k+1 crossings, large ones do.
@@ -204,23 +241,32 @@ def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
             raise ShootingError(f"no bracket below: reached {zeros} sign changes at w(0)={lo}")
 
     probes = []  # central values still to try, the last one first
+    theta = SECANT_THETA
     for _ in range(max_iter):
         if not probes:
-            probes = _secant_probes(lo, hi, over)
+            probes = _secant_probes(lo, hi, over, theta)
+            pair = len(probes) == 2
+            lo0, hi0 = lo, hi
         b = probes.pop()
-        if not lo < b < hi:
-            continue
-        if overshoots(b):
-            hi = b
-        else:
-            lo = b
-        if hi - lo <= tol * hi:
-            break
+        if lo < b < hi:
+            if overshoots(b):
+                hi = b
+            else:
+                lo = b
+            if hi - lo <= tol * hi:
+                break
+        if pair and not probes:
+            bracketed = lo != lo0 and hi != hi0
+            theta = max(theta / 10.0, THETA_MIN) if bracketed else min(theta * 10.0, SECANT_THETA)
     else:
         raise ShootingError("shooting search did not converge within the probe cap")
 
-    b = lo
+    b, step = lo, hi - lo
     ws, zeros = _integrate(b, N, p, Vinf, dr, rmax)
+    while zeros > k:
+        b -= step
+        step *= 2.0
+        ws, zeros = _integrate(b, N, p, Vinf, dr, rmax)
     r = dr / 10.0 + dr * np.arange(len(ws))
 
     # Past the last reliable point the trajectory shadows the separatrix and
@@ -234,7 +280,7 @@ def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
         raise ShootingError("shooting solution diverged too early to extract a tail")
     rm, wm = r[i_cut], ws[i_cut]
     w = ws.copy()
-    w[i_cut:] = wm * np.exp(-math.sqrt(Vinf) * (r[i_cut:] - rm)) * (rm / r[i_cut:]) ** ((N - 1) / 2.0)
+    w[i_cut:] = wm * np.exp(-root * (r[i_cut:] - rm)) * (rm / r[i_cut:]) ** ((N - 1) / 2.0)
 
     prof = RadialProfile(r=r, w=w, N=N, nodes=zeros, level=0.0, w0=b, Vinf=Vinf, p=p)
     prof.level = prof.lp_norm() ** (p - 2)
@@ -265,13 +311,16 @@ def shoot_excited(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
 
 
 def fit_decay(profile: RadialProfile, Vinf: float) -> DecayFit:
-    """Linear fit of log(w r^((N-1)/2)) on FIT_WINDOW; slope gives the decay rate.
+    """Linear fit of log(w r^((N-1)/2)) for sqrt(Vinf) r in FIT_WINDOW; slope
+    gives the decay rate. The window scales with the decay length
+    1/sqrt(Vinf), so it sits as far into the tail at every Vinf.
 
     The envelope rate a0 is the fitted rate scaled down by 0.95, one
     admissible instantiation of the comparison-argument envelope.
     """
     r, w = profile.r, profile.normalized()
-    mask = (r >= FIT_WINDOW[0]) & (r <= FIT_WINDOW[1])
+    x = math.sqrt(Vinf) * r
+    mask = (x >= FIT_WINDOW[0]) & (x <= FIT_WINDOW[1])
     y = w[mask] * r[mask] ** ((profile.N - 1) / 2.0)
     if np.any(y <= 0):
         raise ValueError("profile not positive on the fit window")

@@ -382,6 +382,15 @@ class TestMain:
         assert err.startswith("error: did not converge")
         assert "Traceback" not in err
 
+    def test_ground_run_at_vinf_4(self, tmp_path):
+        # the decay fit window scales with 1/sqrt(Vinf); r in [6, 12] fitted
+        # rate 1.83 against 2 and failed `decay-rate`
+        path = write_config(tmp_path / "c.cfg", {"experiment": "ground", "v_inf": "4.0"})
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        verdicts = {v["id"]: v["status"] for v in report_of(out)["verdicts"]}
+        assert verdicts["decay-rate"] == "pass"
+
     def test_run_with_overrides(self, tmp_path):
         path = write_config(tmp_path / "c.cfg", {"experiment": "gamma-r"})
         out = tmp_path / "out"

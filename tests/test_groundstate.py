@@ -6,8 +6,8 @@ import pytest
 import tracemalloc
 
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
-                        lp_norm, mass_I, minimize_lambda1, shoot_excited,
-                        shoot_ground)
+                        fit_decay, lp_norm, mass_I, minimize_lambda1,
+                        shoot_excited, shoot_ground)
 from minimaxlab.domain import Grid, potential_values, zero_boundary
 from minimaxlab.energy import _laplacian, euler_lagrange_residual
 from minimaxlab import groundstate
@@ -57,15 +57,15 @@ class TestShootGround:
     def test_pinned_bits(self, ground_profile):
         # the search's decisions, hence w0 and the level, are fixed to the last bit;
         # plain bisection gave 2.206200864635747 and 4.837534542916699
-        assert ground_profile.w0 == 2.206200864635756
-        assert ground_profile.level == 4.837534542916714
+        assert ground_profile.w0 == 2.2062008646357514
+        assert ground_profile.level == 4.837534542916706
         assert ground_profile.w0 == pytest.approx(2.206200864635747, rel=1e-13, abs=0.0)
         assert ground_profile.level == pytest.approx(4.837534542916699, rel=1e-13, abs=0.0)
 
     def test_pinned_bits_n3(self):
         prof = shoot_ground(3, 4.0, 1.0)
-        assert prof.w0 == 4.337387680186031
-        assert prof.level == 8.694193729198064
+        assert prof.w0 == 4.33738768018602
+        assert prof.level == 8.694193729198062
         assert prof.w0 == pytest.approx(4.337387680186037, rel=1e-13, abs=0.0)
         assert prof.level == pytest.approx(8.694193729198068, rel=1e-13, abs=0.0)
 
@@ -97,8 +97,8 @@ class TestShootExcited:
 
     def test_pinned_bits(self, excited_profile):
         # plain bisection gave 3.331989266448716 and 12.423585831487589
-        assert excited_profile.w0 == 3.3319892664487094
-        assert excited_profile.level == 12.42358583148759
+        assert excited_profile.w0 == 3.331989266448708
+        assert excited_profile.level == 12.423585831487594
         assert excited_profile.w0 == pytest.approx(3.331989266448716, rel=1e-13, abs=0.0)
         assert excited_profile.level == pytest.approx(12.423585831487589, rel=1e-13, abs=0.0)
 
@@ -130,13 +130,48 @@ def _recording(monkeypatch):
     return full, calls
 
 
+def _uniform_probe(b, N, p, Vinf, dr, rmax, k):
+    """The search's early decision at the step dr all the way out: returns
+    (exit radius, sign changes) as `groundstate._integrate(..., k)` does, but
+    without its longer tail steps or its p = 4 shortcut."""
+    copysign = math.copysign
+    r = dr / 10.0
+    curv = Vinf * b - abs(b) ** (p - 1)
+    w = b + curv * r * r / (2.0 * N)
+    v = curv * r / N
+    zeros = 0
+    q, c = p - 1, N - 1
+    half, sixth = dr / 2.0, dr / 6.0
+    for _ in range(int(round(rmax / dr))):
+        g = copysign(abs(w) ** q, w)
+        if 0.5 * (v * v - Vinf * w * w) + g * w / p < 0.0:
+            return r, zeros
+        a1 = (Vinf * w - g) - c / r * v
+        w2, v2 = w + half * v, v + half * a1
+        a2 = (Vinf * w2 - copysign(abs(w2) ** q, w2)) - c / (r + half) * v2
+        w3, v3 = w + half * v2, v + half * a2
+        a3 = (Vinf * w3 - copysign(abs(w3) ** q, w3)) - c / (r + half) * v3
+        w4, v4 = w + dr * v3, v + dr * a3
+        a4 = (Vinf * w4 - copysign(abs(w4) ** q, w4)) - c / (r + dr) * v4
+        wn = w + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
+        v = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        r += dr
+        if wn * w < 0.0:
+            zeros += 1
+            if zeros > k:
+                return r + dr * wn / (w - wn), zeros
+        w = wn
+    return r, zeros
+
+
 def _bisection_w0(N, p, Vinf, k):
-    """Plain bisection on the same early decisions, with the search's bracket
-    and stop rule: the central value of the search before the secant steps."""
+    """Plain bisection on uniform-step early decisions, with the search's
+    bracket and stop rule: the central value the sampled pass's discretization
+    gives without secant steps or longer tail steps."""
     dr, rmax = 2e-3, 25.0
 
     def overshoots(b):
-        return groundstate._integrate(b, N, p, Vinf, dr, rmax, k)[1] > k
+        return _uniform_probe(b, N, p, Vinf, dr, rmax, k)[1] > k
 
     lo = 1.05 * Vinf ** (1.0 / (p - 2))
     hi = lo * 2.0
@@ -163,10 +198,12 @@ class TestEarlyDecision:
         # a probe call is (b, N, p, Vinf, dr, rmax, k) and returns (exit radius, sign changes)
         decided = [(args[:6], zeros > k, r) for args, (r, zeros) in calls if len(args) == 7]
         dr, rmax = decided[0][0][4:6]
-        # the last probes lie nearest the separatrix, where the bit is hardest
+        # the last probes lie nearest the separatrix, where the bit is hardest;
+        # their longer tail steps decide it as the step dr does
         for args, bit, r in decided[-8:]:
             ws, zeros = full(*args)
             assert (zeros > k) == bit
+            assert (_uniform_probe(*args, k)[1] > k) == bit
             assert r < rmax
         # far from the separatrix the bit is decided within a few steps
         assert min(r for _, _, r in decided) < 100 * dr
@@ -177,15 +214,17 @@ class TestSecantSearch:
 
     @pytest.mark.parametrize("N, p, Vinf, k", [
         (2, 4.0, 1.0, 0), (2, 4.0, 1.0, 1), (3, 4.0, 1.0, 0), (2, 3.0, 1.0, 0),
-        (2, 6.0, 1.0, 0), (2, 4.0, 4.0, 0), (2, 4.0, 1.0, 2)])
+        (2, 6.0, 1.0, 0), (2, 4.0, 4.0, 0), (2, 4.0, 1.0, 2), (3, 4.0, 1.0, 1),
+        (2, 4.0, 2.0, 0), (2, 4.0, 0.5, 0), (3, 4.0, 4.0, 0)])
     def test_agrees_with_bisection(self, N, p, Vinf, k):
         prof = shoot_excited(N, p, Vinf, k) if k else shoot_ground(N, p, Vinf)
+        assert prof.nodes == k
         assert prof.w0 == pytest.approx(_bisection_w0(N, p, Vinf, k), rel=1e-13, abs=0.0)
 
     def test_keeps_the_bracket_with_few_integrations(self, monkeypatch):
         full, calls = _recording(monkeypatch)
         prof = groundstate._shoot(2, 4.0, 1.0, 0)
-        assert len(calls) <= 32  # plain bisection took 52
+        assert len(calls) <= 19  # plain bisection took 52, the 2 % secant pairs 26
         decided = [(args[0], zeros > 0) for args, (_, zeros) in calls if len(args) == 7]
         # bracketing: 2.1 undershoots, 4.2 overshoots, 1.05 undershoots
         assert decided[:3] == [(2.1, False), (4.2, True), (1.05, False)]
@@ -200,10 +239,43 @@ class TestSecantSearch:
         assert prof.w0 == lo
         assert full(lo, 2, 4.0, 1.0, 2e-3, 25.0)[1] == 0  # lo undershoots in full too
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_final_pass_steps_down_to_k_sign_changes(self, monkeypatch, k):
+        # probes that decide for b (1 - 1e-13) hand the sampled pass a lo about
+        # 1e-13 above the separatrix of the step dr, where it overshoots
+        full = groundstate._integrate
+        passes = []
+
+        def shifted(b, *args):
+            if len(args) == 6:  # a probe: (N, p, Vinf, dr, rmax, k)
+                return full(b * (1.0 - 1e-13), *args)
+            ws, zeros = full(b, *args)
+            passes.append((b, zeros))
+            return ws, zeros
+
+        monkeypatch.setattr(groundstate, "_integrate", shifted)
+        prof = groundstate._shoot(2, 4.0, 1.0, k)
+        assert len(passes) > 2
+        assert all(zeros > k for _, zeros in passes[:-1])
+        assert passes[-1] == (prof.w0, k)
+        assert prof.nodes == k
+        bs = [b for b, _ in passes]
+        assert all(a > b for a, b in zip(bs, bs[1:]))
+        assert prof.w0 == pytest.approx(_bisection_w0(2, 4.0, 1.0, k), rel=1e-12, abs=0.0)
+        if k == 0:
+            assert np.all(prof.w > 0)
+
 
 class TestFitDecay:
     def test_rate_near_sqrt_vinf(self, decay_fit0):
         assert decay_fit0.rate == pytest.approx(1.0, rel=2e-2)
+
+    @pytest.mark.parametrize("Vinf", [0.5, 2.0, 4.0])
+    def test_window_scales_with_the_decay_length(self, Vinf):
+        # N = 2 fits -1.49e-3 relative at every Vinf; the window r in [6, 12]
+        # fitted 1.8317 for sqrt(Vinf) = 2
+        fit = fit_decay(shoot_ground(2, 4.0, Vinf), Vinf)
+        assert fit.rate == pytest.approx(math.sqrt(Vinf), rel=2e-3)
 
     def test_envelope_below_rate(self, decay_fit0):
         assert 0 < decay_fit0.a0 < decay_fit0.rate
