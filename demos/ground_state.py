@@ -19,7 +19,7 @@ prof = shoot_ground(spec.N, spec.p, spec.Vinf)
 print(f"  central value w(0)      = {prof.w0:.8f}")
 print(f"  first level lambda1_inf = {prof.level:.8f}")
 
-fit = fit_decay(prof, spec.Vinf)
+fit = fit_decay(prof)
 print(f"  fitted decay rate       = {fit.rate:.5f}  (expected sqrt(Vinf) = "
       f"{math.sqrt(spec.Vinf):.5f})")
 print(f"  certified envelope a0   = {fit.a0:.5f}")

@@ -136,7 +136,7 @@ class Pipeline:
 
     @cached_property
     def decay_fit(self):
-        return fit_decay(self.ground_profile, self.spec.Vinf)
+        return fit_decay(self.ground_profile)
 
     @cached_property
     def winf(self):

@@ -1,15 +1,15 @@
 """Radial shooting for the autonomous problem, full-grid preconditioned
 constrained descent for the first level, and exponential decay fitting.
 
-The radial solve uses the scaled equation -w'' - (N-1)/r w' + Vinf w = |w|^(p-2) w
-(eigenvalue fixed at 1); the level of the normalized state is recovered from
-homogeneity as |w|_p^(p-2).
+The radial solve shoots only the Vinf = 1 equation -w'' - (N-1)/r w' + w =
+|w|^(p-2) w and rescales exactly: w_Vinf(r) = Vinf^(1/(p-2)) w_1(sqrt(Vinf) r).
+The level of the normalized state is recovered from homogeneity as |w|_p^(p-2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,8 +22,8 @@ DESCENT_TOL = 1e-8  # descent gradient-norm tolerance
 FIT_WINDOW = (6.0, 12.0)  # decay fit window in sqrt(Vinf) r
 SECANT_THETA = 0.02  # widest shooting probe pair: this fraction of (hi - est) either side of est
 THETA_MIN = 1e-4  # narrowest probe pair, five times the secant root's error near b*
-TAIL_START = 5.5  # probes keep the step dr this far past their k-th sign change, times 1/sqrt(Vinf)
-TAIL_DOUBLING = math.log(16.0) / 2.0  # then double it over every such stretch, times 1/sqrt(Vinf)
+TAIL_START = 5.5  # probes keep the step dr this far past their k-th sign change
+TAIL_DOUBLING = math.log(16.0) / 2.0  # then double it over every such stretch
 
 
 class ShootingError(RuntimeError):
@@ -36,20 +36,22 @@ class DescentError(RuntimeError):
 
 @dataclass
 class RadialProfile:
-    """Radial solution samples from shooting, on a uniform r grid.
-
-    `w` solves the scaled equation; `level` is the eigenvalue of the
-    L^p-normalized state, and `w0` the central value of the raw solution.
+    """Radial solution samples from shooting, on a uniform r grid: `w` solves
+    -w'' - (N-1)/r w' + Vinf w = |w|^(p-2) w with w(0) = `w0`, and `level`,
+    the eigenvalue of the L^p-normalized state, is |w|_p^(p-2).
     """
 
     r: np.ndarray
     w: np.ndarray
     N: int
     nodes: int
-    level: float
     w0: float
-    Vinf: float = 1.0
-    p: float = 4.0
+    Vinf: float
+    p: float
+    level: float = field(init=False)
+
+    def __post_init__(self):
+        self.level = self.lp_norm() ** (self.p - 2)
 
     def sphere_area(self) -> float:
         return 2.0 * math.pi if self.N == 2 else 4.0 * math.pi
@@ -89,59 +91,58 @@ class DecayFit:
     residual: float
 
 
-def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float,
-               k: int | None = None):
-    """RK4 from r = dr/10 with the even-symmetry series start.
+def _integrate(b: float, N: int, p: float, dr: float, rmax: float, k: int | None = None):
+    """RK4 for -w'' - (N-1)/r w' + w = |w|^(p-2) w from r = dr/10 with the
+    even-symmetry series start.
 
-    Returns (w samples on r = dr/10 + i dr, sign changes). Stops at the
-    first local minimum of |w| that is not a sign change; the samples past
-    it repeat the last value. There v = 0 and w'' has the sign of w, so
-    |w| < Vinf^(1/(p-2)) and E = v^2/2 - Vinf w^2/2 + |w|^p/p < 0. Along a
-    solution dE/dr = -(N-1)/r v^2 <= 0, and a sign change needs
-    E = v^2/2 >= 0 at w = 0, so once E < 0 no further sign change can happen.
+    Returns (w samples on r = dr/10 + i dr, sign changes, end). The pass
+    stops at the first local minimum of |w| that is not a sign change, and
+    `end` is its index (the last sample's if the pass reaches rmax); the
+    samples past it are not part of the solution. There v = 0 and w'' has the sign of w,
+    so |w| < 1 and E = v^2/2 - w^2/2 + |w|^p/p < 0. Along a solution
+    dE/dr = -(N-1)/r v^2 <= 0, and a sign change needs E = v^2/2 >= 0 at
+    w = 0, so once E < 0 no further sign change can happen.
 
     With `k` given, only the bit `sign changes > k` is wanted: no samples are
     stored, and the integration returns (r, sign changes) as soon as the bit
     is decided. At the (k+1)-th sign change r is the crossing radius,
     interpolated linearly between its two steps; otherwise it is the radius
     where E turned negative or |w| turned upward (or where the integration
-    ended). Such a probe keeps the step dr until TAIL_START / sqrt(Vinf) past
-    its k-th sign change (past r = 0 for k = 0), then doubles it every
-    TAIL_DOUBLING / sqrt(Vinf) up to 32 dr: an error made at radius r moves
-    the decided separatrix by about h^4 exp(-2 sqrt(Vinf) r), so doubling h
-    each time that factor falls 16-fold keeps the error per unit radius.
+    ended). Such a probe keeps the step dr until TAIL_START past its k-th
+    sign change (past r = 0 for k = 0), then doubles it every TAIL_DOUBLING
+    up to 32 dr: an error made at radius r moves the decided separatrix by
+    about h^4 exp(-2r), so doubling h each time that factor falls 16-fold
+    keeps the error per unit radius.
     """
     early = k is not None
     cube = p == 4.0  # w * w * w is the p = 4 force, and about a quarter cheaper
     copysign = math.copysign
-    root = math.sqrt(Vinf)
     r = dr / 10.0
-    curv = Vinf * b - abs(b) ** (p - 1)  # w'' (0) * N from the series expansion
+    curv = b - abs(b) ** (p - 1)  # w''(0) * N from the series expansion
     w = b + curv * r * r / (2.0 * N)
     v = curv * r / N
     nsteps = int(round(rmax / dr))
     ws = None if early else np.full(nsteps + 1, w)
-    zeros = 0
-    q, c = p - 1, N - 1  # w'' = Vinf w - |w|^q sign(w) - c/r w'
+    zeros, end = 0, nsteps
+    q, c = p - 1, N - 1  # w'' = w - |w|^q sign(w) - c/r w'
     h, hmax = dr, 32.0 * dr
-    half = h / 2.0
-    sixth = h / 6.0
-    grow = TAIL_START / root if k == 0 else math.inf  # radius of the next step doubling
+    half, sixth = h / 2.0, h / 6.0
+    grow = TAIL_START if k == 0 else math.inf  # radius of the next step doubling
     falling = False  # |w| fell over the last step
     cr = c / r  # c/r at the start of each step: a4's c/(r + h) of the step before
     for i in range(nsteps):
         g = w * w * w if cube else copysign(abs(w) ** q, w)
-        if early and 0.5 * (v * v - Vinf * w * w) + g * w / p < 0.0:
+        if early and 0.5 * (v * v - w * w) + g * w / p < 0.0:
             return r, zeros
-        a1 = (Vinf * w - g) - cr * v
+        a1 = (w - g) - cr * v
         crh = c / (r + half)
         w2, v2 = w + half * v, v + half * a1
-        a2 = (Vinf * w2 - (w2 * w2 * w2 if cube else copysign(abs(w2) ** q, w2))) - crh * v2
+        a2 = (w2 - (w2 * w2 * w2 if cube else copysign(abs(w2) ** q, w2))) - crh * v2
         w3, v3 = w + half * v2, v + half * a2
-        a3 = (Vinf * w3 - (w3 * w3 * w3 if cube else copysign(abs(w3) ** q, w3))) - crh * v3
+        a3 = (w3 - (w3 * w3 * w3 if cube else copysign(abs(w3) ** q, w3))) - crh * v3
         w4, v4 = w + h * v3, v + h * a3
         cr = c / (r + h)
-        a4 = (Vinf * w4 - (w4 * w4 * w4 if cube else copysign(abs(w4) ** q, w4))) - cr * v4
+        a4 = (w4 - (w4 * w4 * w4 if cube else copysign(abs(w4) ** q, w4))) - cr * v4
         wn = w + sixth * (v + 2.0 * v2 + 2.0 * v3 + v4)
         vn = v + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         r += h
@@ -154,24 +155,23 @@ def _integrate(b: float, N: int, p: float, Vinf: float, dr: float, rmax: float,
                 if zeros > k:
                     return r + h * wn / (w - wn), zeros
                 if zeros == k:
-                    grow = r + TAIL_START / root
+                    grow = r + TAIL_START
         elif abs(wn) < abs(w):
             falling = True
         elif falling:
+            end = i  # the tail minimum of |w|
             break
         w, v = wn, vn
         if r >= grow:  # grow stays infinite in the sampled pass
             if r >= rmax:
                 break
-            grow += TAIL_DOUBLING / root
+            grow += TAIL_DOUBLING
             if h < hmax:
                 h *= 2.0
-                half = h / 2.0
-                sixth = h / 6.0
+                half, sixth = h / 2.0, h / 6.0
     if early:
         return r, zeros
-    ws[i + 2:] = ws[i + 1]
-    return ws, zeros
+    return ws, zeros, end
 
 
 def _secant_probes(lo: float, hi: float, over: list, theta: float) -> list[float]:
@@ -193,40 +193,37 @@ def _secant_probes(lo: float, hi: float, over: list, theta: float) -> list[float
     return [0.5 * (lo + hi)]
 
 
-def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
+def _shoot(N: int, p: float, k: int) -> RadialProfile:
     """Bracketed secant search on the central value for a decaying solution
-    with k sign changes.
+    of the Vinf = 1 equation with k sign changes.
 
     Every probe keeps the bracket: lo undershoots (at most k sign changes),
     hi overshoots. An overshoot crosses zero for the (k+1)-th time at r_c,
     interpolated between two RK4 steps, and the farther it gets the
-    closer b is to the separatrix: with x = sqrt(Vinf) r_c, the ratio
-    K_nu(x) / I_nu(x) ~ exp(-2x) (1 + (4 nu^2 - 1) / (4x)) of the decaying and
-    growing linearized tails, nu = (N - 2) / 2 (DLMF 10.40), is nearly
-    proportional to b - b*, which `_secant_probes` uses. A pair of probes
-    that brackets b* narrows the next pair tenfold, down to THETA_MIN; one
-    that does not widens it tenfold, up to SECANT_THETA.
+    closer b is to the separatrix: the ratio
+    K_nu(r_c) / I_nu(r_c) ~ exp(-2 r_c) (1 + (4 nu^2 - 1) / (4 r_c)) of the
+    decaying and growing linearized tails, nu = (N - 2) / 2 (DLMF 10.40), is
+    nearly proportional to b - b*, which `_secant_probes` uses. A pair of
+    probes that brackets b* narrows the next pair tenfold, down to
+    THETA_MIN; one that does not widens it tenfold, up to SECANT_THETA.
 
     The probes take longer steps in the tail than the sampled pass, so lo
     may overshoot there; the pass then steps b down by the bracket width,
     doubling each time, until it sees exactly k sign changes.
     """
     tol, dr, rmax, max_iter = 1e-14, 2e-3, 25.0, 200
-    root = math.sqrt(Vinf)
     bessel = ((N - 2) ** 2 - 1) / 4.0
     over = []  # (b, f) of every overshoot, in probe order
 
     def overshoots(b):
-        rc, zeros = _integrate(b, N, p, Vinf, dr, rmax, k)
+        rc, zeros = _integrate(b, N, p, dr, rmax, k)
         if zeros <= k:
             return False
-        x = root * rc
-        over.append((b, math.exp(-2.0 * x) * (1.0 + bessel / x)))
+        over.append((b, math.exp(-2.0 * rc) * (1.0 + bessel / rc)))
         return True
 
     # Bracket: small central values never reach k+1 crossings, large ones do.
-    lo = 1.05 * Vinf ** (1.0 / (p - 2))  # below this w'' >= 0 at the center
-    hi = lo * 2.0
+    lo, hi = 1.05, 2.1  # below 1, w'' >= 0 at the center
     tries = 0
     while not overshoots(hi):
         hi *= 2.0
@@ -234,10 +231,10 @@ def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
         if tries > 60:
             raise ShootingError(f"no bracket: {k + 1} sign changes never reached")
     while overshoots(lo):
-        lo = 0.5 * (lo + Vinf ** (1.0 / (p - 2)))
+        lo = 0.5 * (lo + 1.0)
         tries += 1
         if tries > 120:
-            _, zeros = _integrate(lo, N, p, Vinf, dr, rmax)
+            zeros = _integrate(lo, N, p, dr, rmax)[1]
             raise ShootingError(f"no bracket below: reached {zeros} sign changes at w(0)={lo}")
 
     probes = []  # central values still to try, the last one first
@@ -262,29 +259,30 @@ def _shoot(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
         raise ShootingError("shooting search did not converge within the probe cap")
 
     b, step = lo, hi - lo
-    ws, zeros = _integrate(b, N, p, Vinf, dr, rmax)
+    ws, zeros, end = _integrate(b, N, p, dr, rmax)
     while zeros > k:
         b -= step
         step *= 2.0
-        ws, zeros = _integrate(b, N, p, Vinf, dr, rmax)
+        ws, zeros, end = _integrate(b, N, p, dr, rmax)
     r = dr / 10.0 + dr * np.arange(len(ws))
 
-    # Past the last reliable point the trajectory shadows the separatrix and
-    # then diverges; splice in the linearized tail C e^(-sqrt(Vinf) r) / r^((N-1)/2).
-    # The search starts after the last interior crossing so excited states do
-    # not get cut at a sign change.
-    crossings = np.flatnonzero(ws[1:] * ws[:-1] < 0.0)
-    start = int(crossings[-1]) + 10 if len(crossings) else 0
-    i_cut = start + int(np.argmin(np.abs(ws[start:]))) - 5
+    # Past its tail minimum the trajectory leaves the separatrix; from five
+    # samples before it, splice in the linearized tail C e^(-r) / r^((N-1)/2).
+    i_cut = end - 5
     if i_cut < 10:
         raise ShootingError("shooting solution diverged too early to extract a tail")
     rm, wm = r[i_cut], ws[i_cut]
-    w = ws.copy()
-    w[i_cut:] = wm * np.exp(-root * (r[i_cut:] - rm)) * (rm / r[i_cut:]) ** ((N - 1) / 2.0)
+    ws[i_cut:] = wm * np.exp(rm - r[i_cut:]) * (rm / r[i_cut:]) ** ((N - 1) / 2.0)
+    return RadialProfile(r=r, w=ws, N=N, nodes=zeros, w0=b, Vinf=1.0, p=p)
 
-    prof = RadialProfile(r=r, w=w, N=N, nodes=zeros, level=0.0, w0=b, Vinf=Vinf, p=p)
-    prof.level = prof.lp_norm() ** (p - 2)
-    return prof
+
+def _rescaled(prof: RadialProfile, Vinf: float) -> RadialProfile:
+    """The exact image for Vinf of a Vinf = 1 profile,
+    w_Vinf(r) = Vinf^(1/(p-2)) w_1(sqrt(Vinf) r), on its arrays rescaled in place."""
+    s = Vinf ** (1.0 / (prof.p - 2))
+    prof.r /= math.sqrt(Vinf)
+    prof.w *= s
+    return replace(prof, w0=s * prof.w0, Vinf=Vinf)
 
 
 @lru_cache(maxsize=16)
@@ -293,10 +291,10 @@ def shoot_ground(N: int, p: float, Vinf: float) -> RadialProfile:
 
     Results are memoized; treat the returned profile as read-only.
     """
-    prof = _shoot(N, p, Vinf, 0)
+    prof = _shoot(N, p, 0)
     if np.any(prof.w <= 0):
         raise ShootingError("ground state is not positive")
-    return prof
+    return _rescaled(prof, Vinf)
 
 
 @lru_cache(maxsize=16)
@@ -304,13 +302,13 @@ def shoot_excited(N: int, p: float, Vinf: float, k: int) -> RadialProfile:
     """Radial solution with exactly k interior sign changes, k >= 1 (memoized)."""
     if k < 1:
         raise ShootingError("k must be at least 1; use shoot_ground for k = 0")
-    prof = _shoot(N, p, Vinf, k)
+    prof = _shoot(N, p, k)
     if prof.nodes != k:
         raise ShootingError(f"requested {k} sign changes, converged with {prof.nodes}")
-    return prof
+    return _rescaled(prof, Vinf)
 
 
-def fit_decay(profile: RadialProfile, Vinf: float) -> DecayFit:
+def fit_decay(profile: RadialProfile) -> DecayFit:
     """Linear fit of log(w r^((N-1)/2)) for sqrt(Vinf) r in FIT_WINDOW; slope
     gives the decay rate. The window scales with the decay length
     1/sqrt(Vinf), so it sits as far into the tail at every Vinf.
@@ -319,7 +317,8 @@ def fit_decay(profile: RadialProfile, Vinf: float) -> DecayFit:
     admissible instantiation of the comparison-argument envelope.
     """
     r, w = profile.r, profile.normalized()
-    x = math.sqrt(Vinf) * r
+    root = math.sqrt(profile.Vinf)
+    x = root * r
     mask = (x >= FIT_WINDOW[0]) & (x <= FIT_WINDOW[1])
     y = w[mask] * r[mask] ** ((profile.N - 1) / 2.0)
     if np.any(y <= 0):
@@ -329,7 +328,7 @@ def fit_decay(profile: RadialProfile, Vinf: float) -> DecayFit:
     resid = float(np.sqrt(np.mean((logy - (slope * r[mask] + intercept)) ** 2)))
     rate = -float(slope)
     a0 = 0.95 * rate
-    if not 0 < a0 <= math.sqrt(Vinf) * 1.001:
+    if not 0 < a0 <= root * 1.001:
         raise ValueError(f"fitted envelope rate {a0} outside (0, sqrt(Vinf)]")
     return DecayFit(rate=rate, C0=float(np.exp(intercept)), a0=a0, residual=resid)
 

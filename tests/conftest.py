@@ -37,7 +37,7 @@ def ground_profile():
 
 @pytest.fixture(scope="session")
 def decay_fit0(ground_profile):
-    return fit_decay(ground_profile, 1.0)
+    return fit_decay(ground_profile)
 
 
 @pytest.fixture(scope="session")

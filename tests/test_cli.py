@@ -382,10 +382,13 @@ class TestMain:
         assert err.startswith("error: did not converge")
         assert "Traceback" not in err
 
-    def test_ground_run_at_vinf_4(self, tmp_path):
+    @pytest.mark.parametrize("v_inf", ["0.1", "4.0"])
+    def test_ground_run_off_unit_vinf(self, tmp_path, v_inf):
         # the decay fit window scales with 1/sqrt(Vinf); r in [6, 12] fitted
-        # rate 1.83 against 2 and failed `decay-rate`
-        path = write_config(tmp_path / "c.cfg", {"experiment": "ground", "v_inf": "4.0"})
+        # rate 1.83 against 2 at Vinf = 4 and failed `decay-rate`. With r_max = 25
+        # fixed in r, not in sqrt(Vinf) r, Vinf = 0.1 fitted an envelope rate of
+        # 0.3746 > sqrt(0.1) and the run exited 1
+        path = write_config(tmp_path / "c.cfg", {"experiment": "ground", "v_inf": v_inf})
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == 0
         verdicts = {v["id"]: v["status"] for v in report_of(out)["verdicts"]}

@@ -75,13 +75,12 @@ class TestShootGround:
         assert a is b
 
     def test_level_scaling_in_vinf(self):
-        # lambda scales like Vinf^(sigma N ... ): check empirically via Vinf = 4
-        # using the exact rescaling w_V(r) = sqrt(V) w_1(sqrt(V) r) for p = 4, N = 2
-        a = shoot_ground(2, 4.0, 1.0)
-        b = shoot_ground(2, 4.0, 4.0)
-        assert b.w0 == pytest.approx(2.0 * a.w0, rel=1e-6)
-        # |w_V|_p^{p-2}: the N = 2, p = 4 rescaling leaves the level times 1/V... check ratio
-        assert b.level == pytest.approx(a.level * 4.0 ** 0.5, rel=1e-5)
+        # w_V(r) = V^(1/(p-2)) w_1(sqrt(V) r), so lambda(V) = V^(1 - N(p-2)/(2p)) lambda(1)
+        for N, V in [(2, 0.1), (2, 0.25), (2, 0.5), (2, 2.0), (2, 4.0), (3, 4.0)]:
+            a, b = shoot_ground(N, 4.0, 1.0), shoot_ground(N, 4.0, V)
+            assert b.w0 == pytest.approx(math.sqrt(V) * a.w0, rel=1e-14, abs=0.0)
+            np.testing.assert_allclose(b.r, a.r / math.sqrt(V), rtol=1e-14, atol=0.0)
+            assert b.level == pytest.approx(V ** (1.0 - N / 4.0) * a.level, rel=1e-14, abs=0.0)
 
 
 class TestShootExcited:
@@ -167,8 +166,11 @@ def _uniform_probe(b, N, p, Vinf, dr, rmax, k):
 def _bisection_w0(N, p, Vinf, k):
     """Plain bisection on uniform-step early decisions, with the search's
     bracket and stop rule: the central value the sampled pass's discretization
-    gives without secant steps or longer tail steps."""
-    dr, rmax = 2e-3, 25.0
+    gives without secant steps, longer tail steps or the rescaling from
+    Vinf = 1. It integrates the equation with Vinf itself, at the step
+    2e-3 / sqrt(Vinf) out to 25 / sqrt(Vinf): the exact image of the search's
+    step and range."""
+    dr, rmax = 2e-3 / math.sqrt(Vinf), 25.0 / math.sqrt(Vinf)
 
     def overshoots(b):
         return _uniform_probe(b, N, p, Vinf, dr, rmax, k)[1] > k
@@ -194,16 +196,15 @@ class TestEarlyDecision:
     @pytest.mark.parametrize("N, k", [(2, 0), (2, 1), (3, 0)])
     def test_matches_full_integration_near_the_separatrix(self, monkeypatch, N, k):
         full, calls = _recording(monkeypatch)
-        groundstate._shoot(N, 4.0, 1.0, k)
-        # a probe call is (b, N, p, Vinf, dr, rmax, k) and returns (exit radius, sign changes)
-        decided = [(args[:6], zeros > k, r) for args, (r, zeros) in calls if len(args) == 7]
-        dr, rmax = decided[0][0][4:6]
+        groundstate._shoot(N, 4.0, k)
+        # a probe call is (b, N, p, dr, rmax, k) and returns (exit radius, sign changes)
+        decided = [(args[:5], res[1] > k, res[0]) for args, res in calls if len(args) == 6]
+        dr, rmax = decided[0][0][3:]
         # the last probes lie nearest the separatrix, where the bit is hardest;
         # their longer tail steps decide it as the step dr does
         for args, bit, r in decided[-8:]:
-            ws, zeros = full(*args)
-            assert (zeros > k) == bit
-            assert (_uniform_probe(*args, k)[1] > k) == bit
+            assert (full(*args)[1] > k) == bit
+            assert (_uniform_probe(args[0], N, 4.0, 1.0, dr, rmax, k)[1] > k) == bit
             assert r < rmax
         # far from the separatrix the bit is decided within a few steps
         assert min(r for _, _, r in decided) < 100 * dr
@@ -215,7 +216,8 @@ class TestSecantSearch:
     @pytest.mark.parametrize("N, p, Vinf, k", [
         (2, 4.0, 1.0, 0), (2, 4.0, 1.0, 1), (3, 4.0, 1.0, 0), (2, 3.0, 1.0, 0),
         (2, 6.0, 1.0, 0), (2, 4.0, 4.0, 0), (2, 4.0, 1.0, 2), (3, 4.0, 1.0, 1),
-        (2, 4.0, 2.0, 0), (2, 4.0, 0.5, 0), (3, 4.0, 4.0, 0)])
+        (2, 4.0, 2.0, 0), (2, 4.0, 0.5, 0), (3, 4.0, 4.0, 0), (2, 4.0, 0.1, 0),
+        (2, 4.0, 0.25, 1)])
     def test_agrees_with_bisection(self, N, p, Vinf, k):
         prof = shoot_excited(N, p, Vinf, k) if k else shoot_ground(N, p, Vinf)
         assert prof.nodes == k
@@ -223,9 +225,9 @@ class TestSecantSearch:
 
     def test_keeps_the_bracket_with_few_integrations(self, monkeypatch):
         full, calls = _recording(monkeypatch)
-        prof = groundstate._shoot(2, 4.0, 1.0, 0)
+        prof = groundstate._shoot(2, 4.0, 0)
         assert len(calls) <= 19  # plain bisection took 52, the 2 % secant pairs 26
-        decided = [(args[0], zeros > 0) for args, (_, zeros) in calls if len(args) == 7]
+        decided = [(args[0], res[1] > 0) for args, res in calls if len(args) == 6]
         # bracketing: 2.1 undershoots, 4.2 overshoots, 1.05 undershoots
         assert decided[:3] == [(2.1, False), (4.2, True), (1.05, False)]
         lo, hi = 1.05, 4.2
@@ -237,7 +239,7 @@ class TestSecantSearch:
                 lo = b
         assert hi - lo <= 1e-14 * hi
         assert prof.w0 == lo
-        assert full(lo, 2, 4.0, 1.0, 2e-3, 25.0)[1] == 0  # lo undershoots in full too
+        assert full(lo, 2, 4.0, 2e-3, 25.0)[1] == 0  # lo undershoots in full too
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_final_pass_steps_down_to_k_sign_changes(self, monkeypatch, k):
@@ -247,14 +249,14 @@ class TestSecantSearch:
         passes = []
 
         def shifted(b, *args):
-            if len(args) == 6:  # a probe: (N, p, Vinf, dr, rmax, k)
+            if len(args) == 5:  # a probe: (N, p, dr, rmax, k)
                 return full(b * (1.0 - 1e-13), *args)
-            ws, zeros = full(b, *args)
+            ws, zeros, end = full(b, *args)
             passes.append((b, zeros))
-            return ws, zeros
+            return ws, zeros, end
 
         monkeypatch.setattr(groundstate, "_integrate", shifted)
-        prof = groundstate._shoot(2, 4.0, 1.0, k)
+        prof = groundstate._shoot(2, 4.0, k)
         assert len(passes) > 2
         assert all(zeros > k for _, zeros in passes[:-1])
         assert passes[-1] == (prof.w0, k)
@@ -270,11 +272,11 @@ class TestFitDecay:
     def test_rate_near_sqrt_vinf(self, decay_fit0):
         assert decay_fit0.rate == pytest.approx(1.0, rel=2e-2)
 
-    @pytest.mark.parametrize("Vinf", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("Vinf", [0.1, 0.25, 0.5, 2.0, 4.0])
     def test_window_scales_with_the_decay_length(self, Vinf):
         # N = 2 fits -1.49e-3 relative at every Vinf; the window r in [6, 12]
         # fitted 1.8317 for sqrt(Vinf) = 2
-        fit = fit_decay(shoot_ground(2, 4.0, Vinf), Vinf)
+        fit = fit_decay(shoot_ground(2, 4.0, Vinf))
         assert fit.rate == pytest.approx(math.sqrt(Vinf), rel=2e-3)
 
     def test_envelope_below_rate(self, decay_fit0):
