@@ -302,16 +302,13 @@ def exp_verify_all(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     exp_levels(pipe, rep, artifacts)
     exp_gamma_r(pipe, rep, artifacts)
     exp_symmetry(pipe, rep, artifacts)
-    # seeded randomized deviation-bound property on the constraint sphere
-    rng = np.random.default_rng(pipe.cfg.seed)
-    grid = pipe.grid
-    worst = math.inf
-    for _ in range(100):
-        u = lp_normalize(GridFunction(grid, rng.standard_normal(grid.shape)), pipe.spec.p)
-        dev = deviation_bound(u, pipe.V, pipe.spec.Vinf, pipe.spec.p)
-        worst = min(worst, pipe.w_dual_norm + 1e-6 - dev)
-    rep.verdicts.append(verdict("deviation-bound-random", True, worst,
-                                "|J - Jinf| <= |W|_q + 1e-6 over 100 seeded fields"))
+    # Hoelder's inequality makes the bound an equality at u ~ |W|^((q-1)/2), any u if W = 0
+    spec = pipe.spec
+    extremal = np.abs(spec.Vinf - pipe.V) ** ((spec.q - 1.0) / 2.0)
+    u = lp_normalize(GridFunction(pipe.grid, extremal), spec.p) if extremal.any() else pipe.winf
+    dev = deviation_bound(u, pipe.V, spec.Vinf, spec.p)
+    rep.verdicts.append(verdict("deviation-bound-random", True, pipe.w_dual_norm + 1e-6 - dev,
+                                f"|J - Jinf| = {dev} <= |W|_q + 1e-6 at u ~ |W|^((q-1)/2)"))
 
 
 EXPERIMENT_BODIES = {
@@ -412,7 +409,8 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run one experiment from a config file")
     runp.add_argument("config", help="flat key-value config file")
     runp.add_argument("--out", help="output directory (overrides out_dir)")
-    runp.add_argument("--seed", type=int, help="random seed (overrides config)")
+    runp.add_argument("--seed", type=int,
+                      help="recorded in provenance only; nothing is random (overrides config)")
     runp.add_argument("--override", action="append", default=[],
                       metavar="KEY=VALUE", help="override a config key")
     args = parser.parse_args(argv)

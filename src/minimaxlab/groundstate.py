@@ -19,6 +19,7 @@ from .energy import _energy, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
 DESCENT_TOL = 1e-8  # descent gradient-norm tolerance
+SHOOT_DR, SHOOT_RMAX = 2e-3, 25.0  # RK4 step and range of the unit shooting
 FIT_WINDOW = (6.0, 12.0)  # decay fit window in sqrt(Vinf) r
 SECANT_THETA = 0.02  # widest shooting probe pair: this fraction of (hi - est) either side of est
 THETA_MIN = 1e-4  # narrowest probe pair, five times the secant root's error near b*
@@ -193,9 +194,11 @@ def _secant_probes(lo: float, hi: float, over: list, theta: float) -> list[float
     return [0.5 * (lo + hi)]
 
 
-def _shoot(N: int, p: float, k: int) -> RadialProfile:
+@lru_cache(maxsize=16)
+def _search(N: int, p: float, k: int) -> tuple[float, float]:
     """Bracketed secant search on the central value for a decaying solution
-    of the Vinf = 1 equation with k sign changes.
+    of the Vinf = 1 equation with k sign changes: returns the bracket's lower
+    end lo and its width hi - lo.
 
     Every probe keeps the bracket: lo undershoots (at most k sign changes),
     hi overshoots. An overshoot crosses zero for the (k+1)-th time at r_c,
@@ -207,11 +210,9 @@ def _shoot(N: int, p: float, k: int) -> RadialProfile:
     probes that brackets b* narrows the next pair tenfold, down to
     THETA_MIN; one that does not widens it tenfold, up to SECANT_THETA.
 
-    The probes take longer steps in the tail than the sampled pass, so lo
-    may overshoot there; the pass then steps b down by the bracket width,
-    doubling each time, until it sees exactly k sign changes.
+    Memoized on (N, p, k), which every Vinf shares; only the two floats are held.
     """
-    tol, dr, rmax, max_iter = 1e-14, 2e-3, 25.0, 200
+    tol, dr, rmax, max_iter = 1e-14, SHOOT_DR, SHOOT_RMAX, 200
     bessel = ((N - 2) ** 2 - 1) / 4.0
     over = []  # (b, f) of every overshoot, in probe order
 
@@ -257,14 +258,21 @@ def _shoot(N: int, p: float, k: int) -> RadialProfile:
             theta = max(theta / 10.0, THETA_MIN) if bracketed else min(theta * 10.0, SECANT_THETA)
     else:
         raise ShootingError("shooting search did not converge within the probe cap")
+    return lo, hi - lo
 
-    b, step = lo, hi - lo
-    ws, zeros, end = _integrate(b, N, p, dr, rmax)
+
+def _shoot(N: int, p: float, k: int) -> RadialProfile:
+    """The Vinf = 1 solution sampled at the central value `_search` found.
+    The probes take longer tail steps than this pass, so that value may
+    overshoot here; the pass then steps b down by the bracket width,
+    doubling each time, until it sees exactly k sign changes."""
+    b, step = _search(N, p, k)
+    ws, zeros, end = _integrate(b, N, p, SHOOT_DR, SHOOT_RMAX)
     while zeros > k:
         b -= step
         step *= 2.0
-        ws, zeros, end = _integrate(b, N, p, dr, rmax)
-    r = dr / 10.0 + dr * np.arange(len(ws))
+        ws, zeros, end = _integrate(b, N, p, SHOOT_DR, SHOOT_RMAX)
+    r = SHOOT_DR / 10.0 + SHOOT_DR * np.arange(len(ws))
 
     # Past its tail minimum the trajectory leaves the separatrix; from five
     # samples before it, splice in the linearized tail C e^(-r) / r^((N-1)/2).
@@ -278,7 +286,7 @@ def _shoot(N: int, p: float, k: int) -> RadialProfile:
 
 def _rescaled(prof: RadialProfile, Vinf: float) -> RadialProfile:
     """The exact image for Vinf of a Vinf = 1 profile,
-    w_Vinf(r) = Vinf^(1/(p-2)) w_1(sqrt(Vinf) r), on its arrays rescaled in place."""
+    w_Vinf(r) = Vinf^(1/(p-2)) w_1(sqrt(Vinf) r), on its (never cached) arrays in place."""
     s = Vinf ** (1.0 / (prof.p - 2))
     prof.r /= math.sqrt(Vinf)
     prof.w *= s

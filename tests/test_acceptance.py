@@ -6,6 +6,9 @@ route, or cross-checked between the shooting and grid discretizations.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -188,22 +191,34 @@ def test_A11_gradient_check(spec0, winf0, rng):
 
 
 def test_A12_reproducibility(tmp_path):
-    from minimaxlab.cli import config_from_mapping, run
+    # the second run is a fresh interpreter with another hash seed: it shares
+    # no memoized shooting, set order or import state with the first
+    import minimaxlab
+    from minimaxlab.cli import main
 
     base = {
         "dim": "2", "p": "4.0", "v_inf": "1.0", "box_l": "16.0",
         "spacing_h": "0.125", "w_family": "exponential", "w_c": "0.5",
         "w_a": "0.5", "experiment": "verify-all", "seed": "1",
     }
+    cfg = tmp_path / "desk.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minimaxlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    statuses = [main(["run", str(cfg), "--out", str(tmp_path / "run1")])]
+    child = subprocess.run([sys.executable, "-m", "minimaxlab.cli", "run", str(cfg),
+                            "--out", str(tmp_path / "run2")], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode in (0, 2), child.stderr
+    statuses.append(child.returncode)
     hashes = []
-    statuses = []
     for sub in ("run1", "run2"):
-        out = tmp_path / sub
-        cfg = config_from_mapping({**base, "out_dir": str(out)})
-        statuses.append(run(cfg))
-        with open(out / "report.json") as f:
+        with open(tmp_path / sub / "report.json") as f:
             hashes.append(json.load(f)["report_hash"])
     _verdict("A12 reproducibility",
              hashes[0] == hashes[1] and statuses == [0, 0],
-             f"report hashes {hashes[0][:12]}.. == {hashes[1][:12]}.., "
+             f"report hashes {hashes[0][:12]}.. == {hashes[1][:12]}.. across processes "
+             f"(PYTHONHASHSEED={env['PYTHONHASHSEED']} in the second), "
              f"exit statuses {statuses}")

@@ -224,6 +224,47 @@ def test_verify_all_evaluates_V_a_fixed_number_of_times(tmp_path, monkeypatch):
     assert counts == [{"eval_W": 2, "profile_on_grid": 1}] * 2
 
 
+class TestDeviationVerdict:
+    """verify-all checks |J - Jinf| <= |W|_q + 1e-6 at the one field where
+    Hoelder's inequality is an equality, so the margin is the 1e-6 alone."""
+
+    def verdict_and_deviations(self, tmp_path, monkeypatch, family):
+        deviation_bound, deviations = cli.deviation_bound, []
+
+        def recording(*args):
+            deviations.append(deviation_bound(*args))
+            return deviations[-1]
+
+        monkeypatch.setattr(cli, "deviation_bound", recording)
+        well = {"w_c": "0.5", "w_a": "0.5"} if family == "exponential" else {}
+        cfg = config_from_mapping({**COARSE, "w_family": family, **well,
+                                   "experiment": "verify-all", "out_dir": str(tmp_path),
+                                   "y_sweep": "3,4", "theta_samples": "64", "r_list": "3,5"})
+        run(cfg)
+        rep = report_of(tmp_path)
+        (v,) = [v for v in rep["verdicts"] if v["id"] == "deviation-bound-random"]
+        return v, deviations, rep["levels"]["w_dual_norm"]
+
+    def test_extremal_field_attains_the_bound(self, tmp_path, monkeypatch):
+        v, deviations, bound = self.verdict_and_deviations(tmp_path, monkeypatch, "exponential")
+        assert v["status"] == "pass"
+        assert len(deviations) == 1
+        assert abs(deviations[0] - bound) <= 1e-12 * bound
+
+    def test_fails_when_the_bound_is_lowered(self, tmp_path, monkeypatch):
+        # the bound is attained, so a |W|_q 1e-4 relative too low must show
+        monkeypatch.setattr(cli.Pipeline, "w_dual_norm", property(
+            lambda self: (1.0 - 1e-4) * domain.dual_norm_W(self.spec, self.grid)))
+        v, _, _ = self.verdict_and_deviations(tmp_path, monkeypatch, "exponential")
+        assert v["status"] == "fail"
+
+    def test_zero_well_passes(self, tmp_path, monkeypatch):
+        v, deviations, bound = self.verdict_and_deviations(tmp_path, monkeypatch, "zero")
+        assert bound == 0.0
+        assert v["status"] == "pass"
+        assert deviations[0] <= 1e-12
+
+
 def test_report_hash_ignores_the_argmax_angle(tmp_path, monkeypatch):
     # the argmax of a flat path maximum is fixed only to about sqrt(eps), so
     # the hashed report holds the maxima and not their angles

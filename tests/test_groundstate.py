@@ -21,6 +21,15 @@ EXCITED_W0 = 3.33199
 LAM2R_INF = 12.42359
 
 
+@pytest.fixture(autouse=True)
+def _fresh_unit_search():
+    """Start and end each test with no memoized unit search, so a test that
+    patches `_integrate` sees every probe and leaves no patched result behind."""
+    groundstate._search.cache_clear()
+    yield
+    groundstate._search.cache_clear()
+
+
 class TestShootGround:
     def test_central_value(self, ground_profile):
         assert ground_profile.w0 == pytest.approx(GROUND_W0, abs=2e-9)
@@ -73,6 +82,26 @@ class TestShootGround:
         a = shoot_ground(2, 4.0, 1.0)
         b = shoot_ground(2, 4.0, 1.0)
         assert a is b
+
+    def test_one_unit_search_serves_every_vinf(self, monkeypatch):
+        # shoot_ground's own cache is keyed on Vinf; beneath it the search
+        # depends on (N, p, k) only, so later Vinf add just their sampled pass
+        _, calls = _recording(monkeypatch)
+        vinfs, counts, profiles = (1.0, 4.0, 0.25), [], []
+        for V in vinfs:
+            n = len(calls)
+            profiles.append(shoot_ground.__wrapped__(2, 4.0, V))
+            counts.append(len(calls) - n)
+        assert counts[0] > 1 and counts[1:] == [1, 1]
+        assert [len(args) for args, _ in calls[counts[0] - 1:]] == [5, 5, 5]  # sampled passes
+        assert profiles[0].w0 == 2.2062008646357514
+        # bit-identical to a fresh search at each Vinf
+        for V, prof in zip(vinfs, profiles):
+            groundstate._search.cache_clear()
+            fresh = shoot_ground.__wrapped__(2, 4.0, V)
+            assert (fresh.w0, fresh.level) == (prof.w0, prof.level)
+            np.testing.assert_array_equal(fresh.r, prof.r)
+            np.testing.assert_array_equal(fresh.w, prof.w)
 
     def test_level_scaling_in_vinf(self):
         # w_V(r) = V^(1/(p-2)) w_1(sqrt(V) r), so lambda(V) = V^(1 - N(p-2)/(2p)) lambda(1)
