@@ -389,12 +389,12 @@ def run(cfg: ExperimentConfig) -> int:
         "provenance": {
             "version": __version__,
             "grid_shape": list(pipe.grid.shape),
-            "seed": cfg.seed,
             "theta_samples": cfg.theta_samples,
         },
     }
     digest = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
     payload["report_hash"] = digest
+    payload["seed"] = cfg.seed  # nothing reads it, so the hash does not certify it
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     _atomic_write(os.path.join(cfg.out_dir, "report.json"),
                   [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
     runp.add_argument("config", help="flat key-value config file")
     runp.add_argument("--out", help="output directory (overrides out_dir)")
     runp.add_argument("--seed", type=int,
-                      help="recorded in provenance only; nothing is random (overrides config)")
+                      help="recorded outside the hashed payload; nothing is random (overrides config)")
     runp.add_argument("--override", action="append", default=[],
                       metavar="KEY=VALUE", help="override a config key")
     args = parser.parse_args(argv)

@@ -140,9 +140,10 @@ def zero_boundary(v: np.ndarray) -> np.ndarray:
 
 
 def lp_mass(v: np.ndarray, p: float, weight: float) -> float:
-    """Quadrature sum weight * |v_i|^p of a node array (|v|_p^p)."""
-    t = np.abs(v)
-    t **= p
+    """Quadrature sum weight * |v_i|^p of a node array (|v|_p^p), taken as
+    (v_i^2)^(p/2): for p = 4 that is two squarings and no pow call per node."""
+    t = np.multiply(v, v)
+    t **= p / 2.0
     return float(np.sum(t) * weight)
 
 

@@ -89,32 +89,32 @@ class PathFamily:
         return 0.5 * (G + G.T)
 
     def _mass(self):
-        """y -> |y1 u1 + y2 u2|_p^p."""
+        """(c, s) -> |c u1 + s u2|_p^p, elementwise over arrays of c and s."""
         p, weight = self.p, self.grid.weight
         if p != int(p) or int(p) % 2:
-            return lambda y: lp_mass(self._combine(*y), p, weight)
-        # even p: binomial expansion over the moments, highest power of u1 first
+            return np.vectorize(lambda c, s: lp_mass(self._combine(c, s), p, weight),
+                                otypes=[float])
+        # even p: binomial expansion over the moments int u1^j u2^(p-j)
         u1, u2 = (b.values for b in self.blocks)
         k = int(p)
-        powers, coeffs = [], []
+        terms = []
         for j in range(k, -1, -1):
             factors = [u1] * j + [u2] * (k - j)
             product = factors[0] * factors[1]  # the one grid-sized temporary
             for f in factors[2:]:
                 product *= f
-            powers.append((j, k - j))
-            coeffs.append(math.comb(k, j) * float(np.sum(product)) * weight)
-        powers, coeffs = np.array(powers), np.array(coeffs)
-        return lambda y: float(np.prod(y ** powers, axis=1) @ coeffs)
+            terms.append((j, math.comb(k, j) * float(np.sum(product)) * weight))
+        return lambda c, s: sum(a * c ** j * s ** (k - j) for j, a in terms)
 
     def energy(self, V: np.ndarray):
         """theta -> J(gamma(theta)) in closed form, for V = Vinf - W on the
-        grid; G and the moments are computed here, once."""
+        grid, elementwise over an array of angles; G and the moments are
+        computed here, once."""
         G, mass, e = self.gram(V), self._mass(), 2.0 / self.p
 
         def J(theta):
-            y = np.array((math.cos(theta), math.sin(theta)))
-            return float(y @ G @ y) / mass(y) ** e
+            c, s = np.cos(theta), np.sin(theta)
+            return (G[0, 0] * c * c + 2.0 * G[0, 1] * c * s + G[1, 1] * s * s) / mass(c, s) ** e
 
         return J
 
@@ -139,8 +139,9 @@ class SampledPath:
         return self.fields[k].values if k < n else -self.fields[k - n].values
 
     def energy(self, V: np.ndarray):
-        """theta -> J(gamma(theta)), one field built per evaluation."""
-        return lambda theta: energy_J(self.at(theta), V)
+        """theta -> J(gamma(theta)), elementwise over an array of angles; one
+        field built per angle."""
+        return np.vectorize(lambda theta: energy_J(self.at(theta), V), otypes=[float])
 
     def at(self, theta: float) -> GridFunction:
         n = len(self.fields)
@@ -186,10 +187,11 @@ def disjoint_support_max(J1: float, J2: float, p: float) -> float:
     return -((abs(J1) ** q + abs(J2) ** q) ** (1.0 / q))
 
 
-def two_block_energy(J1: float, J2: float, p: float, theta: float) -> float:
-    """Energy along the disjoint-support path as a function of theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return (J1 * c * c + J2 * s * s) / (abs(c) ** p + abs(s) ** p) ** (2.0 / p)
+def two_block_energy(J1: float, J2: float, p: float, theta):
+    """Energy along the disjoint-support path as a function of theta,
+    elementwise over an array of angles."""
+    c, s = np.cos(theta), np.sin(theta)
+    return (J1 * c * c + J2 * s * s) / (np.abs(c) ** p + np.abs(s) ** p) ** (2.0 / p)
 
 
 def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
@@ -212,11 +214,12 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _theta_max(f, samples: int) -> tuple[float, float]:
-    """Maximum of f over theta in [0, pi) and its argmax: dense sampling, then
-    golden-section search within one spacing of the best sample, whose result
-    replaces the sample only when it is at least as large."""
+    """Maximum of f over theta in [0, pi) and its argmax: f on the array of
+    uniform samples in one call, then golden-section search (scalar calls)
+    within one spacing of the best sample, whose result replaces the sample
+    only when it is at least as large."""
     thetas = _thetas(samples)
-    vals = np.array([f(t) for t in thetas])
+    vals = f(thetas)
     j = int(np.argmax(vals))
     step = math.pi / samples
     fx, x = _golden_max(f, thetas[j] - step, thetas[j] + step)
@@ -241,11 +244,12 @@ def path_max_J(path, V: np.ndarray, samples: int = THETA_SAMPLES) -> tuple[float
     """Maximum of J over the path and its argmax angle, with V = Vinf - W on
     the path's grid.
 
-    Samples `path.energy(V)` on theta in [0, pi) (J is even under the
-    antipodal reflection) and refines around the best sample by
-    golden-section search; the maximum reported is J of the field built at
-    the argmax angle. A `PathFamily` searches its closed-form energy, so that
-    field is the only one built; a `SampledPath` builds one per angle.
+    Evaluates `path.energy(V)` once on the array of `samples` uniform angles
+    in [0, pi) (J is even under the antipodal reflection) and refines around
+    the best sample by golden-section search, one angle per step; the maximum
+    reported is J of the field built at the argmax angle. A `PathFamily`
+    evaluates its closed form on the whole array, so that field is the only
+    one built; a `SampledPath` builds one per angle.
     """
     if samples < MIN_THETA_SAMPLES:
         raise PathError(f"at least {MIN_THETA_SAMPLES} theta samples required")

@@ -118,6 +118,7 @@ class TestRunGround:
         rep = report_of(out)
         stated = rep.pop("report_hash")
         rep.pop("timestamp")
+        rep.pop("seed")
         digest = hashlib.sha256(json.dumps(
             rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
         assert digest == stated
@@ -126,7 +127,7 @@ class TestRunGround:
         _, out = ground_run
         prov = report_of(out)["provenance"]
         assert prov["grid_shape"] == [65, 65]
-        assert sorted(prov) == ["grid_shape", "seed", "theta_samples", "version"]
+        assert sorted(prov) == ["grid_shape", "theta_samples", "version"]
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -140,6 +141,7 @@ def test_experiment_outputs(experiment, tmp_path):
     assert rep["experiment"] == experiment
     stated = rep.pop("report_hash")
     rep.pop("timestamp")
+    rep.pop("seed")
     assert hashlib.sha256(json.dumps(
         rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
     for path in tmp_path.glob("*.csv"):
@@ -191,6 +193,7 @@ def test_gamma_r_in_3d(tmp_path):
     rep = report_of(tmp_path)
     stated = rep.pop("report_hash")
     rep.pop("timestamp")
+    rep.pop("seed")
     assert hashlib.sha256(json.dumps(
         rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
 
@@ -301,6 +304,7 @@ def test_levels_in_3d(tmp_path):
         "sandwich-autonomous": "inapplicable", "cross-oracle-ground": "inapplicable"}
     stated = rep.pop("report_hash")
     rep.pop("timestamp")
+    rep.pop("seed")
     assert hashlib.sha256(json.dumps(
         rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
 
@@ -315,6 +319,17 @@ class TestReproducibility:
             assert run(cfg) == 0
             hashes.append(report_of(out)["report_hash"])
         assert hashes[0] == hashes[1]
+
+    def test_seed_is_recorded_outside_the_hash(self, tmp_path):
+        # nothing in a run is random, so the seed cannot change what the hash certifies
+        path = write_config(tmp_path / "c.cfg", {"experiment": "ground"})
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["run", path, "--out", str(out), "--seed", seed]) == 0
+            reports.append(report_of(out))
+        assert [rep["seed"] for rep in reports] == [1, 2]
+        assert reports[0]["report_hash"] == reports[1]["report_hash"]
 
     def test_identical_hashes_across_processes(self, tmp_path):
         # fresh interpreters share no memoized shooting profile
@@ -443,7 +458,7 @@ class TestMain:
         assert status == 0
         rep = report_of(out)
         assert rep["experiment"] == "ground"
-        assert rep["provenance"]["seed"] == 5
+        assert rep["seed"] == 5
 
     def test_bad_fit_window_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.cfg", {"experiment": "ground",

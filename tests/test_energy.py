@@ -228,7 +228,16 @@ class TestInPlaceKernels:
             assert np.array_equal(_sphere_gradient(v, V, J, p, s.h),
                                   2.0 * (-_laplacian(v, s.h) + V * v
                                          - J * np.abs(v) ** (p - 2) * v))
-            assert lp_mass(v, p, g.weight) == float(np.sum(np.abs(v) ** p) * g.weight)
+            assert lp_mass(v, p, g.weight) == float(np.sum((v * v) ** (p / 2.0)) * g.weight)
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+    def test_lp_mass_matches_the_abs_power_sum(self, specs, rng, p):
+        # (v^2)^(p/2) and |v|^p differ by about an ulp per node, so the sums agree to rounding
+        for s in specs:
+            g = build_grid(s)
+            v = zero_boundary(rng.standard_normal(g.shape))
+            ref = float(np.sum(np.abs(v) ** p) * g.weight)
+            assert lp_mass(v, p, g.weight) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 class TestEulerLagrangeResidual:

@@ -425,6 +425,22 @@ class TestShiftedPoissonSolver:
         back = -_laplacian(d, h) + Vinf * d
         assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
 
+    @pytest.mark.parametrize("shape", [(65,), (129, 129), (33, 33, 33), (65, 65, 65)])
+    def test_blocked_division_matches_the_row_loop(self, shape):
+        # 127 and 31 interior rows are not multiples of the 31 and 3 rows per
+        # block, so the last block is ragged; N = 1 divides by a float, and a
+        # 65^3 row fills a block alone
+        P = _ShiftedPoissonSolver(shape, 0.25, 1.0)
+        sizes = [np.size(mu) for _, mu in P._blocks]
+        assert sum(sizes) == shape[0] - 2
+        assert len(set(sizes)) == (1 if shape[0] == 65 else 2)
+        g = zero_boundary(np.random.default_rng(len(shape)).standard_normal(shape))
+        mid = P._dst(g, np.empty_like(g), np.empty_like(g))
+        for i in range(1, len(mid) - 1):
+            mid[i] /= P._mu[i] + P._rest
+        ref = P._dst(mid, np.empty_like(g), np.empty_like(g))
+        assert np.array_equal(P.solve(g, np.empty_like(g)), ref)
+
     @pytest.mark.parametrize("shape", [(257, 257), (33, 33, 33)])
     def test_transform_is_dst1(self, shape):
         # boundary values of the input are ignored; scipy's DST-I carries a

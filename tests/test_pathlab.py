@@ -141,8 +141,8 @@ class TestPathMaxJ:
     def test_search_finds_off_sample_peak(self, theta0):
         # the peak of cos(2(theta - theta0)) falls between samples, where the
         # golden-section search must beat the best sample and reach 1
-        f = lambda t: math.cos(2.0 * (t - theta0))
-        best_sample = max(f(t) for t in np.linspace(0.0, math.pi, 64, endpoint=False))
+        f = lambda t: np.cos(2.0 * (t - theta0))
+        best_sample = max(f(np.linspace(0.0, math.pi, 64, endpoint=False)))
         value, arg = pathlab._theta_max(f, 64)
         assert best_sample < value <= 1.0
         assert value == pytest.approx(1.0, abs=1e-15)
@@ -166,10 +166,23 @@ class TestSpanMap:
         path = PathFamily(unit_bump(grid, (-dx / 2, 0.0), p, radius=2.5),
                           unit_bump(grid, (dx / 2, 0.5), p, radius=2.5), p)
         V = potential_values(well, grid)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, 12)
+        exact = np.array([_energy(path.at(t).values, V, grid.h) for t in thetas])
         J = path.energy(V)
-        for t in rng.uniform(0.0, 2.0 * math.pi, 12):
-            exact = _energy(path.at(t).values, V, grid.h)
-            assert J(t) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        # the whole array in one call, and each angle alone
+        np.testing.assert_allclose(J(thetas), exact, rtol=1e-12, atol=0.0)
+        for t, e in zip(thetas, exact):
+            assert J(t) == pytest.approx(e, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [4.0, 3.0])
+    def test_sampled_path_energy_takes_an_angle_array(self, grid, well, rng, p):
+        family = PathFamily(unit_bump(grid, (-1.0, 0.0), p, radius=2.5),
+                            unit_bump(grid, (1.0, 0.5), p, radius=2.5), p)
+        path = SampledPath.from_path(family, 16, p)
+        V = potential_values(well, grid)
+        thetas = rng.uniform(0.0, 2.0 * math.pi, 12)
+        exact = np.array([_energy(path.at(t).values, V, grid.h) for t in thetas])
+        np.testing.assert_allclose(path.energy(V)(thetas), exact, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("p", [4.0, 3.0])
     def test_disjoint_blocks_are_the_diagonal_case(self, grid, well, p):
@@ -340,6 +353,21 @@ def counted(fn):
     return wrapper
 
 
+def recorded_search_steps(monkeypatch):
+    """Patch the golden-section search to append, per search, the number of
+    times it calls f to the returned list."""
+    steps, search = [], pathlab._golden_max
+
+    def recording(f, lo, hi):
+        f = counted(f)
+        res = search(f, lo, hi)
+        steps.append(f.calls)
+        return res
+
+    monkeypatch.setattr(pathlab, "_golden_max", recording)
+    return steps
+
+
 class TestNoProbeEvaluations:
     """Scans and path maxima read the grid from the map or path, so they
     evaluate only the points they report or search."""
@@ -357,20 +385,32 @@ class TestNoProbeEvaluations:
                                                               monkeypatch):
         # a sampled path has no closed form, so it builds one field per angle,
         # and one more at the argmax for the reported maximum
-        steps, search = [], pathlab._golden_max
-
-        def recording(f, lo, hi):
-            f = counted(f)
-            res = search(f, lo, hi)
-            steps.append(f.calls)
-            return res
-
-        monkeypatch.setattr(pathlab, "_golden_max", recording)
+        steps = recorded_search_steps(monkeypatch)
         path = SampledPath.from_path(PathFamily(left, right, 4.0), 64, 4.0)
         path.at = counted(path.at)
         path_max_J(path, potential_values(spec, grid))
         assert len(steps) == 1
         assert path.at.calls == THETA_SAMPLES + steps[0] + 1
+
+    def test_path_family_max_evaluates_the_sample_array_once(self, spec, grid, left, right,
+                                                              monkeypatch):
+        # one call on all the samples, then one scalar call per search step
+        steps = recorded_search_steps(monkeypatch)
+        path = PathFamily(left, right, 4.0)
+        shapes, energy = [], path.energy
+
+        def recorded_energy(V):
+            J = energy(V)
+
+            def f(theta):
+                shapes.append(np.shape(theta))
+                return J(theta)
+            return f
+
+        path.energy = recorded_energy
+        path_max_J(path, potential_values(spec, grid))
+        assert len(steps) == 1
+        assert shapes == [(THETA_SAMPLES,)] + [()] * steps[0]
 
     def test_path_family_max_builds_no_field_per_angle(self, spec, grid, left, right,
                                                        monkeypatch):
