@@ -390,13 +390,11 @@ class _ShiftedPoissonSolver:
         self._rest = scale * Vinf + sum(
             self._mu.reshape((M,) + (1,) * (ndim - 2 - ax)) for ax in range(ndim - 1))
         # (interior rows, their first-axis eigenvalues) per division, as many
-        # rows as DIVISION_BLOCK holds; a lone row goes by index, since dividing
-        # by a scalar plus `_rest` is faster than by a broadcast column
+        # rows as DIVISION_BLOCK holds
         rows = max(1, DIVISION_BLOCK // np.size(self._rest))
         mu = self._mu.reshape((M,) + (1,) * (ndim - 1))
         edges = [*range(1, M - 1, rows), M - 1]
-        self._blocks = [(i, self._mu[i]) if rows == 1 else (slice(i, j), mu[i:j])
-                        for i, j in zip(edges, edges[1:])]
+        self._blocks = [(slice(i, j), mu[i:j]) for i, j in zip(edges, edges[1:])]
         self._buf = np.empty(shape)
 
     def _dst(self, a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
