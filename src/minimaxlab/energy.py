@@ -1,13 +1,15 @@
 """Energy functionals on the constraint sphere and their gradients.
 
-The kinetic term is assembled on links (forward differences), so that for
-fields whose supports are separated by a zero node layer the energy is
-exactly additive. All reductions use numpy's deterministic summation order,
-keeping repeated runs bit-identical.
+Every level is a quadratic form of H = -Delta_h + V, with the (2N+1)-point
+Laplacian, and `_apply_H` alone writes its stencil: J(v) = h^N <v, H v>, the
+sphere gradient, two-block Gram matrices and translation tables start from
+H v. For v zero on the boundary, summation by parts makes h^N <v, -Delta_h v>
+the link sum of squared forward differences, and J is exactly additive, term
+by term, over supports separated by a zero node layer. All reductions use
+numpy's deterministic summation order, keeping repeated runs bit-identical.
 
-The private array kernels (`_energy`, `_sphere_gradient`, `_laplacian`) take
-raw node arrays and a precomputed V; every energy, gradient and Laplacian in
-the package is evaluated through them. The public functions take fields and
+The private kernels (`_apply_H`, `_pair`, `_energy`, `_sphere_gradient`) take
+raw node arrays and a precomputed V. The public functions take fields and
 V = Vinf - W on their grid, never a problem specification: `energy_J(u, V)`
 is the one J of a field.
 """
@@ -17,68 +19,49 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import lp_mass, zero_boundary
-from .field import FieldError, GridFunction
+from .field import FieldError, GridFunction, shift_slices
 
 ON_MANIFOLD_TOL = 1e-6
 
 
-def _kinetic(v: np.ndarray, h: float) -> float:
-    """Link quadrature of |grad v|^2 on a node array (forward differences)."""
-    total = 0.0
-    for ax in range(v.ndim):
-        d = np.diff(v, axis=ax)
-        total += float(np.sum(np.multiply(d, d, out=d)))
-    return total * h ** (v.ndim - 2)
-
-
-def _potential(v: np.ndarray, V: np.ndarray, h: float) -> float:
-    """Quadrature of V v^2; the (V v) v order keeps descents bit-reproducible."""
-    t = V * v
-    t *= v
-    return float(np.sum(t) * h ** v.ndim)
-
-
-def _energy(v: np.ndarray, V: np.ndarray, h: float) -> float:
-    """J(v) = int |grad v|^2 + V v^2 on a node array with precomputed V."""
-    return _kinetic(v, h) + _potential(v, V, h)
-
-
-def _laplacian(v: np.ndarray, h: float, dirichlet: bool = True) -> np.ndarray:
-    """(2N+1)-point Laplacian of a node array; Dirichlet boundary rows are zero.
+def _apply_H(v: np.ndarray, V, h: float, dirichlet: bool = True) -> np.ndarray:
+    """H v = -Delta_h v + V v on a node array, in one new array; V is an array
+    on v's grid or a scalar. Dirichlet boundary rows are zero.
 
     With dirichlet=False the boundary rows keep the stencil, with zeros outside
-    the array: for v zero on the boundary this is the Laplacian on the
-    unbounded lattice of v extended by zero, which vanishes off the array."""
-    out = -2.0 * v.ndim * v
-    for ax in range(v.ndim):
-        lo = [slice(None)] * v.ndim
-        hi = [slice(None)] * v.ndim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        out[tuple(lo)] += v[tuple(hi)]
-        out[tuple(hi)] += v[tuple(lo)]
+    the array: for v zero on the boundary this is H on the unbounded lattice of
+    v extended by zero, where H v vanishes off the array."""
+    out = 2.0 * v.ndim * v
+    for step in np.eye(v.ndim, dtype=int):
+        hi, lo = shift_slices(step, v.shape)  # [1:] and [:-1] along the step's axis
+        out[lo] -= v[hi]
+        out[hi] -= v[lo]
     out /= h * h
+    out += V * v
     return zero_boundary(out) if dirichlet else out
 
 
-def _sphere_gradient(v: np.ndarray, V: np.ndarray, J: float, p: float,
-                     h: float) -> np.ndarray:
-    """2(-Delta v + V v - J |v|^(p-2) v): the sphere gradient of J at a
-    zero-boundary node array v on the unit L^p sphere with J = J(v).
+def _pair(a: np.ndarray, Hb: np.ndarray, h: float) -> float:
+    """h^N <a, Hb>: J(a) when Hb = H a, a Gram entry when Hb = H b."""
+    return float(np.sum(a * Hb) * h ** a.ndim)
 
-    Built in place in two grid arrays, in the operation order of
-    2 * (-lap(v) + V v - J |v|^(p-2) v), so the result is bit-identical to it."""
-    out = _laplacian(v, h)
-    np.negative(out, out=out)
-    t = V * v
-    out += t
-    np.abs(v, out=t)
+
+def _energy(v: np.ndarray, V, h: float) -> float:
+    """J(v) = int |grad v|^2 + V v^2 = h^N <v, H v> on a zero-boundary node array."""
+    return _pair(v, _apply_H(v, V, h), h)
+
+
+def _sphere_gradient(v: np.ndarray, Hv: np.ndarray, J: float, p: float) -> np.ndarray:
+    """2(H v - J |v|^(p-2) v), the sphere gradient of J at a zero-boundary node
+    array v on the unit L^p sphere with J = J(v), built in place in the
+    Dirichlet Hv = H v, in the operation order of 2 * (Hv - J * |v|^(p-2) * v)."""
+    t = np.abs(v)
     t **= p - 2
     t *= J
     t *= v
-    out -= t
-    out *= 2.0
-    return out
+    Hv -= t
+    Hv *= 2.0
+    return Hv
 
 
 def mass_I(u: GridFunction, p: float) -> float:
@@ -99,7 +82,7 @@ def energy_J(u: GridFunction, V: np.ndarray) -> float:
 
 def euler_lagrange_residual(u: GridFunction, lam: float, V: np.ndarray, p: float) -> float:
     """Discrete L^2 norm of -Delta u + V u - lam |u|^(p-2) u (zero on the boundary)."""
-    g = _sphere_gradient(u.values, V, lam, p, u.grid.h)
+    g = _sphere_gradient(u.values, _apply_H(u.values, V, u.grid.h), lam, p)
     return 0.5 * gradient_norm(GridFunction(u.grid, g))
 
 
@@ -111,7 +94,8 @@ def manifold_gradient(u: GridFunction, V: np.ndarray, p: float) -> GridFunction:
     """
     _require_on_sphere(u, p)
     v, h = u.values, u.grid.h
-    return GridFunction(u.grid, _sphere_gradient(v, V, _energy(v, V, h), p, h))
+    Hv = _apply_H(v, V, h)
+    return GridFunction(u.grid, _sphere_gradient(v, Hv, _pair(v, Hv, h), p))
 
 
 def gradient_norm(g: GridFunction) -> float:
@@ -126,7 +110,8 @@ def inner_l2(u: GridFunction, v: GridFunction) -> float:
 
 def deviation_bound(u: GridFunction, V: np.ndarray, Vinf: float, p: float) -> float:
     """|J(u) - Jinf(u)| = |sum (V - Vinf) u^2 h^N|, which never exceeds |W|_q
-    on the sphere; the kinetic terms cancel, so only the potentials enter."""
+    on the sphere: H and Hinf = -Delta_h + Vinf differ by V - Vinf alone, so
+    one potential sum carries it."""
     _require_on_sphere(u, p)
     v = u.values
-    return abs(_potential(v, V, u.grid.h) - Vinf * lp_mass(v, 2.0, u.grid.weight))
+    return abs(_pair(v, (V - Vinf) * v, u.grid.h))

@@ -3,6 +3,7 @@ and (de)serialization."""
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -102,13 +103,19 @@ def save_gridfunction(u: GridFunction, path) -> None:
 
 def load_gridfunction(path) -> GridFunction:
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise FieldError(f"{path}: not a grid-function file")
-        (N,) = struct.unpack("<i", f.read(4))
-        L, h = struct.unpack("<dd", f.read(16))
-        shape = struct.unpack(f"<{N}i", f.read(4 * N))
-        data = np.frombuffer(f.read(), dtype="<f8").reshape(shape)
+        raw = f.read()
+    if raw[:4] != _MAGIC:
+        raise FieldError(f"{path}: not a grid-function file")
+    if len(raw) < 24:
+        raise FieldError(f"{path}: truncated header")
+    N, L, h = struct.unpack_from("<idd", raw, 4)
+    if N < 1 or not (h > 0.0 and 0.0 < L / h < math.inf):
+        raise FieldError(f"{path}: unusable header N={N}, L={L}, h={h}")
+    if len(raw) < 24 + 4 * N:
+        raise FieldError(f"{path}: truncated header")
+    shape = struct.unpack_from(f"<{N}i", raw, 24)
+    data = np.frombuffer(raw, dtype="<f8", offset=24 + 4 * N).reshape(shape)
     grid = Grid(N, L, h)
     if grid.shape != shape:
         raise FieldError(f"{path}: header shape {shape} inconsistent with L={L}, h={h}")
-    return GridFunction(grid, data.copy())
+    return GridFunction(grid, data)

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import Grid, lp_mass
-from .energy import _energy, _sphere_gradient
+from .energy import _apply_H, _pair, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
 DESCENT_TOL = 1e-8  # descent gradient-norm tolerance
@@ -429,8 +429,11 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
     P-metric with backtracking on J, retraction by L^p normalization; the stop
     rule is on the unpreconditioned gradient norm.
 
-    The old iterate, gradient and direction are differenced in place right
-    after the new gradient, so no old iterate is live during a line search.
+    Each line-search candidate is put through H once; the accepted one's H u
+    becomes its gradient in place. The old iterate, gradient and direction
+    are differenced in place right after the new gradient, so no old iterate
+    is live during a line search, and no rejected candidate's H u while the
+    next one is built.
     """
     h = grid.h
     weight = grid.weight
@@ -441,25 +444,29 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
         return lp_mass(v, p, weight) ** (1.0 / p)
 
     u = np.ascontiguousarray(u0) / norm_p(u0)  # so every buffer below is C-contiguous
-    J = _energy(u, V, h)
-    g = _sphere_gradient(u, V, J, p, h)
+    Hu = _apply_H(u, V, h)
+    J = _pair(u, Hu, h)
+    g = _sphere_gradient(u, Hu, J, p)
     d = P.solve(g, np.empty_like(g))
     spare = np.empty_like(u)  # the line-search candidate, then the stale iterate
     s = 1.0  # P^-1 g = 2(u - P^-1 (W + J|u|^(p-2)) u) has the scale of u
     it = 0
     for it in range(1, max_iter + 1):
-        # backtracking on J along the retracted ray
-        for _ in range(40):
+        # backtracking on J along the retracted ray; the 40th candidate is
+        # taken whatever its J
+        for tries in range(40, 0, -1):
             cand = np.multiply(d, s, out=spare)
             np.subtract(u, cand, out=cand)
             cand /= norm_p(cand)
-            J_cand = _energy(cand, V, h)
-            if J_cand <= J + 1e-12 * max(1.0, abs(J)):
+            Hu = _apply_H(cand, V, h)
+            J_cand = _pair(cand, Hu, h)
+            if J_cand <= J + 1e-12 * max(1.0, abs(J)) or tries == 1:
                 break
             s *= 0.5
+            del Hu
         u, spare = cand, u
         J = J_cand
-        g_new = _sphere_gradient(u, V, J, p, h)
+        g_new = _sphere_gradient(u, Hu, J, p)
         # BB step s = |<du, dg>| / <dg, dd> in the P-metric, each difference
         # formed in the stale buffer it replaces (both carry the same sign flip)
         spare -= u

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .domain import lp_mass, zero_boundary
-from .energy import _laplacian, energy_J, mass_I
+from .energy import ON_MANIFOLD_TOL, _apply_H, _pair, energy_J, mass_I
 from .field import GridFunction, lp_normalize, shift_slices, split_signs, translate
 
 
@@ -47,15 +47,15 @@ class PathFamily:
 
     `energy` gives J along the loop without building fields:
     J(theta) = y^T G y / |y1 u1 + y2 u2|_p^2 at y = (cos theta, sin theta),
-    where G is the 2x2 Gram matrix of the link-kinetic plus V form on the
-    blocks. For even integer p the mass is a polynomial in y whose
+    where G is the 2x2 Gram matrix of H = -Delta_h + V on the blocks
+    (`energy._apply_H`). For even integer p the mass is a polynomial in y whose
     coefficients are the moments int u1^k u2^(p-k), so an evaluation does no
     grid work; for other p it is one mass pass over the combination.
     """
 
     def __init__(self, u1: GridFunction, u2: GridFunction, p: float):
         for u in (u1, u2):
-            if abs(mass_I(u, p) - 1.0) > 1e-6:
+            if abs(mass_I(u, p) - 1.0) > ON_MANIFOLD_TOL:
                 raise PathError("path blocks must lie on the constraint sphere")
         d = float(np.max(np.abs(u1.values - u2.values)))
         s = float(np.max(np.abs(u1.values + u2.values)))
@@ -75,17 +75,14 @@ class PathFamily:
         return lp_normalize(GridFunction(self.grid, u), self.p)
 
     def gram(self, V: np.ndarray) -> np.ndarray:
-        """G_ij = sum u_i (-Delta u_j + V u_j) h^N, the bilinear form of J on the
-        blocks (equal to the link form, since the blocks vanish on the boundary).
+        """G_ij = h^N <u_i, H u_j>, the bilinear form of J on the blocks.
         Blocks with layer-separated supports give exact zeros off the diagonal."""
-        h, weight = self.grid.h, self.grid.weight
+        h = self.grid.h
         vals = [b.values for b in self.blocks]
         G = np.empty((2, 2))
         for j, bj in enumerate(vals):
-            Hb = _laplacian(bj, h)
-            Hb *= -1.0
-            Hb += V * bj
-            G[:, j] = [float(np.sum(bi * Hb)) * weight for bi in vals]
+            Hb = _apply_H(bj, V, h)
+            G[:, j] = [_pair(bi, Hb, h) for bi in vals]
         return 0.5 * (G + G.T)
 
     def _mass(self):
@@ -338,17 +335,17 @@ class TranslationTable:
 
     `translate` by k drops what leaves the box, so A = T_k w is w restricted to
     the rectangle S_k = Int & (Int - k) of interior nodes, moved by k. With Q
-    the link-kinetic plus Vinf form,
+    the quadratic form of H = -Delta_h + Vinf,
 
         Q(u) = Q(w|S_k) + Q(w|S_-k) - 2 X(2k),   X(t) = sum_z w(z) (Hw)(z + t) h^N,
 
-    where H = -Delta_h + Vinf acts on the unbounded lattice, so Hw keeps its
-    layer on the box boundary. The self terms come from summed-area tables
-    of w^2, |w|^p and the squared link differences along each axis; the
-    faces of S_k enter the kinetic term through the w^2 table. The cross
-    terms need no window: w(x - k) w(x + k) != 0 puts both ends, and so x,
-    their midpoint, in Int, where neither translate is clipped, and the
-    mixed link terms likewise. For even integer p the mass is
+    where H acts on the unbounded lattice (`_apply_H` without the Dirichlet
+    rows), so Hw keeps its layer on the box boundary. The self terms come
+    from summed-area tables of w^2, |w|^p and the squared link differences
+    along each axis; the faces of S_k enter the kinetic term through the w^2
+    table. The cross terms need no window: w(x - k) w(x + k) != 0 puts both
+    ends, and so x, their midpoint, in Int, where neither translate is
+    clipped, and the mixed link terms likewise. For even integer p the mass is
 
         |u|_p^p = sum_j C(p, j) (-1)^(p-j) sum A^j B^(p-j),   B = T_-k w,
 
@@ -368,7 +365,6 @@ class TranslationTable:
         self._sat_sq = _summed_area(v * v)
         self._sat_mass = _summed_area(np.abs(v) ** p)
         self._sat_links = [_summed_area(np.diff(v, axis=a) ** 2) for a in range(v.ndim)]
-        self._lap = _laplacian(v, w.grid.h, dirichlet=False)
         self._moments = None  # the mass correlations with their binomial weights
         if p == int(p) and int(p) % 2 == 0:
             n = int(p)
@@ -404,8 +400,7 @@ class TranslationTable:
         q_a, m_a = self._self_terms(np.maximum(lo, lo - steps), np.minimum(hi, hi - steps), Vinf)
         q_b, m_b = self._self_terms(np.maximum(lo, lo + steps), np.minimum(hi, hi + steps), Vinf)
         q_w, m_w = self._self_terms(lo[None], hi[None], Vinf)
-        Hw = Vinf * v
-        Hw -= self._lap
+        Hw = _apply_H(v, Vinf, grid.h, dirichlet=False)
         cross_q, cross_m = np.empty(len(steps)), np.zeros(len(steps))
         for i, k in enumerate(steps):
             dst, src = shift_slices(2 * k, v.shape)

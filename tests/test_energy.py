@@ -5,9 +5,8 @@ import pytest
 
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, dual_norm_W,
                         energy_J, lp_normalize, manifold_gradient, mass_I, translate)
-from minimaxlab.energy import (_kinetic, _laplacian, _potential, _sphere_gradient,
-                               deviation_bound, euler_lagrange_residual, gradient_norm,
-                               inner_l2)
+from minimaxlab.energy import (_apply_H, _energy, _pair, _sphere_gradient, deviation_bound,
+                               euler_lagrange_residual, gradient_norm, inner_l2)
 from minimaxlab.domain import eval_W, lp_mass, potential_values, zero_boundary
 from minimaxlab.field import FieldError
 from minimaxlab.groundstate import minimize_lambda1, profile_on_grid
@@ -30,6 +29,13 @@ def specs(spec):
     return spec, ProblemSpec(N=3, p=4.0, Vinf=1.0, L=3.0, h=0.25)
 
 
+def link_kinetic(v, h):
+    """Link sum of squared forward differences: the independent oracle for
+    h^N <v, -Delta_h v>, which summation by parts makes equal for v zero on
+    the boundary."""
+    return sum(float(np.sum(np.diff(v, axis=ax) ** 2)) for ax in range(v.ndim)) * h ** (v.ndim - 2)
+
+
 def gaussian(grid, width=1.0):
     r2 = sum(x * x for x in grid.coords())
     return GridFunction(grid, np.exp(-r2 / (2.0 * width ** 2)))
@@ -49,20 +55,22 @@ class TestMassI:
 
 
 class TestKineticEnergy:
+    """J with V = 0 is the kinetic term h^N <v, -Delta_h v>."""
+
     def test_zero_field(self, grid):
-        assert _kinetic(np.zeros(grid.shape), grid.h) == 0.0
+        assert _energy(np.zeros(grid.shape), 0.0, grid.h) == 0.0
 
     def test_single_node_spike(self, grid):
         # one interior node of height 1 has 2N links of slope 1/h
         vals = np.zeros(grid.shape)
         vals[grid.origin_index] = 1.0
         expected = 2 * grid.N * (1.0 / grid.h) ** 2 * grid.weight
-        assert _kinetic(vals, grid.h) == pytest.approx(expected, rel=1e-14)
+        assert _energy(vals, 0.0, grid.h) == pytest.approx(expected, rel=1e-14)
 
     def test_gaussian_against_closed_form(self):
         # int |grad e^{-r^2/2}|^2 = int r^2 e^{-r^2} = pi in the plane
         g = build_grid(ProblemSpec(N=2, p=4.0, Vinf=1.0, L=12.0, h=0.0625))
-        assert _kinetic(gaussian(g).values, g.h) == pytest.approx(math.pi, rel=2e-3)
+        assert _energy(gaussian(g).values, 0.0, g.h) == pytest.approx(math.pi, rel=2e-3)
 
     def test_additivity_for_separated_supports(self, grid):
         x, y = grid.coords()
@@ -71,8 +79,8 @@ class TestKineticEnergy:
         b = GridFunction(grid, np.where((x - 3) ** 2 + y ** 2 < 1,
                                         np.sin(2 * (x - 3)) * np.cos(y), 0.0))
         both = GridFunction(grid, a.values + b.values)
-        assert _kinetic(both.values, grid.h) == pytest.approx(
-            _kinetic(a.values, grid.h) + _kinetic(b.values, grid.h), rel=1e-13)
+        assert _energy(both.values, 0.0, grid.h) == pytest.approx(
+            _energy(a.values, 0.0, grid.h) + _energy(b.values, 0.0, grid.h), rel=1e-13)
 
 
 class TestEnergyJ:
@@ -80,14 +88,14 @@ class TestEnergyJ:
         u, V = gaussian(grid), potential_values(spec, grid)
         J = energy_J(u, V)
         assert isinstance(J, float)
-        assert J == pytest.approx(_kinetic(u.values, grid.h) + _potential(u.values, V, grid.h),
-                                  rel=1e-14)
+        potential = float(np.sum(V * u.values * u.values)) * grid.weight
+        assert J == pytest.approx(link_kinetic(u.values, grid.h) + potential, rel=1e-14)
 
     def test_autonomous_equals_total_when_W_zero(self, spec, grid):
         # with W = 0, J equals its autonomous value: kinetic plus Vinf |u|_2^2
         u = gaussian(grid)
         J = energy_J(u, potential_values(spec, grid))
-        Jinf = _kinetic(u.values, grid.h) + spec.Vinf * lp_mass(u.values, 2.0, grid.weight)
+        Jinf = link_kinetic(u.values, grid.h) + spec.Vinf * lp_mass(u.values, 2.0, grid.weight)
         assert J == pytest.approx(Jinf, abs=1e-12 * J)
 
     def test_penalty_lowers_energy(self):
@@ -103,8 +111,8 @@ class TestEnergyJ:
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=12.0, h=0.0625)
         grid = build_grid(spec)
         u = gaussian(grid).values
-        assert _kinetic(u, grid.h) == pytest.approx(math.pi, rel=2e-3)
-        assert _potential(u, potential_values(spec, grid), grid.h) == pytest.approx(
+        assert link_kinetic(u, grid.h) == pytest.approx(math.pi, rel=2e-3)
+        assert _pair(u, potential_values(spec, grid) * u, grid.h) == pytest.approx(
             math.pi, rel=1e-6)
 
     def test_translation_invariance_autonomous(self, spec, grid):
@@ -123,17 +131,19 @@ def deep_interior(grid, depth=2):
 
 
 class TestLaplacian:
+    """-Delta_h is H with V = 0."""
+
     def test_annihilates_linear_interior(self, grid):
         x, y = grid.coords()
         u = GridFunction(grid, 2.0 * x + 3.0 * y)
-        lap = _laplacian(u.values, grid.h)
+        lap = _apply_H(u.values, 0.0, grid.h)
         # away from the zeroed boundary rows the stencil kills affine fields
         assert np.max(np.abs(lap[deep_interior(grid)])) < 1e-10
 
     def test_quadratic_exact(self, grid):
         x, y = grid.coords()
         u = GridFunction(grid, x ** 2 - y ** 2)
-        lap = _laplacian(u.values, grid.h)
+        lap = _apply_H(u.values, 0.0, grid.h)
         # the five point stencil is exact on harmonic quadratics
         assert np.max(np.abs(lap[deep_interior(grid)])) < 1e-9
 
@@ -141,16 +151,16 @@ class TestLaplacian:
         for grid in map(build_grid, specs):
             a = GridFunction(grid, rng.standard_normal(grid.shape))
             b = GridFunction(grid, rng.standard_normal(grid.shape))
-            lhs = inner_l2(GridFunction(grid, _laplacian(a.values, grid.h)), b)
-            rhs = inner_l2(a, GridFunction(grid, _laplacian(b.values, grid.h)))
+            lhs = inner_l2(GridFunction(grid, _apply_H(a.values, 0.0, grid.h)), b)
+            rhs = inner_l2(a, GridFunction(grid, _apply_H(b.values, 0.0, grid.h)))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_dirichlet_form_identity(self, specs, rng):
         # sum h^N (-lap u) u equals the link quadrature of |grad u|^2
         for grid in map(build_grid, specs):
             u = GridFunction(grid, rng.standard_normal(grid.shape))
-            quad_form = -inner_l2(GridFunction(grid, _laplacian(u.values, grid.h)), u)
-            assert quad_form == pytest.approx(_kinetic(u.values, grid.h), rel=1e-12)
+            quad_form = inner_l2(GridFunction(grid, _apply_H(u.values, 0.0, grid.h)), u)
+            assert quad_form == pytest.approx(link_kinetic(u.values, grid.h), rel=1e-12)
 
 
 class TestManifoldGradient:
@@ -212,7 +222,7 @@ class TestOneEnergyKernel:
 
 class TestInPlaceKernels:
     """The kernels build their results in place, in the operation order of the
-    one-line expressions below, which stay here as the reference."""
+    plain expressions below, which stay here as the reference."""
 
     @pytest.mark.parametrize("p", [4.0, 3.0])
     def test_bit_identical_to_expressions(self, specs, rng, p):
@@ -221,13 +231,14 @@ class TestInPlaceKernels:
             v = zero_boundary(rng.standard_normal(g.shape))
             V = 1.0 - zero_boundary(rng.random(g.shape))
             J = 3.7
-            kinetic = sum(float(np.sum(np.diff(v, axis=ax) * np.diff(v, axis=ax)))
-                          for ax in range(v.ndim)) * s.h ** (v.ndim - 2)
-            assert _kinetic(v, s.h) == kinetic
-            assert _potential(v, V, s.h) == float(np.sum(V * v * v) * s.h ** v.ndim)
-            assert np.array_equal(_sphere_gradient(v, V, J, p, s.h),
-                                  2.0 * (-_laplacian(v, s.h) + V * v
-                                         - J * np.abs(v) ** (p - 2) * v))
+            stencil = 2.0 * v.ndim * v
+            for ax in range(v.ndim):
+                stencil = stencil - np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)
+            H = zero_boundary(stencil / (s.h * s.h) + V * v)
+            assert np.array_equal(_apply_H(v, V, s.h), H)
+            assert _energy(v, V, s.h) == float(np.sum(v * H) * s.h ** v.ndim)
+            assert np.array_equal(_sphere_gradient(v, H.copy(), J, p),
+                                  2.0 * (H - J * np.abs(v) ** (p - 2) * v))
             assert lp_mass(v, p, g.weight) == float(np.sum((v * v) ** (p / 2.0)) * g.weight)
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -156,8 +157,22 @@ class TestSerialization:
         assert v.grid.h == grid.h
         assert np.array_equal(v.values, u.values)
 
-    def test_bad_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"not a field at all",
+        b"GFB1\x02\x00",
+        b"GFB1" + struct.pack("<id", 2, 8.0),
+        b"GFB1" + struct.pack("<idd", 2, 8.0, 0.25) + struct.pack("<i", 65),
+        b"GFB1" + struct.pack("<idd", 0, 8.0, 0.25),
+        b"GFB1" + struct.pack("<idd", -3, 8.0, 0.25),
+        b"GFB1" + struct.pack("<idd2i", 2, 8.0, 0.0, 65, 65),
+        b"GFB1" + struct.pack("<idd2i", 2, math.inf, 0.25, 65, 65),
+        b"GFB1" + struct.pack("<idd2i", 2, -8.0, 0.25, 65, 65) + bytes(8 * 65 * 65)],
+        ids=["bad-magic", "short-axis-count", "short-spacing", "short-axis-sizes",
+             "zero-axes", "negative-axes", "zero-spacing", "infinite-half-width",
+             "negative-half-width"])
+    def test_bad_magic_rejected(self, tmp_path, content):
+        # a bad magic or an unusable header is a FieldError, never a struct.error
         path = tmp_path / "junk.gfb"
-        path.write_bytes(b"not a field at all")
+        path.write_bytes(content)
         with pytest.raises(FieldError):
             load_gridfunction(path)

@@ -9,7 +9,7 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         fit_decay, lp_norm, mass_I, minimize_lambda1,
                         shoot_excited, shoot_ground)
 from minimaxlab.domain import Grid, potential_values, zero_boundary
-from minimaxlab.energy import _laplacian, euler_lagrange_residual
+from minimaxlab.energy import _apply_H, euler_lagrange_residual
 from minimaxlab import groundstate
 from minimaxlab.groundstate import DescentError, ShootingError, _ShiftedPoissonSolver
 
@@ -19,6 +19,14 @@ GROUND_W0 = 2.2062008646
 LAM1_INF = 4.8375345429167
 EXCITED_W0 = 3.33199
 LAM2R_INF = 12.42359
+
+
+def counting(calls, name, fn):
+    """Wrap fn, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 @pytest.fixture(autouse=True)
@@ -393,6 +401,42 @@ class TestMinimizeLambda1:
             tracemalloc.stop()
         assert (peak - entry) / V.nbytes <= 7.5
 
+    def test_descent_applies_H_once_per_candidate(self, monkeypatch):
+        # each line-search candidate, like the start, is retracted by one L^p
+        # normalization and put through H once; the accepted candidate's H u
+        # becomes its gradient. From this rough seed some candidates are rejected.
+        calls = {"_apply_H": 0, "lp_mass": 0}
+        for name in calls:
+            fn = getattr(groundstate, name)
+            monkeypatch.setattr(groundstate, name, counting(calls, name, fn))
+        spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=4.0, h=0.25,
+                           W=WSpec(family="exponential", c=0.5, a=0.5))
+        grid = build_grid(spec)
+        seed = GridFunction(grid, np.abs(np.random.default_rng(1).standard_normal(grid.shape)))
+        res = groundstate._descend(seed.values, potential_values(spec, grid), spec.Vinf, spec.p,
+                                   grid, groundstate.DESCENT_TOL, 1_000)
+        assert res.converged
+        assert calls["_apply_H"] == calls["lp_mass"] > res.iterations + 1
+
+    def test_descent_peak_memory_on_a_33_cube(self):
+        # 7.13 grid arrays above entry with one H per candidate; holding a
+        # rejected candidate's or the start's H u while the next is built
+        # costs about one more
+        spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=4.0, h=0.25,
+                           W=WSpec(family="exponential", c=0.5, a=0.5))
+        grid = build_grid(spec)
+        V = potential_values(spec, grid)
+        seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            groundstate._descend(seed.values, V, spec.Vinf, spec.p, grid,
+                                 groundstate.DESCENT_TOL, 1_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / V.nbytes <= 7.6
+
     def test_fortran_ordered_seed_gives_the_same_level(self):
         # the preconditioner reshapes its buffers, which must stay views
         spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=4.0, h=0.25)
@@ -422,7 +466,7 @@ class TestShiftedPoissonSolver:
         d = _ShiftedPoissonSolver(grid.shape, h, Vinf).solve(g, np.empty_like(g))
         assert np.array_equal(g, g0)
         assert np.array_equal(zero_boundary(d.copy()), d)
-        back = -_laplacian(d, h) + Vinf * d
+        back = _apply_H(d, Vinf, h)
         assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
 
     @pytest.mark.parametrize("shape", [(65,), (129, 129), (33, 33, 33), (65, 65, 65)])

@@ -1,9 +1,11 @@
 """Only the runner (`cli`) and `domain` turn a problem specification into grid
-arrays; the numerical layers take V = Vinf - W and the fields directly. The
-package imports no scipy at run time."""
+arrays; the numerical layers take V = Vinf - W and the fields directly. Only
+`energy` writes the stencil of H = -Delta_h + V. The package imports no scipy
+at run time."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -20,6 +22,20 @@ def test_numerical_layers_do_not_read_a_problem_spec(module):
         bound = [key for key, value in namespace.items()
                  if key == name or value is getattr(domain, name)]
         assert not bound, f"minimaxlab.{module} binds {bound}"
+
+
+# names of stencil helpers: a Laplacian, a kinetic or a stencil kernel
+STENCIL_HELPER = re.compile(r"(^|_)(lap|laplacian|kinetic|stencil)(_|$)", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("module", ["minimaxlab", "minimaxlab.domain", "minimaxlab.field",
+                                    "minimaxlab.groundstate", "minimaxlab.pathlab",
+                                    "minimaxlab.minimax", "minimaxlab.cli"])
+def test_only_energy_binds_a_stencil_helper(module):
+    # every other layer reaches H through energy._apply_H
+    namespace = vars(importlib.import_module(module))
+    bound = [key for key in namespace if STENCIL_HELPER.search(key)]
+    assert not bound, f"{module} binds {bound}"
 
 
 def test_cli_import_loads_no_scipy():
