@@ -114,8 +114,7 @@ def load_gridfunction(path) -> GridFunction:
     if len(raw) < 24 + 4 * N:
         raise FieldError(f"{path}: truncated header")
     shape = struct.unpack_from(f"<{N}i", raw, 24)
-    data = np.frombuffer(raw, dtype="<f8", offset=24 + 4 * N).reshape(shape)
-    grid = Grid(N, L, h)
-    if grid.shape != shape:
+    if shape != (2 * round(L / h) + 1,) * N:  # Grid's shape, checked before it allocates
         raise FieldError(f"{path}: header shape {shape} inconsistent with L={L}, h={h}")
-    return GridFunction(grid, data)
+    data = np.frombuffer(raw, dtype="<f8", offset=24 + 4 * N).reshape(shape)
+    return GridFunction(Grid(N, L, h), data)

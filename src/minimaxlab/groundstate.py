@@ -15,14 +15,10 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import Grid, lp_mass
-from .energy import _apply_H, _pair, _sphere_gradient
+from .energy import _apply_H, _pair, _ShiftedPoissonSolver, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
-DESCENT_TOL = 1e-8  # descent gradient-norm tolerance
-# most nodes per eigenvalue division in the preconditioner: the 32 KB divisor
-# and its rows fit a 48 KB L1 data cache, where 8192-node blocks were slower
-# than one row at a time on 49^3
-DIVISION_BLOCK = 4096
+DESCENT_TOL, DESCENT_MAX_ITER = 1e-8, 1_000  # descent gradient-norm tolerance and iteration cap
 SHOOT_DR, SHOOT_RMAX = 2e-3, 25.0  # RK4 step and range of the unit shooting
 FIT_WINDOW = (6.0, 12.0)  # decay fit window in sqrt(Vinf) r
 SECANT_THETA = 0.02  # widest shooting probe pair: this fraction of (hi - est) either side of est
@@ -96,9 +92,9 @@ class DecayFit:
     residual: float
 
 
-def _integrate(b: float, N: int, p: float, dr: float, rmax: float, k: int | None = None):
-    """RK4 for -w'' - (N-1)/r w' + w = |w|^(p-2) w from r = dr/10 with the
-    even-symmetry series start.
+def _integrate(b: float, N: int, p: float, k: int | None = None):
+    """RK4 for -w'' - (N-1)/r w' + w = |w|^(p-2) w at the step dr = SHOOT_DR
+    out to SHOOT_RMAX, from r = dr/10 with the even-symmetry series start.
 
     Returns (w samples on r = dr/10 + i dr, sign changes, end). The pass
     stops at the first local minimum of |w| that is not a sign change, and
@@ -120,6 +116,7 @@ def _integrate(b: float, N: int, p: float, dr: float, rmax: float, k: int | None
     keeps the error per unit radius.
     """
     early = k is not None
+    dr, rmax = SHOOT_DR, SHOOT_RMAX
     cube = p == 4.0  # w * w * w is the p = 4 force, and about a quarter cheaper
     copysign = math.copysign
     r = dr / 10.0
@@ -216,12 +213,12 @@ def _search(N: int, p: float, k: int) -> tuple[float, float]:
 
     Memoized on (N, p, k), which every Vinf shares; only the two floats are held.
     """
-    tol, dr, rmax, max_iter = 1e-14, SHOOT_DR, SHOOT_RMAX, 200
+    tol, max_iter = 1e-14, 200
     bessel = ((N - 2) ** 2 - 1) / 4.0
     over = []  # (b, f) of every overshoot, in probe order
 
     def overshoots(b):
-        rc, zeros = _integrate(b, N, p, dr, rmax, k)
+        rc, zeros = _integrate(b, N, p, k)
         if zeros <= k:
             return False
         over.append((b, math.exp(-2.0 * rc) * (1.0 + bessel / rc)))
@@ -239,7 +236,7 @@ def _search(N: int, p: float, k: int) -> tuple[float, float]:
         lo = 0.5 * (lo + 1.0)
         tries += 1
         if tries > 120:
-            zeros = _integrate(lo, N, p, dr, rmax)[1]
+            zeros = _integrate(lo, N, p)[1]
             raise ShootingError(f"no bracket below: reached {zeros} sign changes at w(0)={lo}")
 
     probes = []  # central values still to try, the last one first
@@ -271,11 +268,11 @@ def _shoot(N: int, p: float, k: int) -> RadialProfile:
     overshoot here; the pass then steps b down by the bracket width,
     doubling each time, until it sees exactly k sign changes."""
     b, step = _search(N, p, k)
-    ws, zeros, end = _integrate(b, N, p, SHOOT_DR, SHOOT_RMAX)
+    ws, zeros, end = _integrate(b, N, p)
     while zeros > k:
         b -= step
         step *= 2.0
-        ws, zeros, end = _integrate(b, N, p, SHOOT_DR, SHOOT_RMAX)
+        ws, zeros, end = _integrate(b, N, p)
     r = SHOOT_DR / 10.0 + SHOOT_DR * np.arange(len(ws))
 
     # Past its tail minimum the trajectory leaves the separatrix; from five
@@ -361,70 +358,9 @@ class DescentResult:
     restarted_from_abs: bool = False
 
 
-class _ShiftedPoissonSolver:
-    """Exact inverse of P = -Delta_h + Vinf on the interior nodes of a grid,
-    with Dirichlet zeros on the boundary.
-
-    The (2N+1)-point Laplacian is diagonal in the DST-I basis, with
-    eigenvalues sum over the axes of (2 - 2 cos(pi k / (n+1))) / h^2 for n
-    interior nodes per axis. The transform multiplies each axis by the
-    symmetric matrix S_jk = sin(pi j k / (n+1)), held over all nodes with zero
-    boundary rows and columns, so boundary values are ignored and written as
-    zeros. S S = (n+1)/2 I on the interior, so `solve` applies S along every
-    axis, divides by Vinf plus the eigenvalues (that factor folded in) and
-    applies S along every axis again. The passes alternate between `out` and
-    one grid buffer held by the solver.
-    """
-
-    def __init__(self, shape: tuple[int, ...], h: float, Vinf: float):
-        M, ndim = shape[0], len(shape)
-        n1 = M - 1  # n + 1, with n = M - 2 interior nodes per axis
-        k = np.arange(M)
-        # j k is reduced modulo 2(n+1) in integers, so each sine argument lies in [0, 2 pi)
-        self._S = S = np.sin(np.pi * (np.outer(k, k) % (2 * n1)) / n1)
-        S[-1] = S[:, -1] = 0.0  # row and column 0 are exact zeros already
-        scale = (n1 / 2.0) ** ndim
-        self._mu = scale * (2.0 - 2.0 * np.cos(np.pi * k / n1)) / (h * h)  # per axis
-        # Vinf plus the other axes' eigenvalues, broadcast over first-axis indices
-        # (a float for N = 1)
-        self._rest = scale * Vinf + sum(
-            self._mu.reshape((M,) + (1,) * (ndim - 2 - ax)) for ax in range(ndim - 1))
-        # (interior rows, their first-axis eigenvalues) per division, as many
-        # rows as DIVISION_BLOCK holds
-        rows = max(1, DIVISION_BLOCK // np.size(self._rest))
-        mu = self._mu.reshape((M,) + (1,) * (ndim - 1))
-        edges = [*range(1, M - 1, rows), M - 1]
-        self._blocks = [(slice(i, j), mu[i:j]) for i, j in zip(edges, edges[1:])]
-        self._buf = np.empty(shape)
-
-    def _dst(self, a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-        """S along every axis of `a`, written into `out` and returned. The
-        passes alternate between `out` and `spare`, the last one writing `out`;
-        `a` is only read, and it may be the array the first pass does not write."""
-        M, ndim = a.shape[0], a.ndim
-        for ax in range(ndim):
-            b = out if (ndim - ax) % 2 else spare
-            if ax < ndim - 1:
-                np.matmul(self._S, a.reshape(M ** ax, M, -1), out=b.reshape(M ** ax, M, -1))
-            else:  # S is symmetric; S-first, this axis would be matrix-vector products
-                np.matmul(a, self._S, out=b)
-            a = b
-        return out
-
-    def solve(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write P^-1 g into `out` (boundary nodes zero) and return it; `g` is
-        not written. `out` must be C-contiguous, so that `_dst` reshapes it as a view."""
-        mid, spare = (self._buf, out) if g.ndim % 2 else (out, self._buf)
-        self._dst(g, mid, spare)
-        for rows, mu in self._blocks:  # no grid-sized divisor
-            mid[rows] /= mu + self._rest
-        return self._dst(mid, out, self._buf)
-
-
-def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
-             tol: float, max_iter: int) -> DescentResult:
+def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid) -> DescentResult:
     """Preconditioned projected descent on the constraint sphere: steps along
-    d = P^-1 g with P = -Delta_h + Vinf (`_ShiftedPoissonSolver`), so the
+    d = P^-1 g with P = -Delta_h + Vinf (`energy._ShiftedPoissonSolver`), so the
     iteration count does not grow as h falls. Barzilai-Borwein steps in the
     P-metric with backtracking on J, retraction by L^p normalization; the stop
     rule is on the unpreconditioned gradient norm.
@@ -451,7 +387,7 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
     spare = np.empty_like(u)  # the line-search candidate, then the stale iterate
     s = 1.0  # P^-1 g = 2(u - P^-1 (W + J|u|^(p-2)) u) has the scale of u
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, DESCENT_MAX_ITER + 1):
         # backtracking on J along the retracted ray; the 40th candidate is
         # taken whatever its J
         for tries in range(40, 0, -1):
@@ -475,7 +411,7 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
         gn = float(np.sqrt(np.sum(np.multiply(g_new, g_new, out=spare)) * weight))
         if J < level_floor:
             raise DescentError(f"level fell below the floor {level_floor}")
-        if gn < tol:
+        if gn < DESCENT_TOL:
             return DescentResult(GridFunction(grid, u), J, gn, it, True)
         d_new = P.solve(g_new, out=spare)
         d -= d_new
@@ -497,14 +433,13 @@ def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
     minimizer is asserted nonnegative post hoc; a signed iterate triggers one
     restart from its absolute value.
     """
-    tol, max_iter = DESCENT_TOL, 1_000
     if seed is None:
         seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
-    res = _descend(seed.values, V, Vinf, p, grid, tol, max_iter)
+    res = _descend(seed.values, V, Vinf, p, grid)
     if np.min(res.minimizer.values) < -1e-8:
-        res = _descend(np.abs(res.minimizer.values), V, Vinf, p, grid, tol, max_iter)
+        res = _descend(np.abs(res.minimizer.values), V, Vinf, p, grid)
         res.restarted_from_abs = True
     if not res.converged:
-        raise DescentError(f"descent did not reach tol {tol} in {max_iter} iterations "
-                           f"(gradient norm {res.gradient_norm})")
+        raise DescentError(f"descent did not reach tol {DESCENT_TOL} in {DESCENT_MAX_ITER} "
+                           f"iterations (gradient norm {res.gradient_norm})")
     return res

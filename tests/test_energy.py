@@ -5,9 +5,10 @@ import pytest
 
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, dual_norm_W,
                         energy_J, lp_normalize, manifold_gradient, mass_I, translate)
-from minimaxlab.energy import (_apply_H, _energy, _pair, _sphere_gradient, deviation_bound,
-                               euler_lagrange_residual, gradient_norm, inner_l2)
-from minimaxlab.domain import eval_W, lp_mass, potential_values, zero_boundary
+from minimaxlab.energy import (_apply_H, _energy, _pair, _ShiftedPoissonSolver, _sphere_gradient,
+                               deviation_bound, euler_lagrange_residual, gradient_norm,
+                               inner_l2)
+from minimaxlab.domain import Grid, eval_W, lp_mass, potential_values, zero_boundary
 from minimaxlab.field import FieldError
 from minimaxlab.groundstate import minimize_lambda1, profile_on_grid
 from minimaxlab.pathlab import SampledPath, gamma_R, path_max_J, translated_bump_path
@@ -161,6 +162,49 @@ class TestLaplacian:
             u = GridFunction(grid, rng.standard_normal(grid.shape))
             quad_form = inner_l2(GridFunction(grid, _apply_H(u.values, 0.0, grid.h)), u)
             assert quad_form == pytest.approx(link_kinetic(u.values, grid.h), rel=1e-12)
+
+
+class TestShiftedPoissonSolver:
+    @pytest.mark.parametrize("N, L, h, Vinf", [(1, 8.0, 0.25, 2.0), (2, 8.0, 0.25, 1.0),
+                                             (3, 4.0, 0.25, 0.5)])
+    def test_inverts_shifted_laplacian(self, N, L, h, Vinf):
+        grid = Grid(N, L, h)
+        g = zero_boundary(np.random.default_rng(N).standard_normal(grid.shape))
+        g0 = g.copy()
+        d = _ShiftedPoissonSolver(grid.shape, h, Vinf).solve(g, np.empty_like(g))
+        assert np.array_equal(g, g0)
+        assert np.array_equal(zero_boundary(d.copy()), d)
+        back = _apply_H(d, Vinf, h)
+        assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("shape", [(65,), (129, 129), (33, 33, 33), (65, 65, 65)])
+    def test_blocked_division_matches_the_row_loop(self, shape):
+        # 127 and 31 interior rows are not multiples of the 31 and 3 rows per
+        # block, so the last block is ragged; N = 1 divides by a float, and a
+        # 65^3 row fills a block alone
+        P = _ShiftedPoissonSolver(shape, 0.25, 1.0)
+        sizes = [np.size(mu) for _, mu in P._blocks]
+        assert sum(sizes) == shape[0] - 2
+        assert len(set(sizes)) == (1 if shape[0] == 65 else 2)
+        g = zero_boundary(np.random.default_rng(len(shape)).standard_normal(shape))
+        mid = P._dst(g, np.empty_like(g), np.empty_like(g))
+        for i in range(1, len(mid) - 1):
+            mid[i] /= P._mu[i] + P._rest
+        ref = P._dst(mid, np.empty_like(g), np.empty_like(g))
+        assert np.array_equal(P.solve(g, np.empty_like(g)), ref)
+
+    @pytest.mark.parametrize("shape", [(257, 257), (33, 33, 33)])
+    def test_transform_is_dst1(self, shape):
+        # boundary values of the input are ignored; scipy's DST-I carries a
+        # factor 2 per axis
+        scipy_fft = pytest.importorskip("scipy.fft")
+        a = np.random.default_rng(len(shape)).standard_normal(shape)
+        interior = (slice(1, -1),) * len(shape)
+        ref = scipy_fft.dstn(a[interior], type=1)
+        out = _ShiftedPoissonSolver(shape, 0.25, 1.0)._dst(a, np.empty_like(a), np.empty_like(a))
+        out *= 2.0 ** len(shape)
+        assert np.max(np.abs(out[interior] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(zero_boundary(out.copy()), out)
 
 
 class TestManifoldGradient:

@@ -166,12 +166,14 @@ class TestSerialization:
         b"GFB1" + struct.pack("<idd", -3, 8.0, 0.25),
         b"GFB1" + struct.pack("<idd2i", 2, 8.0, 0.0, 65, 65),
         b"GFB1" + struct.pack("<idd2i", 2, math.inf, 0.25, 65, 65),
-        b"GFB1" + struct.pack("<idd2i", 2, -8.0, 0.25, 65, 65) + bytes(8 * 65 * 65)],
+        b"GFB1" + struct.pack("<idd2i", 2, -8.0, 0.25, 65, 65) + bytes(8 * 65 * 65),
+        b"GFB1" + struct.pack("<idd2i", 2, 1e13, 1.0, 3, 3) + bytes(8 * 9)],
         ids=["bad-magic", "short-axis-count", "short-spacing", "short-axis-sizes",
              "zero-axes", "negative-axes", "zero-spacing", "infinite-half-width",
-             "negative-half-width"])
+             "negative-half-width", "shape-below-half-width"])
     def test_bad_magic_rejected(self, tmp_path, content):
-        # a bad magic or an unusable header is a FieldError, never a struct.error
+        # a bad magic or an unusable header is a FieldError, never a struct.error;
+        # so is a shape that L/h contradicts, caught before a 2e13-node axis is allocated
         path = tmp_path / "junk.gfb"
         path.write_bytes(content)
         with pytest.raises(FieldError):

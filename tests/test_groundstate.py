@@ -8,10 +8,10 @@ import tracemalloc
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         fit_decay, lp_norm, mass_I, minimize_lambda1,
                         shoot_excited, shoot_ground)
-from minimaxlab.domain import Grid, potential_values, zero_boundary
-from minimaxlab.energy import _apply_H, euler_lagrange_residual
+from minimaxlab.domain import potential_values
+from minimaxlab.energy import euler_lagrange_residual
 from minimaxlab import groundstate
-from minimaxlab.groundstate import DescentError, ShootingError, _ShiftedPoissonSolver
+from minimaxlab.groundstate import DescentError, ShootingError
 
 # Frozen oracle values for N = 2, p = 4, Vinf = 1, recomputed independently
 # (RK4 shooting at half the production step agrees to the digits shown).
@@ -101,7 +101,7 @@ class TestShootGround:
             profiles.append(shoot_ground.__wrapped__(2, 4.0, V))
             counts.append(len(calls) - n)
         assert counts[0] > 1 and counts[1:] == [1, 1]
-        assert [len(args) for args, _ in calls[counts[0] - 1:]] == [5, 5, 5]  # sampled passes
+        assert [len(args) for args, _ in calls[counts[0] - 1:]] == [3, 3, 3]  # sampled passes
         assert profiles[0].w0 == 2.2062008646357514
         # bit-identical to a fresh search at each Vinf
         for V, prof in zip(vinfs, profiles):
@@ -234,9 +234,9 @@ class TestEarlyDecision:
     def test_matches_full_integration_near_the_separatrix(self, monkeypatch, N, k):
         full, calls = _recording(monkeypatch)
         groundstate._shoot(N, 4.0, k)
-        # a probe call is (b, N, p, dr, rmax, k) and returns (exit radius, sign changes)
-        decided = [(args[:5], res[1] > k, res[0]) for args, res in calls if len(args) == 6]
-        dr, rmax = decided[0][0][3:]
+        # a probe call is (b, N, p, k) and returns (exit radius, sign changes)
+        decided = [(args[:3], res[1] > k, res[0]) for args, res in calls if len(args) == 4]
+        dr, rmax = groundstate.SHOOT_DR, groundstate.SHOOT_RMAX
         # the last probes lie nearest the separatrix, where the bit is hardest;
         # their longer tail steps decide it as the step dr does
         for args, bit, r in decided[-8:]:
@@ -264,7 +264,7 @@ class TestSecantSearch:
         full, calls = _recording(monkeypatch)
         prof = groundstate._shoot(2, 4.0, 0)
         assert len(calls) <= 19  # plain bisection took 52, the 2 % secant pairs 26
-        decided = [(args[0], res[1] > 0) for args, res in calls if len(args) == 6]
+        decided = [(args[0], res[1] > 0) for args, res in calls if len(args) == 4]
         # bracketing: 2.1 undershoots, 4.2 overshoots, 1.05 undershoots
         assert decided[:3] == [(2.1, False), (4.2, True), (1.05, False)]
         lo, hi = 1.05, 4.2
@@ -276,7 +276,7 @@ class TestSecantSearch:
                 lo = b
         assert hi - lo <= 1e-14 * hi
         assert prof.w0 == lo
-        assert full(lo, 2, 4.0, 2e-3, 25.0)[1] == 0  # lo undershoots in full too
+        assert full(lo, 2, 4.0)[1] == 0  # lo undershoots in full too
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_final_pass_steps_down_to_k_sign_changes(self, monkeypatch, k):
@@ -286,7 +286,7 @@ class TestSecantSearch:
         passes = []
 
         def shifted(b, *args):
-            if len(args) == 5:  # a probe: (N, p, dr, rmax, k)
+            if len(args) == 3:  # a probe: (N, p, k)
                 return full(b * (1.0 - 1e-13), *args)
             ws, zeros, end = full(b, *args)
             passes.append((b, zeros))
@@ -413,8 +413,8 @@ class TestMinimizeLambda1:
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
         seed = GridFunction(grid, np.abs(np.random.default_rng(1).standard_normal(grid.shape)))
-        res = groundstate._descend(seed.values, potential_values(spec, grid), spec.Vinf, spec.p,
-                                   grid, groundstate.DESCENT_TOL, 1_000)
+        V = potential_values(spec, grid)
+        res = groundstate._descend(seed.values, V, spec.Vinf, spec.p, grid)
         assert res.converged
         assert calls["_apply_H"] == calls["lp_mass"] > res.iterations + 1
 
@@ -430,8 +430,7 @@ class TestMinimizeLambda1:
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            groundstate._descend(seed.values, V, spec.Vinf, spec.p, grid,
-                                 groundstate.DESCENT_TOL, 1_000)
+            groundstate._descend(seed.values, V, spec.Vinf, spec.p, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -454,46 +453,3 @@ class TestMinimizeLambda1:
         grid = build_grid(spec)
         with pytest.raises(DescentError, match="floor"):
             minimize_lambda1(potential_values(spec, grid), spec.Vinf, spec.p, grid)
-
-
-class TestShiftedPoissonSolver:
-    @pytest.mark.parametrize("N, L, h, Vinf", [(1, 8.0, 0.25, 2.0), (2, 8.0, 0.25, 1.0),
-                                             (3, 4.0, 0.25, 0.5)])
-    def test_inverts_shifted_laplacian(self, N, L, h, Vinf):
-        grid = Grid(N, L, h)
-        g = zero_boundary(np.random.default_rng(N).standard_normal(grid.shape))
-        g0 = g.copy()
-        d = _ShiftedPoissonSolver(grid.shape, h, Vinf).solve(g, np.empty_like(g))
-        assert np.array_equal(g, g0)
-        assert np.array_equal(zero_boundary(d.copy()), d)
-        back = _apply_H(d, Vinf, h)
-        assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
-
-    @pytest.mark.parametrize("shape", [(65,), (129, 129), (33, 33, 33), (65, 65, 65)])
-    def test_blocked_division_matches_the_row_loop(self, shape):
-        # 127 and 31 interior rows are not multiples of the 31 and 3 rows per
-        # block, so the last block is ragged; N = 1 divides by a float, and a
-        # 65^3 row fills a block alone
-        P = _ShiftedPoissonSolver(shape, 0.25, 1.0)
-        sizes = [np.size(mu) for _, mu in P._blocks]
-        assert sum(sizes) == shape[0] - 2
-        assert len(set(sizes)) == (1 if shape[0] == 65 else 2)
-        g = zero_boundary(np.random.default_rng(len(shape)).standard_normal(shape))
-        mid = P._dst(g, np.empty_like(g), np.empty_like(g))
-        for i in range(1, len(mid) - 1):
-            mid[i] /= P._mu[i] + P._rest
-        ref = P._dst(mid, np.empty_like(g), np.empty_like(g))
-        assert np.array_equal(P.solve(g, np.empty_like(g)), ref)
-
-    @pytest.mark.parametrize("shape", [(257, 257), (33, 33, 33)])
-    def test_transform_is_dst1(self, shape):
-        # boundary values of the input are ignored; scipy's DST-I carries a
-        # factor 2 per axis
-        scipy_fft = pytest.importorskip("scipy.fft")
-        a = np.random.default_rng(len(shape)).standard_normal(shape)
-        interior = (slice(1, -1),) * len(shape)
-        ref = scipy_fft.dstn(a[interior], type=1)
-        out = _ShiftedPoissonSolver(shape, 0.25, 1.0)._dst(a, np.empty_like(a), np.empty_like(a))
-        out *= 2.0 ** len(shape)
-        assert np.max(np.abs(out[interior] - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(zero_boundary(out.copy()), out)

@@ -1,8 +1,10 @@
 """Only the runner (`cli`) and `domain` turn a problem specification into grid
 arrays; the numerical layers take V = Vinf - W and the fields directly. Only
-`energy` writes the stencil of H = -Delta_h + V. The package imports no scipy
-at run time."""
+`energy` writes the stencil of H = -Delta_h + V, and it also holds the stencil's
+exact inverse, importing no layer above it. The package imports no scipy at run
+time."""
 
+import ast
 import importlib
 import os
 import re
@@ -13,6 +15,8 @@ import pytest
 
 import minimaxlab
 import minimaxlab.domain as domain
+import minimaxlab.energy as energy
+import minimaxlab.groundstate as groundstate
 
 
 @pytest.mark.parametrize("module", ["field", "energy", "groundstate", "pathlab", "minimax"])
@@ -36,6 +40,26 @@ def test_only_energy_binds_a_stencil_helper(module):
     namespace = vars(importlib.import_module(module))
     bound = [key for key in namespace if STENCIL_HELPER.search(key)]
     assert not bound, f"{module} binds {bound}"
+
+
+def test_energy_holds_the_exact_inverse_of_its_stencil():
+    # the solver's eigenvalues are the stencil's spectrum, so both live in
+    # energy, and the descent's preconditioner is that solver
+    assert groundstate._ShiftedPoissonSolver.__module__ == "minimaxlab.energy"
+
+
+def test_energy_imports_no_layer_above_it():
+    # the layers above import energy; an import back would be a cycle
+    tree = ast.parse(open(energy.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    above = {"groundstate", "pathlab", "minimax", "cli"}
+    assert not imported & above, sorted(imported & above)
 
 
 def test_cli_import_loads_no_scipy():
