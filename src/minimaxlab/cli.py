@@ -396,6 +396,11 @@ def run(cfg: ExperimentConfig) -> int:
     payload["report_hash"] = digest
     payload["seed"] = cfg.seed  # nothing reads it, so the hash does not certify it
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    # how the descent converged, and on how many nodes (fewer than the grid's if it folded)
+    res = vars(pipe).get("descent")  # set only by a run that needed the descent
+    payload["diagnostics"] = {"descent": None if res is None else {
+        "iterations": res.iterations, "gradient_norm": res.gradient_norm,
+        "restarted_from_abs": res.restarted_from_abs, "nodes": res.nodes}}
     _atomic_write(os.path.join(cfg.out_dir, "report.json"),
                   [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     _write_artifacts(artifacts, cfg.out_dir)

@@ -106,7 +106,7 @@ class Grid:
         self.N = N
         self.L = float(L)
         self.h = float(h)
-        self.axis = np.linspace(-L, L, 2 * m + 1)
+        self.axis = h * np.arange(-m, m + 1)  # exactly odd, so radial data is exactly even
         self.shape = (2 * m + 1,) * N
         self.origin_index = (m,) * N
         self.weight = h ** N
@@ -132,19 +132,30 @@ class Grid:
         return tuple(int(round(v / self.h)) for v in y)
 
 
-def zero_boundary(v: np.ndarray) -> np.ndarray:
-    """Set the Dirichlet boundary nodes of a node array to zero, in place."""
+def zero_boundary(v: np.ndarray, ends=(0, -1)) -> np.ndarray:
+    """Set the Dirichlet boundary nodes of a node array to zero, in place: the
+    `ends` of every axis (only -1 on an orthant, whose index 0 is a reflection plane)."""
     for ax in range(v.ndim):
-        np.moveaxis(v, ax, 0)[[0, -1]] = 0.0
+        np.moveaxis(v, ax, 0)[list(ends)] = 0.0
     return v
 
 
-def lp_mass(v: np.ndarray, p: float, weight: float) -> float:
+def node_sum(t: np.ndarray, nodes: np.ndarray | None = None):
+    """Sum of a node array; with per-axis weights `nodes` (1 on an orthant's reflection
+    plane, 2 elsewhere) each node counts as the full-grid nodes it stands for."""
+    if nodes is None:
+        return np.sum(t)
+    for _ in range(t.ndim):  # contract the last axis
+        t = t.reshape(-1, len(nodes)) @ nodes
+    return t[0]
+
+
+def lp_mass(v: np.ndarray, p: float, weight: float, nodes: np.ndarray | None = None) -> float:
     """Quadrature sum weight * |v_i|^p of a node array (|v|_p^p), taken as
     (v_i^2)^(p/2): for p = 4 that is two squarings and no pow call per node."""
     t = np.multiply(v, v)
     t **= p / 2.0
-    return float(np.sum(t) * weight)
+    return float(node_sum(t, nodes) * weight)
 
 
 def build_grid(spec: ProblemSpec) -> Grid:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import lp_mass, zero_boundary
+from .domain import lp_mass, node_sum, zero_boundary
 from .field import FieldError, GridFunction, shift_slices
 
 ON_MANIFOLD_TOL = 1e-6
@@ -30,21 +30,28 @@ ON_MANIFOLD_TOL = 1e-6
 DIVISION_BLOCK = 4096
 
 
-def _apply_H(v: np.ndarray, V, h: float, dirichlet: bool = True) -> np.ndarray:
+def _apply_H(v: np.ndarray, V, h: float, dirichlet: bool = True,
+             mirror: bool = False) -> np.ndarray:
     """H v = -Delta_h v + V v on a node array, in one new array; V is an array
     on v's grid or a scalar. Dirichlet boundary rows are zero.
 
     With dirichlet=False the boundary rows keep the stencil, with zeros outside
     the array: for v zero on the boundary this is H on the unbounded lattice of
-    v extended by zero, where H v vanishes off the array."""
+    v extended by zero, where H v vanishes off the array.
+
+    With mirror=True, v is the orthant of an even array from its centre node: index 0
+    of each axis lies on a reflection plane, the neighbour across it is index 1,
+    and only index -1 is boundary."""
     out = 2.0 * v.ndim * v
-    for step in np.eye(v.ndim, dtype=int):
+    for ax, step in enumerate(np.eye(v.ndim, dtype=int)):
         hi, lo = shift_slices(step, v.shape)  # [1:] and [:-1] along the step's axis
         out[lo] -= v[hi]
         out[hi] -= v[lo]
+        if mirror:
+            np.moveaxis(out, ax, 0)[0] -= np.moveaxis(v, ax, 0)[1]
     out /= h * h
     out += V * v
-    return zero_boundary(out) if dirichlet else out
+    return zero_boundary(out, (-1,) if mirror else (0, -1)) if dirichlet else out
 
 
 class _ShiftedPoissonSolver:
@@ -60,40 +67,58 @@ class _ShiftedPoissonSolver:
     axis, divides by Vinf plus the eigenvalues (that factor folded in) and
     applies S along every axis again. The passes alternate between `out` and
     one grid buffer held by the solver.
+
+    With mirror=True the grid is the orthant of m+1 nodes per axis of an even
+    array (`_apply_H`'s mirror form), so n+1 = 2m and only the odd modes 2k+1
+    are present, where S at node m+j is (-1)^k cos(pi j (2k+1) / 2m). The
+    forward pass takes that cosine times the node weights (1 on the plane, 2
+    elsewhere), the backward one the cosine alone; mode 2k+1 is row k, the last row none.
     """
 
-    def __init__(self, shape: tuple[int, ...], h: float, Vinf: float):
+    def __init__(self, shape: tuple[int, ...], h: float, Vinf: float, mirror: bool = False):
         M, ndim = shape[0], len(shape)
-        n1 = M - 1  # n + 1, with n = M - 2 interior nodes per axis
         k = np.arange(M)
-        # j k is reduced modulo 2(n+1) in integers, so each sine argument lies in [0, 2 pi)
-        self._S = S = np.sin(np.pi * (np.outer(k, k) % (2 * n1)) / n1)
-        S[-1] = S[:, -1] = 0.0  # row and column 0 are exact zeros already
+        # the per-axis node weights of the grid's sums (`domain.node_sum`)
+        self.nodes = np.r_[1.0, np.full(M - 1, 2.0)] if mirror else None
+        if mirror:
+            n1, modes, first = 2 * M - 2, 2 * k + 1, 0
+            # j (2k+1) is reduced modulo 2(n+1) in integers, as below
+            C = np.cos(np.pi * (np.outer(k, modes) % (2 * n1)) / n1)
+            C[-1] = C[:, -1] = 0.0  # row -1 is the boundary node, column -1 no mode
+            F = C.T * self.nodes
+            self._fwd, self._back = (F, F.T.copy()), (C, C.T.copy())
+        else:
+            n1, modes, first = M - 1, k, 1  # n + 1, with n = M - 2 interior nodes per axis
+            # j k is reduced modulo 2(n+1) in integers, so each sine argument lies in [0, 2 pi)
+            S = np.sin(np.pi * (np.outer(k, k) % (2 * n1)) / n1)
+            S[-1] = S[:, -1] = 0.0  # row and column 0 are exact zeros already
+            self._fwd = self._back = (S, S)  # S is symmetric
         scale = (n1 / 2.0) ** ndim
-        self._mu = scale * (2.0 - 2.0 * np.cos(np.pi * k / n1)) / (h * h)  # per axis
+        self._mu = scale * (2.0 - 2.0 * np.cos(np.pi * modes / n1)) / (h * h)  # per axis
         # Vinf plus the other axes' eigenvalues, broadcast over first-axis indices
         # (a float for N = 1)
         self._rest = scale * Vinf + sum(
             self._mu.reshape((M,) + (1,) * (ndim - 2 - ax)) for ax in range(ndim - 1))
-        # (interior rows, their first-axis eigenvalues) per division, as many
+        # (mode rows, their first-axis eigenvalues) per division, as many
         # rows as DIVISION_BLOCK holds
         rows = max(1, DIVISION_BLOCK // np.size(self._rest))
         mu = self._mu.reshape((M,) + (1,) * (ndim - 1))
-        edges = [*range(1, M - 1, rows), M - 1]
+        edges = [*range(first, M - 1, rows), M - 1]
         self._blocks = [(slice(i, j), mu[i:j]) for i, j in zip(edges, edges[1:])]
         self._buf = np.empty(shape)
 
-    def _dst(self, a: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-        """S along every axis of `a`, written into `out` and returned. The
-        passes alternate between `out` and `spare`, the last one writing `out`;
-        `a` is only read, and it may be the array the first pass does not write."""
+    def _dst(self, a: np.ndarray, out: np.ndarray, spare: np.ndarray, back=False) -> np.ndarray:
+        """The forward (or `back`) transform along every axis of `a`, written into `out`
+        and returned. The passes alternate between `out` and `spare`, the last one
+        writing `out`; `a` is only read, and may be the array the first pass does not write."""
         M, ndim = a.shape[0], a.ndim
+        T, T_t = self._back if back else self._fwd  # the matrix and its transpose
         for ax in range(ndim):
             b = out if (ndim - ax) % 2 else spare
             if ax < ndim - 1:
-                np.matmul(self._S, a.reshape(M ** ax, M, -1), out=b.reshape(M ** ax, M, -1))
-            else:  # S is symmetric; S-first, this axis would be matrix-vector products
-                np.matmul(a, self._S, out=b)
+                np.matmul(T, a.reshape(M ** ax, M, -1), out=b.reshape(M ** ax, M, -1))
+            else:  # T-first, this axis would be matrix-vector products
+                np.matmul(a, T_t, out=b)
             a = b
         return out
 
@@ -104,12 +129,13 @@ class _ShiftedPoissonSolver:
         self._dst(g, mid, spare)
         for rows, mu in self._blocks:  # no grid-sized divisor
             mid[rows] /= mu + self._rest
-        return self._dst(mid, out, self._buf)
+        return self._dst(mid, out, self._buf, back=True)
 
 
-def _pair(a: np.ndarray, Hb: np.ndarray, h: float) -> float:
-    """h^N <a, Hb>: J(a) when Hb = H a, a Gram entry when Hb = H b."""
-    return float(np.sum(a * Hb) * h ** a.ndim)
+def _pair(a: np.ndarray, Hb: np.ndarray, h: float, nodes: np.ndarray | None = None) -> float:
+    """h^N <a, Hb>: J(a) when Hb = H a, a Gram entry when Hb = H b; on an
+    orthant with its per-axis node weights `nodes` (`domain.node_sum`)."""
+    return float(node_sum(a * Hb, nodes) * h ** a.ndim)
 
 
 def _energy(v: np.ndarray, V, h: float) -> float:

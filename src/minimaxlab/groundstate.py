@@ -1,5 +1,6 @@
-"""Radial shooting for the autonomous problem, full-grid preconditioned
-constrained descent for the first level, and exponential decay fitting.
+"""Radial shooting for the autonomous problem, preconditioned constrained grid
+descent for the first level (on the grid's orthant when its data are even),
+and exponential decay fitting.
 
 The radial solve shoots only the Vinf = 1 equation -w'' - (N-1)/r w' + w =
 |w|^(p-2) w and rescales exactly: w_Vinf(r) = Vinf^(1/(p-2)) w_1(sqrt(Vinf) r).
@@ -14,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import Grid, lp_mass
-from .energy import _apply_H, _pair, _ShiftedPoissonSolver, _sphere_gradient
+from .domain import Grid, lp_mass, node_sum
+from .energy import _apply_H, _energy, _pair, _ShiftedPoissonSolver, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
 DESCENT_TOL, DESCENT_MAX_ITER = 1e-8, 1_000  # descent gradient-norm tolerance and iteration cap
@@ -350,38 +351,45 @@ def profile_on_grid(profile: RadialProfile, grid) -> GridFunction:
 
 @dataclass
 class DescentResult:
-    minimizer: GridFunction
+    minimizer: GridFunction  # `_descend` leaves its node array here
     level: float
     gradient_norm: float
     iterations: int
     converged: bool
     restarted_from_abs: bool = False
+    nodes: int = 0  # nodes the descent ran on: the grid's, or its orthant's when folded
 
 
-def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid) -> DescentResult:
+def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
+             mirror: bool = False) -> DescentResult:
     """Preconditioned projected descent on the constraint sphere: steps along
     d = P^-1 g with P = -Delta_h + Vinf (`energy._ShiftedPoissonSolver`), so the
     iteration count does not grow as h falls. Barzilai-Borwein steps in the
     P-metric with backtracking on J, retraction by L^p normalization; the stop
     rule is on the unpreconditioned gradient norm.
 
+    With mirror=True, u0 and V are orthants of even grid arrays from the centre
+    node, and H, P and every sum take their mirror forms (`energy`): each
+    iterate is the orthant of the full-grid one, up to rounding.
+
     Each line-search candidate is put through H once; the accepted one's H u
     becomes its gradient in place. The old iterate, gradient and direction
     are differenced in place right after the new gradient, so no old iterate
     is live during a line search, and no rejected candidate's H u while the
-    next one is built.
+    next one is built. The minimizer is returned as its node array.
     """
     h = grid.h
     weight = grid.weight
     level_floor = -1e6  # a level below this means the descent is diverging
-    P = _ShiftedPoissonSolver(grid.shape, h, Vinf)
+    P = _ShiftedPoissonSolver(u0.shape, h, Vinf, mirror)
+    nodes = P.nodes
 
     def norm_p(v):
-        return lp_mass(v, p, weight) ** (1.0 / p)
+        return lp_mass(v, p, weight, nodes) ** (1.0 / p)
 
     u = np.ascontiguousarray(u0) / norm_p(u0)  # so every buffer below is C-contiguous
-    Hu = _apply_H(u, V, h)
-    J = _pair(u, Hu, h)
+    Hu = _apply_H(u, V, h, mirror=mirror)
+    J = _pair(u, Hu, h, nodes)
     g = _sphere_gradient(u, Hu, J, p)
     d = P.solve(g, np.empty_like(g))
     spare = np.empty_like(u)  # the line-search candidate, then the stale iterate
@@ -394,8 +402,8 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid) -> Desc
             cand = np.multiply(d, s, out=spare)
             np.subtract(u, cand, out=cand)
             cand /= norm_p(cand)
-            Hu = _apply_H(cand, V, h)
-            J_cand = _pair(cand, Hu, h)
+            Hu = _apply_H(cand, V, h, mirror=mirror)
+            J_cand = _pair(cand, Hu, h, nodes)
             if J_cand <= J + 1e-12 * max(1.0, abs(J)) or tries == 1:
                 break
             s *= 0.5
@@ -407,19 +415,19 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid) -> Desc
         # formed in the stale buffer it replaces (both carry the same sign flip)
         spare -= u
         g -= g_new
-        du_dg = float(np.sum(np.multiply(spare, g, out=spare)))
-        gn = float(np.sqrt(np.sum(np.multiply(g_new, g_new, out=spare)) * weight))
+        du_dg = float(node_sum(np.multiply(spare, g, out=spare), nodes))
+        gn = float(np.sqrt(node_sum(np.multiply(g_new, g_new, out=spare), nodes) * weight))
         if J < level_floor:
             raise DescentError(f"level fell below the floor {level_floor}")
         if gn < DESCENT_TOL:
-            return DescentResult(GridFunction(grid, u), J, gn, it, True)
+            return DescentResult(u, J, gn, it, True, nodes=u.size)
         d_new = P.solve(g_new, out=spare)
         d -= d_new
-        dg_dd = float(np.sum(np.multiply(d, g, out=d)))
+        dg_dd = float(node_sum(np.multiply(d, g, out=d), nodes))
         if dg_dd != 0.0:
             s = min(max(abs(du_dg) / dg_dd, 1e-7), 1e3)
         g, d, spare = g_new, d_new, d
-    return DescentResult(GridFunction(grid, u), J, gn, it, False)
+    return DescentResult(u, J, gn, it, False, nodes=u.size)
 
 
 def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
@@ -432,14 +440,31 @@ def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
     interpolated shooting profile), otherwise from a Gaussian bump. The
     minimizer is asserted nonnegative post hoc; a signed iterate triggers one
     restart from its absolute value.
+
+    When V and the seed each equal their mirror image along every axis (every
+    radial well does), the descent runs on the orthant of (m+1)^N nodes from
+    the centre instead of the (2m+1)^N grid. An even iterate stays even, so
+    this is the full-grid iteration without its mirror images: the level, J of
+    the mirrored-back minimizer on the grid, moves only by rounding.
     """
     if seed is None:
         seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
-    res = _descend(seed.values, V, Vinf, p, grid)
-    if np.min(res.minimizer.values) < -1e-8:
-        res = _descend(np.abs(res.minimizer.values), V, Vinf, p, grid)
+    u0, Vd = seed.values, V
+    mirror = all(np.array_equal(a, np.flip(a, ax)) for a in (V, u0) for ax in range(grid.N))
+    if mirror:
+        orthant = (slice(grid.origin_index[0], None),) * grid.N
+        u0, Vd = u0[orthant], np.ascontiguousarray(V[orthant])
+    res = _descend(u0, Vd, Vinf, p, grid, mirror)
+    if np.min(res.minimizer) < -1e-8:
+        res = _descend(np.abs(res.minimizer), Vd, Vinf, p, grid, mirror)
         res.restarted_from_abs = True
     if not res.converged:
         raise DescentError(f"descent did not reach tol {DESCENT_TOL} in {DESCENT_MAX_ITER} "
                            f"iterations (gradient norm {res.gradient_norm})")
+    u = res.minimizer
+    if mirror:  # node i of the grid is node |i - m| of the orthant along each axis
+        for ax in range(u.ndim):
+            u = np.take(u, np.abs(np.arange(1 - u.shape[ax], u.shape[ax])), axis=ax)
+        res.level = _energy(u, V, grid.h)
+    res.minimizer = GridFunction(grid, u)
     return res

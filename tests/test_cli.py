@@ -80,6 +80,19 @@ def report_of(out_dir):
         return json.load(f)
 
 
+DESK_WELL = {"w_family": "exponential", "w_c": "0.5", "w_a": "0.5"}
+
+# report keys written after the hash, which it does not certify
+UNHASHED = ("report_hash", "timestamp", "seed", "diagnostics")
+
+
+def assert_hash_covers_payload(rep):
+    stated = rep["report_hash"]
+    payload = {k: v for k, v in rep.items() if k not in UNHASHED}
+    assert hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
+
+
 @pytest.fixture(scope="module")
 def ground_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("ground")
@@ -112,16 +125,10 @@ class TestRunGround:
         assert len(lines) > 1000
 
     def test_hash_covers_payload(self, ground_run):
-        import hashlib
-
         _, out = ground_run
-        rep = report_of(out)
-        stated = rep.pop("report_hash")
-        rep.pop("timestamp")
-        rep.pop("seed")
-        digest = hashlib.sha256(json.dumps(
-            rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-        assert digest == stated
+        assert_hash_covers_payload(report_of(out))
+        # a ground run needs no descent
+        assert report_of(out)["diagnostics"] == {"descent": None}
 
     def test_provenance_block(self, ground_run):
         _, out = ground_run
@@ -139,11 +146,7 @@ def test_experiment_outputs(experiment, tmp_path):
     assert run(cfg) in (0, 2)
     rep = report_of(tmp_path)
     assert rep["experiment"] == experiment
-    stated = rep.pop("report_hash")
-    rep.pop("timestamp")
-    rep.pop("seed")
-    assert hashlib.sha256(json.dumps(
-        rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
+    assert_hash_covers_payload(rep)
     for path in tmp_path.glob("*.csv"):
         header, *rows = [line.split(",") for line in path.read_text().splitlines()]
         assert rows, path.name
@@ -191,11 +194,7 @@ def test_gamma_r_in_3d(tmp_path):
     radii = [float(row.split(",")[0]) for row in rows]
     assert radii == [2.0] * 128 + [4.0] * 128
     rep = report_of(tmp_path)
-    stated = rep.pop("report_hash")
-    rep.pop("timestamp")
-    rep.pop("seed")
-    assert hashlib.sha256(json.dumps(
-        rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
+    assert_hash_covers_payload(rep)
 
 
 def test_verify_all_evaluates_V_a_fixed_number_of_times(tmp_path, monkeypatch):
@@ -290,10 +289,37 @@ def test_report_hash_ignores_the_argmax_angle(tmp_path, monkeypatch):
     assert levels_hash("moved") == plain
 
 
+def test_descent_diagnostics_stay_outside_the_hash(tmp_path, monkeypatch):
+    # the radial desk well folds onto the 33^2 orthant of the 65^2 grid;
+    # changing every diagnostic leaves the hash as it was
+    def levels_report(out):
+        cfg = config_from_mapping({**COARSE, **DESK_WELL, "experiment": "levels",
+                                   "out_dir": str(tmp_path / out), "y_sweep": "3,4",
+                                   "theta_samples": "64"})
+        run(cfg)
+        return report_of(tmp_path / out)
+
+    plain = levels_report("plain")
+    assert plain["diagnostics"]["descent"] == {
+        "iterations": 14, "gradient_norm": pytest.approx(0.0, abs=groundstate.DESCENT_TOL),
+        "restarted_from_abs": False, "nodes": 33 ** 2}
+    minimize_lambda1 = cli.minimize_lambda1
+
+    def altered(*args, **kwargs):
+        res = minimize_lambda1(*args, **kwargs)
+        res.iterations, res.gradient_norm, res.nodes = 999, 1.0, 1
+        res.restarted_from_abs = True
+        return res
+
+    monkeypatch.setattr(cli, "minimize_lambda1", altered)
+    moved = levels_report("moved")
+    assert moved["diagnostics"]["descent"]["nodes"] == 1
+    assert moved["report_hash"] == plain["report_hash"]
+
+
 # the coarse N = 3 grid of the end-to-end 3-D runs
 COARSE_3D = {**COARSE, "dim": "3", "box_l": "6.0", "spacing_h": "0.5",
              "theta_samples": "64", "y_sweep": "3,4"}
-DESK_WELL = {"w_family": "exponential", "w_c": "0.5", "w_a": "0.5"}
 
 
 def test_levels_in_3d(tmp_path):
@@ -306,11 +332,7 @@ def test_levels_in_3d(tmp_path):
         "threshold-chain": "pass", "interval-order": "pass",
         "first-level-strict-drop": "pass", "second-level-below-threshold": "pass",
         "sandwich-autonomous": "inapplicable", "cross-oracle-ground": "inapplicable"}
-    stated = rep.pop("report_hash")
-    rep.pop("timestamp")
-    rep.pop("seed")
-    assert hashlib.sha256(json.dumps(
-        rep, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == stated
+    assert_hash_covers_payload(rep)
 
 
 @pytest.mark.parametrize("well, breaking", [

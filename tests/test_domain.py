@@ -57,7 +57,16 @@ class TestBuildGrid:
 
     def test_symmetric_axis(self):
         grid = build_grid(small_spec())
-        assert np.allclose(grid.axis, -grid.axis[::-1])
+        assert np.array_equal(grid.axis, -grid.axis[::-1])
+
+    @pytest.mark.parametrize("h", [0.1, 0.2, 0.3])
+    def test_radius_is_even_off_dyadic_spacings(self, h):
+        # np.linspace(-L, L, 2m+1) is not exactly odd at these spacings, so a
+        # radial V built on it would not equal its mirror image
+        grid = build_grid(small_spec(L=3.0, h=h))
+        assert np.array_equal(grid.axis, -grid.axis[::-1])
+        r = grid.radius()
+        assert all(np.array_equal(r, np.flip(r, ax)) for ax in range(2))
 
     def test_memory_cap(self):
         with pytest.raises(DomainError):

@@ -207,6 +207,66 @@ class TestShiftedPoissonSolver:
         assert np.array_equal(zero_boundary(out.copy()), out)
 
 
+    @pytest.mark.parametrize("N, L, h, Vinf", [(1, 8.0, 0.25, 2.0), (2, 8.0, 0.25, 1.0),
+                                             (3, 4.0, 0.25, 0.5)])
+    def test_folded_inverts_the_folded_operator(self, N, L, h, Vinf):
+        # every orthant array is the orthant of an even grid array; only its
+        # last index per axis is boundary
+        M = round(L / h) + 1
+        g = zero_boundary(np.random.default_rng(N).standard_normal((M,) * N), (-1,))
+        g0 = g.copy()
+        d = _ShiftedPoissonSolver(g.shape, h, Vinf, mirror=True).solve(g, np.empty_like(g))
+        assert np.array_equal(g, g0)
+        assert np.array_equal(zero_boundary(d.copy(), (-1,)), d)
+        back = _apply_H(d, Vinf, h, mirror=True)
+        assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
+
+
+def even_field(N, L, h, seed):
+    """A rough zero-boundary grid array that equals its mirror image along
+    every axis, and its orthant from the centre node."""
+    grid = Grid(N, L, h)
+    a = np.random.default_rng(seed).standard_normal(grid.shape)
+    for ax in range(N):
+        a = a + np.flip(a, ax)
+    a = zero_boundary(a)
+    return a, np.ascontiguousarray(a[(slice(grid.origin_index[0], None),) * N])
+
+
+class TestMirrorForm:
+    """On the orthant of an even array, H's mirror form, the node-weighted
+    sums and the folded solver give the full grid's values on that orthant."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_H_is_the_orthant_of_H(self, N):
+        v, vo = even_field(N, 4.0, 0.25, N)
+        V, Vo = even_field(N, 4.0, 0.25, N + 10)
+        m = v.shape[0] // 2
+        Hv = _apply_H(v, V, 0.25)
+        # the same subtractions in the same order, so the same bits
+        assert np.array_equal(_apply_H(vo, Vo, 0.25, mirror=True),
+                              Hv[(slice(m, None),) * N])
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_node_weighted_sums_match_the_full_grid(self, N):
+        v, vo = even_field(N, 4.0, 0.25, N)
+        nodes = np.r_[1.0, np.full(vo.shape[0] - 1, 2.0)]
+        h = 0.25
+        Hv, Hvo = _apply_H(v, 1.0, h), _apply_H(vo, 1.0, h, mirror=True)
+        assert _pair(vo, Hvo, h, nodes) == pytest.approx(_pair(v, Hv, h), rel=1e-13)
+        for p in (4.0, 3.0):
+            assert lp_mass(vo, p, h ** N, nodes) == pytest.approx(lp_mass(v, p, h ** N),
+                                                                  rel=1e-13)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_folded_solver_is_the_orthant_of_the_solver(self, N):
+        g, go = even_field(N, 4.0, 0.25, N)
+        m = g.shape[0] // 2
+        d = _ShiftedPoissonSolver(g.shape, 0.25, 1.0).solve(g, np.empty_like(g))
+        do = _ShiftedPoissonSolver(go.shape, 0.25, 1.0, mirror=True).solve(go, np.empty_like(go))
+        assert np.max(np.abs(do - d[(slice(m, None),) * N])) <= 1e-13 * np.max(np.abs(d))
+
+
 class TestManifoldGradient:
     def test_off_sphere_rejected(self, spec, grid):
         with pytest.raises(FieldError):

@@ -10,6 +10,7 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         shoot_excited, shoot_ground)
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import euler_lagrange_residual
+from minimaxlab.field import save_gridfunction
 from minimaxlab import groundstate
 from minimaxlab.groundstate import DescentError, ShootingError
 
@@ -27,6 +28,19 @@ def counting(calls, name, fn):
         calls[name] += 1
         return fn(*args, **kwargs)
     return wrapper
+
+
+def orthant(a):
+    """The orthant of a grid array from its centre node."""
+    return a[(slice(a.shape[0] // 2, None),) * a.ndim]
+
+
+def skewed(a):
+    """A copy of a grid array with one node off the centre changed, so that it
+    equals none of its mirror images."""
+    a = a.copy()
+    a[(a.shape[0] // 2 + 1,) + (a.shape[0] // 2,) * (a.ndim - 1)] *= 1.001
+    return a
 
 
 @pytest.fixture(autouse=True)
@@ -386,7 +400,27 @@ class TestMinimizeLambda1:
         assert abs(counts[0] - counts[1]) <= 5, counts
 
     def test_peak_memory_stays_below_plain_descent(self):
-        # the plain-gradient descent peaked 9.1 grid arrays above its entry here
+        # the plain-gradient descent peaked 9.1 grid arrays above its entry
+        # here; one asymmetric seed node keeps the run on the full grid
+        spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=6.0, h=0.25,
+                           W=WSpec(family="exponential", c=0.5, a=0.5))
+        grid = build_grid(spec)
+        V = potential_values(spec, grid)
+        seed = GridFunction(grid, skewed(np.exp(-grid.radius() ** 2 / 2.0)))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            res = minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.nodes == grid.size
+        assert (peak - entry) / V.nbytes <= 7.5
+
+    def test_folded_peak_memory(self):
+        # the same run on the 25^3 orthant: the descent holds about 8 orthant
+        # arrays; the peak, 24.9, is the mirror back and the full-grid J of
+        # the minimizer, three grid arrays of 8 orthant arrays each
         spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=6.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
@@ -395,27 +429,43 @@ class TestMinimizeLambda1:
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=seed)
+            res = minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - entry) / V.nbytes <= 7.5
+        assert res.nodes == 25 ** 3
+        assert (peak - entry) / (res.nodes * 8) <= 25.5
 
-    def test_descent_applies_H_once_per_candidate(self, monkeypatch):
+    @staticmethod
+    def count_H_and_mass(monkeypatch, L, mirror):
         # each line-search candidate, like the start, is retracted by one L^p
         # normalization and put through H once; the accepted candidate's H u
-        # becomes its gradient. From this rough seed some candidates are rejected.
+        # becomes its gradient
         calls = {"_apply_H": 0, "lp_mass": 0}
         for name in calls:
             fn = getattr(groundstate, name)
             monkeypatch.setattr(groundstate, name, counting(calls, name, fn))
-        spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=4.0, h=0.25,
+        spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=L, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
         seed = GridFunction(grid, np.abs(np.random.default_rng(1).standard_normal(grid.shape)))
         V = potential_values(spec, grid)
-        res = groundstate._descend(seed.values, V, spec.Vinf, spec.p, grid)
+        u0 = orthant(seed.values) if mirror else seed.values
+        V = np.ascontiguousarray(orthant(V)) if mirror else V
+        res = groundstate._descend(u0, V, spec.Vinf, spec.p, grid, mirror)
         assert res.converged
+        assert res.nodes == u0.size
+        return calls, res
+
+    def test_descent_applies_H_once_per_candidate(self, monkeypatch):
+        # from this rough seed some candidates are rejected
+        calls, res = self.count_H_and_mass(monkeypatch, 4.0, mirror=False)
+        assert calls["_apply_H"] == calls["lp_mass"] > res.iterations + 1
+
+    def test_folded_descent_applies_H_once_per_candidate(self, monkeypatch):
+        # from the orthant of an even rough field the descent rejects a
+        # candidate only on the larger box
+        calls, res = self.count_H_and_mass(monkeypatch, 8.0, mirror=True)
         assert calls["_apply_H"] == calls["lp_mass"] > res.iterations + 1
 
     def test_descent_peak_memory_on_a_33_cube(self):
@@ -426,11 +476,30 @@ class TestMinimizeLambda1:
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
         V = potential_values(spec, grid)
-        seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
+        seed = GridFunction(grid, skewed(np.exp(-grid.radius() ** 2 / 2.0)))
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             groundstate._descend(seed.values, V, spec.Vinf, spec.p, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / V.nbytes <= 7.6
+
+    def test_folded_descent_peak_memory_on_a_33_cube(self):
+        # the 33^3 orthant of the 65^3 grid holds the same 7.2 arrays, now
+        # orthant arrays, and the mirror form adds no grid-sized temporary
+        spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=8.0, h=0.25,
+                           W=WSpec(family="exponential", c=0.5, a=0.5))
+        grid = build_grid(spec)
+        V = np.ascontiguousarray(orthant(potential_values(spec, grid)))
+        seed = np.ascontiguousarray(orthant(
+            GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0)).values))
+        assert V.shape == (33, 33, 33)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            groundstate._descend(seed, V, spec.Vinf, spec.p, grid, mirror=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -453,3 +522,58 @@ class TestMinimizeLambda1:
         grid = build_grid(spec)
         with pytest.raises(DescentError, match="floor"):
             minimize_lambda1(potential_values(spec, grid), spec.Vinf, spec.p, grid)
+
+
+FOLD_WELLS = {"zero": WSpec(), "exponential": WSpec(family="exponential", c=0.5, a=0.5),
+              "repulsive-bump": WSpec(family="bump", c=-0.5, a=2.0)}
+
+
+class TestFoldedDescent:
+    """Even V and seed send the descent to the orthant from the centre node;
+    it is the full-grid iteration up to rounding, and one asymmetric node
+    keeps the full grid."""
+
+    @staticmethod
+    def full_and_folded(spec, seed=None):
+        grid = build_grid(spec)
+        V = potential_values(spec, grid)
+        seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0) if seed is None else seed)
+        full = groundstate._descend(seed.values, V, spec.Vinf, spec.p, grid)
+        return grid, full, minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=seed)
+
+    @pytest.mark.parametrize("p", [4.0, 3.0])
+    @pytest.mark.parametrize("well", FOLD_WELLS)
+    @pytest.mark.parametrize("N, L", [(2, 8.0), (3, 4.0)])
+    def test_matches_the_full_grid(self, N, L, well, p):
+        spec = ProblemSpec(N=N, p=p, Vinf=1.0, L=L, h=0.25, W=FOLD_WELLS[well])
+        grid, full, folded = self.full_and_folded(spec)
+        m = grid.origin_index[0]
+        assert folded.nodes == (m + 1) ** N < full.nodes == grid.size
+        assert folded.iterations == full.iterations
+        assert folded.level == pytest.approx(full.level, rel=1e-13, abs=0.0)
+        u = folded.minimizer.values
+        assert all(np.array_equal(u, np.flip(u, ax)) for ax in range(N))
+        assert np.max(np.abs(u - full.minimizer)) <= 1e-12 * np.max(u)
+        # the reported level is J of the reported minimizer
+        assert folded.level == energy_J(folded.minimizer, potential_values(spec, grid))
+
+    @pytest.mark.parametrize("N, L", [(2, 8.0), (3, 4.0)])
+    def test_one_asymmetric_seed_node_keeps_the_full_grid(self, N, L):
+        spec = ProblemSpec(N=N, p=4.0, Vinf=1.0, L=L, h=0.25, W=FOLD_WELLS["exponential"])
+        grid = build_grid(spec)
+        grid, full, res = self.full_and_folded(
+            spec, seed=skewed(np.exp(-grid.radius() ** 2 / 2.0)))
+        assert res.nodes == grid.size
+        assert (res.level, res.iterations) == (full.level, full.iterations)
+        assert np.array_equal(res.minimizer.values, full.minimizer)
+
+    def test_one_asymmetric_table_node_keeps_the_full_grid(self, tmp_path):
+        grid = build_grid(ProblemSpec(N=2, p=4.0, L=8.0, h=0.25))
+        W = GridFunction(grid, skewed(0.5 * np.exp(-0.5 * grid.radius())))
+        save_gridfunction(W, tmp_path / "w.gf")
+        spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
+                           W=WSpec(family="table", table_path=str(tmp_path / "w.gf")))
+        grid, full, res = self.full_and_folded(spec)
+        assert res.nodes == grid.size
+        assert (res.level, res.iterations) == (full.level, full.iterations)
+        assert np.array_equal(res.minimizer.values, full.minimizer)

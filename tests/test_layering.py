@@ -6,6 +6,7 @@ time."""
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -46,6 +47,17 @@ def test_energy_holds_the_exact_inverse_of_its_stencil():
     # the solver's eigenvalues are the stencil's spectrum, so both live in
     # energy, and the descent's preconditioner is that solver
     assert groundstate._ShiftedPoissonSolver.__module__ == "minimaxlab.energy"
+    # so do their mirror forms on an orthant: the folded transform and the
+    # mirror term, which groundstate only switches on
+    for kernel in (energy._apply_H, energy._ShiftedPoissonSolver):
+        assert "mirror" in inspect.signature(kernel).parameters, kernel
+    assert groundstate._apply_H is energy._apply_H
+    # groundstate holds no transform or stencil code of its own
+    tree = ast.parse(open(groundstate.__file__, encoding="utf-8").read())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"sin", "cos", "matmul", "shift_slices", "moveaxis", "zero_boundary"}
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
 
 
 def test_energy_imports_no_layer_above_it():
