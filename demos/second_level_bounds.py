@@ -6,11 +6,10 @@ upper bound lands strictly below the compactness threshold. The demo prints
 the whole chain of estimates and the resulting margins.
 """
 
-from minimaxlab import (ProblemSpec, WSpec, build_grid, dual_norm_W,
+from minimaxlab import (ProblemSpec, WSpec, build_grid, dual_norm_W, eval_W,
                         lambda2_bounds, lambda2_radial, lambda_sharp,
                         minimize_lambda1, profile_on_grid, shoot_excited,
                         shoot_ground)
-from minimaxlab.domain import potential_values
 
 spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125,
                    W=WSpec(family="exponential", c=0.5, a=0.5))
@@ -21,8 +20,9 @@ print(f"autonomous first level lambda1_inf = {l1inf:.6f}")
 
 print("descending on the grid with the well switched on ...")
 grid = build_grid(spec)
-V = potential_values(spec, grid)  # built once, for the descent and the paths
-wnorm = dual_norm_W(spec, grid)
+W = eval_W(spec, grid)  # evaluated once, for V and for |W|_q
+V = spec.Vinf - W  # for the descent and the paths
+wnorm = dual_norm_W(W, spec.q, grid.weight)
 winf = profile_on_grid(ground, grid)  # the descent seed and the translated bump
 res = minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=winf)
 print(f"perturbed first level lambda1      = {res.level:.6f}  "

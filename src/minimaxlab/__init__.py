@@ -12,8 +12,8 @@ from .energy import (deviation_bound, energy_J, euler_lagrange_residual,
 from .groundstate import (DecayFit, RadialProfile, fit_decay,
                           minimize_lambda1, profile_on_grid, shoot_excited,
                           shoot_ground)
-from .pathlab import (PathFamily, SampledPath, SphereMap, balanced_point,
-                      disjoint_support_max, gamma_R, overlap_integrals,
+from .pathlab import (PathFamily, SampledPath, SphereMap, TranslationTable,
+                      balanced_point, disjoint_support_max, overlap_integrals,
                       path_max_J, translated_bump_path)
 from .minimax import (Lambda2Bounds, LevelsReport, lambda2_bounds,
                       lambda2_radial, lambda_sharp)

@@ -21,16 +21,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import (DomainError, ProblemSpec, build_grid, dual_norm_W,
-                     parse_problem_mapping, potential_values, read_keyvalue_file,
-                     PROBLEM_KEYS)
+from .domain import (DomainError, ProblemSpec, build_grid, dual_norm_W, eval_W,
+                     parse_problem_mapping, read_keyvalue_file, PROBLEM_KEYS)
 from .energy import deviation_bound
 from .field import GridFunction, lp_normalize
 from .groundstate import (DESCENT_TOL, DescentError, ShootingError, fit_decay,
                           minimize_lambda1, profile_on_grid, shoot_excited, shoot_ground)
 from .minimax import (Y_SWEEP, Lambda2Bounds, LevelsReport, Verdict,
                       lambda2_bounds, lambda2_radial, lambda_sharp, verdict)
-from .pathlab import MIN_THETA_SAMPLES, THETA_SAMPLES, TranslationTable, gamma_R
+from .pathlab import (MAX_THETA_SAMPLES, MIN_THETA_SAMPLES, THETA_SAMPLES, SphereMap,
+                      TranslationTable)
 from . import __version__
 
 class ConfigError(ValueError):
@@ -51,9 +51,9 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}, "
                               f"expected one of {EXPERIMENTS}")
-        if self.theta_samples < MIN_THETA_SAMPLES:
-            raise ConfigError(f"theta_samples must be at least {MIN_THETA_SAMPLES}, "
-                              f"got {self.theta_samples}")
+        if not MIN_THETA_SAMPLES <= self.theta_samples <= MAX_THETA_SAMPLES:
+            raise ConfigError(f"theta_samples must be at least {MIN_THETA_SAMPLES} and at "
+                              f"most {MAX_THETA_SAMPLES}, got {self.theta_samples}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for key in ("y_sweep", "r_list"):
@@ -120,14 +120,23 @@ class Pipeline:
         return build_grid(self.spec)
 
     @cached_property
+    def _V_and_norm(self) -> tuple[np.ndarray, float]:
+        """V = Vinf - W on the grid and |W|_q from one evaluation of W (for a
+        table, one read of its file); V is formed in W's array, so the run
+        holds one grid array for both."""
+        W = eval_W(self.spec, self.grid)
+        norm = dual_norm_W(W, self.spec.q, self.grid.weight)
+        return np.subtract(self.spec.Vinf, W, out=W), norm
+
+    @property
     def V(self):
         """V = Vinf - W on the grid, for the descent, the two-bump paths and
         the deviation check."""
-        return potential_values(self.spec, self.grid)
+        return self._V_and_norm[0]
 
-    @cached_property
+    @property
     def w_dual_norm(self) -> float:
-        return dual_norm_W(self.spec, self.grid)
+        return self._V_and_norm[1]
 
     @cached_property
     def ground_profile(self):
@@ -142,7 +151,7 @@ class Pipeline:
     def winf(self):
         """The shooting ground state interpolated onto the grid: the descent
         seed under a well, the translated bump of the two-bump paths and the
-        building block of the gamma_R maps."""
+        building block of the sphere maps."""
         return profile_on_grid(self.ground_profile, self.grid)
 
     @cached_property
@@ -169,15 +178,14 @@ class Pipeline:
 
     @cached_property
     def gamma_r_scans(self):
-        """R -> (sampled directions, J^inf of gamma_R at each of them, J^inf
+        """R -> (sampled directions, J^inf of the sphere map at each of them, J^inf
         of the same directions on the unbounded lattice). One translation
         table of w_inf serves every R and is dropped on return."""
-        s = self.spec
-        table = TranslationTable(self.winf, s.p)
+        table = TranslationTable(self.winf, self.spec.p)
         out = {}
         for R in self.cfg.r_list:
-            sm = gamma_R(self.winf, R, s.p, table=table)
-            out[R] = sm.points, sm.scan(s.Vinf), sm.unbounded
+            sm = SphereMap(table, R)
+            out[R] = sm.points, sm.scan(self.spec.Vinf), sm.unbounded
         return out
 
 

@@ -195,12 +195,13 @@ def potential_values(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     return spec.Vinf - eval_W(spec, grid)
 
 
-def dual_norm_W(spec: ProblemSpec, grid: Grid) -> float:
-    """L^q norm of W with q = p/(p-2), the deviation bound of the level algebra."""
-    total = lp_mass(eval_W(spec, grid), spec.q, grid.weight)
+def dual_norm_W(W: np.ndarray, q: float, weight: float) -> float:
+    """L^q norm of the node values `W` (from `eval_W`) with q = p/(p-2), the
+    deviation bound of the level algebra; `weight` is the grid's h^N."""
+    total = lp_mass(W, q, weight)
     if not math.isfinite(total):
         raise DomainError("quadrature of |W|^q overflowed")
-    return total ** (1.0 / spec.q)
+    return total ** (1.0 / q)
 
 
 # --- flat key-value problem files -------------------------------------------

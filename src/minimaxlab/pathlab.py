@@ -6,8 +6,8 @@ renormalized pointwise; when the blocks have layer-separated supports its
 energy maximum has a closed form, which the dense sampling must reproduce.
 Along a two-block path J is exact from a 2x2 Gram matrix and L^p moments
 computed once per path, and path maxima search this closed form. Along a
-translation sphere map gamma_R, J^inf is exact from one translation table of
-w_inf: summed-area tables for what the wall clips, correlations for the rest.
+translation sphere map, J^inf is exact from one translation table of w_inf:
+summed-area tables for what the wall clips, correlations for the rest.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .field import GridFunction, lp_normalize, shift_slices, split_signs, transl
 
 THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config default
 MIN_THETA_SAMPLES = 64  # fewest angles a path maximum accepts
+# most angles a path maximum accepts, 128 times the default: golden-section search
+# refines the best one anyway, and a SampledPath builds one field per angle
+MAX_THETA_SAMPLES = 2 ** 16
 GOLDEN_XTOL = 1e-12  # bracket width at which a golden-section search stops
 SPHERE_SAMPLES = 128  # directions per sphere map, one per antipodal pair
 # a translation scan builds T_k w - T_-k w for its mass where the moment sums
@@ -71,8 +74,10 @@ class PathFamily:
         return v
 
     def at(self, theta: float) -> GridFunction:
-        u = self._combine(math.cos(theta), math.sin(theta))
-        return lp_normalize(GridFunction(self.grid, u), self.p)
+        # GridFunction copies the combination, which no name holds, so it is
+        # freed before lp_normalize divides that copy
+        u = GridFunction(self.grid, self._combine(math.cos(theta), math.sin(theta)))
+        return lp_normalize(u, self.p)
 
     def gram(self, V: np.ndarray) -> np.ndarray:
         """G_ij = h^N <u_i, H u_j>, the bilinear form of J on the blocks.
@@ -248,8 +253,9 @@ def path_max_J(path, V: np.ndarray, samples: int = THETA_SAMPLES) -> tuple[float
     evaluates its closed form on the whole array, so that field is the only
     one built; a `SampledPath` builds one per angle.
     """
-    if samples < MIN_THETA_SAMPLES:
-        raise PathError(f"at least {MIN_THETA_SAMPLES} theta samples required")
+    if not MIN_THETA_SAMPLES <= samples <= MAX_THETA_SAMPLES:
+        raise PathError(f"between {MIN_THETA_SAMPLES} and {MAX_THETA_SAMPLES} theta samples "
+                        f"required, got {samples}")
     _, theta = _theta_max(path.energy(V), samples)
     return energy_J(path.at(theta), V), theta
 
@@ -428,37 +434,38 @@ class TranslationTable:
 
 
 class SphereMap:
-    """The odd map y -> normalize(winf(. + Ry) - winf(. - Ry)) (`gamma_R`) at
-    the unit vectors `points`, one per antipodal pair: the difference of
-    translates flips sign exactly under y -> -y, so J(-u) = J(u).
+    """The odd translation map y -> normalize(w(. + Ry) - w(. - Ry)) of the
+    field w and exponent p of a `TranslationTable`, at the SPHERE_SAMPLES unit
+    vectors `points`, one per antipodal pair: the difference of translates
+    flips sign exactly under y -> -y, so J(-u) = J(u). Each Ry is rounded to
+    the nearest lattice vector, so evaluation uses exact grid shifts.
 
-    `at(y)` builds the field. `scan(Vinf)` evaluates J^inf at every point
-    from a `TranslationTable`, the one the map was given or one built for
-    the call, and keeps in `unbounded` the J^inf of the same directions on
+    `at(y)` builds the field. `scan(Vinf)` evaluates J^inf at every point from
+    the table, and keeps in `unbounded` the J^inf of the same directions on
     the unbounded lattice, from the same correlations.
     """
 
-    def __init__(self, winf: GridFunction, R: float, p: float, points: np.ndarray,
-                 table: TranslationTable | None = None):
-        self.winf, self.R, self.p, self.points, self.table = winf, R, p, points, table
+    def __init__(self, table: TranslationTable, R: float):
+        grid = table.field.grid
+        if R >= grid.L:
+            raise PathError("R must be smaller than the box half-width")
+        self.table, self.R = table, R
+        self.points = sphere_points(grid.N, SPHERE_SAMPLES)
         self.unbounded = None
 
     def _steps(self, y) -> tuple[int, ...]:
-        return self.winf.grid.lattice_vector(self.R * np.asarray(y, dtype=float))
+        return self.table.field.grid.lattice_vector(self.R * np.asarray(y, dtype=float))
 
     def at(self, y) -> GridFunction:
-        steps = self._steps(y)
-        u = translate(self.winf, steps).values - translate(self.winf, tuple(-s for s in steps)).values
-        return lp_normalize(GridFunction(self.winf.grid, u), self.p)
+        w, steps = self.table.field, self._steps(y)
+        u = translate(w, steps).values - translate(w, tuple(-s for s in steps)).values
+        return lp_normalize(GridFunction(w.grid, u), self.table.p)
 
     def scan(self, Vinf: float) -> np.ndarray:
         """J^inf at each of `points`, in order, with the scalar potential Vinf."""
-        table = self.table or TranslationTable(self.winf, self.p)
-        box, self.unbounded = table.energies([self._steps(y) for y in self.points], float(Vinf))
+        box, self.unbounded = self.table.energies([self._steps(y) for y in self.points],
+                                                  float(Vinf))
         return box
-
-    def max_energy(self, Vinf: float) -> float:
-        return float(np.max(self.scan(Vinf)))
 
 
 def sphere_points(m: int, samples: int) -> np.ndarray:
@@ -480,21 +487,3 @@ def sphere_points(m: int, samples: int) -> np.ndarray:
     phi = 2.0 * math.pi * k / golden
     rad = np.sqrt(1.0 - z * z)
     return np.stack([rad * np.cos(phi), rad * np.sin(phi), z], axis=1)
-
-
-def gamma_R(winf: GridFunction, R: float, p: float, samples: int = SPHERE_SAMPLES,
-            table: TranslationTable | None = None) -> SphereMap:
-    """Odd map y -> normalize(winf(. + Ry) - winf(. - Ry)) over sampled S^(N-1).
-
-    Displacements Ry are rounded to the nearest lattice vector, so evaluation
-    uses exact grid shifts. The directions and their negatives sample the
-    whole S^(N-1); nothing restricts the map to a coordinate subsphere.
-    `table`, a translation table of winf for exponent p, serves the scan;
-    without one each scan builds its own.
-    """
-    grid = winf.grid
-    if R >= grid.L:
-        raise PathError("R must be smaller than the box half-width")
-    if table is not None and (table.field is not winf or table.p != p):
-        raise PathError("translation table built for another field or exponent")
-    return SphereMap(winf, R, p, sphere_points(grid.N, samples), table)

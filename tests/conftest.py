@@ -5,7 +5,7 @@ per session."""
 import numpy as np
 import pytest
 
-from minimaxlab import (ProblemSpec, WSpec, build_grid, dual_norm_W, fit_decay,
+from minimaxlab import (ProblemSpec, WSpec, build_grid, dual_norm_W, eval_W, fit_decay,
                         lambda2_bounds, lambda_sharp, minimize_lambda1,
                         profile_on_grid, shoot_excited, shoot_ground)
 from minimaxlab.domain import potential_values
@@ -70,16 +70,17 @@ def lam_sharp_exp(descent_exp, ground_profile):
 
 @pytest.fixture(scope="session")
 def lam2_0(spec0, grid0, descent0, winf0, ground_profile):
-    return lambda2_bounds(potential_values(spec0, grid0), spec0.p,
-                          descent0.minimizer, descent0.level,
-                          winf0, ground_profile.level, dual_norm_W(spec0, grid0))
+    W = eval_W(spec0, grid0)
+    return lambda2_bounds(spec0.Vinf - W, spec0.p, descent0.minimizer, descent0.level,
+                          winf0, ground_profile.level, dual_norm_W(W, spec0.q, grid0.weight))
 
 
 @pytest.fixture(scope="session")
 def lam2_exp(spec_exp, grid0, descent_exp, winf0, ground_profile):
-    return lambda2_bounds(potential_values(spec_exp, grid0), spec_exp.p,
-                          descent_exp.minimizer, descent_exp.level,
-                          winf0, ground_profile.level, dual_norm_W(spec_exp, grid0))
+    W = eval_W(spec_exp, grid0)
+    return lambda2_bounds(spec_exp.Vinf - W, spec_exp.p, descent_exp.minimizer,
+                          descent_exp.level, winf0, ground_profile.level,
+                          dual_norm_W(W, spec_exp.q, grid0.weight))
 
 
 @pytest.fixture

@@ -13,14 +13,14 @@ import sys
 import numpy as np
 import pytest
 
-from minimaxlab import (GridFunction, build_grid, dual_norm_W, energy_J,
+from minimaxlab import (GridFunction, build_grid, dual_norm_W, energy_J, eval_W,
                         lp_normalize, profile_on_grid, translate)
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import deviation_bound, inner_l2, manifold_gradient
 from minimaxlab.minimax import lambda_sharp
-from minimaxlab.pathlab import (balanced_point, disjoint_support_max, gamma_R,
-                                overlap_integrals, path_max_from_energies,
-                                translated_bump_path)
+from minimaxlab.pathlab import (SphereMap, TranslationTable, balanced_point,
+                                disjoint_support_max, overlap_integrals,
+                                path_max_from_energies, translated_bump_path)
 
 DESCENT_TOL = 1e-8
 
@@ -32,11 +32,8 @@ def _verdict(name: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def gamma_scans(winf0, spec0):
-    out = {}
-    for R in (6.0, 9.0, 12.0):
-        sm = gamma_R(winf0, R, 4.0, samples=128)
-        out[R] = sm.max_energy(spec0.Vinf)
-    return out
+    table = TranslationTable(winf0, 4.0)
+    return {R: float(SphereMap(table, R).scan(spec0.Vinf).max()) for R in (6.0, 9.0, 12.0)}
 
 
 def test_A1_two_bump_sandwich(lam2_0, ground_profile):
@@ -105,7 +102,7 @@ def test_A6_gamma_map(gamma_scans, ground_profile):
 def test_A7_symmetry_breaking(excited_profile, ground_profile, lam2_exp, spec_exp, grid0):
     target = 2.0 ** 0.5 * ground_profile.level
     witness_margin = excited_profile.level - target
-    wnorm = dual_norm_W(spec_exp, grid0)
+    wnorm = dual_norm_W(eval_W(spec_exp, grid0), spec_exp.q, grid0.weight)
     cond = wnorm < excited_profile.level - target
     lam2r_lower = excited_profile.level - wnorm
     certified = lam2_exp.upper < lam2r_lower
@@ -116,7 +113,8 @@ def test_A7_symmetry_breaking(excited_profile, ground_profile, lam2_exp, spec_ex
 
 def test_A8_deviation_bound(spec_exp, rng):
     grid = build_grid(spec_exp)
-    V, bound = potential_values(spec_exp, grid), dual_norm_W(spec_exp, grid)
+    W = eval_W(spec_exp, grid)
+    V, bound = spec_exp.Vinf - W, dual_norm_W(W, spec_exp.q, grid.weight)
     worst = -math.inf
     for _ in range(100):
         u = lp_normalize(GridFunction(grid, rng.standard_normal(grid.shape)), 4.0)

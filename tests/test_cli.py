@@ -6,15 +6,16 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import minimaxlab
-from minimaxlab import cli, domain, groundstate, minimax
+from minimaxlab import cli, domain, field, groundstate, minimax, pathlab
 from minimaxlab.cli import (EXPERIMENTS, ConfigError, ExperimentConfig,
                             config_from_mapping, load_config, main, run)
 from minimaxlab.domain import ProblemSpec
 from minimaxlab.groundstate import DescentError, ShootingError
-from minimaxlab.pathlab import SPHERE_SAMPLES
+from minimaxlab.pathlab import MAX_THETA_SAMPLES, SPHERE_SAMPLES
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(minimaxlab.__file__)))
 DESK_CFG = pathlib.Path(__file__).resolve().parents[1] / "demos" / "desk.cfg"
@@ -47,6 +48,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_mapping({**COARSE, "experiment": "explode"})
 
+    def test_theta_samples_bounded_above(self):
+        levels = {**COARSE, "experiment": "levels"}
+        cfg = config_from_mapping({**levels, "theta_samples": str(MAX_THETA_SAMPLES)})
+        assert cfg.theta_samples == MAX_THETA_SAMPLES
+        with pytest.raises(ConfigError, match=f"at most {MAX_THETA_SAMPLES}"):
+            config_from_mapping({**levels, "theta_samples": str(MAX_THETA_SAMPLES + 1)})
+
     def test_list_parsing(self):
         cfg = config_from_mapping({**COARSE, "y_sweep": "3,5.5,8",
                                    "r_list": "2.0,4.0"})
@@ -62,7 +70,7 @@ class TestConfig:
             # the default r_list reaches past box_l = 8
             with pytest.raises(ConfigError, match="r_list"):
                 config_from_mapping({**COARSE, "experiment": experiment})
-        # experiments that scan no gamma_R accept it on a small box
+        # experiments that scan no sphere map accept it on a small box
         for experiment in ("ground", "levels", "symmetry"):
             assert config_from_mapping({**COARSE, "experiment": experiment}).r_list == (
                 6.0, 9.0, 12.0)
@@ -176,7 +184,7 @@ def test_outputs_get_the_mode_open_would_give(tmp_path):
 
 
 def test_desk_gamma_r_scan_has_one_row_per_radius_and_direction(tmp_path):
-    # gamma_R is odd, so each direction stands for its antipodal pair
+    # the sphere map is odd, so each direction stands for its antipodal pair
     assert main(["run", str(DESK_CFG), "--out", str(tmp_path),
                  "--override", "experiment=gamma-r"]) == 0
     rows = (tmp_path / "gamma_r_scan.csv").read_text().splitlines()[1:]
@@ -197,10 +205,46 @@ def test_gamma_r_in_3d(tmp_path):
     assert_hash_covers_payload(rep)
 
 
+def test_gamma_r_scans_share_one_translation_table(tmp_path, monkeypatch):
+    tables = []
+
+    def counting(*args):
+        tables.append(pathlab.TranslationTable(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "TranslationTable", counting)
+    cfg = config_from_mapping({**COARSE, "experiment": "gamma-r", "out_dir": str(tmp_path),
+                               "r_list": "3,5"})
+    run(cfg)
+    assert len(tables) == 1
+    radii = [row.split(",")[0] for row in
+             (tmp_path / "gamma_r_scan.csv").read_text().splitlines()[1:]]
+    assert radii == ["3.0"] * SPHERE_SAMPLES + ["5.0"] * SPHERE_SAMPLES
+
+
+def test_tabulated_W_is_read_once_per_run(tmp_path, monkeypatch):
+    # V and |W|_q come from one read of the table file
+    grid = domain.build_grid(domain.parse_problem_mapping(COARSE))
+    path = tmp_path / "w.gfb"
+    field.save_gridfunction(field.GridFunction(grid, 0.5 * np.exp(-0.5 * grid.radius())), path)
+    load, reads = field.load_gridfunction, []
+
+    def counting(*args):
+        reads.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(field, "load_gridfunction", counting)
+    cfg = config_from_mapping({**COARSE, "w_family": "table", "w_table_path": str(path),
+                               "experiment": "verify-all", "out_dir": str(tmp_path / "out"),
+                               "y_sweep": "3,4", "theta_samples": "64", "r_list": "3,5"})
+    run(cfg)
+    assert len(reads) == 1
+
+
 def test_verify_all_evaluates_V_a_fixed_number_of_times(tmp_path, monkeypatch):
     # V, |W|_q and the on-grid ground state come from the pipeline: W is
-    # evaluated for V and for |W|_q, and the profile is interpolated once,
-    # however many translations or radii the run has
+    # evaluated once, for both V and |W|_q, and the profile is interpolated
+    # once, however many translations or radii the run has
     calls = {"eval_W": 0, "profile_on_grid": 0}
 
     def counting(name, fn):
@@ -209,7 +253,9 @@ def test_verify_all_evaluates_V_a_fixed_number_of_times(tmp_path, monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(domain, "eval_W", counting("eval_W", domain.eval_W))
+    eval_W = counting("eval_W", domain.eval_W)
+    for module in (domain, cli):
+        monkeypatch.setattr(module, "eval_W", eval_W)
     for module in (cli, groundstate, minimax):
         if hasattr(module, "profile_on_grid"):
             monkeypatch.setattr(module, "profile_on_grid",
@@ -223,7 +269,7 @@ def test_verify_all_evaluates_V_a_fixed_number_of_times(tmp_path, monkeypatch):
         calls.update(eval_W=0, profile_on_grid=0)
         run(cfg)
         counts.append(dict(calls))
-    assert counts == [{"eval_W": 2, "profile_on_grid": 1}] * 2
+    assert counts == [{"eval_W": 1, "profile_on_grid": 1}] * 2
 
 
 class TestDeviationVerdict:
@@ -256,7 +302,7 @@ class TestDeviationVerdict:
     def test_fails_when_the_bound_is_lowered(self, tmp_path, monkeypatch):
         # the bound is attained, so a |W|_q 1e-4 relative too low must show
         monkeypatch.setattr(cli.Pipeline, "w_dual_norm", property(
-            lambda self: (1.0 - 1e-4) * domain.dual_norm_W(self.spec, self.grid)))
+            lambda self: (1.0 - 1e-4) * self._V_and_norm[1]))
         v, _, _ = self.verdict_and_deviations(tmp_path, monkeypatch, "exponential")
         assert v["status"] == "fail"
 
@@ -430,6 +476,19 @@ class TestMain:
         assert main(["run", path, "--out", str(out),
                      "--override", "theta_samples=32"]) == 1
         assert "theta_samples must be at least 64" in capsys.readouterr().err
+
+    def test_huge_theta_samples_rejected_before_any_work(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # an angle array of 10^13 samples would not fit in memory
+        def no_shooting(*args):
+            raise AssertionError("shooting ran before the config was checked")
+
+        monkeypatch.setattr(cli, "shoot_ground", no_shooting)
+        path = write_config(tmp_path / "c.cfg", {"experiment": "levels"})
+        assert main(["run", path, "--out", str(tmp_path / "out"),
+                     "--override", "theta_samples=10000000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"at most {MAX_THETA_SAMPLES}" in err
 
     @pytest.mark.parametrize("override, message", [
         ("r_list=3,8", "r_list radii must lie in (0, box_l = 8.0)"),

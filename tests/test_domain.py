@@ -121,7 +121,8 @@ class TestEvalW:
 class TestDualNormW:
     def test_zero(self):
         spec = small_spec()
-        assert dual_norm_W(spec, build_grid(spec)) == 0.0
+        grid = build_grid(spec)
+        assert dual_norm_W(eval_W(spec, grid), spec.q, grid.weight) == 0.0
 
     def test_single_cell_indicator(self, tmp_path):
         from minimaxlab.field import GridFunction, save_gridfunction
@@ -134,7 +135,8 @@ class TestDualNormW:
         save_gridfunction(GridFunction(grid, vals), path)
         spec_table = small_spec(W=WSpec(family="table", table_path=str(path)))
         # p = 4 gives q = 2, so the norm of a one-node indicator is h^(N/2)
-        assert dual_norm_W(spec_table, grid) == pytest.approx(spec.h ** (spec.N / 2))
+        got = dual_norm_W(eval_W(spec_table, grid), spec_table.q, grid.weight)
+        assert got == pytest.approx(spec.h ** (spec.N / 2))
 
     def test_exponential_against_radial_oracle(self):
         from scipy.integrate import quad
@@ -142,7 +144,7 @@ class TestDualNormW:
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125,
                            W=WSpec(family="exponential", c=1.0, a=1.0))
         grid = build_grid(spec)
-        got = dual_norm_W(spec, grid)
+        got = dual_norm_W(eval_W(spec, grid), spec.q, grid.weight)
         # independent high-resolution polar quadrature of (int e^{-2r} 2 pi r dr)^(1/2)
         integral, _ = quad(lambda r: math.exp(-2.0 * r) * 2.0 * math.pi * r, 0.0, 40.0)
         assert got == pytest.approx(integral ** 0.5, rel=2e-3)
@@ -151,7 +153,8 @@ class TestDualNormW:
         vals = []
         for L in (4.0, 8.0, 12.0):
             spec = small_spec(L=L, W=WSpec(family="exponential", c=1.0, a=0.5))
-            vals.append(dual_norm_W(spec, build_grid(spec)))
+            grid = build_grid(spec)
+            vals.append(dual_norm_W(eval_W(spec, grid), spec.q, grid.weight))
         assert vals[0] <= vals[1] <= vals[2]
 
 

@@ -11,7 +11,8 @@ from minimaxlab.energy import (_apply_H, _energy, _pair, _ShiftedPoissonSolver, 
 from minimaxlab.domain import Grid, eval_W, lp_mass, potential_values, zero_boundary
 from minimaxlab.field import FieldError
 from minimaxlab.groundstate import minimize_lambda1, profile_on_grid
-from minimaxlab.pathlab import SampledPath, gamma_R, path_max_J, translated_bump_path
+from minimaxlab.pathlab import (SampledPath, SphereMap, TranslationTable, path_max_J,
+                                translated_bump_path)
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +320,7 @@ class TestOneEnergyKernel:
         mx, theta = path_max_J(sampled, V, samples=64)
         assert mx == energy_J(sampled.at(theta), V)
 
-        sphere = gamma_R(winf, 3.0, well.p, samples=4)
+        sphere = SphereMap(TranslationTable(winf, well.p), 3.0)
         for y, energy in zip(sphere.points, sphere.scan(well.Vinf)):
             assert energy == pytest.approx(energy_J(sphere.at(y), well.Vinf), rel=1e-12)
 
@@ -370,7 +371,7 @@ class TestEulerLagrangeResidual:
 class TestDeviationBound:
     def test_zero_W(self, spec, grid):
         u = lp_normalize(gaussian(grid), spec.p)
-        assert dual_norm_W(spec, grid) == 0.0
+        assert dual_norm_W(eval_W(spec, grid), spec.q, grid.weight) == 0.0
         assert deviation_bound(u, potential_values(spec, grid), spec.Vinf, spec.p) <= 1e-12
 
     def test_off_sphere_rejected(self, spec, grid):
@@ -381,8 +382,8 @@ class TestDeviationBound:
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
-        V, wnorm = potential_values(spec, grid), dual_norm_W(spec, grid)
         w = eval_W(spec, grid)
+        V, wnorm = spec.Vinf - w, dual_norm_W(w, spec.q, grid.weight)
         for _ in range(25):
             u = lp_normalize(GridFunction(grid, rng.standard_normal(grid.shape)),
                              spec.p)
@@ -400,4 +401,4 @@ class TestDeviationBound:
         w = eval_W(spec, grid)
         u = lp_normalize(GridFunction(grid, np.sqrt(w)), spec.p)
         dev = deviation_bound(u, potential_values(spec, grid), spec.Vinf, spec.p)
-        assert dev == pytest.approx(dual_norm_W(spec, grid), rel=1e-10)
+        assert dev == pytest.approx(dual_norm_W(w, spec.q, grid.weight), rel=1e-10)

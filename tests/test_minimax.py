@@ -2,7 +2,7 @@ from dataclasses import asdict
 
 import pytest
 
-from minimaxlab import build_grid, dual_norm_W, lambda2_radial, lambda_sharp
+from minimaxlab import build_grid, dual_norm_W, eval_W, lambda2_radial, lambda_sharp
 from minimaxlab.minimax import LevelsReport, Verdict, verdict
 
 
@@ -47,7 +47,7 @@ class TestLambda2Bounds:
     def test_condition_flag_autonomous(self, lam2_0, spec0, grid0):
         # W = 0 always satisfies the dual-norm smallness condition
         assert lam2_0.small_well_condition
-        assert dual_norm_W(spec0, grid0) == 0.0
+        assert dual_norm_W(eval_W(spec0, grid0), spec0.q, grid0.weight) == 0.0
 
     def test_penalized_upper_below_threshold(self, lam2_exp, lam_sharp_exp):
         assert lam2_exp.upper < lam_sharp_exp
@@ -72,7 +72,8 @@ class TestLambda2Radial:
         assert rb.lam2r_upper - rb.lam2r_lower == 0.0
 
     def test_penalized_interval(self, spec_exp, excited_profile):
-        wnorm = dual_norm_W(spec_exp, build_grid(spec_exp))
+        grid = build_grid(spec_exp)
+        wnorm = dual_norm_W(eval_W(spec_exp, grid), spec_exp.q, grid.weight)
         rb = lambda2_radial(excited_profile, wnorm)
         assert rb.lam2r_lower < rb.lam2r_inf < rb.lam2r_upper
         assert rb.lam2r_upper - rb.lam2r_lower == pytest.approx(2 * wnorm)
@@ -97,7 +98,8 @@ class TestVerdictsAndReport:
         assert not rep.all_pass()
 
     def test_invariant_checks(self, lam2_exp, lam_sharp_exp, ground_profile, spec_exp, grid0):
-        rep = LevelsReport(sigma=0.5, q=2.0, w_dual_norm=dual_norm_W(spec_exp, grid0),
+        wnorm = dual_norm_W(eval_W(spec_exp, grid0), spec_exp.q, grid0.weight)
+        rep = LevelsReport(sigma=0.5, q=2.0, w_dual_norm=wnorm,
                            lam1_inf=ground_profile.level,
                            lam_sharp=lam_sharp_exp, lam2=lam2_exp)
         assert rep.check_invariants() == []

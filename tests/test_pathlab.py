@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,11 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         lp_normalize, mass_I, pathlab, translate)
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import _energy
-from minimaxlab.pathlab import (MIN_THETA_SAMPLES, THETA_SAMPLES, PathError,
-                                PathFamily, SampledPath, TranslationTable, balanced_point,
-                                disjoint_support_max, gamma_R, overlap_integrals,
-                                path_max_J, path_max_from_energies, sphere_points,
-                                two_block_energy)
+from minimaxlab.pathlab import (MAX_THETA_SAMPLES, MIN_THETA_SAMPLES, SPHERE_SAMPLES,
+                                THETA_SAMPLES, PathError, PathFamily, SampledPath,
+                                SphereMap, TranslationTable, balanced_point,
+                                disjoint_support_max, overlap_integrals, path_max_J,
+                                path_max_from_energies, sphere_points, two_block_energy)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,23 @@ class TestPathFamily:
         with pytest.raises(PathError):
             PathFamily(left, -left, 4.0)
 
+    def test_path_point_peak_memory(self):
+        # the combination, its normalized copy and the copy the result keeps;
+        # holding the combination through the normalization made it 4.0 arrays
+        grid = build_grid(ProblemSpec(N=3, p=4.0, L=4.0, h=0.25))
+        x, y, z = grid.coords()
+        u1, u2 = (lp_normalize(GridFunction(grid, np.exp(-(x - c) ** 2 - y * y - z * z)), 4.0)
+                  for c in (-1.5, 1.5))
+        path = PathFamily(u1, u2, 4.0)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            path.at(0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / (grid.size * 8) <= 3.1
+
 
 class TestSampledPath:
     def test_matches_source_at_samples(self, left, right):
@@ -136,6 +154,12 @@ class TestPathMaxJ:
     def test_minimum_sample_count_enforced(self, spec, grid, left, right):
         with pytest.raises(PathError):
             path_max_J(PathFamily(left, right, 4.0), potential_values(spec, grid), samples=32)
+
+    def test_maximum_sample_count_enforced(self, spec, grid, left, right):
+        # checked before the angle array is allocated
+        with pytest.raises(PathError, match=f"got {MAX_THETA_SAMPLES + 1}"):
+            path_max_J(PathFamily(left, right, 4.0), potential_values(spec, grid),
+                       samples=MAX_THETA_SAMPLES + 1)
 
     @pytest.mark.parametrize("theta0", [0.3 * math.pi / 64, 1.0, 2.9])
     def test_search_finds_off_sample_peak(self, theta0):
@@ -263,29 +287,34 @@ class TestSpherePoints:
 
 
 
+@pytest.fixture(scope="module")
+def table0(winf0):
+    return TranslationTable(winf0, 4.0)
+
+
 class TestGammaR:
-    def test_odd_map(self, winf0):
-        gm = gamma_R(winf0, 6.0, 4.0, samples=4)
+    def test_odd_map(self, table0):
+        gm = SphereMap(table0, 6.0)
         y = np.array([1.0, 0.0])
         a = gm.at(y)
         b = gm.at(-y)
         assert np.array_equal(a.values, -b.values)
 
-    def test_image_on_sphere(self, winf0):
-        gm = gamma_R(winf0, 6.0, 4.0, samples=4)
+    def test_image_on_sphere(self, table0):
+        gm = SphereMap(table0, 6.0)
+        assert len(gm.points) == SPHERE_SAMPLES
         for y in gm.points:
             assert mass_I(gm.at(y), 4.0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_r_must_fit_in_box(self, winf0):
+    def test_r_must_fit_in_box(self, table0):
         with pytest.raises(PathError):
-            gamma_R(winf0, 16.0, 4.0)
+            SphereMap(table0, 16.0)
 
-    def test_max_energy_near_doubling_threshold(self, winf0, spec0,
-                                                ground_profile):
+    def test_scan_max_near_doubling_threshold(self, table0, spec0, ground_profile):
         # well separated signed pairs sit near 2^sigma lambda_1
-        gm = gamma_R(winf0, 9.0, 4.0, samples=8)
+        gm = SphereMap(table0, 9.0)
         target = 2.0 ** 0.5 * ground_profile.level
-        assert gm.max_energy(spec0.Vinf) == pytest.approx(target, rel=5e-3)
+        assert gm.scan(spec0.Vinf).max() == pytest.approx(target, rel=5e-3)
 
 
 def smooth_field(grid):
@@ -308,7 +337,8 @@ class TestTranslationTable:
         (2, 6.0, 0.25, 3.0, 5.75),  # odd p: the mass is built, not summed
     ])
     def test_scan_matches_fields(self, N, L, h, p, R):
-        sm = gamma_R(smooth_field(build_grid(ProblemSpec(N=N, p=p, L=L, h=h))), R, p, samples=16)
+        w = smooth_field(build_grid(ProblemSpec(N=N, p=p, L=L, h=h)))
+        sm = SphereMap(TranslationTable(w, p), R)
         energies = sm.scan(1.0)
         ref = [energy_J(sm.at(y), 1.0) for y in sm.points]
         assert energies == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -320,9 +350,9 @@ class TestTranslationTable:
         w = smooth_field(small)
         wide = np.zeros(big.shape)
         wide[24:-24, 24:-24] = w.values
-        sm = gamma_R(w, 5.75, 4.0, samples=16)
+        sm = SphereMap(TranslationTable(w, 4.0), 5.75)
         sm.scan(1.0)
-        wide_map = gamma_R(GridFunction(big, wide), 5.75, 4.0, samples=16)
+        wide_map = SphereMap(TranslationTable(GridFunction(big, wide), 4.0), 5.75)
         ref = [energy_J(wide_map.at(y), 1.0) for y in wide_map.points]
         assert sm.unbounded == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -330,18 +360,12 @@ class TestTranslationTable:
         # a bump of radius 2 moved by 1.5 stays 10 nodes from the wall
         grid = build_grid(ProblemSpec(N=2, p=4.0, L=6.0, h=0.25))
         bump = unit_bump(grid, (0.0, 0.0), radius=2.0)
-        sm = gamma_R(bump, 1.5, 4.0, samples=16)
+        table = TranslationTable(bump, 4.0)
+        sm = SphereMap(table, 1.5)
         box = sm.scan(1.0)
         assert np.max(np.abs(box - sm.unbounded) / sm.unbounded) <= 1e-13
-        clipped = gamma_R(bump, 5.0, 4.0, samples=16)
+        clipped = SphereMap(table, 5.0)
         assert np.max(clipped.scan(1.0)) > np.max(clipped.unbounded) * (1.0 + 1e-3)
-
-    def test_table_must_belong_to_the_map(self, left, right):
-        table = TranslationTable(left, 4.0)
-        with pytest.raises(PathError):
-            gamma_R(right, 3.0, 4.0, table=table)
-        with pytest.raises(PathError):
-            gamma_R(left, 3.0, 3.0, table=table)
 
 
 def counted(fn):
@@ -379,7 +403,8 @@ class TestNoProbeEvaluations:
 
         for name in ("GridFunction", "translate", "lp_normalize", "lp_mass"):
             monkeypatch.setattr(pathlab, name, forbidden)
-        assert len(gamma_R(left, 3.0, 4.0, samples=8).scan(spec.Vinf)) == 8
+        sm = SphereMap(TranslationTable(left, 4.0), 3.0)
+        assert len(sm.scan(spec.Vinf)) == SPHERE_SAMPLES
 
     def test_path_max_evaluates_angles_and_search_steps_only(self, spec, grid, left, right,
                                                               monkeypatch):
