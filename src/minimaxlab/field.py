@@ -21,14 +21,24 @@ class GridFunction:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.array(values, dtype=float, copy=True)
+        self._own(grid, np.array(values, dtype=float, copy=True))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
+        """Wrap a fresh float array that nothing else holds, without the
+        constructor's copy; its boundary is zeroed in place."""
+        u = cls.__new__(cls)
+        u._own(grid, values)
+        return u
+
+    def _own(self, grid: Grid, values: np.ndarray):
         if values.shape != grid.shape:
             raise FieldError(f"values shape {values.shape} does not match grid {grid.shape}")
         self.grid = grid
         self.values = zero_boundary(values)
 
     def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values)
+        return GridFunction._adopt(self.grid, -self.values)
 
 
 def lp_norm(u: GridFunction, p: float) -> float:
@@ -43,14 +53,14 @@ def lp_normalize(u: GridFunction, p: float) -> GridFunction:
     n = lp_norm(u, p)
     if n == 0.0:
         raise FieldError("cannot normalize the zero field")
-    return GridFunction(u.grid, u.values / n)
+    return GridFunction._adopt(u.grid, u.values / n)
 
 
 def split_signs(u: GridFunction) -> tuple[GridFunction, GridFunction]:
     """Positive and negative parts: u = u+ - u-, with u+ * u- = 0 pointwise."""
     plus = np.maximum(u.values, 0.0)
     minus = np.maximum(-u.values, 0.0)
-    return GridFunction(u.grid, plus), GridFunction(u.grid, minus)
+    return GridFunction._adopt(u.grid, plus), GridFunction._adopt(u.grid, minus)
 
 
 def translate(u: GridFunction, y) -> GridFunction:
@@ -60,20 +70,27 @@ def translate(u: GridFunction, y) -> GridFunction:
     exact) or a tuple of integer node offsets.
     """
     grid = u.grid
-    if all(isinstance(v, (int, np.integer)) for v in np.atleast_1d(y)):
-        steps = tuple(int(v) for v in np.atleast_1d(y))
-        if len(steps) != grid.N:
-            raise FieldError(f"offset must have {grid.N} components")
-    else:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        steps = grid.lattice_vector(y)
-        if np.max(np.abs(np.asarray(steps) * grid.h - y)) > 1e-9 * max(1.0, grid.h):
-            raise FieldError("translation must be an integer multiple of h per axis")
+    steps = lattice_steps(grid, y)
     out = np.zeros(grid.shape)
     if np.all(np.abs(steps) < np.array(grid.shape)):  # otherwise every value leaves the box
         dst, src = shift_slices(steps, grid.shape)
         out[dst] = u.values[src]
-    return GridFunction(grid, out)
+    return GridFunction._adopt(grid, out)
+
+
+def lattice_steps(grid: Grid, y) -> tuple[int, ...]:
+    """Node offsets of a translation `y`: a spatial displacement (rounded to
+    whole steps must be exact) or a tuple of integer node offsets."""
+    if all(isinstance(v, (int, np.integer)) for v in np.atleast_1d(y)):
+        steps = tuple(int(v) for v in np.atleast_1d(y))
+        if len(steps) != grid.N:
+            raise FieldError(f"offset must have {grid.N} components")
+        return steps
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    steps = grid.lattice_vector(y)
+    if np.max(np.abs(np.asarray(steps) * grid.h - y)) > 1e-9 * max(1.0, grid.h):
+        raise FieldError("translation must be an integer multiple of h per axis")
+    return steps
 
 
 def shift_slices(steps, shape) -> tuple[tuple, tuple]:

@@ -462,9 +462,9 @@ def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
         raise DescentError(f"descent did not reach tol {DESCENT_TOL} in {DESCENT_MAX_ITER} "
                            f"iterations (gradient norm {res.gradient_norm})")
     u = res.minimizer
-    if mirror:  # node i of the grid is node |i - m| of the orthant along each axis
-        for ax in range(u.ndim):
-            u = np.take(u, np.abs(np.arange(1 - u.shape[ax], u.shape[ax])), axis=ax)
+    if mirror:  # node i of the grid is node |i - m| of the orthant along each axis,
+        # gathered in one indexing pass, with no grid-sized array per axis
+        u = u[np.ix_(*[np.abs(np.arange(1 - n, n)) for n in u.shape])]
         res.level = _energy(u, V, grid.h)
-    res.minimizer = GridFunction(grid, u)
+    res.minimizer = GridFunction._adopt(grid, u)  # no other name holds u
     return res

@@ -2,8 +2,9 @@
 
 Only bounds are ever reported for the second level: the lower bound comes
 from the balanced-point mechanism and the deviation bound, the upper bound
-from the best two-bump path over a translation sweep. Exact minimax values
-are never claimed.
+from the best two-bump path over a translation sweep, whose path maxima come
+in closed form from correlations (`pathlab.TranslatedBumps`). Exact minimax
+values are never claimed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .field import GridFunction
 from .groundstate import DecayFit, RadialProfile
-from .pathlab import THETA_SAMPLES, disjoint_support_max, path_max_J, translated_bump_path
+from .pathlab import THETA_SAMPLES, TranslatedBumps, disjoint_support_max, path_max_J
 
 Y_SWEEP = (4.0, 6.0, 8.0, 10.0, 12.0)  # two-bump translations; also the config default
 
@@ -47,9 +48,9 @@ def lambda2_bounds(V: np.ndarray, p: float, w1: GridFunction, l1: float,
 
     Lower bound: balanced-point mechanism (2^sigma l1 when l1 > 0) and, when
     the dual-norm condition applies, 2^sigma l1inf - |W|_q. Upper bound: best
-    two-bump path max over lattice translations of winf along the first axis.
+    two-bump path max over lattice translations of winf along the first axis,
+    from one `TranslatedBumps` sweep, which builds no field per translation.
     """
-    grid = w1.grid
     sigma = (p - 2.0) / p
     cond = l1 > 0 and wnorm < (2.0 ** sigma - 1.0) * l1inf
 
@@ -63,11 +64,9 @@ def lambda2_bounds(V: np.ndarray, p: float, w1: GridFunction, l1: float,
     upper = math.inf
     witness = math.nan
     sweep = []
+    bumps = TranslatedBumps(w1, winf, V, p)
     for y in y_sweep:
-        vec = np.zeros(grid.N)
-        vec[0] = y
-        path = translated_bump_path(w1, winf, vec, p)
-        mx, _ = path_max_J(path, V, samples)
+        mx, _ = path_max_J(bumps.path(y), V, samples)
         sweep.append({"y": float(y), "path_max": mx})
         if mx < upper:
             upper, witness = mx, float(y)

@@ -5,21 +5,27 @@ A two-block path interpolates trigonometrically between blocks u1, u2 and is
 renormalized pointwise; when the blocks have layer-separated supports its
 energy maximum has a closed form, which the dense sampling must reproduce.
 Along a two-block path J is exact from a 2x2 Gram matrix and L^p moments
-computed once per path, and path maxima search this closed form. Along a
-translation sphere map, J^inf is exact from one translation table of w_inf:
-summed-area tables for what the wall clips, correlations for the rest.
+computed once per path; a path maximum searches this closed form and reports
+it at the argmax, building the field there only where the moment sums cancel.
+The two-bump paths of a translation sweep take their Gram entries and moments
+as correlations of one H-applied array and layer profiles of the translated
+field, with no field built per translation. Along a translation sphere map,
+J^inf is exact from one translation table of w_inf: summed-area tables for
+what the wall clips, correlations for the rest.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .domain import lp_mass, zero_boundary
 from .energy import ON_MANIFOLD_TOL, _apply_H, _pair, energy_J, mass_I
-from .field import GridFunction, lp_normalize, shift_slices, split_signs, translate
+from .field import (FieldError, GridFunction, lattice_steps, lp_normalize, shift_slices,
+                    split_signs, translate)
 
 
 THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config default
@@ -44,22 +50,74 @@ def _thetas(samples: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, samples, endpoint=False)
 
 
+def _dot(ndim: int, operands: int) -> str:
+    """einsum subscripts of the sum of a product of same-shape arrays."""
+    axes = "ijk"[:ndim]
+    return ",".join([axes] * operands) + "->"
+
+
+def _cross_moments(a: np.ndarray, b: np.ndarray, n: int) -> list[float]:
+    """sum a^j b^(n-j) for j = 1 .. n-1 over two arrays of one shape (views
+    of grid nodes): each one einsum of n operands, with no temporary."""
+    dot = _dot(a.ndim, n)
+    return [float(np.einsum(dot, *[a] * j, *[b] * (n - j))) for j in range(1, n)]
+
+
+class PathEnergy:
+    """theta -> J(gamma(theta)) = y^T G y / m(y)^(2/p) at y = (cos theta,
+    sin theta), elementwise over an array of angles, for the odd loop
+    through blocks u1, u2 with the 2x2 Gram matrix G of H = -Delta_h + V on
+    them and the mass m(c, s) = |c u1 + s u2|_p^p; `self_mass` holds
+    (|u1|_p^p, |u2|_p^p).
+
+    For even integer p, `moment_mass` builds m from the moments
+    int u1^j u2^(p-j), so an evaluation does no grid work.
+    """
+
+    def __init__(self, G: np.ndarray, mass, self_mass: tuple[float, float], p: float):
+        self.G, self.mass, self.self_mass, self.p = G, mass, self_mass, p
+
+    def __call__(self, theta):
+        G, c, s = self.G, np.cos(theta), np.sin(theta)
+        quadratic = G[0, 0] * c * c + 2.0 * G[0, 1] * c * s + G[1, 1] * s * s
+        return quadratic / self.mass(c, s) ** (2.0 / self.p)
+
+    def cancels(self, theta: float) -> bool:
+        """Whether the mass at theta keeps less than CANCELLATION of its self
+        terms |c|^p |u1|_p^p + |s|^p |u2|_p^p (blocks a node or two apart):
+        there the closed form loses more than two digits."""
+        c, s = math.cos(theta), math.sin(theta)
+        m1, m2 = self.self_mass
+        return self.mass(c, s) < CANCELLATION * (abs(c) ** self.p * m1 + abs(s) ** self.p * m2)
+
+    @staticmethod
+    def moment_mass(moments: list[float], n: int):
+        """(c, s) -> sum_j C(n, j) M_j c^j s^(n-j) from the moments
+        M_j = int u1^j u2^(n-j), j = 0 .. n, for even n = p."""
+        terms = [(j, math.comb(n, j) * m) for j, m in enumerate(moments)]
+        return lambda c, s: sum(a * c ** j * s ** (n - j) for j, a in reversed(terms))
+
+
+def _even(p: float) -> bool:
+    return p == int(p) and int(p) % 2 == 0
+
+
 class PathFamily:
     """Odd loop gamma(theta) = normalize(u1 cos theta + u2 sin theta) through
     two blocks on the constraint sphere.
 
-    `energy` gives J along the loop without building fields:
-    J(theta) = y^T G y / |y1 u1 + y2 u2|_p^2 at y = (cos theta, sin theta),
-    where G is the 2x2 Gram matrix of H = -Delta_h + V on the blocks
-    (`energy._apply_H`). For even integer p the mass is a polynomial in y whose
-    coefficients are the moments int u1^k u2^(p-k), so an evaluation does no
-    grid work; for other p it is one mass pass over the combination.
+    `energy` gives J along the loop as a `PathEnergy`, without building
+    fields: G comes from one application of H = -Delta_h + V
+    (`energy._apply_H`) per block, held one at a time; for even integer p
+    the mass is a polynomial whose coefficients are the moments
+    int u1^j u2^(p-j); for other p it is one mass pass over the combination
+    per angle.
     """
 
     def __init__(self, u1: GridFunction, u2: GridFunction, p: float):
-        for u in (u1, u2):
-            if abs(mass_I(u, p) - 1.0) > ON_MANIFOLD_TOL:
-                raise PathError("path blocks must lie on the constraint sphere")
+        self_mass = tuple(mass_I(u, p) for u in (u1, u2))
+        if max(abs(m - 1.0) for m in self_mass) > ON_MANIFOLD_TOL:
+            raise PathError("path blocks must lie on the constraint sphere")
         d = float(np.max(np.abs(u1.values - u2.values)))
         s = float(np.max(np.abs(u1.values + u2.values)))
         if min(d, s) < 1e-12:
@@ -67,6 +125,7 @@ class PathFamily:
         self.blocks = (u1, u2)
         self.p = p
         self.grid = u1.grid
+        self.self_mass = self_mass
 
     def _combine(self, c, s) -> np.ndarray:
         v = c * self.blocks[0].values
@@ -74,9 +133,8 @@ class PathFamily:
         return v
 
     def at(self, theta: float) -> GridFunction:
-        # GridFunction copies the combination, which no name holds, so it is
-        # freed before lp_normalize divides that copy
-        u = GridFunction(self.grid, self._combine(math.cos(theta), math.sin(theta)))
+        # the combination is freed when lp_normalize returns its quotient
+        u = GridFunction._adopt(self.grid, self._combine(math.cos(theta), math.sin(theta)))
         return lp_normalize(u, self.p)
 
     def gram(self, V: np.ndarray) -> np.ndarray:
@@ -88,37 +146,24 @@ class PathFamily:
         for j, bj in enumerate(vals):
             Hb = _apply_H(bj, V, h)
             G[:, j] = [_pair(bi, Hb, h) for bi in vals]
+            del Hb  # so that the next block's H b is the only one held
         return 0.5 * (G + G.T)
 
     def _mass(self):
         """(c, s) -> |c u1 + s u2|_p^p, elementwise over arrays of c and s."""
         p, weight = self.p, self.grid.weight
-        if p != int(p) or int(p) % 2:
+        if not _even(p):
             return np.vectorize(lambda c, s: lp_mass(self._combine(c, s), p, weight),
                                 otypes=[float])
-        # even p: binomial expansion over the moments int u1^j u2^(p-j)
         u1, u2 = (b.values for b in self.blocks)
-        k = int(p)
-        terms = []
-        for j in range(k, -1, -1):
-            factors = [u1] * j + [u2] * (k - j)
-            product = factors[0] * factors[1]  # the one grid-sized temporary
-            for f in factors[2:]:
-                product *= f
-            terms.append((j, math.comb(k, j) * float(np.sum(product)) * weight))
-        return lambda c, s: sum(a * c ** j * s ** (k - j) for j, a in terms)
+        cross = [m * weight for m in _cross_moments(u1, u2, int(p))]
+        return PathEnergy.moment_mass([self.self_mass[1], *cross, self.self_mass[0]], int(p))
 
-    def energy(self, V: np.ndarray):
+    def energy(self, V: np.ndarray) -> PathEnergy:
         """theta -> J(gamma(theta)) in closed form, for V = Vinf - W on the
         grid, elementwise over an array of angles; G and the moments are
         computed here, once."""
-        G, mass, e = self.gram(V), self._mass(), 2.0 / self.p
-
-        def J(theta):
-            c, s = np.cos(theta), np.sin(theta)
-            return (G[0, 0] * c * c + 2.0 * G[0, 1] * c * s + G[1, 1] * s * s) / mass(c, s) ** e
-
-        return J
+        return PathEnergy(self.gram(V), self._mass(), self.self_mass, self.p)
 
 
 class SampledPath:
@@ -249,15 +294,19 @@ def path_max_J(path, V: np.ndarray, samples: int = THETA_SAMPLES) -> tuple[float
     Evaluates `path.energy(V)` once on the array of `samples` uniform angles
     in [0, pi) (J is even under the antipodal reflection) and refines around
     the best sample by golden-section search, one angle per step; the maximum
-    reported is J of the field built at the argmax angle. A `PathFamily`
-    evaluates its closed form on the whole array, so that field is the only
-    one built; a `SampledPath` builds one per angle.
+    reported is that energy at the argmax angle. A closed form (`PathEnergy`,
+    from a `PathFamily` or a `TranslatedBumps` sweep) builds no field, except
+    J of the field at the argmax where its mass cancels (`PathEnergy.cancels`);
+    a `SampledPath` builds one field per angle.
     """
     if not MIN_THETA_SAMPLES <= samples <= MAX_THETA_SAMPLES:
         raise PathError(f"between {MIN_THETA_SAMPLES} and {MAX_THETA_SAMPLES} theta samples "
                         f"required, got {samples}")
-    _, theta = _theta_max(path.energy(V), samples)
-    return energy_J(path.at(theta), V), theta
+    J = path.energy(V)
+    mx, theta = _theta_max(J, samples)
+    if isinstance(J, PathEnergy) and J.cancels(theta):
+        mx = energy_J(path.at(theta), V)
+    return mx, theta
 
 
 def balanced_point(path, p: float) -> tuple[GridFunction, float]:
@@ -294,6 +343,109 @@ def translated_bump_path(w1: GridFunction, winf: GridFunction, y,
                          p: float) -> PathFamily:
     """Two-bump path between w1 and the normalized translate of winf by y."""
     return PathFamily(w1, lp_normalize(translate(winf, y), p), p)
+
+
+def _layer_sums(t: np.ndarray) -> np.ndarray:
+    """Sum of `t` over each layer of its first axis."""
+    return t.reshape(len(t), -1).sum(axis=1)
+
+
+def _squared(t: np.ndarray) -> np.ndarray:
+    t *= t
+    return t
+
+
+class TranslatedBumps:
+    """The two-bump paths `translated_bump_path(w1, winf, y e1, p)` of a
+    sweep over translations y along the first axis, with V = Vinf - W on the
+    grid, in closed form from quantities computed once per sweep:
+
+    - H w1 (one `_apply_H`), its G11 = h^N <w1, H w1>, and |w1|_p^p;
+    - first-axis layer profiles of w = winf: per layer, sum w^2, sum |w|^p
+      and the squared link differences inside it, and the squared link
+      differences between neighbouring layers.
+
+    `translate` by k layers keeps the layers a..b of w that land on interior
+    nodes. The kinetic term of w restricted to them is the links inside and
+    between those layers, plus sum w^2 on layers a and b, whose outer links
+    end on zeros; its mass is the |w|^p of those layers. Per translation,
+    each of G12 = h^N <H w1, T w>, sum V (T w)^2 and, for even integer p,
+    the p - 1 cross moments sum w1^j (T w)^(p-j) is one einsum over views of
+    the kept layers, so no grid array is allocated. For other p the
+    translate is built once per y, for `PathFamily`'s mass pass per angle.
+    """
+
+    def __init__(self, w1: GridFunction, winf: GridFunction, V: np.ndarray, p: float):
+        grid, w = w1.grid, winf.values
+        self.w1, self.winf, self.V, self.p, self.grid = w1, winf, V, p, grid
+        t = w * w  # each grid temporary here is freed before the next one
+        self._sq = _layer_sums(t)
+        t **= p / 2.0
+        self._mass = _layer_sums(t) * grid.weight
+        del t
+        self._between = _layer_sums(_squared(np.diff(w, axis=0)))
+        self._inside = sum(_layer_sums(_squared(np.diff(w, axis=ax))) for ax in range(1, grid.N))
+        self._w1_mass = mass_I(w1, p)
+        self._Hw1 = _apply_H(w1.values, V, grid.h)
+        self._G11 = _pair(w1.values, self._Hw1, grid.h)
+
+    def path(self, y: float) -> "_TranslatedPath":
+        """The path at translation y e1, for `path_max_J` with the sweep's V."""
+        return _TranslatedPath(self, lattice_steps(self.grid, (y,) + (0.0,) * (self.grid.N - 1)))
+
+    def energy(self, steps: tuple[int, ...], family: PathFamily | None) -> PathEnergy:
+        """J along the path at the lattice translation `steps` (k, 0, ..),
+        from the per-sweep quantities and the views of the kept layers; the
+        built `family` gives the mass where p is not an even integer."""
+        k, grid, p, w = steps[0], self.grid, self.p, self.winf.values
+        last = w.shape[0] - 2
+        a, b = max(1, 1 - k), min(last, last - k)  # the kept layers of w
+        mass = float(np.sum(self._mass[a:b + 1])) if a <= b else 0.0
+        if mass == 0.0:
+            raise FieldError("cannot normalize the zero field")
+        n = mass ** (1.0 / p)
+        src, dst = slice(a, b + 1), slice(a + k, b + k + 1)
+        ws, Vd = w[src], self.V[dst]
+        kinetic = (np.sum(self._inside[src]) + np.sum(self._between[a:b])
+                   + self._sq[a] + self._sq[b]) * grid.h ** (grid.N - 2)
+        Q = kinetic + float(np.einsum(_dot(grid.N, 3), Vd, ws, ws)) * grid.weight
+        G12 = float(np.einsum(_dot(grid.N, 2), self._Hw1[dst], ws)) * grid.weight / n
+        G = np.array([[self._G11, G12], [G12, Q / n ** 2]])
+        if family is not None:
+            return PathEnergy(G, family._mass(), family.self_mass, p)
+        cross = _cross_moments(self.w1.values[dst], ws, int(p))
+        moments = [mass / n ** p] + [m * grid.weight / n ** (p - j)
+                                     for j, m in enumerate(cross, start=1)] + [self._w1_mass]
+        return PathEnergy(G, PathEnergy.moment_mass(moments, int(p)),
+                          (self._w1_mass, moments[0]), p)
+
+
+class _TranslatedPath:
+    """One path of a `TranslatedBumps` sweep, for `path_max_J`: J in closed
+    form from the sweep, and the `translated_bump_path` built only when asked
+    for, that is, for a mass that is not a polynomial of moments, for a
+    field, or where the moments cancel along a diagonal, as they do when
+    u2 = +/- u1 (a degenerate path, which `PathFamily` rejects)."""
+
+    def __init__(self, bumps: TranslatedBumps, steps: tuple[int, ...]):
+        self.bumps, self.steps = bumps, steps
+
+    @cached_property
+    def family(self) -> PathFamily:
+        bumps = self.bumps
+        return translated_bump_path(bumps.w1, bumps.winf, self.steps, bumps.p)
+
+    def energy(self, V: np.ndarray) -> PathEnergy:
+        """J along the path; `V` is the sweep's."""
+        if not _even(self.bumps.p):
+            return self.bumps.energy(self.steps, self.family)
+        J = self.bumps.energy(self.steps, None)
+        if J.cancels(math.pi / 4) or J.cancels(3 * math.pi / 4):
+            self.family  # built here: PathFamily raises PathError for u2 = +/- u1
+        return J
+
+    def at(self, theta: float) -> GridFunction:
+        return self.family.at(theta)
 
 
 def overlap_integrals(w1: GridFunction, winf: GridFunction, y, p: float) -> tuple[float, float]:
@@ -377,8 +529,7 @@ class TranslationTable:
             powers = [v] + [v ** j for j in range(2, n)]  # w^j, j = 1 .. p - 1
             self._moments = [(math.comb(n, j) * (-1) ** (n - j), powers[j - 1], powers[n - j - 1])
                              for j in range(1, n)]
-        axes = "ijk"[:v.ndim]
-        self._dot = f"{axes},{axes}->"
+        self._dot = _dot(v.ndim, 2)
 
     def _self_terms(self, lo, hi, Vinf: float):
         """(Q, |.|_p^p) of w restricted to each rectangle lo <= z <= hi."""
@@ -459,7 +610,7 @@ class SphereMap:
     def at(self, y) -> GridFunction:
         w, steps = self.table.field, self._steps(y)
         u = translate(w, steps).values - translate(w, tuple(-s for s in steps)).values
-        return lp_normalize(GridFunction(w.grid, u), self.table.p)
+        return lp_normalize(GridFunction._adopt(w.grid, u), self.table.p)
 
     def scan(self, Vinf: float) -> np.ndarray:
         """J^inf at each of `points`, in order, with the scalar potential Vinf."""

@@ -363,6 +363,19 @@ def test_descent_diagnostics_stay_outside_the_hash(tmp_path, monkeypatch):
     assert moved["report_hash"] == plain["report_hash"]
 
 
+def test_levels_at_p3_on_the_desk_grid(tmp_path):
+    # odd p: the sweep builds each translate once for the mass along its path
+    assert main(["run", str(DESK_CFG), "--out", str(tmp_path), "--override", "experiment=levels",
+                 "--override", "p=3", "--override", "y_sweep=4,6",
+                 "--override", "theta_samples=64"]) == 0
+    rep = report_of(tmp_path)
+    assert {v["id"]: v["status"] for v in rep["verdicts"]} == {
+        "threshold-chain": "pass", "interval-order": "pass",
+        "first-level-strict-drop": "pass", "second-level-below-threshold": "pass",
+        "sandwich-autonomous": "inapplicable", "cross-oracle-ground": "inapplicable"}
+    assert [row["y"] for row in rep["levels"]["lam2"]["sweep"]] == [4.0, 6.0]
+
+
 # the coarse N = 3 grid of the end-to-end 3-D runs
 COARSE_3D = {**COARSE, "dim": "3", "box_l": "6.0", "spacing_h": "0.5",
              "theta_samples": "64", "y_sweep": "3,4"}

@@ -51,6 +51,30 @@ class TestLpNorm:
             lp_norm(GridFunction(grid, np.zeros(grid.shape)), 0.5)
 
 
+class TestGridFunction:
+    def test_constructor_does_not_alias_the_callers_array(self, grid):
+        vals = np.ones(grid.shape)
+        u = GridFunction(grid, vals)
+        assert not np.shares_memory(u.values, vals)
+        vals[3, 3] = 7.0
+        assert u.values[3, 3] == 1.0
+        # the boundary is zeroed in the field's copy, not in the caller's array
+        assert u.values[0, 0] == 0.0 and vals[0, 0] == 1.0
+
+    def test_fresh_results_are_adopted_not_copied(self, grid, monkeypatch):
+        # lp_normalize, translate, split_signs and negation hand their own
+        # new arrays to the field without a second copy
+        u = gaussian(grid)
+
+        def copying(*args):
+            raise AssertionError("a fresh array was copied")
+
+        monkeypatch.setattr(GridFunction, "__init__", copying)
+        plus, minus = split_signs(u)
+        for v in (lp_normalize(u, 4.0), translate(u, (2, -1)), plus, minus, -u):
+            assert isinstance(v, GridFunction) and v.values.shape == grid.shape
+
+
 class TestLpNormalize:
     def test_idempotent(self, grid):
         u = lp_normalize(gaussian(grid), 4.0)

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
-                        lp_normalize, mass_I, pathlab, translate)
+                        lambda2_bounds, lp_normalize, mass_I, pathlab, translate)
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import _energy
 from minimaxlab.pathlab import (MAX_THETA_SAMPLES, MIN_THETA_SAMPLES, SPHERE_SAMPLES,
                                 THETA_SAMPLES, PathError, PathFamily, SampledPath,
-                                SphereMap, TranslationTable, balanced_point,
-                                disjoint_support_max, overlap_integrals, path_max_J,
-                                path_max_from_energies, sphere_points, two_block_energy)
+                                SphereMap, TranslatedBumps, TranslationTable,
+                                balanced_point, disjoint_support_max, overlap_integrals,
+                                path_max_J, path_max_from_energies, sphere_points,
+                                translated_bump_path, two_block_energy)
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +99,9 @@ class TestPathFamily:
             PathFamily(left, -left, 4.0)
 
     def test_path_point_peak_memory(self):
-        # the combination, its normalized copy and the copy the result keeps;
-        # holding the combination through the normalization made it 4.0 arrays
+        # the combination and its normalized quotient, which the result keeps;
+        # copying that quotient into the field made it 3.0 arrays, and holding
+        # the combination through the normalization 4.0
         grid = build_grid(ProblemSpec(N=3, p=4.0, L=4.0, h=0.25))
         x, y, z = grid.coords()
         u1, u2 = (lp_normalize(GridFunction(grid, np.exp(-(x - c) ** 2 - y * y - z * z)), 4.0)
@@ -112,7 +114,7 @@ class TestPathFamily:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - entry) / (grid.size * 8) <= 3.1
+        assert (peak - entry) / (grid.size * 8) <= 2.1
 
 
 class TestSampledPath:
@@ -368,11 +370,87 @@ class TestTranslationTable:
         assert np.max(clipped.scan(1.0)) > np.max(clipped.unbounded) * (1.0 + 1e-3)
 
 
+def bump_pair(N, L, h):
+    """(w1, winf, V) on a grid of half-width L: an asymmetric bump, the same
+    bump normalized, and V under an exponential well."""
+    spec = ProblemSpec(N=N, p=4.0, Vinf=1.0, L=L, h=h, W=WSpec(family="exponential",
+                                                                c=0.5, a=0.5))
+    grid = build_grid(spec)
+    x = grid.coords()
+    r2 = sum((xi - 0.3 * (i + 1)) ** 2 for i, xi in enumerate(x))
+    winf = GridFunction(grid, np.exp(-np.sqrt(r2 + 1.0)) * (1.5 + 0.5 * np.sin(x[0])))
+    return winf, potential_values(spec, grid)
+
+
+class TestTranslatedBumps:
+    """The sweep's closed form against J of the fields that
+    `translated_bump_path` builds, with no grid array per translation."""
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("N, L, h", [(2, 6.0, 0.25), (3, 4.0, 0.25)])
+    def test_agrees_with_built_fields(self, N, L, h, p, monkeypatch):
+        winf, V = bump_pair(N, L, h)
+        w1 = lp_normalize(winf, p)
+        built = counted(PathFamily.at)
+        monkeypatch.setattr(PathFamily, "at", lambda self, theta: built(self, theta))
+        bumps = TranslatedBumps(w1, winf, V, p)
+        for y in (h, 4.0, -6.0, 2 * L - 2 * h):
+            before = built.calls
+            mx, theta = path_max_J(bumps.path(y), V, MIN_THETA_SAMPLES)
+            family = translated_bump_path(w1, winf, (y,) + (0.0,) * (N - 1), p)
+            assert mx == pytest.approx(energy_J(family.at(theta), V), rel=1e-12, abs=0.0)
+            # one node apart the moments cancel, and the field at the argmax is built
+            assert built.calls - before == (2 if y == h else 1)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_degenerate_path_rejected(self, p, sign):
+        winf, V = bump_pair(2, 6.0, 0.25)
+        w1 = lp_normalize(GridFunction(winf.grid, sign * winf.values), p)
+        with pytest.raises(PathError, match="degenerate"):
+            path_max_J(TranslatedBumps(w1, winf, V, p).path(0.0), V)
+
+    def test_even_p_sweep_builds_no_field(self, monkeypatch):
+        winf, V = bump_pair(2, 6.0, 0.25)
+        w1 = lp_normalize(winf, 4.0)
+
+        def forbidden(*args):
+            raise AssertionError("the sweep built a field")
+
+        for name in ("GridFunction", "translate", "lp_normalize", "lp_mass"):
+            monkeypatch.setattr(pathlab, name, forbidden)
+        bounds = lambda2_bounds(V, 4.0, w1, 3.0, winf, 4.0, 0.1, y_sweep=(2.0, -3.0, 5.0))
+        assert len(bounds.sweep) == 3
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_one_H_application_per_sweep(self, p, monkeypatch):
+        winf, V = bump_pair(2, 6.0, 0.25)
+        apply_H = counted(pathlab._apply_H)
+        monkeypatch.setattr(pathlab, "_apply_H", lambda *args, **kw: apply_H(*args, **kw))
+        lambda2_bounds(V, p, lp_normalize(winf, p), 3.0, winf, 4.0, 0.1,
+                       y_sweep=(2.0, -3.0, 5.0), samples=MIN_THETA_SAMPLES)
+        assert apply_H.calls == 1
+
+    def test_sweep_peak_memory(self):
+        # H w1 and the temporaries of the H application that makes it; a grid
+        # field per translation made it 4.0 arrays
+        winf, V = bump_pair(3, 4.0, 0.25)
+        w1 = lp_normalize(winf, 4.0)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            lambda2_bounds(V, 4.0, w1, 3.0, winf, 4.0, 0.1, y_sweep=(1.0, 2.0, 3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / (winf.grid.size * 8) <= 2.3
+
+
 def counted(fn):
     """Wrap fn, counting its calls in the wrapper's `calls` attribute."""
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         wrapper.calls += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
     wrapper.calls = 0
     return wrapper
 
@@ -409,13 +487,13 @@ class TestNoProbeEvaluations:
     def test_path_max_evaluates_angles_and_search_steps_only(self, spec, grid, left, right,
                                                               monkeypatch):
         # a sampled path has no closed form, so it builds one field per angle,
-        # and one more at the argmax for the reported maximum
+        # and reports J of the field it built at the argmax
         steps = recorded_search_steps(monkeypatch)
         path = SampledPath.from_path(PathFamily(left, right, 4.0), 64, 4.0)
         path.at = counted(path.at)
         path_max_J(path, potential_values(spec, grid))
         assert len(steps) == 1
-        assert path.at.calls == THETA_SAMPLES + steps[0] + 1
+        assert path.at.calls == THETA_SAMPLES + steps[0]
 
     def test_path_family_max_evaluates_the_sample_array_once(self, spec, grid, left, right,
                                                               monkeypatch):
@@ -447,5 +525,5 @@ class TestNoProbeEvaluations:
             path.at = counted(path.at)
             path_max_J(path, potential_values(spec, grid), samples)
             counts.append((path.at.calls, normalize.calls))
-        # the one field is the path point at the argmax, whose J is reported
-        assert counts == [(1, 1), (1, 1)]
+        # the closed form at the argmax is reported; its mass does not cancel
+        assert counts == [(0, 0), (0, 0)]
