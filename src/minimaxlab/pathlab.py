@@ -4,12 +4,11 @@ and their exact maxima.
 A two-block path interpolates trigonometrically between blocks u1, u2 and is
 renormalized pointwise; when the blocks have layer-separated supports its
 energy maximum has a closed form, which the dense sampling must reproduce.
-Along a two-block path J is exact from a 2x2 Gram matrix and L^p moments
-computed once per path; a path maximum searches this closed form and reports
-it at the argmax, building the field there only where the moment sums cancel.
-The two-bump paths of a translation sweep take their Gram entries and moments
-as correlations of one H-applied array and layer profiles of the translated
-field, with no field built per translation. Along a translation sphere map,
+Along a two-block path J is exact from a 2x2 Gram matrix and the L^p mass of
+the block combination, both formed only by the translation sweep
+`TranslatedBumps` (a `PathFamily` is its zero-translation path), with no field
+built; a path maximum reports this closed form at its argmax, building the
+field there only where the mass cancels. Along a translation sphere map,
 J^inf is exact from one translation table of w_inf: summed-area tables for
 what the wall clips, correlations for the rest.
 """
@@ -56,13 +55,6 @@ def _dot(ndim: int, operands: int) -> str:
     return ",".join([axes] * operands) + "->"
 
 
-def _cross_moments(a: np.ndarray, b: np.ndarray, n: int) -> list[float]:
-    """sum a^j b^(n-j) for j = 1 .. n-1 over two arrays of one shape (views
-    of grid nodes): each one einsum of n operands, with no temporary."""
-    dot = _dot(a.ndim, n)
-    return [float(np.einsum(dot, *[a] * j, *[b] * (n - j))) for j in range(1, n)]
-
-
 class PathEnergy:
     """theta -> J(gamma(theta)) = y^T G y / m(y)^(2/p) at y = (cos theta,
     sin theta), elementwise over an array of angles, for the odd loop
@@ -70,8 +62,9 @@ class PathEnergy:
     them and the mass m(c, s) = |c u1 + s u2|_p^p; `self_mass` holds
     (|u1|_p^p, |u2|_p^p).
 
-    For even integer p, `moment_mass` builds m from the moments
-    int u1^j u2^(p-j), so an evaluation does no grid work.
+    `TranslatedBumps.energy` forms G and m; for even integer p, m is a
+    polynomial of the moments int u1^j u2^(p-j), so an evaluation does no
+    grid work.
     """
 
     def __init__(self, G: np.ndarray, mass, self_mass: tuple[float, float], p: float):
@@ -90,28 +83,18 @@ class PathEnergy:
         m1, m2 = self.self_mass
         return self.mass(c, s) < CANCELLATION * (abs(c) ** self.p * m1 + abs(s) ** self.p * m2)
 
-    @staticmethod
-    def moment_mass(moments: list[float], n: int):
-        """(c, s) -> sum_j C(n, j) M_j c^j s^(n-j) from the moments
-        M_j = int u1^j u2^(n-j), j = 0 .. n, for even n = p."""
-        terms = [(j, math.comb(n, j) * m) for j, m in enumerate(moments)]
-        return lambda c, s: sum(a * c ** j * s ** (n - j) for j, a in reversed(terms))
-
 
 def _even(p: float) -> bool:
     return p == int(p) and int(p) % 2 == 0
 
 
 class PathFamily:
-    """Odd loop gamma(theta) = normalize(u1 cos theta + u2 sin theta) through
-    two blocks on the constraint sphere.
+    """Odd loop gamma(theta) = normalize(u1 cos theta + (u2 / n) sin theta)
+    through two blocks on the constraint sphere, n = |u2|_p.
 
     `energy` gives J along the loop as a `PathEnergy`, without building
-    fields: G comes from one application of H = -Delta_h + V
-    (`energy._apply_H`) per block, held one at a time; for even integer p
-    the mass is a polynomial whose coefficients are the moments
-    int u1^j u2^(p-j); for other p it is one mass pass over the combination
-    per angle.
+    fields: it is the zero-translation path of the `TranslatedBumps` sweep
+    of the two blocks, which divides u2 by the same n.
     """
 
     def __init__(self, u1: GridFunction, u2: GridFunction, p: float):
@@ -125,45 +108,18 @@ class PathFamily:
         self.blocks = (u1, u2)
         self.p = p
         self.grid = u1.grid
-        self.self_mass = self_mass
-
-    def _combine(self, c, s) -> np.ndarray:
-        v = c * self.blocks[0].values
-        v += s * self.blocks[1].values
-        return v
+        self._scale = self_mass[1] ** (-1.0 / p)  # 1 / n
 
     def at(self, theta: float) -> GridFunction:
         # the combination is freed when lp_normalize returns its quotient
-        u = GridFunction._adopt(self.grid, self._combine(math.cos(theta), math.sin(theta)))
-        return lp_normalize(u, self.p)
-
-    def gram(self, V: np.ndarray) -> np.ndarray:
-        """G_ij = h^N <u_i, H u_j>, the bilinear form of J on the blocks.
-        Blocks with layer-separated supports give exact zeros off the diagonal."""
-        h = self.grid.h
-        vals = [b.values for b in self.blocks]
-        G = np.empty((2, 2))
-        for j, bj in enumerate(vals):
-            Hb = _apply_H(bj, V, h)
-            G[:, j] = [_pair(bi, Hb, h) for bi in vals]
-            del Hb  # so that the next block's H b is the only one held
-        return 0.5 * (G + G.T)
-
-    def _mass(self):
-        """(c, s) -> |c u1 + s u2|_p^p, elementwise over arrays of c and s."""
-        p, weight = self.p, self.grid.weight
-        if not _even(p):
-            return np.vectorize(lambda c, s: lp_mass(self._combine(c, s), p, weight),
-                                otypes=[float])
-        u1, u2 = (b.values for b in self.blocks)
-        cross = [m * weight for m in _cross_moments(u1, u2, int(p))]
-        return PathEnergy.moment_mass([self.self_mass[1], *cross, self.self_mass[0]], int(p))
+        v = math.cos(theta) * self.blocks[0].values
+        v += (math.sin(theta) * self._scale) * self.blocks[1].values
+        return lp_normalize(GridFunction._adopt(self.grid, v), self.p)
 
     def energy(self, V: np.ndarray) -> PathEnergy:
         """theta -> J(gamma(theta)) in closed form, for V = Vinf - W on the
-        grid, elementwise over an array of angles; G and the moments are
-        computed here, once."""
-        return PathEnergy(self.gram(V), self._mass(), self.self_mass, self.p)
+        grid, elementwise over an array of angles."""
+        return TranslatedBumps(*self.blocks, V, self.p).energy((0,) * self.grid.N)
 
 
 class SampledPath:
@@ -362,8 +318,8 @@ class TranslatedBumps:
 
     - H w1 (one `_apply_H`), its G11 = h^N <w1, H w1>, and |w1|_p^p;
     - first-axis layer profiles of w = winf: per layer, sum w^2, sum |w|^p
-      and the squared link differences inside it, and the squared link
-      differences between neighbouring layers.
+      and the squared link differences inside it and between neighbouring
+      layers, and for p not an even integer sum |w1|^p.
 
     `translate` by k layers keeps the layers a..b of w that land on interior
     nodes. The kinetic term of w restricted to them is the links inside and
@@ -371,8 +327,9 @@ class TranslatedBumps:
     end on zeros; its mass is the |w|^p of those layers. Per translation,
     each of G12 = h^N <H w1, T w>, sum V (T w)^2 and, for even integer p,
     the p - 1 cross moments sum w1^j (T w)^(p-j) is one einsum over views of
-    the kept layers, so no grid array is allocated. For other p the
-    translate is built once per y, for `PathFamily`'s mass pass per angle.
+    the kept layers, so no grid array is allocated. For other p the mass at
+    an angle is one `lp_mass` pass over the combination on the layers
+    a + k..b + k plus |c|^p times the |w1|^p of the other layers.
     """
 
     def __init__(self, w1: GridFunction, winf: GridFunction, V: np.ndarray, p: float):
@@ -382,6 +339,10 @@ class TranslatedBumps:
         self._sq = _layer_sums(t)
         t **= p / 2.0
         self._mass = _layer_sums(t) * grid.weight
+        if not _even(p):  # for the |w1|^p outside the kept layers
+            t = np.multiply(w1.values, w1.values, out=t)
+            t **= p / 2.0
+            self._w1_layer_mass = _layer_sums(t) * grid.weight
         del t
         self._between = _layer_sums(_squared(np.diff(w, axis=0)))
         self._inside = sum(_layer_sums(_squared(np.diff(w, axis=ax))) for ax in range(1, grid.N))
@@ -393,10 +354,9 @@ class TranslatedBumps:
         """The path at translation y e1, for `path_max_J` with the sweep's V."""
         return _TranslatedPath(self, lattice_steps(self.grid, (y,) + (0.0,) * (self.grid.N - 1)))
 
-    def energy(self, steps: tuple[int, ...], family: PathFamily | None) -> PathEnergy:
+    def energy(self, steps: tuple[int, ...]) -> PathEnergy:
         """J along the path at the lattice translation `steps` (k, 0, ..),
-        from the per-sweep quantities and the views of the kept layers; the
-        built `family` gives the mass where p is not an even integer."""
+        from the per-sweep quantities and the views of the kept layers."""
         k, grid, p, w = steps[0], self.grid, self.p, self.winf.values
         last = w.shape[0] - 2
         a, b = max(1, 1 - k), min(last, last - k)  # the kept layers of w
@@ -405,26 +365,35 @@ class TranslatedBumps:
             raise FieldError("cannot normalize the zero field")
         n = mass ** (1.0 / p)
         src, dst = slice(a, b + 1), slice(a + k, b + k + 1)
-        ws, Vd = w[src], self.V[dst]
+        ws, Vd, w1 = w[src], self.V[dst], self.w1.values[dst]
         kinetic = (np.sum(self._inside[src]) + np.sum(self._between[a:b])
                    + self._sq[a] + self._sq[b]) * grid.h ** (grid.N - 2)
         Q = kinetic + float(np.einsum(_dot(grid.N, 3), Vd, ws, ws)) * grid.weight
         G12 = float(np.einsum(_dot(grid.N, 2), self._Hw1[dst], ws)) * grid.weight / n
         G = np.array([[self._G11, G12], [G12, Q / n ** 2]])
-        if family is not None:
-            return PathEnergy(G, family._mass(), family.self_mass, p)
-        cross = _cross_moments(self.w1.values[dst], ws, int(p))
-        moments = [mass / n ** p] + [m * grid.weight / n ** (p - j)
-                                     for j, m in enumerate(cross, start=1)] + [self._w1_mass]
-        return PathEnergy(G, PathEnergy.moment_mass(moments, int(p)),
-                          (self._w1_mass, moments[0]), p)
+        self_mass = (self._w1_mass, mass / n ** p)
+        if _even(p):  # m = sum_j C(p, j) M_j c^j s^(p-j), M_j = h^N sum w1^j (T w / n)^(p-j)
+            e, dot = int(p), _dot(grid.N, int(p))
+            moments = [self_mass[1]] + [float(np.einsum(dot, *[w1] * j, *[ws] * (e - j)))
+                                        * grid.weight / n ** (p - j)
+                                        for j in range(1, e)] + [self._w1_mass]
+            terms = [(j, math.comb(e, j) * m) for j, m in enumerate(moments)][::-1]
+            return PathEnergy(G, lambda c, s: sum(m * c ** j * s ** (e - j) for j, m in terms),
+                              self_mass, p)
+        layers = self._w1_layer_mass
+        outside = float(np.sum(layers[:a + k]) + np.sum(layers[b + k + 1:]))
+
+        def mass_at(c, s):  # |c w1 + (s / n) T w|_p^p
+            v = c * w1
+            v += (s / n) * ws
+            return abs(c) ** p * outside + lp_mass(v, p, grid.weight)
+        return PathEnergy(G, np.vectorize(mass_at, otypes=[float]), self_mass, p)
 
 
 class _TranslatedPath:
     """One path of a `TranslatedBumps` sweep, for `path_max_J`: J in closed
-    form from the sweep, and the `translated_bump_path` built only when asked
-    for, that is, for a mass that is not a polynomial of moments, for a
-    field, or where the moments cancel along a diagonal, as they do when
+    form from the sweep, and the `translated_bump_path` built only for a
+    field, or where the mass cancels along a diagonal, as it does when
     u2 = +/- u1 (a degenerate path, which `PathFamily` rejects)."""
 
     def __init__(self, bumps: TranslatedBumps, steps: tuple[int, ...]):
@@ -437,9 +406,7 @@ class _TranslatedPath:
 
     def energy(self, V: np.ndarray) -> PathEnergy:
         """J along the path; `V` is the sweep's."""
-        if not _even(self.bumps.p):
-            return self.bumps.energy(self.steps, self.family)
-        J = self.bumps.energy(self.steps, None)
+        J = self.bumps.energy(self.steps)
         if J.cancels(math.pi / 4) or J.cancels(3 * math.pi / 4):
             self.family  # built here: PathFamily raises PathError for u2 = +/- u1
         return J
@@ -524,7 +491,7 @@ class TranslationTable:
         self._sat_mass = _summed_area(np.abs(v) ** p)
         self._sat_links = [_summed_area(np.diff(v, axis=a) ** 2) for a in range(v.ndim)]
         self._moments = None  # the mass correlations with their binomial weights
-        if p == int(p) and int(p) % 2 == 0:
+        if _even(p):
             n = int(p)
             powers = [v] + [v ** j for j in range(2, n)]  # w^j, j = 1 .. p - 1
             self._moments = [(math.comb(n, j) * (-1) ** (n - j), powers[j - 1], powers[n - j - 1])

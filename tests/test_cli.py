@@ -363,10 +363,12 @@ def test_descent_diagnostics_stay_outside_the_hash(tmp_path, monkeypatch):
     assert moved["report_hash"] == plain["report_hash"]
 
 
-def test_levels_at_p3_on_the_desk_grid(tmp_path):
-    # odd p: the sweep builds each translate once for the mass along its path
+@pytest.mark.parametrize("p", ["3", "3.5"])
+def test_levels_at_non_even_p_on_the_desk_grid(tmp_path, p):
+    # the sweep's mass is one lp_mass pass per angle; at p = 3.5 the
+    # shooting's _integrate takes its general pow branch
     assert main(["run", str(DESK_CFG), "--out", str(tmp_path), "--override", "experiment=levels",
-                 "--override", "p=3", "--override", "y_sweep=4,6",
+                 "--override", f"p={p}", "--override", "y_sweep=4,6",
                  "--override", "theta_samples=64"]) == 0
     rep = report_of(tmp_path)
     assert {v["id"]: v["status"] for v in rep["verdicts"]} == {

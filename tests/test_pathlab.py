@@ -214,9 +214,9 @@ class TestSpanMap:
     def test_disjoint_blocks_are_the_diagonal_case(self, grid, well, p):
         path = PathFamily(unit_bump(grid, (-4.0, 0.0), p), unit_bump(grid, (4.0, 0.0), p), p)
         V = potential_values(well, grid)
-        G = path.gram(V)
-        assert G[0, 1] == G[1, 0] == 0.0
         J = path.energy(V)
+        G = J.G
+        assert G[0, 1] == G[1, 0] == 0.0
         for t in np.linspace(0.0, math.pi, 9):
             assert J(t) == pytest.approx(two_block_energy(G[0, 0], G[1, 1], p, t), rel=1e-12)
         got, _ = path_max_J(path, V)
@@ -410,16 +410,19 @@ class TestTranslatedBumps:
         with pytest.raises(PathError, match="degenerate"):
             path_max_J(TranslatedBumps(w1, winf, V, p).path(0.0), V)
 
-    def test_even_p_sweep_builds_no_field(self, monkeypatch):
+    @pytest.mark.parametrize("p", [3.0, 3.5, 4.0])
+    def test_sweep_builds_no_field_at_any_p(self, p, monkeypatch):
+        # for p not an even integer the mass takes one lp_mass pass per angle
         winf, V = bump_pair(2, 6.0, 0.25)
-        w1 = lp_normalize(winf, 4.0)
+        w1 = lp_normalize(winf, p)
 
         def forbidden(*args):
             raise AssertionError("the sweep built a field")
 
-        for name in ("GridFunction", "translate", "lp_normalize", "lp_mass"):
+        names = ("GridFunction", "translate", "lp_normalize") + (("lp_mass",) if p == 4.0 else ())
+        for name in names:
             monkeypatch.setattr(pathlab, name, forbidden)
-        bounds = lambda2_bounds(V, 4.0, w1, 3.0, winf, 4.0, 0.1, y_sweep=(2.0, -3.0, 5.0))
+        bounds = lambda2_bounds(V, p, w1, 3.0, winf, 4.0, 0.1, y_sweep=(2.0, -3.0, 5.0))
         assert len(bounds.sweep) == 3
 
     @pytest.mark.parametrize("p", [3.0, 4.0])
@@ -444,6 +447,22 @@ class TestTranslatedBumps:
         finally:
             tracemalloc.stop()
         assert (peak - entry) / (winf.grid.size * 8) <= 2.3
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_path_family_energy_peak_memory(self, p):
+        # H u1 and the temporaries of the H application that makes it
+        winf, V = bump_pair(3, 4.0, 0.25)
+        u1 = lp_normalize(winf, p)
+        u2 = lp_normalize(translate(winf, (1.0, 0.0, 0.0)), p)
+        path = PathFamily(u1, u2, p)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            path.energy(V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / (winf.grid.size * 8) <= 2.1
 
 
 def counted(fn):
