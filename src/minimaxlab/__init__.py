@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .domain import (Grid, ProblemSpec, WSpec, build_grid, dual_norm_W,
                      eval_W)
 from .field import GridFunction, lp_norm, lp_normalize, split_signs, translate
-from .energy import (deviation_bound, energy_J, euler_lagrange_residual,
-                     manifold_gradient, mass_I)
+from .energy import deviation_bound, energy_J, euler_lagrange_residual, mass_I
 from .groundstate import (DecayFit, RadialProfile, fit_decay,
                           minimize_lambda1, profile_on_grid, shoot_excited,
                           shoot_ground)

@@ -2,13 +2,14 @@
 
 Every level is a quadratic form of H = -Delta_h + V, with the (2N+1)-point
 Laplacian, and `_apply_H` alone writes its stencil: J(v) = h^N <v, H v>, the
-sphere gradient, two-block Gram matrices and translation tables start from
-H v. For v zero on the boundary, summation by parts makes h^N <v, -Delta_h v>
-the link sum of squared forward differences, and J is exactly additive, term
-by term, over supports separated by a zero node layer. The stencil is
-diagonal in the DST-I basis, where `_ShiftedPoissonSolver` inverts
--Delta_h + Vinf exactly on the Dirichlet box. All reductions use numpy's
-deterministic summation order, keeping repeated runs bit-identical.
+sphere gradient and the cross terms of two-block Gram matrices and translation
+tables start from H v. For v zero on the boundary, summation by parts makes
+h^N <v, -Delta_h v> the link sum of squared forward differences: per-layer or
+summed-area tables of it give a clipped translate's self terms, and J is exactly
+additive over supports separated by a zero node layer. The stencil is diagonal
+in the DST-I basis, where `_ShiftedPoissonSolver` inverts -Delta_h + Vinf
+exactly on the Dirichlet box. All reductions use numpy's deterministic
+summation order, keeping repeated runs bit-identical.
 
 The private kernels (`_apply_H`, `_pair`, `_energy`, `_sphere_gradient`) take
 raw node arrays and a precomputed V. The public functions take fields and
@@ -173,26 +174,10 @@ def energy_J(u: GridFunction, V: np.ndarray) -> float:
 
 
 def euler_lagrange_residual(u: GridFunction, lam: float, V: np.ndarray, p: float) -> float:
-    """Discrete L^2 norm of -Delta u + V u - lam |u|^(p-2) u (zero on the boundary)."""
+    """Discrete L^2 norm of -Delta u + V u - lam |u|^(p-2) u: half the sphere
+    gradient's, with lam for J."""
     g = _sphere_gradient(u.values, _apply_H(u.values, V, u.grid.h), lam, p)
-    return 0.5 * gradient_norm(GridFunction(u.grid, g))
-
-
-def manifold_gradient(u: GridFunction, V: np.ndarray, p: float) -> GridFunction:
-    """Field representative of J'(u) - mu I'(u) with mu = (2/p) J(u).
-
-    Vanishes exactly when u solves the discrete equation with lambda = J(u);
-    its pairing with any direction v equals d/dt J(normalize(u + t v)) at t=0.
-    """
-    _require_on_sphere(u, p)
-    v, h = u.values, u.grid.h
-    Hv = _apply_H(v, V, h)
-    return GridFunction(u.grid, _sphere_gradient(v, Hv, _pair(v, Hv, h), p))
-
-
-def gradient_norm(g: GridFunction) -> float:
-    """Discrete L^2 norm of a gradient representative."""
-    return float(np.sqrt(np.sum(g.values ** 2) * g.grid.weight))
+    return 0.5 * float(np.sqrt(np.sum(g * g) * u.grid.weight))
 
 
 def inner_l2(u: GridFunction, v: GridFunction) -> float:

@@ -72,9 +72,8 @@ def translate(u: GridFunction, y) -> GridFunction:
     grid = u.grid
     steps = lattice_steps(grid, y)
     out = np.zeros(grid.shape)
-    if np.all(np.abs(steps) < np.array(grid.shape)):  # otherwise every value leaves the box
-        dst, src = shift_slices(steps, grid.shape)
-        out[dst] = u.values[src]
+    dst, src = shift_slices(steps, grid.shape)
+    out[dst] = u.values[src]
     return GridFunction._adopt(grid, out)
 
 
@@ -95,9 +94,10 @@ def lattice_steps(grid: Grid, y) -> tuple[int, ...]:
 
 def shift_slices(steps, shape) -> tuple[tuple, tuple]:
     """(dst, src) index tuples of an array of `shape` such that dst = src + steps
-    node for node: the part of the array that a shift by `steps` keeps. Each
-    step must be smaller than its axis."""
-    k, n = np.asarray(steps), np.asarray(shape)
+    node for node: the part of the array that a shift by `steps` keeps, empty
+    when a step is at least as long as its axis."""
+    n = np.asarray(shape)
+    k = np.minimum(np.maximum(steps, -n), n)
     dst = tuple(map(slice, np.maximum(k, 0), n + np.minimum(k, 0)))
     src = tuple(map(slice, np.maximum(-k, 0), n - np.maximum(k, 0)))
     return dst, src

@@ -433,8 +433,8 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
 def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
                      seed: GridFunction | None = None) -> DescentResult:
     """Constrained minimization of J on `grid`, with V = Vinf - W on it, to a
-    gradient norm below DESCENT_TOL: returns (w1, lambda_1). `Vinf` sets the
-    preconditioner -Delta_h + Vinf.
+    gradient norm below DESCENT_TOL, as a `DescentResult` holding w1 and
+    lambda_1. `Vinf` sets the preconditioner -Delta_h + Vinf.
 
     Starts from the on-grid `seed` when given (the pipeline passes the
     interpolated shooting profile), otherwise from a Gaussian bump. The

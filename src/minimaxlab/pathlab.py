@@ -405,7 +405,10 @@ class _TranslatedPath:
         return translated_bump_path(bumps.w1, bumps.winf, self.steps, bumps.p)
 
     def energy(self, V: np.ndarray) -> PathEnergy:
-        """J along the path; `V` is the sweep's."""
+        """J along the path; `V` must be the sweep's array, which the closed form
+        uses and `path_max_J` passes on to J of a field built at the argmax."""
+        if V is not self.bumps.V:
+            raise PathError("a translated path takes the potential of its sweep")
         J = self.bumps.energy(self.steps)
         if J.cancels(math.pi / 4) or J.cancels(3 * math.pi / 4):
             self.family  # built here: PathFamily raises PathError for u2 = +/- u1
@@ -518,9 +521,9 @@ class TranslationTable:
         in the box (as `translate` builds it) and on the unbounded lattice."""
         v, grid, p = self.field.values, self.field.grid, self.p
         steps = np.asarray(steps, dtype=int).reshape(-1, grid.N)
-        if not np.all(np.any(steps, axis=1)):
-            raise PathError("a zero translation step gives the zero field")
         lo, hi = self._interior
+        if not np.all(np.any(steps, axis=1)) or np.any(np.abs(steps) > hi - lo):
+            raise PathError("a zero step, or one that keeps no interior node, gives the zero field")
         q_a, m_a = self._self_terms(np.maximum(lo, lo - steps), np.minimum(hi, hi - steps), Vinf)
         q_b, m_b = self._self_terms(np.maximum(lo, lo + steps), np.minimum(hi, hi + steps), Vinf)
         q_w, m_w = self._self_terms(lo[None], hi[None], Vinf)

@@ -16,7 +16,7 @@ import pytest
 from minimaxlab import (GridFunction, build_grid, dual_norm_W, energy_J, eval_W,
                         lp_normalize, profile_on_grid, translate)
 from minimaxlab.domain import potential_values
-from minimaxlab.energy import deviation_bound, inner_l2, manifold_gradient
+from minimaxlab.energy import _apply_H, _pair, _sphere_gradient, deviation_bound, inner_l2
 from minimaxlab.minimax import lambda_sharp
 from minimaxlab.pathlab import (SphereMap, TranslationTable, balanced_point,
                                 disjoint_support_max, overlap_integrals,
@@ -167,7 +167,9 @@ def test_A10_balanced_point_mechanism(spec0, spec_exp, descent0, descent_exp,
 def test_A11_gradient_check(spec0, winf0, rng):
     grid = winf0.grid
     V = potential_values(spec0, grid)
-    g = manifold_gradient(winf0, V, spec0.p)
+    v0 = winf0.values
+    Hv = _apply_H(v0, V, grid.h)
+    g = GridFunction(grid, _sphere_gradient(v0, Hv, _pair(v0, Hv, grid.h), spec0.p))
 
     def phi(v, t):
         u = GridFunction(grid, winf0.values + t * v)

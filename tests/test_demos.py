@@ -1,15 +1,20 @@
-"""Every name a demo imports from minimaxlab resolves, and every call a demo
-makes to such a name binds to its signature (positional count and keyword
-names); no demo is executed."""
+"""Every name a demo imports from minimaxlab resolves, every call a demo makes
+to such a name binds to its signature (positional count and keyword names),
+and every demo runs to exit status 0."""
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEMO_TIMEOUT_S = 60  # each demo takes well under a second
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -32,3 +37,12 @@ def test_demo_imports_resolve(demo):
                     *call.args, **{kw.arg: kw.value for kw in call.keywords})
             except TypeError as exc:
                 pytest.fail(f"{demo.name}:{call.lineno}: {call.func.id}(): {exc}")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True,
+                         text=True, timeout=DEMO_TIMEOUT_S)
+    assert run.returncode == 0, f"{demo.name} exited {run.returncode}:\n{run.stderr}"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
-                        lambda2_bounds, lp_normalize, mass_I, pathlab, translate)
+                        lambda2_bounds, lp_normalize, mass_I, pathlab, profile_on_grid,
+                        translate)
 from minimaxlab.domain import potential_values
 from minimaxlab.energy import _energy
 from minimaxlab.pathlab import (MAX_THETA_SAMPLES, MIN_THETA_SAMPLES, SPHERE_SAMPLES,
@@ -369,6 +370,29 @@ class TestTranslationTable:
         clipped = SphereMap(table, 5.0)
         assert np.max(clipped.scan(1.0)) > np.max(clipped.unbounded) * (1.0 + 1e-3)
 
+    @pytest.mark.parametrize("N, L, steps", [
+        (2, 4.0, [(17, 0), (5, -18)]),  # 2|k| >= M = 33: the translates do not overlap
+        (3, 2.0, [(9, 0, 0), (-3, 10, 2)]),  # M = 17
+    ])
+    def test_far_steps_match_built_fields(self, ground_profile, N, L, steps):
+        # steps no SphereMap reaches; no one-layer slivers, whose summed-area
+        # differences lose digits
+        grid = build_grid(ProblemSpec(N=N, p=4.0, L=L, h=0.25))
+        w = profile_on_grid(ground_profile, grid) if N == 2 else smooth_field(grid)
+        box, _ = TranslationTable(w, 4.0).energies(steps, 1.0)
+        ref = [energy_J(lp_normalize(GridFunction(
+            grid, translate(w, k).values - translate(w, tuple(-s for s in k)).values), 4.0), 1.0)
+            for k in steps]
+        assert box == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [31, -31, 40])
+    def test_step_that_keeps_no_interior_node_rejected(self, k):
+        # the M - 2 interior nodes of an axis are all moved out by |k| >= M - 2
+        grid = build_grid(ProblemSpec(N=2, p=4.0, L=4.0, h=0.25))
+        table = TranslationTable(smooth_field(grid), 4.0)
+        with pytest.raises(PathError, match="keeps no interior node"):
+            table.energies([(3, 1), (1, k)], 1.0)
+
 
 def bump_pair(N, L, h):
     """(w1, winf, V) on a grid of half-width L: an asymmetric bump, the same
@@ -409,6 +433,15 @@ class TestTranslatedBumps:
         w1 = lp_normalize(GridFunction(winf.grid, sign * winf.values), p)
         with pytest.raises(PathError, match="degenerate"):
             path_max_J(TranslatedBumps(w1, winf, V, p).path(0.0), V)
+
+    def test_path_takes_the_sweeps_potential(self):
+        # the closed form is J under the sweep's V, so another V, even an
+        # equal copy, would pair its samples with a field built under that V
+        winf, V = bump_pair(2, 6.0, 0.25)
+        bumps = TranslatedBumps(lp_normalize(winf, 4.0), winf, V, 4.0)
+        with pytest.raises(PathError, match="potential of its sweep"):
+            path_max_J(bumps.path(2.0), V.copy())
+        assert path_max_J(bumps.path(2.0), V)[0] > 0.0
 
     @pytest.mark.parametrize("p", [3.0, 3.5, 4.0])
     def test_sweep_builds_no_field_at_any_p(self, p, monkeypatch):
