@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import (DomainError, ProblemSpec, build_grid, dual_norm_W, eval_W,
+from .domain import (EVEN, DomainError, ProblemSpec, build_grid, dual_norm_W, eval_W,
                      parse_problem_mapping, read_keyvalue_file, PROBLEM_KEYS)
 from .energy import deviation_bound
 from .field import GridFunction, lp_normalize
@@ -120,18 +120,27 @@ class Pipeline:
         return build_grid(self.spec)
 
     @cached_property
+    def field_grid(self):
+        """The grid of V, w_inf and w1: for a radial W (every family but a
+        table) the orthant of `grid`, EVEN on every axis, as they are even in
+        every coordinate; for a table, `grid` itself."""
+        grid = self.grid
+        return grid if self.spec.W.family == "table" else grid.fold((EVEN,) * grid.N)
+
+    @cached_property
     def _V_and_norm(self) -> tuple[np.ndarray, float]:
-        """V = Vinf - W on the grid and |W|_q from one evaluation of W (for a
-        table, one read of its file); V is formed in W's array, so the run
-        holds one grid array for both."""
-        W = eval_W(self.spec, self.grid)
-        norm = dual_norm_W(W, self.spec.q, self.grid.weight)
+        """V = Vinf - W on `field_grid` and |W|_q from one evaluation of W (for
+        a table, one read of its file); V is formed in W's array, so the run
+        holds one array for both."""
+        grid = self.field_grid
+        W = eval_W(self.spec, grid)
+        norm = dual_norm_W(W, self.spec.q, grid.weight, grid.parity)
         return np.subtract(self.spec.Vinf, W, out=W), norm
 
     @property
     def V(self):
-        """V = Vinf - W on the grid, for the descent, the two-bump paths and
-        the deviation check."""
+        """V = Vinf - W on `field_grid`, for the descent, the two-bump paths
+        and the deviation check."""
         return self._V_and_norm[0]
 
     @property
@@ -149,10 +158,10 @@ class Pipeline:
 
     @cached_property
     def winf(self):
-        """The shooting ground state interpolated onto the grid: the descent
-        seed under a well, the translated bump of the two-bump paths and the
-        building block of the sphere maps."""
-        return profile_on_grid(self.ground_profile, self.grid)
+        """The shooting ground state interpolated onto `field_grid`: the
+        descent seed under a well, the translated bump of the two-bump paths
+        and, unfolded to `grid`, the building block of the sphere maps."""
+        return profile_on_grid(self.ground_profile, self.field_grid)
 
     @cached_property
     def excited_profile(self):
@@ -167,7 +176,7 @@ class Pipeline:
     def descent(self):
         s = self.spec
         seed = None if s.W.family == "zero" else self.winf
-        return minimize_lambda1(self.V, s.Vinf, s.p, self.grid, seed=seed)
+        return minimize_lambda1(self.V, s.Vinf, s.p, self.field_grid, seed=seed)
 
     @cached_property
     def lam2(self) -> Lambda2Bounds:
@@ -180,8 +189,11 @@ class Pipeline:
     def gamma_r_scans(self):
         """R -> (sampled directions, J^inf of the sphere map at each of them, J^inf
         of the same directions on the unbounded lattice). One translation
-        table of w_inf serves every R and is dropped on return."""
-        table = TranslationTable(self.winf, self.spec.p)
+        table of w_inf, unfolded to `grid`, serves every R and is dropped on return."""
+        winf = self.winf
+        if winf.grid is not self.grid:
+            winf = GridFunction._adopt(self.grid, winf.grid.unfold(winf.values))
+        table = TranslationTable(winf, self.spec.p)
         out = {}
         for R in self.cfg.r_list:
             sm = SphereMap(table, R)
@@ -313,7 +325,8 @@ def exp_verify_all(pipe: Pipeline, rep: LevelsReport, artifacts: dict):
     # Hoelder's inequality makes the bound an equality at u ~ |W|^((q-1)/2), any u if W = 0
     spec = pipe.spec
     extremal = np.abs(spec.Vinf - pipe.V) ** ((spec.q - 1.0) / 2.0)
-    u = lp_normalize(GridFunction(pipe.grid, extremal), spec.p) if extremal.any() else pipe.winf
+    u = (lp_normalize(GridFunction._adopt(pipe.field_grid, extremal), spec.p) if extremal.any()
+         else pipe.winf)
     dev = deviation_bound(u, pipe.V, spec.Vinf, spec.p)
     rep.verdicts.append(verdict("deviation-bound-random", True, pipe.w_dual_norm + 1e-6 - dev,
                                 f"|J - Jinf| = {dev} <= |W|_q + 1e-6 at u ~ |W|^((q-1)/2)"))

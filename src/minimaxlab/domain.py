@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,21 +95,35 @@ class ProblemSpec:
         return (self.p - 2) / self.p
 
 
+# Per-axis parity of a node array. FULL: the whole axis, with a Dirichlet wall at
+# each end. EVEN: the half x >= 0 of an axis along which the array is even, from
+# index 0 on the mirror plane x = 0 to the wall at index -1.
+FULL, EVEN = "full", "even"
+
+
 class Grid:
     """Uniform Cartesian grid on [-L, L]^N, symmetric about the origin.
 
     Boundary nodes carry Dirichlet zeros; the quadrature weight is h^N per
     node (boundary values vanish, so including them is harmless).
+
+    With a `parity` (FULL on every axis by default) the grid keeps only the
+    nodes x >= 0 of each EVEN axis, for arrays even in that coordinate. Its
+    node coordinates are the full grid's bit for bit, and its sums
+    (`node_sum`) count each node off a mirror plane twice, so they are the
+    full grid's sums up to rounding.
     """
 
-    def __init__(self, N: int, L: float, h: float):
+    def __init__(self, N: int, L: float, h: float, parity=None):
         m = round(L / h)
         self.N = N
         self.L = float(L)
         self.h = float(h)
         self.axis = h * np.arange(-m, m + 1)  # exactly odd, so radial data is exactly even
-        self.shape = (2 * m + 1,) * N
-        self.origin_index = (m,) * N
+        self.parity = tuple(parity) if parity else (FULL,) * N
+        self.axes = [self.axis[m:] if kind == EVEN else self.axis for kind in self.parity]
+        self.shape = tuple(len(a) for a in self.axes)
+        self.origin_index = tuple(0 if kind == EVEN else m for kind in self.parity)
         self.weight = h ** N
 
     @property
@@ -117,12 +132,12 @@ class Grid:
 
     def coords(self):
         """Meshgrid of node coordinates, one array per axis (ij indexing)."""
-        return np.meshgrid(*([self.axis] * self.N), indexing="ij")
+        return np.meshgrid(*self.axes, indexing="ij")
 
     def radius(self) -> np.ndarray:
         """Distance from the origin at every node, summed over the open mesh
         so that no full coordinate array is built."""
-        return np.sqrt(sum(x * x for x in np.ix_(*[self.axis] * self.N)))
+        return np.sqrt(sum(x * x for x in np.ix_(*self.axes)))
 
     def lattice_vector(self, y) -> tuple[int, ...]:
         """Round a spatial displacement to whole grid steps per axis."""
@@ -131,31 +146,58 @@ class Grid:
             raise DomainError(f"displacement must have {self.N} components")
         return tuple(int(round(v / self.h)) for v in y)
 
+    def fold(self, parity) -> "Grid":
+        """The grid of the same box with per-axis `parity`; this grid if it has it."""
+        parity = tuple(parity)
+        return self if parity == self.parity else Grid(self.N, self.L, self.h, parity)
 
-def zero_boundary(v: np.ndarray, ends=(0, -1)) -> np.ndarray:
-    """Set the Dirichlet boundary nodes of a node array to zero, in place: the
-    `ends` of every axis (only -1 on an orthant, whose index 0 is a reflection plane)."""
+    def unfold(self, v: np.ndarray, parity=None) -> np.ndarray:
+        """The node array on `fold(parity)` (FULL on every axis by default) of
+        which `v`, on this grid, is the fold: each EVEN axis that is FULL in
+        `parity` mirrored out, node i of it being node |i - m| of v, in one
+        indexing pass. `v` itself when the parities agree."""
+        parity = tuple(parity) if parity else (FULL,) * self.N
+        if parity == self.parity:
+            return v
+        return v[np.ix_(*[np.abs(np.arange(1 - n, n)) if kind == EVEN and to == FULL
+                          else np.arange(n) for n, kind, to in zip(v.shape, self.parity, parity)])]
+
+
+def zero_boundary(v: np.ndarray, parity=None) -> np.ndarray:
+    """Set the Dirichlet boundary nodes of a node array to zero, in place: both
+    ends of a FULL axis (every axis by default), only index -1 of an EVEN one."""
     for ax in range(v.ndim):
-        np.moveaxis(v, ax, 0)[list(ends)] = 0.0
+        ends = [-1] if parity and parity[ax] == EVEN else [0, -1]
+        np.moveaxis(v, ax, 0)[ends] = 0.0
     return v
 
 
-def node_sum(t: np.ndarray, nodes: np.ndarray | None = None):
-    """Sum of a node array; with per-axis weights `nodes` (1 on an orthant's reflection
-    plane, 2 elsewhere) each node counts as the full-grid nodes it stands for."""
-    if nodes is None:
+@lru_cache(maxsize=64)
+def axis_weights(kind: str, n: int) -> np.ndarray:
+    """The full-grid nodes that each of n nodes of an axis of this parity stands
+    for: 1 on a FULL axis, and on an EVEN one 1 on the mirror plane and 2 off it."""
+    w = np.r_[1.0, np.full(n - 1, 2.0)] if kind == EVEN else np.ones(n)
+    w.flags.writeable = False
+    return w
+
+
+def node_sum(t: np.ndarray, parity=None):
+    """Sum of a node array, each node counted as the full-grid nodes it stands
+    for (`axis_weights`) under its per-axis `parity`; a plain sum when every axis is FULL."""
+    if parity is None or EVEN not in parity:
         return np.sum(t)
-    for _ in range(t.ndim):  # contract the last axis
-        t = t.reshape(-1, len(nodes)) @ nodes
+    shape = t.shape
+    for ax in reversed(range(t.ndim)):  # contract the last axis
+        t = t.reshape(-1, shape[ax]) @ axis_weights(parity[ax], shape[ax])
     return t[0]
 
 
-def lp_mass(v: np.ndarray, p: float, weight: float, nodes: np.ndarray | None = None) -> float:
+def lp_mass(v: np.ndarray, p: float, weight: float, parity=None) -> float:
     """Quadrature sum weight * |v_i|^p of a node array (|v|_p^p), taken as
     (v_i^2)^(p/2): for p = 4 that is two squarings and no pow call per node."""
     t = np.multiply(v, v)
     t **= p / 2.0
-    return float(node_sum(t, nodes) * weight)
+    return float(node_sum(t, parity) * weight)
 
 
 def build_grid(spec: ProblemSpec) -> Grid:
@@ -169,7 +211,8 @@ def build_grid(spec: ProblemSpec) -> Grid:
 
 def eval_W(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     """Nodewise values of the perturbation W, zero on the Dirichlet boundary;
-    the potential is Vinf - W."""
+    the potential is Vinf - W. On a folded grid (a radial family) each value is
+    the full grid's at that node, bit for bit."""
     w = spec.W
     if w.family == "zero":
         vals = np.zeros(grid.shape)
@@ -181,13 +224,15 @@ def eval_W(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     else:  # table; WSpec admits no other family
         from .field import load_gridfunction
 
+        if EVEN in grid.parity:
+            raise DomainError("a tabulated W is evaluated on the whole grid, not a folded one")
         table = load_gridfunction(w.table_path)
         tg = table.grid
         if (tg.N, tg.L, tg.h) != (grid.N, grid.L, grid.h):
             raise DomainError(f"tabulated W lies on a grid with N={tg.N}, L={tg.L}, h={tg.h}, "
                               f"not the run's N={grid.N}, L={grid.L}, h={grid.h}")
         vals = table.values
-    return zero_boundary(vals)
+    return zero_boundary(vals, grid.parity)
 
 
 def potential_values(spec: ProblemSpec, grid: Grid) -> np.ndarray:
@@ -195,10 +240,11 @@ def potential_values(spec: ProblemSpec, grid: Grid) -> np.ndarray:
     return spec.Vinf - eval_W(spec, grid)
 
 
-def dual_norm_W(W: np.ndarray, q: float, weight: float) -> float:
+def dual_norm_W(W: np.ndarray, q: float, weight: float, parity=None) -> float:
     """L^q norm of the node values `W` (from `eval_W`) with q = p/(p-2), the
-    deviation bound of the level algebra; `weight` is the grid's h^N."""
-    total = lp_mass(W, q, weight)
+    deviation bound of the level algebra; `weight` is the grid's h^N and
+    `parity` its per-axis parity."""
+    total = lp_mass(W, q, weight, parity)
     if not math.isfinite(total):
         raise DomainError("quadrature of |W|^q overflowed")
     return total ** (1.0 / q)

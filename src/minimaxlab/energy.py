@@ -12,47 +12,56 @@ exactly on the Dirichlet box. All reductions use numpy's deterministic
 summation order, keeping repeated runs bit-identical.
 
 The private kernels (`_apply_H`, `_pair`, `_energy`, `_sphere_gradient`) take
-raw node arrays and a precomputed V. The public functions take fields and
-V = Vinf - W on their grid, never a problem specification: `energy_J(u, V)`
-is the one J of a field.
+raw node arrays, a precomputed V and the arrays' per-axis parity
+(`domain.FULL` or `domain.EVEN`, FULL on every axis by default). The public
+functions take fields and V = Vinf - W on their grid, never a problem
+specification, and read the parity from the field's grid: `energy_J(u, V)` is
+the one J of a field, folded or not.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .domain import lp_mass, node_sum, zero_boundary
+from .domain import EVEN, axis_weights, lp_mass, node_sum, zero_boundary
 from .field import FieldError, GridFunction, shift_slices
 
 ON_MANIFOLD_TOL = 1e-6
-# most nodes per eigenvalue division in `_ShiftedPoissonSolver`: the 32 KB divisor
-# and its rows fit a 48 KB L1 data cache, where 8192-node blocks were slower
-# than one row at a time on 49^3
+# most nodes per eigenvalue division in `_ShiftedPoissonSolver` and per row block
+# (`_row_blocks`): the 32 KB divisor and its rows fit a 48 KB L1 data cache,
+# where 8192-node blocks were slower than one row at a time on 49^3
 DIVISION_BLOCK = 4096
 
 
-def _apply_H(v: np.ndarray, V, h: float, dirichlet: bool = True,
-             mirror: bool = False) -> np.ndarray:
+def _row_blocks(shape) -> list[slice]:
+    """First-axis slices of an array of `shape`, each as many rows as DIVISION_BLOCK holds."""
+    rows = max(1, DIVISION_BLOCK * shape[0] // max(1, int(np.prod(shape))))
+    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
+
+
+def _apply_H(v: np.ndarray, V, h: float, dirichlet: bool = True, parity=None) -> np.ndarray:
     """H v = -Delta_h v + V v on a node array, in one new array; V is an array
-    on v's grid or a scalar. Dirichlet boundary rows are zero.
+    on v's grid or a scalar. Dirichlet boundary rows are zero. V v is added a
+    block of rows at a time (`_row_blocks`), so no other grid-sized array is made.
 
     With dirichlet=False the boundary rows keep the stencil, with zeros outside
     the array: for v zero on the boundary this is H on the unbounded lattice of
     v extended by zero, where H v vanishes off the array.
 
-    With mirror=True, v is the orthant of an even array from its centre node: index 0
-    of each axis lies on a reflection plane, the neighbour across it is index 1,
-    and only index -1 is boundary."""
+    Along an EVEN axis of `parity` (`domain.Grid`), index 0 lies on the mirror
+    plane, the neighbour across it is index 1, and only index -1 is boundary."""
     out = 2.0 * v.ndim * v
     for ax, step in enumerate(np.eye(v.ndim, dtype=int)):
         hi, lo = shift_slices(step, v.shape)  # [1:] and [:-1] along the step's axis
         out[lo] -= v[hi]
         out[hi] -= v[lo]
-        if mirror:
+        if parity and parity[ax] == EVEN:
             np.moveaxis(out, ax, 0)[0] -= np.moveaxis(v, ax, 0)[1]
     out /= h * h
-    out += V * v
-    return zero_boundary(out, (-1,) if mirror else (0, -1)) if dirichlet else out
+    scalar = np.ndim(V) == 0
+    for rows in _row_blocks(v.shape):
+        out[rows] += (V if scalar else V[rows]) * v[rows]
+    return zero_boundary(out, parity) if dirichlet else out
 
 
 class _ShiftedPoissonSolver:
@@ -70,8 +79,8 @@ class _ShiftedPoissonSolver:
     one grid buffer held by the solver.
 
     With mirror=True the grid is the orthant of m+1 nodes per axis of an even
-    array (`_apply_H`'s mirror form), so n+1 = 2m and only the odd modes 2k+1
-    are present, where S at node m+j is (-1)^k cos(pi j (2k+1) / 2m). The
+    array (EVEN on every axis, `domain.Grid`), so n+1 = 2m and only the odd
+    modes 2k+1 are present, where S at node m+j is (-1)^k cos(pi j (2k+1) / 2m). The
     forward pass takes that cosine times the node weights (1 on the plane, 2
     elsewhere), the backward one the cosine alone; mode 2k+1 is row k, the last row none.
     """
@@ -79,14 +88,12 @@ class _ShiftedPoissonSolver:
     def __init__(self, shape: tuple[int, ...], h: float, Vinf: float, mirror: bool = False):
         M, ndim = shape[0], len(shape)
         k = np.arange(M)
-        # the per-axis node weights of the grid's sums (`domain.node_sum`)
-        self.nodes = np.r_[1.0, np.full(M - 1, 2.0)] if mirror else None
         if mirror:
             n1, modes, first = 2 * M - 2, 2 * k + 1, 0
             # j (2k+1) is reduced modulo 2(n+1) in integers, as below
             C = np.cos(np.pi * (np.outer(k, modes) % (2 * n1)) / n1)
             C[-1] = C[:, -1] = 0.0  # row -1 is the boundary node, column -1 no mode
-            F = C.T * self.nodes
+            F = C.T * axis_weights(EVEN, M)  # the node weights of the grid's sums
             self._fwd, self._back = (F, F.T.copy()), (C, C.T.copy())
         else:
             n1, modes, first = M - 1, k, 1  # n + 1, with n = M - 2 interior nodes per axis
@@ -133,15 +140,15 @@ class _ShiftedPoissonSolver:
         return self._dst(mid, out, self._buf, back=True)
 
 
-def _pair(a: np.ndarray, Hb: np.ndarray, h: float, nodes: np.ndarray | None = None) -> float:
-    """h^N <a, Hb>: J(a) when Hb = H a, a Gram entry when Hb = H b; on an
-    orthant with its per-axis node weights `nodes` (`domain.node_sum`)."""
-    return float(node_sum(a * Hb, nodes) * h ** a.ndim)
+def _pair(a: np.ndarray, Hb: np.ndarray, h: float, parity=None) -> float:
+    """h^N <a, Hb>: J(a) when Hb = H a, a Gram entry when Hb = H b; summed
+    under the arrays' `parity` (`domain.node_sum`)."""
+    return float(node_sum(a * Hb, parity) * h ** a.ndim)
 
 
-def _energy(v: np.ndarray, V, h: float) -> float:
+def _energy(v: np.ndarray, V, h: float, parity=None) -> float:
     """J(v) = int |grad v|^2 + V v^2 = h^N <v, H v> on a zero-boundary node array."""
-    return _pair(v, _apply_H(v, V, h), h)
+    return _pair(v, _apply_H(v, V, h, parity=parity), h, parity)
 
 
 def _sphere_gradient(v: np.ndarray, Hv: np.ndarray, J: float, p: float) -> np.ndarray:
@@ -159,7 +166,7 @@ def _sphere_gradient(v: np.ndarray, Hv: np.ndarray, J: float, p: float) -> np.nd
 
 def mass_I(u: GridFunction, p: float) -> float:
     """Quadrature of |u|^p (the constraint functional; equals |u|_p^p)."""
-    return lp_mass(u.values, p, u.grid.weight)
+    return lp_mass(u.values, p, u.grid.weight, u.grid.parity)
 
 
 def _require_on_sphere(u: GridFunction, p: float):
@@ -170,19 +177,20 @@ def _require_on_sphere(u: GridFunction, p: float):
 
 def energy_J(u: GridFunction, V: np.ndarray) -> float:
     """J(u) = int |grad u|^2 + V u^2, with V = Vinf - W on u's grid."""
-    return _energy(u.values, V, u.grid.h)
+    return _energy(u.values, V, u.grid.h, u.grid.parity)
 
 
 def euler_lagrange_residual(u: GridFunction, lam: float, V: np.ndarray, p: float) -> float:
     """Discrete L^2 norm of -Delta u + V u - lam |u|^(p-2) u: half the sphere
     gradient's, with lam for J."""
-    g = _sphere_gradient(u.values, _apply_H(u.values, V, u.grid.h), lam, p)
-    return 0.5 * float(np.sqrt(np.sum(g * g) * u.grid.weight))
+    grid = u.grid
+    g = _sphere_gradient(u.values, _apply_H(u.values, V, grid.h, parity=grid.parity), lam, p)
+    return 0.5 * float(np.sqrt(node_sum(g * g, grid.parity) * grid.weight))
 
 
 def inner_l2(u: GridFunction, v: GridFunction) -> float:
     """Quadrature pairing sum h^N u_i v_i."""
-    return float(np.sum(u.values * v.values) * u.grid.weight)
+    return float(node_sum(u.values * v.values, u.grid.parity) * u.grid.weight)
 
 
 def deviation_bound(u: GridFunction, V: np.ndarray, Vinf: float, p: float) -> float:
@@ -191,4 +199,4 @@ def deviation_bound(u: GridFunction, V: np.ndarray, Vinf: float, p: float) -> fl
     one potential sum carries it."""
     _require_on_sphere(u, p)
     v = u.values
-    return abs(_pair(v, (V - Vinf) * v, u.grid.h))
+    return abs(_pair(v, (V - Vinf) * v, u.grid.h, u.grid.parity))

@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 
-from .domain import Grid, lp_mass, zero_boundary
+from .domain import EVEN, Grid, lp_mass, zero_boundary
 
 
 class FieldError(ValueError):
@@ -35,7 +35,7 @@ class GridFunction:
         if values.shape != grid.shape:
             raise FieldError(f"values shape {values.shape} does not match grid {grid.shape}")
         self.grid = grid
-        self.values = zero_boundary(values)
+        self.values = zero_boundary(values, grid.parity)
 
     def __neg__(self) -> "GridFunction":
         return GridFunction._adopt(self.grid, -self.values)
@@ -45,7 +45,7 @@ def lp_norm(u: GridFunction, p: float) -> float:
     """(sum h^N |u_i|^p)^(1/p)."""
     if p < 1:
         raise FieldError("p must be at least 1")
-    return lp_mass(u.values, p, u.grid.weight) ** (1.0 / p)
+    return lp_mass(u.values, p, u.grid.weight, u.grid.parity) ** (1.0 / p)
 
 
 def lp_normalize(u: GridFunction, p: float) -> GridFunction:
@@ -67,10 +67,13 @@ def translate(u: GridFunction, y) -> GridFunction:
     """Shift by a lattice vector; values pushed past the boundary are dropped.
 
     `y` is either a spatial displacement (rounded to whole steps must be
-    exact) or a tuple of integer node offsets.
+    exact) or a tuple of integer node offsets, zero along an EVEN axis of a
+    folded field (a shift there would break its evenness).
     """
     grid = u.grid
     steps = lattice_steps(grid, y)
+    if any(s and kind == EVEN for s, kind in zip(steps, grid.parity)):
+        raise FieldError("a folded field translates only along its FULL axes")
     out = np.zeros(grid.shape)
     dst, src = shift_slices(steps, grid.shape)
     out[dst] = u.values[src]

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import Grid, lp_mass, node_sum
+from .domain import EVEN, FULL, Grid, lp_mass, node_sum
 from .energy import _apply_H, _energy, _pair, _ShiftedPoissonSolver, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
@@ -345,7 +345,8 @@ def fit_decay(profile: RadialProfile) -> DecayFit:
 
 def profile_on_grid(profile: RadialProfile, grid) -> GridFunction:
     """Interpolate a normalized radial profile onto the grid around the origin
-    and renormalize in the grid quadrature."""
+    and renormalize in the grid quadrature; on a folded grid each node takes
+    the full grid's value at that node before the renormalization."""
     return lp_normalize(GridFunction(grid, profile.value_at(grid.radius())), profile.p)
 
 
@@ -369,8 +370,8 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
     rule is on the unpreconditioned gradient norm.
 
     With mirror=True, u0 and V are orthants of even grid arrays from the centre
-    node, and H, P and every sum take their mirror forms (`energy`): each
-    iterate is the orthant of the full-grid one, up to rounding.
+    node, and H, P and every sum take their forms for EVEN on every axis
+    (`energy`): each iterate is the orthant of the full-grid one, up to rounding.
 
     Each line-search candidate is put through H once; the accepted one's H u
     becomes its gradient in place. The old iterate, gradient and direction
@@ -382,14 +383,14 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
     weight = grid.weight
     level_floor = -1e6  # a level below this means the descent is diverging
     P = _ShiftedPoissonSolver(u0.shape, h, Vinf, mirror)
-    nodes = P.nodes
+    parity = (EVEN,) * u0.ndim if mirror else None
 
     def norm_p(v):
-        return lp_mass(v, p, weight, nodes) ** (1.0 / p)
+        return lp_mass(v, p, weight, parity) ** (1.0 / p)
 
     u = np.ascontiguousarray(u0) / norm_p(u0)  # so every buffer below is C-contiguous
-    Hu = _apply_H(u, V, h, mirror=mirror)
-    J = _pair(u, Hu, h, nodes)
+    Hu = _apply_H(u, V, h, parity=parity)
+    J = _pair(u, Hu, h, parity)
     g = _sphere_gradient(u, Hu, J, p)
     d = P.solve(g, np.empty_like(g))
     spare = np.empty_like(u)  # the line-search candidate, then the stale iterate
@@ -402,8 +403,8 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
             cand = np.multiply(d, s, out=spare)
             np.subtract(u, cand, out=cand)
             cand /= norm_p(cand)
-            Hu = _apply_H(cand, V, h, mirror=mirror)
-            J_cand = _pair(cand, Hu, h, nodes)
+            Hu = _apply_H(cand, V, h, parity=parity)
+            J_cand = _pair(cand, Hu, h, parity)
             if J_cand <= J + 1e-12 * max(1.0, abs(J)) or tries == 1:
                 break
             s *= 0.5
@@ -415,15 +416,15 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
         # formed in the stale buffer it replaces (both carry the same sign flip)
         spare -= u
         g -= g_new
-        du_dg = float(node_sum(np.multiply(spare, g, out=spare), nodes))
-        gn = float(np.sqrt(node_sum(np.multiply(g_new, g_new, out=spare), nodes) * weight))
+        du_dg = float(node_sum(np.multiply(spare, g, out=spare), parity))
+        gn = float(np.sqrt(node_sum(np.multiply(g_new, g_new, out=spare), parity) * weight))
         if J < level_floor:
             raise DescentError(f"level fell below the floor {level_floor}")
         if gn < DESCENT_TOL:
             return DescentResult(u, J, gn, it, True, nodes=u.size)
         d_new = P.solve(g_new, out=spare)
         d -= d_new
-        dg_dd = float(node_sum(np.multiply(d, g, out=d), nodes))
+        dg_dd = float(node_sum(np.multiply(d, g, out=d), parity))
         if dg_dd != 0.0:
             s = min(max(abs(du_dg) / dg_dd, 1e-7), 1e3)
         g, d, spare = g_new, d_new, d
@@ -434,37 +435,44 @@ def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
                      seed: GridFunction | None = None) -> DescentResult:
     """Constrained minimization of J on `grid`, with V = Vinf - W on it, to a
     gradient norm below DESCENT_TOL, as a `DescentResult` holding w1 and
-    lambda_1. `Vinf` sets the preconditioner -Delta_h + Vinf.
+    lambda_1 = J(w1). `Vinf` sets the preconditioner -Delta_h + Vinf.
 
     Starts from the on-grid `seed` when given (the pipeline passes the
     interpolated shooting profile), otherwise from a Gaussian bump. The
     minimizer is asserted nonnegative post hoc; a signed iterate triggers one
     restart from its absolute value.
 
-    When V and the seed each equal their mirror image along every axis (every
-    radial well does), the descent runs on the orthant of (m+1)^N nodes from
-    the centre instead of the (2m+1)^N grid. An even iterate stays even, so
-    this is the full-grid iteration without its mirror images: the level, J of
-    the mirrored-back minimizer on the grid, moves only by rounding.
+    On a grid folded EVEN on every axis (`domain.Grid`), V, the seed and the
+    minimizer are its orthant arrays, and the level is the descent's own J; a
+    grid folded along some axes only is refused.
+    On a full grid, when V and the seed each equal their mirror image along
+    every axis (every radial well does), the descent runs on the orthant of
+    (m+1)^N nodes from the centre instead of the (2m+1)^N grid. An even
+    iterate stays even, so this is the full-grid iteration without its mirror
+    images: the level, J of the mirrored-back minimizer on the grid, moves
+    only by rounding.
     """
     if seed is None:
         seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
-    u0, Vd = seed.values, V
-    mirror = all(np.array_equal(a, np.flip(a, ax)) for a in (V, u0) for ax in range(grid.N))
-    if mirror:
+    if EVEN not in grid.parity and all(np.array_equal(a, np.flip(a, ax))
+                                       for a in (V, seed.values) for ax in range(grid.N)):
+        half = grid.fold((EVEN,) * grid.N)
         orthant = (slice(grid.origin_index[0], None),) * grid.N
-        u0, Vd = u0[orthant], np.ascontiguousarray(V[orthant])
-    res = _descend(u0, Vd, Vinf, p, grid, mirror)
+        res = minimize_lambda1(np.ascontiguousarray(V[orthant]), Vinf, p, half,
+                               GridFunction(half, seed.values[orthant]))
+        u = half.unfold(res.minimizer.values)  # one indexing pass, no array per axis
+        res.minimizer = GridFunction._adopt(grid, u)  # frees the orthant minimizer
+        res.level = _energy(u, V, grid.h)
+        return res
+    mirror = EVEN in grid.parity
+    if mirror and FULL in grid.parity:
+        raise ValueError("the descent folds every axis or none")
+    res = _descend(seed.values, V, Vinf, p, grid, mirror)
     if np.min(res.minimizer) < -1e-8:
-        res = _descend(np.abs(res.minimizer), Vd, Vinf, p, grid, mirror)
+        res = _descend(np.abs(res.minimizer), V, Vinf, p, grid, mirror)
         res.restarted_from_abs = True
     if not res.converged:
         raise DescentError(f"descent did not reach tol {DESCENT_TOL} in {DESCENT_MAX_ITER} "
                            f"iterations (gradient norm {res.gradient_norm})")
-    u = res.minimizer
-    if mirror:  # node i of the grid is node |i - m| of the orthant along each axis,
-        # gathered in one indexing pass, with no grid-sized array per axis
-        u = u[np.ix_(*[np.abs(np.arange(1 - n, n)) for n in u.shape])]
-        res.level = _energy(u, V, grid.h)
-    res.minimizer = GridFunction._adopt(grid, u)  # no other name holds u
+    res.minimizer = GridFunction._adopt(grid, res.minimizer)  # no other name holds it
     return res

@@ -44,12 +44,13 @@ def lambda2_bounds(V: np.ndarray, p: float, w1: GridFunction, l1: float,
                    y_sweep=Y_SWEEP, samples: int = THETA_SAMPLES) -> Lambda2Bounds:
     """Assemble the certified interval for the second level; V = Vinf - W,
     the translated ground state `winf` and `wnorm` = |W|_q all live on the
-    grid of w1.
+    grid of w1, which may be folded (`domain.Grid`).
 
     Lower bound: balanced-point mechanism (2^sigma l1 when l1 > 0) and, when
     the dual-norm condition applies, 2^sigma l1inf - |W|_q. Upper bound: best
     two-bump path max over lattice translations of winf along the first axis,
-    from one `TranslatedBumps` sweep, which builds no field per translation.
+    from one `TranslatedBumps` sweep, which builds no field per translation
+    and runs on the half grid of w1's grid, FULL along the first axis.
     """
     sigma = (p - 2.0) / p
     cond = l1 > 0 and wnorm < (2.0 ** sigma - 1.0) * l1inf
@@ -66,7 +67,7 @@ def lambda2_bounds(V: np.ndarray, p: float, w1: GridFunction, l1: float,
     sweep = []
     bumps = TranslatedBumps(w1, winf, V, p)
     for y in y_sweep:
-        mx, _ = path_max_J(bumps.path(y), V, samples)
+        mx, _ = path_max_J(bumps.path(y), bumps.V, samples)
         sweep.append({"y": float(y), "path_max": mx})
         if mx < upper:
             upper, witness = mx, float(y)

@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import lp_mass, zero_boundary
-from .energy import ON_MANIFOLD_TOL, _apply_H, _pair, energy_J, mass_I
-from .field import (FieldError, GridFunction, lattice_steps, lp_normalize, shift_slices,
-                    split_signs, translate)
+from .domain import FULL, axis_weights, lp_mass, zero_boundary
+from .energy import ON_MANIFOLD_TOL, _apply_H, _pair, _row_blocks, energy_J, mass_I
+from .field import (GridFunction, lattice_steps, lp_normalize, shift_slices, split_signs,
+                    translate)
 
 
 THETA_SAMPLES = 512  # angles on [0, pi) per path maximum; also the config default
@@ -306,15 +306,24 @@ def _layer_sums(t: np.ndarray) -> np.ndarray:
     return t.reshape(len(t), -1).sum(axis=1)
 
 
-def _squared(t: np.ndarray) -> np.ndarray:
+def _weighted_squares(t: np.ndarray, weights: np.ndarray) -> np.ndarray:
     t *= t
+    t *= weights
     return t
 
 
 class TranslatedBumps:
     """The two-bump paths `translated_bump_path(w1, winf, y e1, p)` of a
     sweep over translations y along the first axis, with V = Vinf - W on the
-    grid, in closed form from quantities computed once per sweep:
+    grid of w1, in closed form from quantities computed once per sweep.
+
+    The sweep runs on the grid `half`: FULL along the first axis, the
+    translation axis, and with the parity of w1's grid along the others
+    (`domain.Grid`). So w1, winf and V, which the pipeline holds on the
+    orthant of a radial well, are unfolded along the first axis only, into
+    the arrays the sweep holds (`V` is its potential), and every sum over
+    the other axes counts each node as the full-grid nodes it stands for:
+    the products below carry those node weights. Per sweep:
 
     - H w1 (one `_apply_H`), its G11 = h^N <w1, H w1>, and |w1|_p^p;
     - first-axis layer profiles of w = winf: per layer, sum w^2, sum |w|^p
@@ -325,84 +334,112 @@ class TranslatedBumps:
     nodes. The kinetic term of w restricted to them is the links inside and
     between those layers, plus sum w^2 on layers a and b, whose outer links
     end on zeros; its mass is the |w|^p of those layers. Per translation,
-    each of G12 = h^N <H w1, T w>, sum V (T w)^2 and, for even integer p,
-    the p - 1 cross moments sum w1^j (T w)^(p-j) is one einsum over views of
-    the kept layers, so no grid array is allocated. For other p the mass at
-    an angle is one `lp_mass` pass over the combination on the layers
-    a + k..b + k plus |c|^p times the |w1|^p of the other layers.
+    G12 = h^N <H w1, T w> is one einsum over views of the kept layers, and
+    sum V (T w)^2 and, for even integer p, the p - 1 cross moments
+    sum w1^j (T w)^(p-j) are einsums of two or three operands over the
+    powers of a block of kept layers at a time (`energy._row_blocks`), so no
+    grid array is allocated. For other p the mass at an angle is one
+    `lp_mass` pass over the combination on the layers a + k..b + k plus
+    |c|^p times the |w1|^p of the other layers.
     """
 
     def __init__(self, w1: GridFunction, winf: GridFunction, V: np.ndarray, p: float):
-        grid, w = w1.grid, winf.values
-        self.w1, self.winf, self.V, self.p, self.grid = w1, winf, V, p, grid
-        t = w * w  # each grid temporary here is freed before the next one
+        grid = w1.grid
+        half = grid.fold((FULL,) + grid.parity[1:])
+        self.p, self.grid, self.half = p, grid, half
+        self.V = grid.unfold(V, half.parity)
+        self._w1 = u = grid.unfold(w1.values, half.parity)
+        self._w = w = grid.unfold(winf.values, half.parity)
+        # the node weights of the axes after the first, broadcast over the first
+        self._c = c = math.prod(np.ix_(*map(axis_weights, half.parity[1:], half.shape[1:])))
+        t = _weighted_squares(np.copy(w), c)  # each grid temporary here is freed before the next
         self._sq = _layer_sums(t)
+        t = np.multiply(w, w, out=t)
         t **= p / 2.0
+        t *= c
         self._mass = _layer_sums(t) * grid.weight
         if not _even(p):  # for the |w1|^p outside the kept layers
-            t = np.multiply(w1.values, w1.values, out=t)
+            t = np.multiply(u, u, out=t)
             t **= p / 2.0
+            t *= c
             self._w1_layer_mass = _layer_sums(t) * grid.weight
         del t
-        self._between = _layer_sums(_squared(np.diff(w, axis=0)))
-        self._inside = sum(_layer_sums(_squared(np.diff(w, axis=ax))) for ax in range(1, grid.N))
+        self._between = _layer_sums(_weighted_squares(np.diff(w, axis=0), c))
+        # a link along an EVEN axis stands for two, as does the node it ends on
+        self._inside = sum(_layer_sums(_weighted_squares(
+            np.diff(w, axis=ax), c[(slice(None),) * (ax - 1) + (slice(1, None),)]))
+            for ax in range(1, grid.N))
         self._w1_mass = mass_I(w1, p)
-        self._Hw1 = _apply_H(w1.values, V, grid.h)
-        self._G11 = _pair(w1.values, self._Hw1, grid.h)
+        self._Hw1 = _apply_H(u, self.V, grid.h, parity=half.parity)
+        self._G11 = _pair(u, self._Hw1, grid.h, half.parity)
+        self._Hw1 *= c  # only G12 reads it from here on
 
     def path(self, y: float) -> "_TranslatedPath":
-        """The path at translation y e1, for `path_max_J` with the sweep's V."""
+        """The path at translation y e1, for `path_max_J` with the sweep's `V`."""
         return _TranslatedPath(self, lattice_steps(self.grid, (y,) + (0.0,) * (self.grid.N - 1)))
 
     def energy(self, steps: tuple[int, ...]) -> PathEnergy:
         """J along the path at the lattice translation `steps` (k, 0, ..),
         from the per-sweep quantities and the views of the kept layers."""
-        k, grid, p, w = steps[0], self.grid, self.p, self.winf.values
+        k, grid, p, w = steps[0], self.grid, self.p, self._w
         last = w.shape[0] - 2
         a, b = max(1, 1 - k), min(last, last - k)  # the kept layers of w
         mass = float(np.sum(self._mass[a:b + 1])) if a <= b else 0.0
         if mass == 0.0:
-            raise FieldError("cannot normalize the zero field")
+            raise PathError("a translation that keeps no interior node of w_inf gives the zero field")
         n = mass ** (1.0 / p)
         src, dst = slice(a, b + 1), slice(a + k, b + k + 1)
-        ws, Vd, w1 = w[src], self.V[dst], self.w1.values[dst]
+        ws, Vd, w1 = w[src], self.V[dst], self._w1[dst]
+        e = int(p) if _even(p) else 0
+        dot2, dot3 = _dot(grid.N, 2), _dot(grid.N, 3)
+        # sum c V (T w)^2, then M_j = sum c w1^j (T w)^(p-j) for j = p - 1 .. 1
+        sums = np.zeros(max(e, 1))
+        for rows in _row_blocks(ws.shape):
+            t, v = ws[rows] * self._c, ws[rows]  # c (T w)^i, raised in place below
+            sums[0] += np.einsum(dot3, Vd[rows], t, v)
+            powers = [w1[rows]]  # w1^j, j = 1 .. p - 1
+            for _ in range(e - 2):
+                powers.append(powers[-1] * powers[0])
+            for j in range(e - 1, 0, -1):
+                sums[e - j] += np.einsum(dot2, powers[j - 1], t)
+                t *= v
         kinetic = (np.sum(self._inside[src]) + np.sum(self._between[a:b])
                    + self._sq[a] + self._sq[b]) * grid.h ** (grid.N - 2)
-        Q = kinetic + float(np.einsum(_dot(grid.N, 3), Vd, ws, ws)) * grid.weight
-        G12 = float(np.einsum(_dot(grid.N, 2), self._Hw1[dst], ws)) * grid.weight / n
+        Q = kinetic + float(sums[0]) * grid.weight
+        G12 = float(np.einsum(dot2, self._Hw1[dst], ws)) * grid.weight / n
         G = np.array([[self._G11, G12], [G12, Q / n ** 2]])
         self_mass = (self._w1_mass, mass / n ** p)
-        if _even(p):  # m = sum_j C(p, j) M_j c^j s^(p-j), M_j = h^N sum w1^j (T w / n)^(p-j)
-            e, dot = int(p), _dot(grid.N, int(p))
-            moments = [self_mass[1]] + [float(np.einsum(dot, *[w1] * j, *[ws] * (e - j)))
-                                        * grid.weight / n ** (p - j)
-                                        for j in range(1, e)] + [self._w1_mass]
+        if e:  # m = sum_j C(p, j) M_j c^j s^(p-j), M_j = h^N sum c w1^j (T w / n)^(p-j)
+            moments = ([self_mass[1]] + [float(sums[e - j]) * grid.weight / n ** (p - j)
+                                         for j in range(1, e)] + [self._w1_mass])
             terms = [(j, math.comb(e, j) * m) for j, m in enumerate(moments)][::-1]
             return PathEnergy(G, lambda c, s: sum(m * c ** j * s ** (e - j) for j, m in terms),
                               self_mass, p)
         layers = self._w1_layer_mass
         outside = float(np.sum(layers[:a + k]) + np.sum(layers[b + k + 1:]))
+        parity = self.half.parity
 
         def mass_at(c, s):  # |c w1 + (s / n) T w|_p^p
             v = c * w1
             v += (s / n) * ws
-            return abs(c) ** p * outside + lp_mass(v, p, grid.weight)
+            return abs(c) ** p * outside + lp_mass(v, p, grid.weight, parity)
         return PathEnergy(G, np.vectorize(mass_at, otypes=[float]), self_mass, p)
 
 
 class _TranslatedPath:
     """One path of a `TranslatedBumps` sweep, for `path_max_J`: J in closed
-    form from the sweep, and the `translated_bump_path` built only for a
-    field, or where the mass cancels along a diagonal, as it does when
-    u2 = +/- u1 (a degenerate path, which `PathFamily` rejects)."""
+    form from the sweep, and the `translated_bump_path` on the sweep's half
+    grid built only for a field, or where the mass cancels along a diagonal,
+    as it does when u2 = +/- u1 (a degenerate path, which `PathFamily` rejects)."""
 
     def __init__(self, bumps: TranslatedBumps, steps: tuple[int, ...]):
         self.bumps, self.steps = bumps, steps
 
     @cached_property
     def family(self) -> PathFamily:
-        bumps = self.bumps
-        return translated_bump_path(bumps.w1, bumps.winf, self.steps, bumps.p)
+        b = self.bumps
+        return translated_bump_path(GridFunction(b.half, b._w1), GridFunction(b.half, b._w),
+                                    self.steps, b.p)
 
     def energy(self, V: np.ndarray) -> PathEnergy:
         """J along the path; `V` must be the sweep's array, which the closed form

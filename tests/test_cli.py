@@ -5,6 +5,7 @@ import pathlib
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,6 +395,52 @@ def test_levels_in_3d(tmp_path):
         "first-level-strict-drop": "pass", "second-level-below-threshold": "pass",
         "sandwich-autonomous": "inapplicable", "cross-oracle-ground": "inapplicable"}
     assert_hash_covers_payload(rep)
+
+
+def test_3d_levels_peak_memory(tmp_path):
+    # V, w_inf and w1 live on the 25^3 orthant of the 49^3 grid and the sweep
+    # on its 49 x 25 x 25 half grid: the run peaks 1.8 grid arrays above its
+    # entry, where V and w_inf on the grid and the sweep's H w1 made it 5.3
+    cfg = config_from_mapping({**COARSE, **DESK_WELL, "dim": "3", "box_l": "6.0",
+                               "experiment": "levels", "out_dir": str(tmp_path),
+                               "theta_samples": "64", "y_sweep": "3,4"})
+    groundstate.shoot_ground(3, 4.0, 1.0)  # its samples, held by the cache, are not grid arrays
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        assert run(cfg) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (49 ** 3 * 8) < 2.0
+
+
+@pytest.mark.parametrize("family", ["exponential", "table"])
+def test_a_radial_well_folds_its_fields_and_a_table_keeps_the_grid(tmp_path, monkeypatch,
+                                                                   family):
+    # even a radial table keeps the whole grid for V, w_inf, w1 and the sweep
+    grid = domain.build_grid(domain.parse_problem_mapping(COARSE))
+    path = tmp_path / "w.gfb"
+    field.save_gridfunction(field.GridFunction(grid, 0.5 * np.exp(-0.5 * grid.radius())), path)
+    well = DESK_WELL if family == "exponential" else {"w_family": "table",
+                                                      "w_table_path": str(path)}
+    sweeps = []
+
+    class Recorded(pathlab.TranslatedBumps):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sweeps.append(self.half.shape)
+
+    monkeypatch.setattr(minimax, "TranslatedBumps", Recorded)
+    pipe = cli.Pipeline(config_from_mapping({**COARSE, **well, "experiment": "levels",
+                                             "y_sweep": "3,4", "theta_samples": "64"}))
+    m = grid.origin_index[0]
+    folded = family != "table"
+    shape = (m + 1,) * 2 if folded else grid.shape
+    assert pipe.V.shape == pipe.winf.values.shape == shape
+    assert pipe.descent.minimizer.values.shape == shape
+    assert pipe.lam2.upper > pipe.descent.level
+    assert sweeps == [(2 * m + 1, m + 1) if folded else grid.shape]
 
 
 @pytest.mark.parametrize("well, breaking", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minimaxlab import ProblemSpec, WSpec, build_grid, dual_norm_W, eval_W
-from minimaxlab.domain import (DomainError, parse_problem_mapping,
+from minimaxlab.domain import (EVEN, DomainError, parse_problem_mapping,
                                read_keyvalue_file, zero_boundary)
 
 
@@ -68,6 +68,22 @@ class TestBuildGrid:
         r = grid.radius()
         assert all(np.array_equal(r, np.flip(r, ax)) for ax in range(2))
 
+    @pytest.mark.parametrize("parity", [("even", "even"), ("full", "even"), ("even", "full")])
+    def test_folded_grid_keeps_the_nodes_of_its_even_halves(self, parity):
+        grid = build_grid(small_spec(L=3.0, h=0.25))
+        half = grid.fold(parity)
+        assert grid.fold(grid.parity) is grid and half.fold(parity) is half
+        keep = tuple(slice(m, None) if kind == EVEN else slice(None)
+                     for m, kind in zip(grid.origin_index, parity))
+        assert half.shape == grid.radius()[keep].shape
+        assert np.array_equal(half.radius(), grid.radius()[keep])
+        assert all(half.axes[ax][half.origin_index[ax]] == 0.0 for ax in range(2))
+        # unfolding the even halves gives back an even grid array, in one pass
+        r = grid.radius()
+        folded = r[keep]
+        assert np.array_equal(half.unfold(folded), r)
+        assert half.unfold(folded, parity) is folded and grid.unfold(r) is r
+
     def test_memory_cap(self):
         with pytest.raises(DomainError):
             build_grid(ProblemSpec(N=3, p=4.0, L=64.0, h=0.125))
@@ -100,6 +116,25 @@ class TestEvalW:
         w = eval_W(spec, grid)
         assert w[grid.origin_index] == pytest.approx(2.0)
         assert np.all(w[grid.radius() >= 1.0] == 0.0)
+
+    @pytest.mark.parametrize("family", [WSpec(family="exponential", c=0.5, a=0.5),
+                                        WSpec(family="bump", c=2.0, a=1.0), WSpec()])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_radial_families_on_the_orthant_are_the_grids_values(self, family, N):
+        # bit for bit, and the orthant's |W|_q is the grid's to rounding
+        spec = small_spec(N=N, L=2.0, W=family)
+        grid = build_grid(spec)
+        half = grid.fold((EVEN,) * N)
+        w, wh = eval_W(spec, grid), eval_W(spec, half)
+        assert np.array_equal(wh, w[(slice(grid.origin_index[0], None),) * N])
+        assert dual_norm_W(wh, spec.q, half.weight, half.parity) == pytest.approx(
+            dual_norm_W(w, spec.q, grid.weight), rel=1e-13, abs=0.0)
+
+    def test_table_on_a_folded_grid_rejected(self):
+        # a table need not be even, so it is never folded
+        spec = small_spec(W=WSpec(family="table", table_path="unread.gfb"))
+        with pytest.raises(DomainError, match="folded"):
+            eval_W(spec, build_grid(spec).fold((EVEN, EVEN)))
 
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, dual_norm_
                         energy_J, lp_normalize, mass_I, translate)
 from minimaxlab.energy import (_apply_H, _energy, _pair, _ShiftedPoissonSolver, _sphere_gradient,
                                deviation_bound, euler_lagrange_residual, inner_l2)
-from minimaxlab.domain import Grid, eval_W, lp_mass, potential_values, zero_boundary
+from minimaxlab.domain import EVEN, FULL, Grid, eval_W, lp_mass, potential_values, zero_boundary
 from minimaxlab.field import FieldError
 from minimaxlab.groundstate import minimize_lambda1, profile_on_grid
 from minimaxlab.pathlab import (SampledPath, SphereMap, TranslationTable, path_max_J,
@@ -213,12 +214,12 @@ class TestShiftedPoissonSolver:
         # every orthant array is the orthant of an even grid array; only its
         # last index per axis is boundary
         M = round(L / h) + 1
-        g = zero_boundary(np.random.default_rng(N).standard_normal((M,) * N), (-1,))
+        g = zero_boundary(np.random.default_rng(N).standard_normal((M,) * N), (EVEN,) * N)
         g0 = g.copy()
         d = _ShiftedPoissonSolver(g.shape, h, Vinf, mirror=True).solve(g, np.empty_like(g))
         assert np.array_equal(g, g0)
-        assert np.array_equal(zero_boundary(d.copy(), (-1,)), d)
-        back = _apply_H(d, Vinf, h, mirror=True)
+        assert np.array_equal(zero_boundary(d.copy(), (EVEN,) * N), d)
+        back = _apply_H(d, Vinf, h, parity=(EVEN,) * N)
         assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
 
 
@@ -244,18 +245,18 @@ class TestMirrorForm:
         m = v.shape[0] // 2
         Hv = _apply_H(v, V, 0.25)
         # the same subtractions in the same order, so the same bits
-        assert np.array_equal(_apply_H(vo, Vo, 0.25, mirror=True),
+        assert np.array_equal(_apply_H(vo, Vo, 0.25, parity=(EVEN,) * N),
                               Hv[(slice(m, None),) * N])
 
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_node_weighted_sums_match_the_full_grid(self, N):
         v, vo = even_field(N, 4.0, 0.25, N)
-        nodes = np.r_[1.0, np.full(vo.shape[0] - 1, 2.0)]
+        parity = (EVEN,) * N
         h = 0.25
-        Hv, Hvo = _apply_H(v, 1.0, h), _apply_H(vo, 1.0, h, mirror=True)
-        assert _pair(vo, Hvo, h, nodes) == pytest.approx(_pair(v, Hv, h), rel=1e-13)
+        Hv, Hvo = _apply_H(v, 1.0, h), _apply_H(vo, 1.0, h, parity=parity)
+        assert _pair(vo, Hvo, h, parity) == pytest.approx(_pair(v, Hv, h), rel=1e-13)
         for p in (4.0, 3.0):
-            assert lp_mass(vo, p, h ** N, nodes) == pytest.approx(lp_mass(v, p, h ** N),
+            assert lp_mass(vo, p, h ** N, parity) == pytest.approx(lp_mass(v, p, h ** N),
                                                                   rel=1e-13)
 
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -265,6 +266,35 @@ class TestMirrorForm:
         d = _ShiftedPoissonSolver(g.shape, 0.25, 1.0).solve(g, np.empty_like(g))
         do = _ShiftedPoissonSolver(go.shape, 0.25, 1.0, mirror=True).solve(go, np.empty_like(go))
         assert np.max(np.abs(do - d[(slice(m, None),) * N])) <= 1e-13 * np.max(np.abs(d))
+
+
+class TestFoldedFields:
+    """A field on a folded grid (`domain.Grid`) has the full grid's J, mass,
+    pairings, residual and deviation, to rounding."""
+
+    @pytest.mark.parametrize("parity", [(EVEN, EVEN, EVEN), (FULL, EVEN, EVEN),
+                                        (EVEN, FULL, EVEN)])
+    def test_functionals_match_the_full_grid(self, parity):
+        p, Vinf = 4.0, 1.0
+        spec = ProblemSpec(N=3, p=p, Vinf=Vinf, L=3.0, h=0.25,
+                           W=WSpec(family="exponential", c=0.5, a=0.5))
+        grid = build_grid(spec)
+        half = grid.fold(parity)
+        v, _ = even_field(3, 3.0, 0.25, 5)
+        orthant = tuple(slice(m, None) if kind == EVEN else slice(None)
+                        for m, kind in zip(grid.origin_index, parity))
+        u = lp_normalize(GridFunction(grid, v), p)
+        uh = lp_normalize(GridFunction(half, v[orthant]), p)
+        assert np.array_equal(half.unfold(v[orthant]), v)
+        V, Vh = potential_values(spec, grid), potential_values(spec, half)
+        assert np.array_equal(Vh, V[orthant])
+        for f in (lambda w, V: energy_J(w, V), lambda w, V: mass_I(w, p),
+                  lambda w, V: inner_l2(w, w),
+                  lambda w, V: euler_lagrange_residual(w, 3.0, V, p),
+                  lambda w, V: deviation_bound(w, V, Vinf, p)):
+            assert f(uh, Vh) == pytest.approx(f(u, V), rel=1e-13, abs=0.0)
+        assert dual_norm_W(Vinf - Vh, spec.q, half.weight, half.parity) == pytest.approx(
+            dual_norm_W(Vinf - V, spec.q, grid.weight), rel=1e-13, abs=0.0)
 
 
 def sphere_gradient(u, V, p):
@@ -348,6 +378,22 @@ class TestInPlaceKernels:
             assert np.array_equal(_sphere_gradient(v, H.copy(), J, p),
                                   2.0 * (H - J * np.abs(v) ** (p - 2) * v))
             assert lp_mass(v, p, g.weight) == float(np.sum((v * v) ** (p / 2.0)) * g.weight)
+
+    @pytest.mark.parametrize("V", [1.5, "array"])
+    def test_apply_H_adds_V_v_a_block_at_a_time(self, V):
+        # one grid array above entry for H v, one row block (33 KB) for V v
+        # and numpy's iterator buffers for the strided stencil passes (about
+        # 0.2 MB); forming V v whole made it 2.1 grid arrays
+        v = zero_boundary(np.random.default_rng(3).standard_normal((65,) * 3))
+        V = 1.0 + np.abs(v) if V == "array" else V
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            _apply_H(v, V, 0.25, parity=(FULL, EVEN, EVEN))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / v.nbytes <= 1.15
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
     def test_lp_mass_matches_the_abs_power_sum(self, specs, rng, p):

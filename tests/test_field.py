@@ -10,6 +10,7 @@ from minimaxlab import (GridFunction, ProblemSpec, build_grid, lp_norm,
                         lp_normalize, split_signs, translate)
 from minimaxlab.field import (FieldError, load_gridfunction,
                               save_gridfunction)
+from minimaxlab.domain import EVEN, FULL
 from minimaxlab.energy import mass_I
 
 
@@ -164,6 +165,18 @@ class TestTranslate:
         n = grid.shape[0]
         assert not np.any(translate(u, (1, -n, 0)).values)
         assert not np.any(translate(u, (0, 0, n + 4)).values)
+
+    def test_folded_field_moves_along_its_full_axes_only(self):
+        # along a FULL axis the translate is the fold of the grid's translate;
+        # a shift along an EVEN axis would break the evenness the fold stands for
+        grid = build_grid(ProblemSpec(N=2, p=4.0, Vinf=1.0, L=2.0, h=0.25))
+        half = grid.fold((FULL, EVEN))
+        u = GridFunction(grid, np.exp(-grid.radius()))
+        uh = GridFunction(half, u.values[:, grid.origin_index[1]:])
+        assert np.array_equal(half.unfold(translate(uh, (3, 0)).values),
+                              translate(u, (3, 0)).values)
+        with pytest.raises(FieldError, match="FULL axes"):
+            translate(uh, (0, 1))
 
     def test_ground_state_tail_loss_small(self, winf0):
         # decaying state shifted halfway across the desk box loses < 1e-6 mass

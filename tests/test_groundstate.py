@@ -8,7 +8,7 @@ import tracemalloc
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         fit_decay, lp_norm, mass_I, minimize_lambda1,
                         shoot_excited, shoot_ground)
-from minimaxlab.domain import potential_values
+from minimaxlab.domain import EVEN, FULL, potential_values
 from minimaxlab.energy import euler_lagrange_residual
 from minimaxlab.field import save_gridfunction
 from minimaxlab import groundstate
@@ -556,6 +556,31 @@ class TestFoldedDescent:
         assert np.max(np.abs(u - full.minimizer)) <= 1e-12 * np.max(u)
         # the reported level is J of the reported minimizer
         assert folded.level == energy_J(folded.minimizer, potential_values(spec, grid))
+
+    @pytest.mark.parametrize("well", FOLD_WELLS)
+    @pytest.mark.parametrize("N, L", [(2, 8.0), (3, 4.0)])
+    def test_orthant_input_keeps_the_orthant(self, N, L, well):
+        # V and the seed on the orthant grid give the full-grid input's
+        # iteration and its minimizer's orthant, with the level J of the
+        # orthant minimizer bit for bit and no full-grid J formed
+        spec = ProblemSpec(N=N, p=4.0, Vinf=1.0, L=L, h=0.25, W=FOLD_WELLS[well])
+        grid, _, full = self.full_and_folded(spec)
+        half = grid.fold((EVEN,) * N)
+        V = potential_values(spec, half)
+        res = minimize_lambda1(V, spec.Vinf, spec.p, half,
+                               seed=GridFunction(half, np.exp(-half.radius() ** 2 / 2.0)))
+        assert res.minimizer.grid is half
+        assert (res.nodes, res.iterations) == (full.nodes, full.iterations)
+        assert np.array_equal(res.minimizer.values, orthant(full.minimizer.values))
+        assert res.level == energy_J(res.minimizer, V)
+        assert res.level == pytest.approx(full.level, rel=1e-13, abs=0.0)
+
+    def test_grid_folded_along_some_axes_only_rejected(self):
+        # the preconditioner folds every axis or none
+        spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=4.0, h=0.25)
+        half = build_grid(spec).fold((FULL, EVEN))
+        with pytest.raises(ValueError, match="every axis or none"):
+            minimize_lambda1(potential_values(spec, half), spec.Vinf, spec.p, half)
 
     @pytest.mark.parametrize("N, L", [(2, 8.0), (3, 4.0)])
     def test_one_asymmetric_seed_node_keeps_the_full_grid(self, N, L):

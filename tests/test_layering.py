@@ -47,10 +47,10 @@ def test_energy_holds_the_exact_inverse_of_its_stencil():
     # the solver's eigenvalues are the stencil's spectrum, so both live in
     # energy, and the descent's preconditioner is that solver
     assert groundstate._ShiftedPoissonSolver.__module__ == "minimaxlab.energy"
-    # so do their mirror forms on an orthant: the folded transform and the
-    # mirror term, which groundstate only switches on
-    for kernel in (energy._apply_H, energy._ShiftedPoissonSolver):
-        assert "mirror" in inspect.signature(kernel).parameters, kernel
+    # so do their folded forms: the per-axis parity of the stencil and the
+    # folded transform of the solver, which groundstate only switches on
+    assert "parity" in inspect.signature(energy._apply_H).parameters
+    assert "mirror" in inspect.signature(energy._ShiftedPoissonSolver).parameters
     assert groundstate._apply_H is energy._apply_H
     # groundstate holds no transform or stencil code of its own
     tree = ast.parse(open(groundstate.__file__, encoding="utf-8").read())

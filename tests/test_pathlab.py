@@ -8,7 +8,7 @@ import pytest
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         lambda2_bounds, lp_normalize, mass_I, pathlab, profile_on_grid,
                         translate)
-from minimaxlab.domain import potential_values
+from minimaxlab.domain import EVEN, potential_values
 from minimaxlab.energy import _energy
 from minimaxlab.pathlab import (MAX_THETA_SAMPLES, MIN_THETA_SAMPLES, SPHERE_SAMPLES,
                                 THETA_SAMPLES, PathError, PathFamily, SampledPath,
@@ -496,6 +496,65 @@ class TestTranslatedBumps:
         finally:
             tracemalloc.stop()
         assert (peak - entry) / (winf.grid.size * 8) <= 2.1
+
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("k", [31, -31, 40])
+    def test_step_that_keeps_no_layer_rejected(self, k, folded):
+        # the M - 2 = 31 interior layers are all moved out by |k| >= 31, as in
+        # the translation table
+        winf, w1, V = even_pair(2, 4.0, 0.25, 4.0, folded)
+        with pytest.raises(PathError, match="keeps no interior node"):
+            TranslatedBumps(w1, winf, V, 4.0).energy((k, 0))
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("N, L", [(2, 6.0), (3, 4.0)])
+    def test_folded_sweep_matches_the_full_grid(self, N, L, p):
+        # the orthant fields of a radial well against their unfolded copies;
+        # y = h cancels and builds the field at the argmax, 2L - 2h keeps one layer
+        h = 0.25
+        folded = TranslatedBumps(*even_pair(N, L, h, p, True), p)
+        full = TranslatedBumps(*even_pair(N, L, h, p, False), p)
+        assert folded.half.shape == (2 * round(L / h) + 1,) + (round(L / h) + 1,) * (N - 1)
+        assert full.half.shape == full.grid.shape
+        for y in (h, 1.0, L / 2, L, 2 * L - 2 * h):
+            got = path_max_J(folded.path(y), folded.V, MIN_THETA_SAMPLES)[0]
+            ref = path_max_J(full.path(y), full.V, MIN_THETA_SAMPLES)[0]
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), y
+
+    @pytest.mark.parametrize("p", [4.0, 6.0])
+    def test_no_einsum_takes_more_than_three_operands(self, p, monkeypatch):
+        # numpy contracts four or more operands in its generic loop, several
+        # times slower than three
+        einsum, operands = np.einsum, []
+
+        def recording(subscripts, *arrays, **kwargs):
+            operands.append(len(arrays))
+            return einsum(subscripts, *arrays, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recording)
+        winf, w1, V = even_pair(2, 6.0, 0.25, p, True)
+        lambda2_bounds(V, p, w1, 3.0, winf, 4.0, 0.1, y_sweep=(2.0, 5.0),
+                       samples=MIN_THETA_SAMPLES)
+        TranslationTable(smooth_field(build_grid(ProblemSpec(N=2, p=p, L=4.0, h=0.25))),
+                         p).energies([(3, 1), (-2, 5)], 1.0)
+        assert operands and max(operands) <= 3
+
+
+def even_pair(N, L, h, p, folded):
+    """(w_inf, w1, V) of a radial exponential well, on the orthant of the
+    grid (`folded`) or unfolded to the whole grid: two different radial
+    bumps on the unit L^p sphere of the orthant."""
+    spec = ProblemSpec(N=N, p=p, Vinf=1.0, L=L, h=h, W=WSpec(family="exponential",
+                                                               c=0.5, a=0.5))
+    grid = build_grid(spec)
+    half = grid.fold((EVEN,) * N)
+    r = half.radius()
+    fields = [lp_normalize(GridFunction(half, f), p)
+              for f in (np.exp(-np.sqrt(r * r + 1.0)), np.exp(-0.3 * r * r))]
+    V = potential_values(spec, half)
+    if folded:
+        return (*fields, V)
+    return (*[GridFunction(grid, half.unfold(u.values)) for u in fields], half.unfold(V))
 
 
 def counted(fn):
