@@ -1,6 +1,6 @@
 """Radial shooting for the autonomous problem, preconditioned constrained grid
-descent for the first level (on the grid's orthant when its data are even),
-and exponential decay fitting.
+descent for the first level (on the grid it is given, full or folded EVEN on
+every axis), and exponential decay fitting.
 
 The radial solve shoots only the Vinf = 1 equation -w'' - (N-1)/r w' + w =
 |w|^(p-2) w and rescales exactly: w_Vinf(r) = Vinf^(1/(p-2)) w_1(sqrt(Vinf) r).
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import EVEN, FULL, Grid, lp_mass, node_sum
-from .energy import _apply_H, _energy, _pair, _ShiftedPoissonSolver, _sphere_gradient
+from .energy import _apply_H, _pair, _ShiftedPoissonSolver, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
 DESCENT_TOL, DESCENT_MAX_ITER = 1e-8, 1_000  # descent gradient-norm tolerance and iteration cap
@@ -352,38 +352,40 @@ def profile_on_grid(profile: RadialProfile, grid) -> GridFunction:
 
 @dataclass
 class DescentResult:
-    minimizer: GridFunction  # `_descend` leaves its node array here
+    minimizer: GridFunction
     level: float
     gradient_norm: float
     iterations: int
     converged: bool
     restarted_from_abs: bool = False
-    nodes: int = 0  # nodes the descent ran on: the grid's, or its orthant's when folded
 
 
-def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
-             mirror: bool = False) -> DescentResult:
+def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid: Grid) -> DescentResult:
     """Preconditioned projected descent on the constraint sphere: steps along
     d = P^-1 g with P = -Delta_h + Vinf (`energy._ShiftedPoissonSolver`), so the
     iteration count does not grow as h falls. Barzilai-Borwein steps in the
     P-metric with backtracking on J, retraction by L^p normalization; the stop
     rule is on the unpreconditioned gradient norm.
 
-    With mirror=True, u0 and V are orthants of even grid arrays from the centre
-    node, and H, P and every sum take their forms for EVEN on every axis
-    (`energy`): each iterate is the orthant of the full-grid one, up to rounding.
+    u0 and V are node arrays on `grid`. On a grid folded EVEN on every axis
+    (`domain.Grid`) they are orthants of even arrays from the centre node, and
+    H, P and every sum take their forms for EVEN on every axis (`energy`): each
+    iterate is the orthant of the full-grid one, up to rounding. P folds every
+    axis or none, so a grid folded along some axes only is refused.
 
     Each line-search candidate is put through H once; the accepted one's H u
     becomes its gradient in place. The old iterate, gradient and direction
     are differenced in place right after the new gradient, so no old iterate
     is live during a line search, and no rejected candidate's H u while the
-    next one is built. The minimizer is returned as its node array.
+    next one is built. The minimizer is returned as a `GridFunction` on `grid`.
     """
+    parity = grid.parity
+    if EVEN in parity and FULL in parity:
+        raise ValueError("the descent folds every axis or none")
     h = grid.h
     weight = grid.weight
     level_floor = -1e6  # a level below this means the descent is diverging
-    P = _ShiftedPoissonSolver(u0.shape, h, Vinf, mirror)
-    parity = (EVEN,) * u0.ndim if mirror else None
+    P = _ShiftedPoissonSolver(u0.shape, h, Vinf, mirror=EVEN in parity)
 
     def norm_p(v):
         return lp_mass(v, p, weight, parity) ** (1.0 / p)
@@ -421,14 +423,14 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid,
         if J < level_floor:
             raise DescentError(f"level fell below the floor {level_floor}")
         if gn < DESCENT_TOL:
-            return DescentResult(u, J, gn, it, True, nodes=u.size)
+            break
         d_new = P.solve(g_new, out=spare)
         d -= d_new
         dg_dd = float(node_sum(np.multiply(d, g, out=d), parity))
         if dg_dd != 0.0:
             s = min(max(abs(du_dg) / dg_dd, 1e-7), 1e3)
         g, d, spare = g_new, d_new, d
-    return DescentResult(u, J, gn, it, False, nodes=u.size)
+    return DescentResult(GridFunction._adopt(grid, u), J, gn, it, gn < DESCENT_TOL)
 
 
 def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
@@ -442,37 +444,17 @@ def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
     minimizer is asserted nonnegative post hoc; a signed iterate triggers one
     restart from its absolute value.
 
-    On a grid folded EVEN on every axis (`domain.Grid`), V, the seed and the
-    minimizer are its orthant arrays, and the level is the descent's own J; a
-    grid folded along some axes only is refused.
-    On a full grid, when V and the seed each equal their mirror image along
-    every axis (every radial well does), the descent runs on the orthant of
-    (m+1)^N nodes from the centre instead of the (2m+1)^N grid. An even
-    iterate stays even, so this is the full-grid iteration without its mirror
-    images: the level, J of the mirrored-back minimizer on the grid, moves
-    only by rounding.
+    The descent runs on exactly `grid`: on a grid folded EVEN on every axis,
+    V, the seed and the minimizer are its orthant arrays, and the level is
+    the descent's own J (`_descend`).
     """
     if seed is None:
         seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
-    if EVEN not in grid.parity and all(np.array_equal(a, np.flip(a, ax))
-                                       for a in (V, seed.values) for ax in range(grid.N)):
-        half = grid.fold((EVEN,) * grid.N)
-        orthant = (slice(grid.origin_index[0], None),) * grid.N
-        res = minimize_lambda1(np.ascontiguousarray(V[orthant]), Vinf, p, half,
-                               GridFunction(half, seed.values[orthant]))
-        u = half.unfold(res.minimizer.values)  # one indexing pass, no array per axis
-        res.minimizer = GridFunction._adopt(grid, u)  # frees the orthant minimizer
-        res.level = _energy(u, V, grid.h)
-        return res
-    mirror = EVEN in grid.parity
-    if mirror and FULL in grid.parity:
-        raise ValueError("the descent folds every axis or none")
-    res = _descend(seed.values, V, Vinf, p, grid, mirror)
-    if np.min(res.minimizer) < -1e-8:
-        res = _descend(np.abs(res.minimizer), V, Vinf, p, grid, mirror)
+    res = _descend(seed.values, V, Vinf, p, grid)
+    if np.min(res.minimizer.values) < -1e-8:
+        res = _descend(np.abs(res.minimizer.values), V, Vinf, p, grid)
         res.restarted_from_abs = True
     if not res.converged:
         raise DescentError(f"descent did not reach tol {DESCENT_TOL} in {DESCENT_MAX_ITER} "
                            f"iterations (gradient norm {res.gradient_norm})")
-    res.minimizer = GridFunction._adopt(grid, res.minimizer)  # no other name holds it
     return res

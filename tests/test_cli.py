@@ -354,13 +354,12 @@ def test_descent_diagnostics_stay_outside_the_hash(tmp_path, monkeypatch):
 
     def altered(*args, **kwargs):
         res = minimize_lambda1(*args, **kwargs)
-        res.iterations, res.gradient_norm, res.nodes = 999, 1.0, 1
-        res.restarted_from_abs = True
+        res.iterations, res.gradient_norm, res.restarted_from_abs = 999, 1.0, True
         return res
 
     monkeypatch.setattr(cli, "minimize_lambda1", altered)
     moved = levels_report("moved")
-    assert moved["diagnostics"]["descent"]["nodes"] == 1
+    assert moved["diagnostics"]["descent"]["iterations"] == 999
     assert moved["report_hash"] == plain["report_hash"]
 
 
@@ -418,20 +417,27 @@ def test_3d_levels_peak_memory(tmp_path):
 @pytest.mark.parametrize("family", ["exponential", "table"])
 def test_a_radial_well_folds_its_fields_and_a_table_keeps_the_grid(tmp_path, monkeypatch,
                                                                    family):
-    # even a radial table keeps the whole grid for V, w_inf, w1 and the sweep
+    # even a radial table keeps the whole grid for V, w_inf, w1, the descent and the sweep
     grid = domain.build_grid(domain.parse_problem_mapping(COARSE))
     path = tmp_path / "w.gfb"
     field.save_gridfunction(field.GridFunction(grid, 0.5 * np.exp(-0.5 * grid.radius())), path)
     well = DESK_WELL if family == "exponential" else {"w_family": "table",
                                                       "w_table_path": str(path)}
-    sweeps = []
+    sweeps, descents = [], []
 
     class Recorded(pathlab.TranslatedBumps):
         def __init__(self, *args):
             super().__init__(*args)
             sweeps.append(self.half.shape)
 
+    descend = groundstate._descend
+
+    def recorded_descent(u0, *args):
+        descents.append(u0.shape)
+        return descend(u0, *args)
+
     monkeypatch.setattr(minimax, "TranslatedBumps", Recorded)
+    monkeypatch.setattr(groundstate, "_descend", recorded_descent)
     pipe = cli.Pipeline(config_from_mapping({**COARSE, **well, "experiment": "levels",
                                              "y_sweep": "3,4", "theta_samples": "64"}))
     m = grid.origin_index[0]
@@ -439,6 +445,7 @@ def test_a_radial_well_folds_its_fields_and_a_table_keeps_the_grid(tmp_path, mon
     shape = (m + 1,) * 2 if folded else grid.shape
     assert pipe.V.shape == pipe.winf.values.shape == shape
     assert pipe.descent.minimizer.values.shape == shape
+    assert descents == [shape]
     assert pipe.lam2.upper > pipe.descent.level
     assert sweeps == [(2 * m + 1, m + 1) if folded else grid.shape]
 

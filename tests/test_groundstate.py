@@ -10,7 +10,6 @@ from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         shoot_excited, shoot_ground)
 from minimaxlab.domain import EVEN, FULL, potential_values
 from minimaxlab.energy import euler_lagrange_residual
-from minimaxlab.field import save_gridfunction
 from minimaxlab import groundstate
 from minimaxlab.groundstate import DescentError, ShootingError
 
@@ -33,14 +32,6 @@ def counting(calls, name, fn):
 def orthant(a):
     """The orthant of a grid array from its centre node."""
     return a[(slice(a.shape[0] // 2, None),) * a.ndim]
-
-
-def skewed(a):
-    """A copy of a grid array with one node off the centre changed, so that it
-    equals none of its mirror images."""
-    a = a.copy()
-    a[(a.shape[0] // 2 + 1,) + (a.shape[0] // 2,) * (a.ndim - 1)] *= 1.001
-    return a
 
 
 @pytest.fixture(autouse=True)
@@ -400,27 +391,7 @@ class TestMinimizeLambda1:
         assert abs(counts[0] - counts[1]) <= 5, counts
 
     def test_peak_memory_stays_below_plain_descent(self):
-        # the plain-gradient descent peaked 9.1 grid arrays above its entry
-        # here; one asymmetric seed node keeps the run on the full grid
-        spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=6.0, h=0.25,
-                           W=WSpec(family="exponential", c=0.5, a=0.5))
-        grid = build_grid(spec)
-        V = potential_values(spec, grid)
-        seed = GridFunction(grid, skewed(np.exp(-grid.radius() ** 2 / 2.0)))
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            res = minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=seed)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.nodes == grid.size
-        assert (peak - entry) / V.nbytes <= 7.5
-
-    def test_folded_peak_memory(self):
-        # the same run on the 25^3 orthant: the descent holds about 8 orthant
-        # arrays; the peak, 24.9, is the mirror back and the full-grid J of
-        # the minimizer, three grid arrays of 8 orthant arrays each
+        # the plain-gradient descent peaked 9.1 grid arrays above its entry here
         spec = ProblemSpec(N=3, p=4.0, Vinf=1.0, L=6.0, h=0.25,
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
@@ -433,11 +404,11 @@ class TestMinimizeLambda1:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.nodes == 25 ** 3
-        assert (peak - entry) / (res.nodes * 8) <= 25.5
+        assert res.minimizer.values.size == grid.size
+        assert (peak - entry) / V.nbytes <= 7.5
 
     @staticmethod
-    def count_H_and_mass(monkeypatch, L, mirror):
+    def count_H_and_mass(monkeypatch, L, folded):
         # each line-search candidate, like the start, is retracted by one L^p
         # normalization and put through H once; the accepted candidate's H u
         # becomes its gradient
@@ -450,22 +421,23 @@ class TestMinimizeLambda1:
         grid = build_grid(spec)
         seed = GridFunction(grid, np.abs(np.random.default_rng(1).standard_normal(grid.shape)))
         V = potential_values(spec, grid)
-        u0 = orthant(seed.values) if mirror else seed.values
-        V = np.ascontiguousarray(orthant(V)) if mirror else V
-        res = groundstate._descend(u0, V, spec.Vinf, spec.p, grid, mirror)
+        u0 = orthant(seed.values) if folded else seed.values
+        V = np.ascontiguousarray(orthant(V)) if folded else V
+        grid = grid.fold((EVEN,) * 2) if folded else grid
+        res = groundstate._descend(u0, V, spec.Vinf, spec.p, grid)
         assert res.converged
-        assert res.nodes == u0.size
+        assert res.minimizer.values.size == u0.size
         return calls, res
 
     def test_descent_applies_H_once_per_candidate(self, monkeypatch):
         # from this rough seed some candidates are rejected
-        calls, res = self.count_H_and_mass(monkeypatch, 4.0, mirror=False)
+        calls, res = self.count_H_and_mass(monkeypatch, 4.0, folded=False)
         assert calls["_apply_H"] == calls["lp_mass"] > res.iterations + 1
 
     def test_folded_descent_applies_H_once_per_candidate(self, monkeypatch):
         # from the orthant of an even rough field the descent rejects a
         # candidate only on the larger box
-        calls, res = self.count_H_and_mass(monkeypatch, 8.0, mirror=True)
+        calls, res = self.count_H_and_mass(monkeypatch, 8.0, folded=True)
         assert calls["_apply_H"] == calls["lp_mass"] > res.iterations + 1
 
     def test_descent_peak_memory_on_a_33_cube(self):
@@ -476,7 +448,7 @@ class TestMinimizeLambda1:
                            W=WSpec(family="exponential", c=0.5, a=0.5))
         grid = build_grid(spec)
         V = potential_values(spec, grid)
-        seed = GridFunction(grid, skewed(np.exp(-grid.radius() ** 2 / 2.0)))
+        seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -496,10 +468,11 @@ class TestMinimizeLambda1:
         seed = np.ascontiguousarray(orthant(
             GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0)).values))
         assert V.shape == (33, 33, 33)
+        half = grid.fold((EVEN,) * 3)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            groundstate._descend(seed, V, spec.Vinf, spec.p, grid, mirror=True)
+            groundstate._descend(seed, V, spec.Vinf, spec.p, half)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -529,51 +502,26 @@ FOLD_WELLS = {"zero": WSpec(), "exponential": WSpec(family="exponential", c=0.5,
 
 
 class TestFoldedDescent:
-    """Even V and seed send the descent to the orthant from the centre node;
-    it is the full-grid iteration up to rounding, and one asymmetric node
-    keeps the full grid."""
-
-    @staticmethod
-    def full_and_folded(spec, seed=None):
-        grid = build_grid(spec)
-        V = potential_values(spec, grid)
-        seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0) if seed is None else seed)
-        full = groundstate._descend(seed.values, V, spec.Vinf, spec.p, grid)
-        return grid, full, minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=seed)
+    """On the orthant grid, folded EVEN on every axis, the descent is the
+    full-grid iteration up to rounding."""
 
     @pytest.mark.parametrize("p", [4.0, 3.0])
     @pytest.mark.parametrize("well", FOLD_WELLS)
     @pytest.mark.parametrize("N, L", [(2, 8.0), (3, 4.0)])
     def test_matches_the_full_grid(self, N, L, well, p):
+        # V and the Gaussian seed evaluated on each grid
         spec = ProblemSpec(N=N, p=p, Vinf=1.0, L=L, h=0.25, W=FOLD_WELLS[well])
-        grid, full, folded = self.full_and_folded(spec)
-        m = grid.origin_index[0]
-        assert folded.nodes == (m + 1) ** N < full.nodes == grid.size
+        grid = build_grid(spec)
+        half = grid.fold((EVEN,) * N)
+        full, folded = (minimize_lambda1(potential_values(spec, g), spec.Vinf, spec.p, g)
+                        for g in (grid, half))
+        assert folded.minimizer.grid is half
         assert folded.iterations == full.iterations
         assert folded.level == pytest.approx(full.level, rel=1e-13, abs=0.0)
-        u = folded.minimizer.values
-        assert all(np.array_equal(u, np.flip(u, ax)) for ax in range(N))
-        assert np.max(np.abs(u - full.minimizer)) <= 1e-12 * np.max(u)
+        u = half.unfold(folded.minimizer.values)
+        assert np.max(np.abs(u - full.minimizer.values)) <= 1e-12 * np.max(u)
         # the reported level is J of the reported minimizer
-        assert folded.level == energy_J(folded.minimizer, potential_values(spec, grid))
-
-    @pytest.mark.parametrize("well", FOLD_WELLS)
-    @pytest.mark.parametrize("N, L", [(2, 8.0), (3, 4.0)])
-    def test_orthant_input_keeps_the_orthant(self, N, L, well):
-        # V and the seed on the orthant grid give the full-grid input's
-        # iteration and its minimizer's orthant, with the level J of the
-        # orthant minimizer bit for bit and no full-grid J formed
-        spec = ProblemSpec(N=N, p=4.0, Vinf=1.0, L=L, h=0.25, W=FOLD_WELLS[well])
-        grid, _, full = self.full_and_folded(spec)
-        half = grid.fold((EVEN,) * N)
-        V = potential_values(spec, half)
-        res = minimize_lambda1(V, spec.Vinf, spec.p, half,
-                               seed=GridFunction(half, np.exp(-half.radius() ** 2 / 2.0)))
-        assert res.minimizer.grid is half
-        assert (res.nodes, res.iterations) == (full.nodes, full.iterations)
-        assert np.array_equal(res.minimizer.values, orthant(full.minimizer.values))
-        assert res.level == energy_J(res.minimizer, V)
-        assert res.level == pytest.approx(full.level, rel=1e-13, abs=0.0)
+        assert folded.level == energy_J(folded.minimizer, potential_values(spec, half))
 
     def test_grid_folded_along_some_axes_only_rejected(self):
         # the preconditioner folds every axis or none
@@ -581,24 +529,3 @@ class TestFoldedDescent:
         half = build_grid(spec).fold((FULL, EVEN))
         with pytest.raises(ValueError, match="every axis or none"):
             minimize_lambda1(potential_values(spec, half), spec.Vinf, spec.p, half)
-
-    @pytest.mark.parametrize("N, L", [(2, 8.0), (3, 4.0)])
-    def test_one_asymmetric_seed_node_keeps_the_full_grid(self, N, L):
-        spec = ProblemSpec(N=N, p=4.0, Vinf=1.0, L=L, h=0.25, W=FOLD_WELLS["exponential"])
-        grid = build_grid(spec)
-        grid, full, res = self.full_and_folded(
-            spec, seed=skewed(np.exp(-grid.radius() ** 2 / 2.0)))
-        assert res.nodes == grid.size
-        assert (res.level, res.iterations) == (full.level, full.iterations)
-        assert np.array_equal(res.minimizer.values, full.minimizer)
-
-    def test_one_asymmetric_table_node_keeps_the_full_grid(self, tmp_path):
-        grid = build_grid(ProblemSpec(N=2, p=4.0, L=8.0, h=0.25))
-        W = GridFunction(grid, skewed(0.5 * np.exp(-0.5 * grid.radius())))
-        save_gridfunction(W, tmp_path / "w.gf")
-        spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=8.0, h=0.25,
-                           W=WSpec(family="table", table_path=str(tmp_path / "w.gf")))
-        grid, full, res = self.full_and_folded(spec)
-        assert res.nodes == grid.size
-        assert (res.level, res.iterations) == (full.level, full.iterations)
-        assert np.array_equal(res.minimizer.values, full.minimizer)

@@ -43,6 +43,13 @@ def test_only_energy_binds_a_stencil_helper(module):
     assert not bound, f"{module} binds {bound}"
 
 
+def _bound_names(module) -> set[str]:
+    """Every name and attribute the source of `module` reads or binds."""
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    return {node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+
+
 def test_energy_holds_the_exact_inverse_of_its_stencil():
     # the solver's eigenvalues are the stencil's spectrum, so both live in
     # energy, and the descent's preconditioner is that solver
@@ -54,10 +61,15 @@ def test_energy_holds_the_exact_inverse_of_its_stencil():
     assert groundstate._apply_H is energy._apply_H
     # groundstate holds no transform or stencil code of its own
     tree = ast.parse(open(groundstate.__file__, encoding="utf-8").read())
-    names = {node.attr if isinstance(node, ast.Attribute) else node.id
-             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    names = _bound_names(groundstate)
     assert not names & {"sin", "cos", "matmul", "shift_slices", "moveaxis", "zero_boundary"}
     assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+
+
+def test_groundstate_makes_no_fold_decision():
+    # the pipeline picks the grid of V and the seed; the descent runs on it
+    names = _bound_names(groundstate)
+    assert not names & {"fold", "unfold", "flip", "array_equal"}
 
 
 def test_energy_imports_no_layer_above_it():
