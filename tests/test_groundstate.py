@@ -523,6 +523,28 @@ class TestFoldedDescent:
         # the reported level is J of the reported minimizer
         assert folded.level == energy_J(folded.minimizer, potential_values(spec, half))
 
+    @pytest.mark.parametrize("well", FOLD_WELLS)
+    @pytest.mark.parametrize("N, L", [(2, 8.0), (3, 4.0)])
+    def test_orthant_input_keeps_the_orthant(self, N, L, well):
+        # an explicit seed on the orthant grid gives the full-grid input's
+        # iteration and the orthant of its minimizer, with the level J of the
+        # orthant minimizer bit for bit
+        spec = ProblemSpec(N=N, p=4.0, Vinf=1.0, L=L, h=0.25, W=FOLD_WELLS[well])
+        grid = build_grid(spec)
+        full = minimize_lambda1(potential_values(spec, grid), spec.Vinf, spec.p, grid,
+                                seed=GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0)))
+        half = grid.fold((EVEN,) * N)
+        V = potential_values(spec, half)
+        res = minimize_lambda1(V, spec.Vinf, spec.p, half,
+                               seed=GridFunction(half, np.exp(-half.radius() ** 2 / 2.0)))
+        assert res.minimizer.grid is half
+        assert res.iterations == full.iterations
+        u, ref = res.minimizer.values, orthant(full.minimizer.values)
+        assert u.shape == ref.shape
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(u)
+        assert res.level == energy_J(res.minimizer, V)
+        assert res.level == pytest.approx(full.level, rel=1e-13, abs=0.0)
+
     def test_grid_folded_along_some_axes_only_rejected(self):
         # the preconditioner folds every axis or none
         spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=4.0, h=0.25)
