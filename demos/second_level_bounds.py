@@ -10,6 +10,7 @@ from minimaxlab import (ProblemSpec, WSpec, build_grid, dual_norm_W, eval_W,
                         lambda2_bounds, lambda2_radial, lambda_sharp,
                         minimize_lambda1, profile_on_grid, shoot_excited,
                         shoot_ground)
+from minimaxlab.domain import EVEN
 
 spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125,
                    W=WSpec(family="exponential", c=0.5, a=0.5))
@@ -19,10 +20,12 @@ l1inf = ground.level
 print(f"autonomous first level lambda1_inf = {l1inf:.6f}")
 
 print("descending on the grid with the well switched on ...")
-grid = build_grid(spec)
+# the well is radial, so V, w_inf and the minimizer are even in every
+# coordinate and live on the orthant x >= 0 of the grid
+grid = build_grid(spec).fold((EVEN,) * spec.N)
 W = eval_W(spec, grid)  # evaluated once, for V and for |W|_q
 V = spec.Vinf - W  # for the descent and the paths
-wnorm = dual_norm_W(W, spec.q, grid.weight)
+wnorm = dual_norm_W(W, spec.q, grid.weight, grid.parity)
 winf = profile_on_grid(ground, grid)  # the descent seed and the translated bump
 res = minimize_lambda1(V, spec.Vinf, spec.p, grid, seed=winf)
 print(f"perturbed first level lambda1      = {res.level:.6f}  "

@@ -7,12 +7,13 @@ doubling value that controls the second level from above.
 """
 
 from minimaxlab import ProblemSpec, build_grid, profile_on_grid, shoot_ground
+from minimaxlab.domain import EVEN
 from minimaxlab.pathlab import SphereMap, TranslationTable
 
 spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=16.0, h=0.125)
 grid = build_grid(spec)
 ground = shoot_ground(spec.N, spec.p, spec.Vinf)
-winf = profile_on_grid(ground, grid)
+winf = profile_on_grid(ground, grid.fold((EVEN,) * spec.N))  # radial: on the orthant
 table = TranslationTable(winf, spec.p)  # serves the scans at every R
 target = 2.0 ** spec.sigma * ground.level
 print(f"doubling level 2^sigma lambda1_inf = {target:.6f}")

@@ -160,7 +160,7 @@ class Pipeline:
     def winf(self):
         """The shooting ground state interpolated onto `field_grid`: the
         descent seed under a well, the translated bump of the two-bump paths
-        and, unfolded to `grid`, the building block of the sphere maps."""
+        and the building block of the sphere maps."""
         return profile_on_grid(self.ground_profile, self.field_grid)
 
     @cached_property
@@ -189,11 +189,9 @@ class Pipeline:
     def gamma_r_scans(self):
         """R -> (sampled directions, J^inf of the sphere map at each of them, J^inf
         of the same directions on the unbounded lattice). One translation
-        table of w_inf, unfolded to `grid`, serves every R and is dropped on return."""
-        winf = self.winf
-        if winf.grid is not self.grid:
-            winf = GridFunction._adopt(self.grid, winf.grid.unfold(winf.values))
-        table = TranslationTable(winf, self.spec.p)
+        table of w_inf, which takes it on `field_grid` (its summed-area tables
+        stay there), serves every R and is dropped on return."""
+        table = TranslationTable(self.winf, self.spec.p)
         out = {}
         for R in self.cfg.r_list:
             sm = SphereMap(table, R)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import FULL, axis_weights, lp_mass, zero_boundary
+from .domain import EVEN, FULL, axis_weights, lp_mass, zero_boundary
 from .energy import ON_MANIFOLD_TOL, _apply_H, _pair, _row_blocks, energy_J, mass_I
 from .field import (GridFunction, lattice_steps, lp_normalize, shift_slices, split_signs,
                     translate)
@@ -480,14 +480,33 @@ def _summed_area(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def _box_sums(sat: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sums over the boxes lo <= z <= hi (rows of (M, N) index arrays) of the
-    array behind the summed-area table `sat`, by inclusion-exclusion over
-    the 2^N corners; a box with hi = lo - 1 on an axis sums to 0."""
-    total = np.zeros(len(lo))
-    for corner in itertools.product((False, True), repeat=sat.ndim):
-        term = sat[tuple(hi[:, a] + 1 if up else lo[:, a] for a, up in enumerate(corner))]
-        if (sat.ndim - sum(corner)) % 2:
+def _axis_terms(kind: str, m: int, lo: np.ndarray, hi: np.ndarray, link: bool):
+    """(index, sign) pairs along one axis of a summed-area table whose signed
+    entries sum the full-axis range lo <= z <= hi (index arrays; hi = lo - 1
+    sums to 0) of the nodes, or with `link` of the links z -> z + 1.
+
+    A FULL axis is the full axis: two corners. An EVEN axis holds the half
+    z >= m of a full axis of 2m + 1 nodes, z = m + j at index j, so the
+    range is at most two ranges of it: its part z >= m at j = z - m, and its
+    mirror part z < m at j = m - z for nodes (the plane z = m counts once)
+    and j = m - 1 - z for links. An empty part sums to 0."""
+    if kind == FULL:
+        return [(lo, -1), (hi + 1, 1)]
+    plus = np.maximum(lo, m) - m
+    minus = m - link - np.minimum(hi, m - 1)
+    return [(plus, -1), (np.maximum(hi - m + 1, plus), 1),
+            (minus, -1), (np.maximum(m - link - lo + 1, minus), 1)]
+
+
+def _box_sums(sat: np.ndarray, terms) -> np.ndarray:
+    """Sums over boxes of the array behind the summed-area table `sat`: over
+    the product of per-axis `_axis_terms`, the entries at each combination of
+    their indices with the product of their signs (for FULL axes,
+    inclusion-exclusion over the 2^N corners)."""
+    total = 0.0
+    for combo in itertools.product(*terms):
+        term = sat[tuple(index for index, _ in combo)]
+        if math.prod(sign for _, sign in combo) < 0:
             total -= term
         else:
             total += term
@@ -498,6 +517,10 @@ class TranslationTable:
     """J^inf of u = T_k w - T_{-k} w at any lattice steps k, from pieces of one
     field w computed once; for even integer p no field is built per step.
 
+    w lives on its own grid (`domain.Grid`): FULL on every axis, or folded,
+    EVEN along the axes in which it is even. `grid` is the full grid, on
+    which the translates live.
+
     `translate` by k drops what leaves the box, so A = T_k w is w restricted to
     the rectangle S_k = Int & (Int - k) of interior nodes, moved by k. With Q
     the quadratic form of H = -Delta_h + Vinf,
@@ -507,62 +530,106 @@ class TranslationTable:
     where H acts on the unbounded lattice (`_apply_H` without the Dirichlet
     rows), so Hw keeps its layer on the box boundary. The self terms come
     from summed-area tables of w^2, |w|^p and the squared link differences
-    along each axis; the faces of S_k enter the kinetic term through the w^2
-    table. The cross terms need no window: w(x - k) w(x + k) != 0 puts both
-    ends, and so x, their midpoint, in Int, where neither translate is
-    clipped, and the mixed link terms likewise. For even integer p the mass is
+    along each axis, built on w's grid: along an EVEN axis a full-grid range
+    is read as at most two reflected ranges of the half (`_axis_terms`). The
+    faces of S_k enter the kinetic term through the w^2 table. The cross
+    terms need no window: w(x - k) w(x + k) != 0 puts both ends, and so x,
+    their midpoint, in Int, where neither translate is clipped, and the
+    mixed link terms likewise; they run over w and Hw unfolded to `grid`.
+    For even integer p the mass is
 
-        |u|_p^p = sum_j C(p, j) (-1)^(p-j) sum A^j B^(p-j),   B = T_-k w,
+        |u|_p^p = sum_j C(p, j) (-1)^(p-j) C_j,   C_j = sum_z w^j(z) w^(p-j)(z + 2k),
 
-    whose j = p and j = 0 terms are self terms and the others correlations
-    sum_z w^j(z) w^(p-j)(z + 2k). Other p build u in one reused buffer, and
-    so does a step whose mass the moment sums cancel down to below
-    CANCELLATION of the translates' masses (a step of a node or two).
-    Each correlation is one pass over the overlap of two views. Taking Int
-    for both rectangles instead gives J^inf on the unbounded lattice, where
-    the wall clips nothing.
+    whose j = p and j = 0 terms are self terms and the others correlations.
+    Other p build u in one reused buffer, and so does a step whose mass the
+    moment sums cancel down to below CANCELLATION of the translates' masses
+    (a step of a node or two). Each correlation is one pass over the overlap
+    of two views. Taking Int for both rectangles instead gives J^inf on the
+    unbounded lattice, where the wall clips nothing.
+
+    Evenness removes work exactly. A step and its sign flips along EVEN axes
+    give the same energies, so `energies` evaluates each distinct one once.
+    For w even in every coordinate S_-k = -S_k gives Q(w|S_-k) = Q(w|S_k) and
+    the same mass, so one self-term pass serves both, and C_j = C_(p-j), so
+    only j <= p/2 is formed.
     """
 
     def __init__(self, w: GridFunction, p: float):
-        v = w.values
         self.field, self.p = w, p
+        self.grid = w.grid.fold((FULL,) * w.grid.N)
+        self._w = v = w.grid.unfold(w.values)  # w itself when its grid is FULL
+        self._m = [(n - 1) // 2 for n in v.shape]  # the mirror plane of each axis
+        self._flip = np.array([kind == EVEN for kind in w.grid.parity])
+        self._symmetric = bool(np.all(self._flip))  # w(-z) = w(z)
         self._interior = np.ones(v.ndim, dtype=int), np.array(v.shape) - 2
-        self._sat_sq = _summed_area(v * v)
-        self._sat_mass = _summed_area(np.abs(v) ** p)
-        self._sat_links = [_summed_area(np.diff(v, axis=a) ** 2) for a in range(v.ndim)]
+        u = w.values  # on w's grid
+        self._sat_sq = _summed_area(u * u)
+        self._sat_mass = _summed_area(np.abs(u) ** p)
+        self._sat_links = [_summed_area(np.diff(u, axis=a) ** 2) for a in range(u.ndim)]
         self._moments = None  # the mass correlations with their binomial weights
         if _even(p):
             n = int(p)
             powers = [v] + [v ** j for j in range(2, n)]  # w^j, j = 1 .. p - 1
-            self._moments = [(math.comb(n, j) * (-1) ** (n - j), powers[j - 1], powers[n - j - 1])
-                             for j in range(1, n)]
+            # for a symmetric w, C_j = C_(p-j) counts twice for j < p/2
+            sym = self._symmetric
+            self._moments = [(math.comb(n, j) * (-1) ** (n - j) * (2 if sym and 2 * j < n else 1),
+                              powers[j - 1], powers[n - j - 1])
+                             for j in (range(1, n // 2 + 1) if sym else range(1, n))]
         self._dot = _dot(v.ndim, 2)
+
+    def _box(self, sat: np.ndarray, lo, hi, link: int = -1) -> np.ndarray:
+        """Sums over the full-grid boxes lo <= z <= hi (rows of (M, N) index
+        arrays) of the array on w's grid behind `sat`, whose axis `link`
+        holds links."""
+        return _box_sums(sat, [_axis_terms(kind, m, lo[:, a], hi[:, a], a == link)
+                               for a, (kind, m) in enumerate(zip(self.field.grid.parity, self._m))])
 
     def _self_terms(self, lo, hi, Vinf: float):
         """(Q, |.|_p^p) of w restricted to each rectangle lo <= z <= hi."""
-        grid = self.field.grid
+        grid = self.grid
         kinetic = np.zeros(len(lo))
         for a, sat in enumerate(self._sat_links):
             inner = hi.copy()
             inner[:, a] -= 1
-            kinetic += _box_sums(sat, lo, inner)  # links with both ends inside
+            kinetic += self._box(sat, lo, inner, a)  # links with both ends inside
             for face in (lo[:, a], hi[:, a]):  # links that leave through a face
                 face_lo, face_hi = lo.copy(), hi.copy()
                 face_lo[:, a] = face_hi[:, a] = face
-                kinetic += _box_sums(self._sat_sq, face_lo, face_hi)
-        Q = kinetic * grid.h ** (grid.N - 2) + Vinf * _box_sums(self._sat_sq, lo, hi) * grid.weight
-        return Q, _box_sums(self._sat_mass, lo, hi) * grid.weight
+                kinetic += self._box(self._sat_sq, face_lo, face_hi)
+        Q = kinetic * grid.h ** (grid.N - 2) + Vinf * self._box(self._sat_sq, lo, hi) * grid.weight
+        return Q, self._box(self._sat_mass, lo, hi) * grid.weight
+
+    def _difference(self, k, out: np.ndarray) -> np.ndarray:
+        """T_k w - T_-k w on `grid`, formed in `out`."""
+        w, k = self._w, np.asarray(k)
+        out.fill(0.0)
+        dst, src = shift_slices(k, w.shape)
+        out[dst] = w[src]
+        dst, src = shift_slices(-k, w.shape)
+        out[dst] -= w[src]
+        return zero_boundary(out)
 
     def energies(self, steps, Vinf: float) -> tuple[np.ndarray, np.ndarray]:
         """J^inf of T_k w - T_-k w at each row k of the integer array `steps`,
-        in the box (as `translate` builds it) and on the unbounded lattice."""
-        v, grid, p = self.field.values, self.field.grid, self.p
-        steps = np.asarray(steps, dtype=int).reshape(-1, grid.N)
+        in order, in the box (as `translate` builds it) and on the unbounded
+        lattice; each distinct step up to sign flips along EVEN axes is
+        evaluated once."""
+        steps = np.asarray(steps, dtype=int).reshape(-1, self.grid.N)
         lo, hi = self._interior
         if not np.all(np.any(steps, axis=1)) or np.any(np.abs(steps) > hi - lo):
             raise PathError("a zero step, or one that keeps no interior node, gives the zero field")
+        distinct, order = np.unique(np.where(self._flip, np.abs(steps), steps), axis=0,
+                                    return_inverse=True)
+        box, unbounded = self._distinct_energies(distinct, float(Vinf))
+        order = order.reshape(-1)
+        return box[order], unbounded[order]
+
+    def _distinct_energies(self, steps: np.ndarray, Vinf: float):
+        v, grid, p = self._w, self.grid, self.p
+        lo, hi = self._interior
         q_a, m_a = self._self_terms(np.maximum(lo, lo - steps), np.minimum(hi, hi - steps), Vinf)
-        q_b, m_b = self._self_terms(np.maximum(lo, lo + steps), np.minimum(hi, hi + steps), Vinf)
+        q_b, m_b = ((q_a, m_a) if self._symmetric else
+                    self._self_terms(np.maximum(lo, lo + steps), np.minimum(hi, hi + steps), Vinf))
         q_w, m_w = self._self_terms(lo[None], hi[None], Vinf)
         Hw = _apply_H(v, Vinf, grid.h, dirichlet=False)
         cross_q, cross_m = np.empty(len(steps)), np.zeros(len(steps))
@@ -571,6 +638,7 @@ class TranslationTable:
             cross_q[i] = np.einsum(self._dot, v[src], Hw[dst])
             if self._moments:
                 cross_m[i] = sum(c * np.einsum(self._dot, a[src], b[dst]) for c, a, b in self._moments)
+        del Hw  # before a built step's buffer
         cross_q *= grid.weight
         cross_m *= grid.weight
         box_mass = m_a + m_b + cross_m
@@ -578,12 +646,7 @@ class TranslationTable:
                  else range(len(steps)))
         buf = np.empty_like(v) if len(built) else None
         for i in built:
-            buf.fill(0.0)
-            dst, src = shift_slices(steps[i], v.shape)
-            buf[dst] = v[src]
-            dst, src = shift_slices(-steps[i], v.shape)
-            buf[dst] -= v[src]
-            box_mass[i] = lp_mass(zero_boundary(buf), p, grid.weight)
+            box_mass[i] = lp_mass(self._difference(steps[i], buf), p, grid.weight)
             cross_m[i] = box_mass[i] - m_a[i] - m_b[i]
         e = 2.0 / p
         box = (q_a + q_b - 2.0 * cross_q) / box_mass ** e
@@ -598,13 +661,15 @@ class SphereMap:
     flips sign exactly under y -> -y, so J(-u) = J(u). Each Ry is rounded to
     the nearest lattice vector, so evaluation uses exact grid shifts.
 
-    `at(y)` builds the field. `scan(Vinf)` evaluates J^inf at every point from
-    the table, and keeps in `unbounded` the J^inf of the same directions on
-    the unbounded lattice, from the same correlations.
+    `at(y)` builds the field on the table's full grid. `scan(Vinf)` evaluates
+    J^inf at every point from the table, once per distinct step up to sign
+    flips along the axes in which w is even, and keeps in `unbounded` the
+    J^inf of the same directions on the unbounded lattice, from the same
+    correlations.
     """
 
     def __init__(self, table: TranslationTable, R: float):
-        grid = table.field.grid
+        grid = table.grid
         if R >= grid.L:
             raise PathError("R must be smaller than the box half-width")
         self.table, self.R = table, R
@@ -612,15 +677,17 @@ class SphereMap:
         self.unbounded = None
 
     def _steps(self, y) -> tuple[int, ...]:
-        return self.table.field.grid.lattice_vector(self.R * np.asarray(y, dtype=float))
+        return self.table.grid.lattice_vector(self.R * np.asarray(y, dtype=float))
 
     def at(self, y) -> GridFunction:
-        w, steps = self.table.field, self._steps(y)
-        u = translate(w, steps).values - translate(w, tuple(-s for s in steps)).values
-        return lp_normalize(GridFunction._adopt(w.grid, u), self.table.p)
+        t = self.table
+        u = t._difference(self._steps(y), np.empty(t.grid.shape))
+        return lp_normalize(GridFunction._adopt(t.grid, u), t.p)
 
     def scan(self, Vinf: float) -> np.ndarray:
-        """J^inf at each of `points`, in order, with the scalar potential Vinf."""
+        """J^inf at each of `points`, in order, with the scalar potential Vinf,
+        from one `TranslationTable.energies` call: points whose steps agree
+        up to sign flips along EVEN axes share one evaluation."""
         box, self.unbounded = self.table.energies([self._steps(y) for y in self.points],
                                                   float(Vinf))
         return box

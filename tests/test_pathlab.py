@@ -8,7 +8,7 @@ import pytest
 from minimaxlab import (GridFunction, ProblemSpec, WSpec, build_grid, energy_J,
                         lambda2_bounds, lp_normalize, mass_I, pathlab, profile_on_grid,
                         translate)
-from minimaxlab.domain import EVEN, potential_values
+from minimaxlab.domain import EVEN, FULL, potential_values
 from minimaxlab.energy import _energy
 from minimaxlab.pathlab import (MAX_THETA_SAMPLES, MIN_THETA_SAMPLES, SPHERE_SAMPLES,
                                 THETA_SAMPLES, PathError, PathFamily, SampledPath,
@@ -392,6 +392,80 @@ class TestTranslationTable:
         table = TranslationTable(smooth_field(grid), 4.0)
         with pytest.raises(PathError, match="keeps no interior node"):
             table.energies([(3, 1), (1, k)], 1.0)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("N, L, R, parity", [
+        (2, 6.0, 5.75, (EVEN, EVEN)),  # R near L: every translate is clipped
+        (2, 6.0, 2.0, (EVEN, EVEN)),
+        (2, 6.0, 5.75, (FULL, EVEN)),  # even along one axis only
+        (3, 3.0, 2.75, (EVEN, EVEN, EVEN)),
+    ])
+    def test_folded_table_matches_the_unfolded_one(self, N, L, R, parity, p):
+        grid = build_grid(ProblemSpec(N=N, p=p, L=L, h=0.25))
+        w = even_field(grid, parity)
+        folded = SphereMap(TranslationTable(w, p), R)
+        full = SphereMap(TranslationTable(GridFunction(grid, w.grid.unfold(w.values)), p), R)
+        assert folded.scan(1.0) == pytest.approx(full.scan(1.0), rel=1e-12, abs=0.0)
+        assert folded.unbounded == pytest.approx(full.unbounded, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("N, L, steps", [
+        (2, 4.0, [(17, 0), (5, -18), (-16, 17)]),  # 2|k_a| >= M = 33 on some axis
+        (3, 2.0, [(9, 0, 0), (-3, 10, 2)]),  # M = 17
+    ])
+    def test_folded_far_steps_match_the_unfolded_table(self, N, L, steps, p):
+        grid = build_grid(ProblemSpec(N=N, p=p, L=L, h=0.25))
+        w = even_field(grid, (EVEN,) * N)
+        folded = TranslationTable(w, p).energies(steps, 1.0)
+        full = TranslationTable(GridFunction(grid, w.grid.unfold(w.values)), p).energies(steps, 1.0)
+        for got, ref in zip(folded, full):
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_mirror_steps_are_evaluated_once_in_input_order(self, monkeypatch):
+        grid = build_grid(ProblemSpec(N=2, p=4.0, L=6.0, h=0.25))
+        table = TranslationTable(even_field(grid, (EVEN, EVEN)), 4.0)
+        evaluated, distinct = [], table._distinct_energies
+
+        def recording(steps, Vinf):
+            evaluated.append(len(steps))
+            return distinct(steps, Vinf)
+
+        monkeypatch.setattr(table, "_distinct_energies", recording)
+        steps = [(7, 3), (5, 11), (-7, 3), (7, -3), (-7, -3), (-5, 11)]
+        box, unbounded = table.energies(steps, 1.0)
+        assert evaluated == [2]  # |k| = (7, 3) and (5, 11)
+        for got in (box, unbounded):
+            assert got[0] == got[2] == got[3] == got[4] != got[1] == got[5]
+        alone = [table.energies([k], 1.0) for k in steps]
+        assert box.tolist() == [b[0] for b, _ in alone]
+        assert unbounded.tolist() == [u[0] for _, u in alone]
+
+    def test_folded_table_peak_memory(self, ground_profile):
+        # the unfolded w, w^2 and w^3, H w, and the orthant's summed-area
+        # tables; with those tables on the full grid it was 8.6 arrays
+        grid = build_grid(ProblemSpec(N=2, p=4.0, L=16.0, h=0.125))
+        w = profile_on_grid(ground_profile, grid.fold((EVEN, EVEN)))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            table = TranslationTable(w, 4.0)
+            for R in (6.0, 9.0, 12.0):
+                SphereMap(table, R).scan(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / (grid.size * 8) < 6.0
+
+
+def even_field(grid, parity):
+    """An anisotropic field on the fold of `grid` to `parity`: even along its
+    EVEN axes, not along the first axis where that is FULL, and far from zero
+    at the wall of a small box."""
+    half = grid.fold(parity)
+    x = half.coords()
+    r2 = sum(xi * xi * (i + 1) for i, xi in enumerate(x)) / 8.0
+    tilt = np.cos(x[0]) if parity[0] == EVEN else np.sin(x[0])
+    return GridFunction(half, np.exp(-r2) * (1.5 + tilt))
 
 
 def bump_pair(N, L, h):
