@@ -232,6 +232,8 @@ def eval_W(spec: ProblemSpec, grid: Grid) -> np.ndarray:
             raise DomainError(f"tabulated W lies on a grid with N={tg.N}, L={tg.L}, h={tg.h}, "
                               f"not the run's N={grid.N}, L={grid.L}, h={grid.h}")
         vals = table.values
+        if not np.isfinite(vals).all():
+            raise DomainError(f"{w.table_path}: tabulated W has a non-finite node")
     return zero_boundary(vals, grid.parity)
 
 

@@ -7,12 +7,12 @@ tables start from H v. For v zero on the boundary, summation by parts makes
 h^N <v, -Delta_h v> the link sum of squared forward differences: per-layer or
 summed-area tables of it give a clipped translate's self terms, and J is exactly
 additive over supports separated by a zero node layer. The stencil is diagonal
-in the DST-I basis, where `_ShiftedPoissonSolver` inverts -Delta_h + Vinf
+in a DST-I basis per axis, where `_ShiftedPoissonSolver` inverts -Delta_h + Vinf
 exactly on the Dirichlet box. All reductions use numpy's deterministic
 summation order, keeping repeated runs bit-identical.
 
-The private kernels (`_apply_H`, `_pair`, `_energy`, `_sphere_gradient`) take
-raw node arrays, a precomputed V and the arrays' per-axis parity
+The private kernels (`_apply_H`, `_pair`, `_energy`, `_sphere_gradient`, the
+solver) take raw node arrays, a precomputed V and the arrays' per-axis parity
 (`domain.FULL` or `domain.EVEN`, FULL on every axis by default). The public
 functions take fields and V = Vinf - W on their grid, never a problem
 specification, and read the parity from the field's grid: `energy_J(u, V)` is
@@ -21,9 +21,11 @@ the one J of a field, folded or not.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .domain import EVEN, axis_weights, lp_mass, node_sum, zero_boundary
+from .domain import EVEN, FULL, axis_weights, lp_mass, node_sum, zero_boundary
 from .field import FieldError, GridFunction, shift_slices
 
 ON_MANIFOLD_TOL = 1e-6
@@ -64,54 +66,55 @@ def _apply_H(v: np.ndarray, V, h: float, dirichlet: bool = True, parity=None) ->
     return zero_boundary(out, parity) if dirichlet else out
 
 
+def _axis_basis(kind: str, M: int):
+    """n+1, h^2 mu and the forward and backward (matrix, transpose) of a solver axis."""
+    k = np.arange(M)
+    n1, modes = (2 * M - 2, 2 * k + 1) if kind == EVEN else (M - 1, k)
+    # j times the mode is reduced modulo 2(n+1) in integers, so each argument lies in [0, 2 pi)
+    arg = np.pi * (np.outer(k, modes) % (2 * n1)) / n1
+    T = np.cos(arg) if kind == EVEN else np.sin(arg)
+    T[-1] = T[:, -1] = 0.0  # row -1 is the wall node, column -1 mode n+1 or none
+    mu = 2.0 - 2.0 * np.cos(np.pi * modes / n1)
+    if kind != EVEN:
+        return n1, mu, (T, T), (T, T)  # the DST-I matrix S is symmetric
+    F = T.T * axis_weights(EVEN, M)  # the node weights of the grid's sums
+    return n1, mu, (F, F.T.copy()), (T, T.T.copy())
+
+
 class _ShiftedPoissonSolver:
-    """Exact inverse of P = -Delta_h + Vinf on the interior nodes of a grid,
-    with Dirichlet zeros on the boundary.
+    """Exact inverse of P = -Delta_h + Vinf on the interior nodes of a node
+    array of `shape` and per-axis `parity`, with Dirichlet zeros on its walls.
 
-    The (2N+1)-point Laplacian is diagonal in the DST-I basis, with
-    eigenvalues sum over the axes of (2 - 2 cos(pi k / (n+1))) / h^2 for n
-    interior nodes per axis. The transform multiplies each axis by the
-    symmetric matrix S_jk = sin(pi j k / (n+1)), held over all nodes with zero
-    boundary rows and columns, so boundary values are ignored and written as
-    zeros. S S = (n+1)/2 I on the interior, so `solve` applies S along every
-    axis, divides by Vinf plus the eigenvalues (that factor folded in) and
-    applies S along every axis again. The passes alternate between `out` and
-    one grid buffer held by the solver.
-
-    With mirror=True the grid is the orthant of m+1 nodes per axis of an even
-    array (EVEN on every axis, `domain.Grid`), so n+1 = 2m and only the odd
-    modes 2k+1 are present, where S at node m+j is (-1)^k cos(pi j (2k+1) / 2m). The
-    forward pass takes that cosine times the node weights (1 on the plane, 2
-    elsewhere), the backward one the cosine alone; mode 2k+1 is row k, the last row none.
+    The (2N+1)-point Laplacian is diagonal in a product of one basis per axis,
+    eigenvalue (2 - 2 cos(pi k / (n+1))) / h^2 for mode k of n interior nodes.
+    Each basis matrix is held over all nodes with zero wall rows and columns,
+    so wall values are ignored and written as zeros. A FULL axis multiplies by
+    the symmetric DST-I matrix S_jk = sin(pi j k / (n+1)), with S S = (n+1)/2 I
+    on the interior. An EVEN axis of m+1 nodes is the half of a FULL one with
+    n+1 = 2m, where an even array has only the odd modes 2k+1, S at node m+j
+    being (-1)^k cos(pi j (2k+1) / 2m): the forward pass takes that cosine
+    times the node weights (`domain.axis_weights`), the backward one the cosine
+    alone; mode 2k+1 is row k, the last row none. Axes of one parity and node
+    count share their basis. `solve` transforms along every axis, divides by
+    Vinf plus the eigenvalues (the factors (n+1)/2 folded in) and transforms
+    back; the passes alternate between `out` and one grid buffer held by the solver.
     """
 
-    def __init__(self, shape: tuple[int, ...], h: float, Vinf: float, mirror: bool = False):
-        M, ndim = shape[0], len(shape)
-        k = np.arange(M)
-        if mirror:
-            n1, modes, first = 2 * M - 2, 2 * k + 1, 0
-            # j (2k+1) is reduced modulo 2(n+1) in integers, as below
-            C = np.cos(np.pi * (np.outer(k, modes) % (2 * n1)) / n1)
-            C[-1] = C[:, -1] = 0.0  # row -1 is the boundary node, column -1 no mode
-            F = C.T * axis_weights(EVEN, M)  # the node weights of the grid's sums
-            self._fwd, self._back = (F, F.T.copy()), (C, C.T.copy())
-        else:
-            n1, modes, first = M - 1, k, 1  # n + 1, with n = M - 2 interior nodes per axis
-            # j k is reduced modulo 2(n+1) in integers, so each sine argument lies in [0, 2 pi)
-            S = np.sin(np.pi * (np.outer(k, k) % (2 * n1)) / n1)
-            S[-1] = S[:, -1] = 0.0  # row and column 0 are exact zeros already
-            self._fwd = self._back = (S, S)  # S is symmetric
-        scale = (n1 / 2.0) ** ndim
-        self._mu = scale * (2.0 - 2.0 * np.cos(np.pi * modes / n1)) / (h * h)  # per axis
-        # Vinf plus the other axes' eigenvalues, broadcast over first-axis indices
-        # (a float for N = 1)
+    def __init__(self, shape: tuple[int, ...], h: float, Vinf: float, parity=None):
+        ndim = len(shape)
+        axes = list(zip(parity or (FULL,) * ndim, shape))
+        bases = {axis: _axis_basis(*axis) for axis in set(axes)}
+        scale = math.prod(bases[axis][0] / 2.0 for axis in axes)
+        self._mu = [scale * bases[axis][1] / (h * h) for axis in axes]  # per axis
+        self._fwd, self._back = ([bases[axis][i] for axis in axes] for i in (2, 3))
+        # Vinf plus the other axes' eigenvalues, broadcast over first-axis indices (N = 1: a float)
         self._rest = scale * Vinf + sum(
-            self._mu.reshape((M,) + (1,) * (ndim - 2 - ax)) for ax in range(ndim - 1))
-        # (mode rows, their first-axis eigenvalues) per division, as many
-        # rows as DIVISION_BLOCK holds
-        rows = max(1, DIVISION_BLOCK // np.size(self._rest))
-        mu = self._mu.reshape((M,) + (1,) * (ndim - 1))
-        edges = [*range(first, M - 1, rows), M - 1]
+            self._mu[ax].reshape((shape[ax],) + (1,) * (ndim - 1 - ax)) for ax in range(1, ndim))
+        # (mode rows, their first-axis eigenvalues) per division, as many rows
+        # as DIVISION_BLOCK holds; row 0 of a FULL axis is mode 0, a zero row
+        rows, M = max(1, DIVISION_BLOCK // np.size(self._rest)), shape[0]
+        mu = self._mu[0].reshape((M,) + (1,) * (ndim - 1))
+        edges = [*range(int(axes[0][0] != EVEN), M - 1, rows), M - 1]
         self._blocks = [(slice(i, j), mu[i:j]) for i, j in zip(edges, edges[1:])]
         self._buf = np.empty(shape)
 
@@ -119,12 +122,12 @@ class _ShiftedPoissonSolver:
         """The forward (or `back`) transform along every axis of `a`, written into `out`
         and returned. The passes alternate between `out` and `spare`, the last one
         writing `out`; `a` is only read, and may be the array the first pass does not write."""
-        M, ndim = a.shape[0], a.ndim
-        T, T_t = self._back if back else self._fwd  # the matrix and its transpose
-        for ax in range(ndim):
+        shape, ndim = a.shape, a.ndim
+        for ax, (T, T_t) in enumerate(self._back if back else self._fwd):
             b = out if (ndim - ax) % 2 else spare
             if ax < ndim - 1:
-                np.matmul(T, a.reshape(M ** ax, M, -1), out=b.reshape(M ** ax, M, -1))
+                rows = (math.prod(shape[:ax]), shape[ax], -1)
+                np.matmul(T, a.reshape(rows), out=b.reshape(rows))
             else:  # T-first, this axis would be matrix-vector products
                 np.matmul(a, T_t, out=b)
             a = b

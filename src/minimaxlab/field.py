@@ -114,10 +114,8 @@ _MAGIC = b"GFB1"
 def save_gridfunction(u: GridFunction, path) -> None:
     """Flat binary layout: magic, N, L, h, per-axis sizes, row-major float64."""
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<i", u.grid.N))
-        f.write(struct.pack("<dd", u.grid.L, u.grid.h))
-        f.write(struct.pack(f"<{u.grid.N}i", *u.values.shape))
+        f.write(_MAGIC + struct.pack(f"<idd{u.grid.N}i", u.grid.N, u.grid.L, u.grid.h,
+                                     *u.values.shape))
         f.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
 
 
@@ -136,5 +134,7 @@ def load_gridfunction(path) -> GridFunction:
     shape = struct.unpack_from(f"<{N}i", raw, 24)
     if shape != (2 * round(L / h) + 1,) * N:  # Grid's shape, checked before it allocates
         raise FieldError(f"{path}: header shape {shape} inconsistent with L={L}, h={h}")
+    if len(raw) - 24 - 4 * N != 8 * math.prod(shape):
+        raise FieldError(f"{path}: {len(raw) - 24 - 4 * N} data bytes, not 8 per node of {shape}")
     data = np.frombuffer(raw, dtype="<f8", offset=24 + 4 * N).reshape(shape)
     return GridFunction(Grid(N, L, h), data)

@@ -1,6 +1,6 @@
 """Radial shooting for the autonomous problem, preconditioned constrained grid
-descent for the first level (on the grid it is given, full or folded EVEN on
-every axis), and exponential decay fitting.
+descent for the first level (on the grid it is given, FULL or EVEN per axis),
+and exponential decay fitting.
 
 The radial solve shoots only the Vinf = 1 equation -w'' - (N-1)/r w' + w =
 |w|^(p-2) w and rescales exactly: w_Vinf(r) = Vinf^(1/(p-2)) w_1(sqrt(Vinf) r).
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import EVEN, FULL, Grid, lp_mass, node_sum
+from .domain import Grid, lp_mass, node_sum
 from .energy import _apply_H, _pair, _ShiftedPoissonSolver, _sphere_gradient
 from .field import GridFunction, lp_normalize
 
@@ -367,11 +367,10 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid: Grid) -
     P-metric with backtracking on J, retraction by L^p normalization; the stop
     rule is on the unpreconditioned gradient norm.
 
-    u0 and V are node arrays on `grid`. On a grid folded EVEN on every axis
-    (`domain.Grid`) they are orthants of even arrays from the centre node, and
-    H, P and every sum take their forms for EVEN on every axis (`energy`): each
-    iterate is the orthant of the full-grid one, up to rounding. P folds every
-    axis or none, so a grid folded along some axes only is refused.
+    u0 and V are node arrays on `grid`. On a folded grid (`domain.Grid`) they
+    keep x >= 0 of arrays even along its EVEN axes, and H, P and every sum take
+    the grid's parity (`energy`): each iterate is the fold of the full-grid one,
+    up to rounding.
 
     Each line-search candidate is put through H once; the accepted one's H u
     becomes its gradient in place. The old iterate, gradient and direction
@@ -379,13 +378,9 @@ def _descend(u0: np.ndarray, V: np.ndarray, Vinf: float, p: float, grid: Grid) -
     is live during a line search, and no rejected candidate's H u while the
     next one is built. The minimizer is returned as a `GridFunction` on `grid`.
     """
-    parity = grid.parity
-    if EVEN in parity and FULL in parity:
-        raise ValueError("the descent folds every axis or none")
-    h = grid.h
-    weight = grid.weight
+    parity, h, weight = grid.parity, grid.h, grid.weight
     level_floor = -1e6  # a level below this means the descent is diverging
-    P = _ShiftedPoissonSolver(u0.shape, h, Vinf, mirror=EVEN in parity)
+    P = _ShiftedPoissonSolver(u0.shape, h, Vinf, parity)
 
     def norm_p(v):
         return lp_mass(v, p, weight, parity) ** (1.0 / p)
@@ -444,9 +439,9 @@ def minimize_lambda1(V: np.ndarray, Vinf: float, p: float, grid: Grid,
     minimizer is asserted nonnegative post hoc; a signed iterate triggers one
     restart from its absolute value.
 
-    The descent runs on exactly `grid`: on a grid folded EVEN on every axis,
-    V, the seed and the minimizer are its orthant arrays, and the level is
-    the descent's own J (`_descend`).
+    The descent runs on exactly `grid`: on a folded grid V, the seed and the
+    minimizer are its folded arrays, and the level is the descent's own J
+    (`_descend`).
     """
     if seed is None:
         seed = GridFunction(grid, np.exp(-grid.radius() ** 2 / 2.0))

@@ -609,6 +609,18 @@ class TestMain:
         assert err.startswith("error: did not converge")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_table_node_is_an_error_naming_the_file(self, tmp_path, capsys, bad):
+        grid = domain.build_grid(domain.parse_problem_mapping(COARSE))
+        vals = np.zeros(grid.shape)
+        vals[grid.origin_index] = float(bad)
+        table = tmp_path / "w.gfb"
+        field.save_gridfunction(field.GridFunction(grid, vals), table)
+        path = write_config(tmp_path / "c.cfg", {"experiment": "levels", "w_family": "table",
+                                                 "w_table_path": str(table)})
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {table}: tabulated W has a non-finite node\n"
+
     @pytest.mark.parametrize("v_inf", ["0.1", "4.0"])
     def test_ground_run_off_unit_vinf(self, tmp_path, v_inf):
         # the decay fit window scales with 1/sqrt(Vinf); r in [6, 12] fitted

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,20 @@ class TestEvalW:
         with pytest.raises(DomainError, match="tabulated W"):
             eval_W(spec, grid)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_table_with_a_non_finite_node_rejected(self, tmp_path, bad):
+        # by the file's name where it is read, not as an overflow of |W|_q
+        from minimaxlab.field import GridFunction, save_gridfunction
+
+        grid = build_grid(small_spec())
+        vals = np.zeros(grid.shape)
+        vals[grid.origin_index] = bad
+        path = tmp_path / "w.gfb"
+        save_gridfunction(GridFunction(grid, vals), path)
+        spec = small_spec(W=WSpec(family="table", table_path=str(path)))
+        with pytest.raises(DomainError, match=re.escape(f"{path}: tabulated W has a non-finite")):
+            eval_W(spec, grid)
+
 
 class TestDualNormW:
     def test_zero(self):
@@ -183,6 +198,20 @@ class TestDualNormW:
         # independent high-resolution polar quadrature of (int e^{-2r} 2 pi r dr)^(1/2)
         integral, _ = quad(lambda r: math.exp(-2.0 * r) * 2.0 * math.pi * r, 0.0, 40.0)
         assert got == pytest.approx(integral ** 0.5, rel=2e-3)
+
+    def test_overflowing_table_rejected(self, tmp_path):
+        # every node finite, but |W|^q = 1e600 at one of them overflows the quadrature
+        from minimaxlab.field import GridFunction, save_gridfunction
+
+        grid = build_grid(small_spec())
+        vals = np.zeros(grid.shape)
+        vals[grid.origin_index] = 1e300
+        path = tmp_path / "w.gfb"
+        save_gridfunction(GridFunction(grid, vals), path)
+        spec = small_spec(W=WSpec(family="table", table_path=str(path)))
+        W = eval_W(spec, grid)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflowed"):
+            dual_norm_W(W, spec.q, grid.weight)
 
     def test_monotone_in_box_size(self):
         vals = []

@@ -166,16 +166,26 @@ class TestLaplacian:
 
 
 class TestShiftedPoissonSolver:
-    @pytest.mark.parametrize("N, L, h, Vinf", [(1, 8.0, 0.25, 2.0), (2, 8.0, 0.25, 1.0),
-                                             (3, 4.0, 0.25, 0.5)])
-    def test_inverts_shifted_laplacian(self, N, L, h, Vinf):
-        grid = Grid(N, L, h)
-        g = zero_boundary(np.random.default_rng(N).standard_normal(grid.shape))
+    @pytest.mark.parametrize("parity, L, Vinf", [
+        pytest.param((FULL,), 8.0, 2.0, id="1-8.0-0.25-2.0"),
+        pytest.param((FULL,) * 2, 8.0, 1.0, id="2-8.0-0.25-1.0"),
+        pytest.param((FULL,) * 3, 4.0, 0.5, id="3-4.0-0.25-0.5"),
+        pytest.param((EVEN,), 8.0, 2.0, id="1-8.0-0.25-2.0-orthant"),
+        pytest.param((EVEN,) * 2, 8.0, 1.0, id="2-8.0-0.25-1.0-orthant"),
+        pytest.param((EVEN,) * 3, 4.0, 0.5, id="3-4.0-0.25-0.5-orthant"),
+        pytest.param((FULL, EVEN), 8.0, 1.0, id="2-8.0-0.25-1.0-half"),
+        pytest.param((FULL, EVEN, EVEN), 4.0, 0.5, id="3-4.0-0.25-0.5-half")])
+    def test_inverts_shifted_laplacian(self, parity, L, Vinf):
+        # on a folded grid (`domain.Grid`) only the last index of an EVEN axis
+        # is boundary, and H takes the neighbour across its mirror plane
+        h = 0.25
+        grid = Grid(len(parity), L, h, parity)
+        g = zero_boundary(np.random.default_rng(grid.N).standard_normal(grid.shape), parity)
         g0 = g.copy()
-        d = _ShiftedPoissonSolver(grid.shape, h, Vinf).solve(g, np.empty_like(g))
+        d = _ShiftedPoissonSolver(grid.shape, h, Vinf, parity).solve(g, np.empty_like(g))
         assert np.array_equal(g, g0)
-        assert np.array_equal(zero_boundary(d.copy()), d)
-        back = _apply_H(d, Vinf, h)
+        assert np.array_equal(zero_boundary(d.copy(), parity), d)
+        back = _apply_H(d, Vinf, h, parity=parity)
         assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
 
     @pytest.mark.parametrize("shape", [(65,), (129, 129), (33, 33, 33), (65, 65, 65)])
@@ -190,9 +200,23 @@ class TestShiftedPoissonSolver:
         g = zero_boundary(np.random.default_rng(len(shape)).standard_normal(shape))
         mid = P._dst(g, np.empty_like(g), np.empty_like(g))
         for i in range(1, len(mid) - 1):
-            mid[i] /= P._mu[i] + P._rest
+            mid[i] /= P._mu[0][i] + P._rest
         ref = P._dst(mid, np.empty_like(g), np.empty_like(g))
         assert np.array_equal(P.solve(g, np.empty_like(g)), ref)
+
+    def test_solver_memory_on_the_desk_orthant(self):
+        # four 129^2 basis matrices, shared by both axes, and one grid buffer;
+        # a basis built per axis would hold nine grid arrays
+        grid = Grid(2, 16.0, 0.125, (EVEN, EVEN))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            P = _ShiftedPoissonSolver(grid.shape, grid.h, 1.0, grid.parity)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert P._buf.shape == (129, 129)
+        assert (held - entry) / P._buf.nbytes <= 5.1
 
     @pytest.mark.parametrize("shape", [(257, 257), (33, 33, 33)])
     def test_transform_is_dst1(self, shape):
@@ -206,21 +230,6 @@ class TestShiftedPoissonSolver:
         out *= 2.0 ** len(shape)
         assert np.max(np.abs(out[interior] - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(zero_boundary(out.copy()), out)
-
-
-    @pytest.mark.parametrize("N, L, h, Vinf", [(1, 8.0, 0.25, 2.0), (2, 8.0, 0.25, 1.0),
-                                             (3, 4.0, 0.25, 0.5)])
-    def test_folded_inverts_the_folded_operator(self, N, L, h, Vinf):
-        # every orthant array is the orthant of an even grid array; only its
-        # last index per axis is boundary
-        M = round(L / h) + 1
-        g = zero_boundary(np.random.default_rng(N).standard_normal((M,) * N), (EVEN,) * N)
-        g0 = g.copy()
-        d = _ShiftedPoissonSolver(g.shape, h, Vinf, mirror=True).solve(g, np.empty_like(g))
-        assert np.array_equal(g, g0)
-        assert np.array_equal(zero_boundary(d.copy(), (EVEN,) * N), d)
-        back = _apply_H(d, Vinf, h, parity=(EVEN,) * N)
-        assert np.max(np.abs(back - g)) <= 1e-12 * np.max(np.abs(g))
 
 
 def even_field(N, L, h, seed):
@@ -259,13 +268,20 @@ class TestMirrorForm:
             assert lp_mass(vo, p, h ** N, parity) == pytest.approx(lp_mass(v, p, h ** N),
                                                                   rel=1e-13)
 
-    @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_folded_solver_is_the_orthant_of_the_solver(self, N):
-        g, go = even_field(N, 4.0, 0.25, N)
+    @pytest.mark.parametrize("parity", [
+        pytest.param((EVEN,), id="1"), pytest.param((EVEN,) * 2, id="2"),
+        pytest.param((EVEN,) * 3, id="3"), pytest.param((FULL, EVEN), id="2-half"),
+        pytest.param((FULL, EVEN, EVEN), id="3-half")])
+    def test_folded_solver_is_the_orthant_of_the_solver(self, parity):
+        # the orthant, or on the half grid x >= 0 along the EVEN axes only
+        N = len(parity)
+        g, _ = even_field(N, 4.0, 0.25, N)
         m = g.shape[0] // 2
+        fold = tuple(slice(m, None) if kind == EVEN else slice(None) for kind in parity)
+        go = np.ascontiguousarray(g[fold])
         d = _ShiftedPoissonSolver(g.shape, 0.25, 1.0).solve(g, np.empty_like(g))
-        do = _ShiftedPoissonSolver(go.shape, 0.25, 1.0, mirror=True).solve(go, np.empty_like(go))
-        assert np.max(np.abs(do - d[(slice(m, None),) * N])) <= 1e-13 * np.max(np.abs(d))
+        do = _ShiftedPoissonSolver(go.shape, 0.25, 1.0, parity).solve(go, np.empty_like(go))
+        assert np.max(np.abs(do - d[fold])) <= 1e-13 * np.max(np.abs(d))
 
 
 class TestFoldedFields:

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -204,14 +205,20 @@ class TestSerialization:
         b"GFB1" + struct.pack("<idd2i", 2, 8.0, 0.0, 65, 65),
         b"GFB1" + struct.pack("<idd2i", 2, math.inf, 0.25, 65, 65),
         b"GFB1" + struct.pack("<idd2i", 2, -8.0, 0.25, 65, 65) + bytes(8 * 65 * 65),
-        b"GFB1" + struct.pack("<idd2i", 2, 1e13, 1.0, 3, 3) + bytes(8 * 9)],
+        b"GFB1" + struct.pack("<idd2i", 2, 1e13, 1.0, 3, 3) + bytes(8 * 9),
+        b"GFB1" + struct.pack("<idd2i", 2, 1.0, 0.25, 9, 9) + bytes(8 * 81 - 8),
+        b"GFB1" + struct.pack("<idd2i", 2, 1.0, 0.25, 9, 9) + bytes(8 * 81 - 3),
+        b"GFB1" + struct.pack("<idd2i", 2, 1.0, 0.25, 9, 9) + bytes(8 * 81 + 8)],
         ids=["bad-magic", "short-axis-count", "short-spacing", "short-axis-sizes",
              "zero-axes", "negative-axes", "zero-spacing", "infinite-half-width",
-             "negative-half-width", "shape-below-half-width"])
+             "negative-half-width", "shape-below-half-width", "truncated-data",
+             "ragged-data", "trailing-bytes"])
     def test_bad_magic_rejected(self, tmp_path, content):
-        # a bad magic or an unusable header is a FieldError, never a struct.error;
-        # so is a shape that L/h contradicts, caught before a 2e13-node axis is allocated
+        # a bad magic or an unusable header is a FieldError naming the file, never
+        # a struct.error; so is a shape that L/h contradicts, caught before a
+        # 2e13-node axis is allocated, and a data block of another length than
+        # the header's shape, caught before numpy's reshape
         path = tmp_path / "junk.gfb"
         path.write_bytes(content)
-        with pytest.raises(FieldError):
+        with pytest.raises(FieldError, match=re.escape(str(path))):
             load_gridfunction(path)

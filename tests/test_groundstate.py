@@ -502,17 +502,21 @@ FOLD_WELLS = {"zero": WSpec(), "exponential": WSpec(family="exponential", c=0.5,
 
 
 class TestFoldedDescent:
-    """On the orthant grid, folded EVEN on every axis, the descent is the
-    full-grid iteration up to rounding."""
+    """On a folded grid, the orthant (EVEN on every axis) or a half grid (FULL
+    along the first axis), the descent is the full-grid iteration up to rounding."""
 
     @pytest.mark.parametrize("p", [4.0, 3.0])
     @pytest.mark.parametrize("well", FOLD_WELLS)
-    @pytest.mark.parametrize("N, L", [(2, 8.0), (3, 4.0)])
-    def test_matches_the_full_grid(self, N, L, well, p):
+    @pytest.mark.parametrize("N, L, parity", [
+        pytest.param(2, 8.0, (EVEN, EVEN), id="2-8.0"),
+        pytest.param(3, 4.0, (EVEN,) * 3, id="3-4.0"),
+        pytest.param(2, 8.0, (FULL, EVEN), id="2-8.0-half"),
+        pytest.param(3, 4.0, (FULL, EVEN, EVEN), id="3-4.0-half")])
+    def test_matches_the_full_grid(self, N, L, parity, well, p):
         # V and the Gaussian seed evaluated on each grid
         spec = ProblemSpec(N=N, p=p, Vinf=1.0, L=L, h=0.25, W=FOLD_WELLS[well])
         grid = build_grid(spec)
-        half = grid.fold((EVEN,) * N)
+        half = grid.fold(parity)
         full, folded = (minimize_lambda1(potential_values(spec, g), spec.Vinf, spec.p, g)
                         for g in (grid, half))
         assert folded.minimizer.grid is half
@@ -544,10 +548,3 @@ class TestFoldedDescent:
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(u)
         assert res.level == energy_J(res.minimizer, V)
         assert res.level == pytest.approx(full.level, rel=1e-13, abs=0.0)
-
-    def test_grid_folded_along_some_axes_only_rejected(self):
-        # the preconditioner folds every axis or none
-        spec = ProblemSpec(N=2, p=4.0, Vinf=1.0, L=4.0, h=0.25)
-        half = build_grid(spec).fold((FULL, EVEN))
-        with pytest.raises(ValueError, match="every axis or none"):
-            minimize_lambda1(potential_values(spec, half), spec.Vinf, spec.p, half)

@@ -54,10 +54,11 @@ def test_energy_holds_the_exact_inverse_of_its_stencil():
     # the solver's eigenvalues are the stencil's spectrum, so both live in
     # energy, and the descent's preconditioner is that solver
     assert groundstate._ShiftedPoissonSolver.__module__ == "minimaxlab.energy"
-    # so do their folded forms: the per-axis parity of the stencil and the
-    # folded transform of the solver, which groundstate only switches on
+    # so do their folded forms: the stencil and the solver take one per-axis
+    # parity, which groundstate only passes on from the grid
     assert "parity" in inspect.signature(energy._apply_H).parameters
-    assert "mirror" in inspect.signature(energy._ShiftedPoissonSolver).parameters
+    assert "parity" in inspect.signature(energy._ShiftedPoissonSolver).parameters
+    assert "mirror" not in inspect.signature(energy._ShiftedPoissonSolver).parameters
     assert groundstate._apply_H is energy._apply_H
     # groundstate holds no transform or stencil code of its own
     tree = ast.parse(open(groundstate.__file__, encoding="utf-8").read())
